@@ -9,6 +9,7 @@ logs are base 2 and 0*log(0) = 0 throughout.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,18 +88,6 @@ def rollout_output_distribution(
     return out
 
 
-def _sequence_kernels(k: ControlledKernel, sequences: list[ActionSequence]) -> np.ndarray:
-    """State-to-state matrices for each sequence, sharing prefix products."""
-    cache: dict[tuple[int, ...], np.ndarray] = {(): np.eye(k.n_states)}
-
-    def product(prefix: tuple[int, ...]) -> np.ndarray:
-        if prefix not in cache:
-            cache[prefix] = product(prefix[:-1]) @ k.probs[prefix[-1]]
-        return cache[prefix]
-
-    return np.stack([product(seq.actions) for seq in sequences])
-
-
 def build_channel(
     k: ControlledKernel,
     gate: FeasibilityGate,
@@ -140,8 +129,13 @@ def channel_capacity(
     Terminates when the certified bound gap max_x D(W_x || q) - I(p; W) drops
     to ``tol`` bits; a run that exhausts ``max_iter`` reports its final gap.
     Channels with zero or one row have capacity zero by convention.
+
+    Exact duplicate rows are merged before iterating, since capacity depends
+    only on the set of distinct rows. The returned ``input_distribution``
+    still has one entry per original row: each merged row's mass is split
+    evenly over its copies, which leaves I(p; W) and the gap unchanged.
     """
-    matrix = w.matrix if isinstance(w, Channel) else np.asarray(w, dtype=np.float64)
+    matrix = np.asarray(w.matrix if isinstance(w, Channel) else w, dtype=np.float64)
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = matrix.shape[0]
@@ -157,13 +151,17 @@ def channel_capacity(
     if bad.size:
         raise ValueError(f"channel row {int(bad[0])} sums to {row_sums[bad[0]]!r}")
 
-    W = matrix
-    mask = W > 0
-    logW = np.zeros_like(W)
-    logW[mask] = np.log2(W[mask])
+    # one opaque item per row, so np.unique compares whole rows bytewise; this
+    # is exact and several times faster than np.unique(matrix, axis=0)
+    row_items = np.ascontiguousarray(matrix).view(np.dtype((np.void, matrix[0].nbytes)))
+    _, first, copy_of, copies = np.unique(
+        row_items.ravel(), return_index=True, return_inverse=True, return_counts=True
+    )
+    W = matrix[first]
+    logW = np.log2(W, out=np.zeros_like(W), where=W > 0)
     row_neg_entropy = (W * logW).sum(axis=1)
 
-    p = np.full(m, 1.0 / m)
+    p = np.full(len(W), 1.0 / len(W))
     trace: list[float] = []
     iterations = 0
     gap = np.inf
@@ -172,9 +170,10 @@ def channel_capacity(
         q = p @ W
         # flooring q makes a supported column with zero marginal register as a
         # huge divergence (instead of dropping out of D), so the update pushes
-        # input mass back toward that row; unsupported columns stay masked out
+        # input mass back toward that row; since logq stays finite and W is 0
+        # off its support, W @ logq sums over supported columns only
         logq = np.log2(np.maximum(q, 1e-300))
-        D = row_neg_entropy - (W * np.where(mask, logq[None, :], 0.0)).sum(axis=1)
+        D = row_neg_entropy - W @ logq
         lower = float(p @ D)
         upper = float(D.max())
         trace.append(lower)
@@ -182,12 +181,12 @@ def channel_capacity(
         if gap <= tol:
             break
         # multiplicative update p <- p * 2^D, normalized
-        scaled = p * np.exp2(D - D.max())
+        scaled = p * np.exp2(D - upper)
         p = scaled / scaled.sum()
 
     return CapacityResult(
         capacity_bits=max(lower, 0.0),
-        input_distribution=p,
+        input_distribution=(p / copies)[copy_of],
         iterations=iterations,
         gap=float(gap),
         lower_bound_trace=trace,
@@ -215,6 +214,7 @@ class MedianEmpowermentResult:
     selected_states: list[int]
     values: list[float]
     subset_rule: str
+    max_gap_bits: float
 
 
 def select_kernel_subset(indices: np.ndarray, max_states: int) -> np.ndarray:
@@ -266,6 +266,19 @@ def _batched_sequence_rows(
     return seqs, np.stack(rows)
 
 
+def cyclic_channel_key(w: np.ndarray) -> bytes:
+    """Digest of a channel's bytes and shape up to a cyclic shift of its labels.
+
+    Each position of the largest column sum is rolled to column 0 and the
+    smallest resulting bytes are kept, so every cyclic shift of the label
+    columns yields one key. Capacity is invariant under any column
+    permutation, so channels that share a key share their capacity.
+    """
+    sums = w.sum(axis=0)
+    best = min(np.roll(w, -int(j), axis=1).tobytes() for j in np.flatnonzero(sums == sums.max()))
+    return hashlib.blake2b(repr(w.shape).encode() + best, digest_size=16).digest()
+
+
 def median_empowerment_on_kernel(
     k: ControlledKernel,
     gate: FeasibilityGate,
@@ -280,29 +293,41 @@ def median_empowerment_on_kernel(
     ``kernel_set`` is a boolean mask or an index array. The empty set yields
     zero by convention (no viable states means no induced action layer).
     Rollouts share prefix products across the selected states; each state's
-    channel still contains exactly its budget-feasible sequences.
+    channel still contains exactly its budget-feasible sequences. Within one
+    call, channels equal up to a cyclic shift of the output labels are solved
+    once (see ``cyclic_channel_key``); ``max_gap_bits`` is the largest
+    certified gap among the solves used.
     """
     kernel_set = np.asarray(kernel_set)
     indices = np.flatnonzero(kernel_set) if kernel_set.dtype == bool else kernel_set
     if len(indices) == 0:
         return MedianEmpowermentResult(
-            median_bits=0.0, selected_states=[], values=[], subset_rule="empty_kernel"
+            median_bits=0.0,
+            selected_states=[],
+            values=[],
+            subset_rule="empty_kernel",
+            max_gap_bits=0.0,
         )
     selected = select_kernel_subset(indices, max_states)
     rule = "all_states" if len(indices) <= max_states else f"strided_{max_states}"
 
     seqs, rows = _batched_sequence_rows(k, horizon, f, selected)
     seq_costs = np.array([gate.costs[list(s)].sum() for s in seqs])
+    solved: dict[bytes, tuple[float, float]] = {}
     values = []
     for i, s in enumerate(selected):
-        feasible = seq_costs <= gate.ledger[s]
-        channel = rows[feasible][:, i, :]
-        values.append(channel_capacity(channel, tol=tol).capacity_bits)
+        channel = rows[seq_costs <= gate.ledger[s], i]
+        key = cyclic_channel_key(channel)
+        if key not in solved:
+            res = channel_capacity(channel, tol=tol)
+            solved[key] = (res.capacity_bits, res.gap)
+        values.append(solved[key][0])
     return MedianEmpowermentResult(
         median_bits=lower_median(values),
         selected_states=[int(s) for s in selected],
         values=values,
         subset_rule=rule,
+        max_gap_bits=max(gap for _, gap in solved.values()),
     )
 
 

@@ -12,11 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Entries below this threshold are treated as exact zeros when computing
-# successor supports. Environment constructors build rows from rationals, so
-# any true zero is exact; this only guards against float dust.
-SUPPORT_EPSILON = 1e-12
-
 ROW_SUM_TOLERANCE = 1e-12
 
 
@@ -160,10 +155,13 @@ def step_distribution(k: ControlledKernel, d: np.ndarray, a: int) -> np.ndarray:
     return np.asarray(d, dtype=np.float64) @ k.probs[a]
 
 
-def successor_support(
-    k: ControlledKernel, s: int, a: int, epsilon: float = SUPPORT_EPSILON
-) -> set[int]:
-    """States reachable from (s, a) with probability above ``epsilon``."""
+def successor_support(k: ControlledKernel, s: int, a: int, epsilon: float = 0.0) -> set[int]:
+    """States reachable from (s, a) with probability above ``epsilon``.
+
+    The default support is exact: environment constructors build rows from
+    rationals, so a zero is a true zero, and robust viability must see every
+    nonzero-probability successor.
+    """
     if not 0 <= s < k.n_states:
         raise IndexError(f"state index {s} out of range [0, {k.n_states})")
     if not 0 <= a < k.n_actions:
@@ -171,7 +169,7 @@ def successor_support(
     return set(np.flatnonzero(k.probs[a, s] > epsilon).tolist())
 
 
-def support_tensor(k: ControlledKernel, epsilon: float = SUPPORT_EPSILON) -> np.ndarray:
+def support_tensor(k: ControlledKernel, epsilon: float = 0.0) -> np.ndarray:
     """Boolean tensor post[a, s, s'] = (P[a,s,s'] > epsilon), for batch set work."""
     return k.probs > epsilon
 

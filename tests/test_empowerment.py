@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from agencykit import empowerment
 from agencykit.empowerment import (
     Channel,
     Lens,
     build_channel,
     channel_capacity,
+    cyclic_channel_key,
     feasible_empowerment,
     lower_median,
     median_empowerment_on_kernel,
@@ -13,10 +15,13 @@ from agencykit.empowerment import (
     select_kernel_subset,
     total_variation,
 )
+from agencykit.environments import build_ringworld
+from agencykit.experiments import holonomy_config
 from agencykit.feasibility import FeasibilityGate
 from agencykit.kernel import ControlledKernel
-from conftest import random_kernel
-from oracles import bsc_capacity, grid_search_capacity
+from agencykit.viability import viability_kernel
+from conftest import random_gate, random_kernel
+from oracles import blahut_arimoto_capacity, bsc_capacity, grid_search_capacity
 
 
 def single_matrix_kernel(rows) -> ControlledKernel:
@@ -103,8 +108,10 @@ class TestChannelCapacity:
     def test_zero_and_one_row_conventions(self):
         empty = channel_capacity(np.zeros((0, 3)))
         assert (empty.capacity_bits, empty.iterations) == (0.0, 0)
+        assert empty.input_distribution.shape == (0,)
         single = channel_capacity(Channel(inputs=[], matrix=np.array([[0.2, 0.8]])))
         assert (single.capacity_bits, single.iterations) == (0.0, 0)
+        np.testing.assert_array_equal(single.input_distribution, [1.0])
 
     def test_non_stochastic_row_rejected(self):
         with pytest.raises(ValueError):
@@ -123,6 +130,62 @@ class TestChannelCapacity:
             ba = channel_capacity(W, tol=1e-10).capacity_bits
             grid = grid_search_capacity(W, step=1e-3)
             assert ba == pytest.approx(grid, abs=1e-4)
+
+
+class TestRowMerging:
+    def test_input_distribution_covers_original_rows(self, rng):
+        for _ in range(10):
+            W = rng.dirichlet(np.ones(4), size=3)
+            copies = rng.randint(0, 3, size=8)
+            dup = W[copies]
+            res = channel_capacity(dup, tol=1e-10)
+            p = res.input_distribution
+            assert p.shape == (8,)
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            for row in np.unique(copies):
+                np.testing.assert_array_equal(p[copies == row], p[copies == row][0])
+
+    def test_merged_matches_unmerged_oracle(self, rng):
+        for _ in range(10):
+            W = rng.dirichlet(np.ones(4), size=3)
+            dup = W[rng.randint(0, 3, size=7)]
+            res = channel_capacity(dup, tol=1e-10)
+            assert res.capacity_bits == pytest.approx(
+                blahut_arimoto_capacity(dup, tol=1e-10), abs=2e-10
+            )
+
+    def test_all_rows_equal_is_one_distinct_row(self):
+        res = channel_capacity(np.tile([0.25, 0.75], (5, 1)))
+        assert res.capacity_bits == 0.0
+        np.testing.assert_array_equal(res.input_distribution, np.full(5, 0.2))
+
+    def test_non_stochastic_row_reported_by_original_index(self):
+        W = np.array([[0.5, 0.5], [0.5, 0.5], [0.3, 0.6]])
+        with pytest.raises(ValueError, match="row 2"):
+            channel_capacity(W)
+
+
+class TestCyclicChannelKey:
+    def test_every_column_roll_shares_the_key(self, rng):
+        for _ in range(10):
+            W = rng.dirichlet(np.ones(6), size=5)
+            key = cyclic_channel_key(W)
+            for shift in range(6):
+                assert cyclic_channel_key(np.roll(W, shift, axis=1)) == key
+
+    def test_tied_column_sums_still_canonical(self):
+        W = np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5], [0.5, 0.5, 0.0, 0.0]])
+        key = cyclic_channel_key(W)
+        assert all(cyclic_channel_key(np.roll(W, j, axis=1)) == key for j in range(4))
+
+    def test_one_ulp_changes_the_key(self, rng):
+        W = rng.dirichlet(np.ones(4), size=3)
+        bumped = W.copy()
+        bumped[1, 2] = np.nextafter(bumped[1, 2], 1.0)
+        assert cyclic_channel_key(bumped) != cyclic_channel_key(W)
+
+    def test_shape_is_part_of_the_key(self):
+        assert cyclic_channel_key(np.zeros((0, 4))) != cyclic_channel_key(np.zeros((0, 2)))
 
 
 class TestCapacityInvariants:
@@ -185,6 +248,7 @@ class TestFeasibleEmpowerment:
                                            identity_lens(4))
         assert med.median_bits == 0.0
         assert med.subset_rule == "empty_kernel"
+        assert med.max_gap_bits == 0.0
 
     def test_batched_median_matches_per_state_path(self, rng):
         k = random_kernel(rng, 5, 2)
@@ -195,6 +259,63 @@ class TestFeasibleEmpowerment:
         direct = [feasible_empowerment(k, g, s, 2, f) for s in range(5)]
         np.testing.assert_allclose(med.values, direct, atol=1e-9)
         assert med.median_bits == pytest.approx(lower_median(direct), abs=1e-12)
+
+
+class TestMedianMemo:
+    """The per-call memo must return exactly what per-state solves certify."""
+
+    @staticmethod
+    def direct(k, g, med, horizon, f, tol):
+        return [
+            channel_capacity(build_channel(k, g, s, horizon, f), tol=tol)
+            for s in med.selected_states
+        ]
+
+    def test_random_kernels_match_unmerged_channels(self, rng):
+        tol = 1e-9
+        for _ in range(6):
+            k = random_kernel(rng, 6, 3)
+            g = random_gate(rng, 6, 3)
+            f = Lens(name="mod3", project=np.arange(6) % 3, n_labels=3)
+            for horizon in (1, 2):
+                med = median_empowerment_on_kernel(k, g, np.ones(6, bool), horizon, f, tol=tol)
+                direct = self.direct(k, g, med, horizon, f, tol)
+                np.testing.assert_allclose(
+                    med.values, [r.capacity_bits for r in direct], rtol=0, atol=2 * tol
+                )
+
+    def test_max_gap_is_largest_per_state_gap(self, rng):
+        for _ in range(6):
+            k = random_kernel(rng, 5, 2)
+            g = zero_gate(5, 2)
+            f = identity_lens(5)
+            med = median_empowerment_on_kernel(k, g, np.ones(5, bool), 2, f, tol=1e-9)
+            direct = self.direct(k, g, med, 2, f, 1e-9)
+            assert med.max_gap_bits == max(r.gap for r in direct)
+
+    @pytest.mark.parametrize("protocol_on", [True, False])
+    def test_holonomy_ring_matches_unmerged_channels(self, protocol_on, monkeypatch):
+        tol = 1e-9
+        env = build_ringworld(holonomy_config("paper", protocol_on))
+        vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
+        solves = []
+        counted = empowerment.channel_capacity
+        monkeypatch.setattr(
+            empowerment, "channel_capacity", lambda w, tol: solves.append(1) or counted(w, tol)
+        )
+        for horizon in (1, 2, 3):
+            solves.clear()
+            med = median_empowerment_on_kernel(
+                env.kernel, env.gate, vres.kernel, horizon, env.output_lens,
+                max_states=16, tol=tol,
+            )
+            # y-shifted start states repeat channels up to a label shift
+            assert len(solves) < len(med.selected_states)
+            direct = self.direct(env.kernel, env.gate, med, horizon, env.output_lens, tol)
+            np.testing.assert_allclose(
+                med.values, [r.capacity_bits for r in direct], rtol=0, atol=2 * tol
+            )
+            assert med.max_gap_bits <= tol
 
 
 class TestSubsetRule:

@@ -8,6 +8,7 @@ from agencykit.kernel import (
     policy_closure,
     step_distribution,
     successor_support,
+    support_tensor,
     validate_kernel,
 )
 from conftest import random_kernel
@@ -85,6 +86,11 @@ class TestSuccessorSupport:
     def test_epsilon_threshold(self):
         k = kernel_from_rows([[1 - 1e-15, 1e-15, 0], [1, 0, 0], [0, 0, 1]])
         assert successor_support(k, 0, 0, epsilon=1e-12) == {0}
+
+    def test_default_support_is_exact(self):
+        k = kernel_from_rows([[1 - 1e-15, 1e-15, 0], [1, 0, 0], [0, 0, 1]])
+        assert successor_support(k, 0, 0) == {0, 1}
+        assert support_tensor(k)[0, 0].tolist() == [True, True, False]
 
     def test_index_out_of_range(self):
         k = kernel_from_rows(np.eye(2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agencykit.environments import RingWorldConfig, build_ringworld
 from agencykit.feasibility import FeasibilityGate
 from agencykit.kernel import ControlledKernel
 from agencykit.viability import (
@@ -154,3 +155,15 @@ class TestProperties:
         res = viability_kernel(k, free_gate(3, 2), safe)
         assert not res.kernel[0]
         assert res.kernel[1]
+
+    def test_tiny_leak_to_unsafe_state_excludes_state(self):
+        # robust viability must see a successor however small its probability
+        k = chain_kernel([[1 - 1e-15, 1e-15], [0, 1]])
+        res = viability_kernel(k, free_gate(2), SafetyPredicate(safe=np.array([True, False])))
+        assert not res.kernel.any()
+
+    @pytest.mark.parametrize("p_flip", [1e-13, 1e-11])
+    def test_ringworld_tiny_noise_without_repair_has_empty_coherent_kernel(self, p_flip):
+        # any nonzero flip chance eventually breaks coherence when repair is off
+        env = build_ringworld(RingWorldConfig(p_flip=p_flip, repair_enabled=False))
+        assert viability_kernel(env.kernel, env.gate, env.safety_coherent).size == 0
