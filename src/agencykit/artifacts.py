@@ -203,9 +203,14 @@ def _iter_probability_objects(tree, path: str = "$.metrics"):
 
 def _check_probability_object(key: str, value) -> str | None:
     """Entries must lie in [0, 1]; distribution vectors and each row sum to 1."""
-    arr = np.asarray(value, dtype=np.float64)
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        return f"not a numeric array ({exc})"
     if arr.size == 0:
         return None
+    if not np.all(np.isfinite(arr)):
+        return "non-numeric or non-finite entries"
     if np.any(arr < -STOCHASTICITY_TOLERANCE) or np.any(arr > 1 + STOCHASTICITY_TOLERANCE):
         return f"entries outside [0, 1] (range [{arr.min()}, {arr.max()}])"
     rows = arr[None, :] if arr.ndim == 1 else arr
@@ -218,13 +223,30 @@ def _check_probability_object(key: str, value) -> str | None:
     return None
 
 
+def _check_solver(metrics) -> str | None:
+    """A ``solver`` block's certified gap must not exceed its capacity tolerance."""
+    solver = metrics.get("solver") if isinstance(metrics, dict) else None
+    if solver is None:
+        return None
+    try:
+        gap = float(solver["max_gap_bits"])
+        tol = float(solver["capacity_tol_bits"])
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"malformed solver block ({exc!r})"
+    if not gap <= tol:
+        return f"max_gap_bits {gap!r} exceeds capacity_tol_bits {tol!r}"
+    return None
+
+
 def audit(directory: str | Path, strict: bool = True) -> AuditReport:
     """Check every JSON artifact in ``directory`` against the artifact contract.
 
     Verifies required fields, recomputes each config hash from the embedded
-    config, scans tagged probability objects for stochasticity violations, and
-    checks filename/hash consistency (a warning instead of a failure when
-    ``strict`` is off). Unreadable files become failure entries, not crashes.
+    config, scans tagged probability objects for stochasticity violations,
+    checks that a ``solver`` block's certified capacity gap is within its
+    tolerance, and checks filename/hash consistency (a warning instead of a
+    failure when ``strict`` is off). Unreadable or malformed files become
+    failure entries, not crashes.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -240,6 +262,9 @@ def audit(directory: str | Path, strict: bool = True) -> AuditReport:
             report.failures.append((name, "unreadable", str(exc)))
             continue
 
+        if not isinstance(record, dict):
+            report.failures.append((name, "missing_fields", "file is not a JSON object"))
+            continue
         missing = [f for f in REQUIRED_FIELDS if f not in record]
         if missing:
             report.failures.append((name, "missing_fields", ", ".join(missing)))
@@ -250,9 +275,14 @@ def audit(directory: str | Path, strict: bool = True) -> AuditReport:
         except ValueError as exc:
             report.failures.append((name, "config_not_serializable", str(exc)))
             continue
-        if record["config_hash"] != expected:
+        stored = record["config_hash"]
+        if not isinstance(stored, str):
             report.failures.append(
-                (name, "config_hash_mismatch", f"stored {record['config_hash'][:12]}..., recomputed {expected[:12]}...")
+                (name, "config_hash_mismatch", f"stored {stored!r} is not a hex string")
+            )
+        elif stored != expected:
+            report.failures.append(
+                (name, "config_hash_mismatch", f"stored {stored[:12]}..., recomputed {expected[:12]}...")
             )
 
         for tree_path, key, value in _iter_probability_objects(record["metrics"]):
@@ -260,7 +290,13 @@ def audit(directory: str | Path, strict: bool = True) -> AuditReport:
             if problem is not None:
                 report.failures.append((name, "stochasticity", f"{tree_path}: {problem}"))
 
-        expected_name = f"{record['artifact_type']}_{record['config_hash'][:12]}.json"
+        problem = _check_solver(record["metrics"])
+        if problem is not None:
+            report.failures.append((name, "uncertified_capacity", f"$.metrics.solver: {problem}"))
+
+        if not isinstance(stored, str):
+            continue
+        expected_name = f"{record['artifact_type']}_{stored[:12]}.json"
         if path.name != expected_name:
             entry = (name, "filename_hash_prefix", f"expected {expected_name}")
             if strict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from agencykit.feasibility import ActionSequence, FeasibilityGate, feasible_sequences
-from agencykit.kernel import ControlledKernel
+from agencykit.kernel import ControlledKernel, predecessor_lists, pull
 
 ROW_TOLERANCE = 1e-9
 MASS_TOLERANCE = 1e-10
@@ -69,22 +69,34 @@ class CapacityResult:
     lower_bound_trace: list[float] = field(default_factory=list, repr=False)
 
 
+def _check_mass(out: np.ndarray) -> None:
+    total = out.sum(axis=-1)
+    bad = np.flatnonzero(np.abs(total - 1.0) > MASS_TOLERANCE)
+    if bad.size:
+        raise ValueError(f"rollout mass {total.flat[bad[0]]!r} deviates from 1")
+
+
 def rollout_output_distribution(
     k: ControlledKernel, s0: int, alpha: ActionSequence | tuple[int, ...], f: Lens
 ) -> np.ndarray:
-    """Exact push-forward of delta_{s0} through an action sequence, then the lens."""
+    """Exact push-forward of delta_{s0} through an action sequence, then the lens.
+
+    Uses the same pushes as ``_batched_sequence_rows``, so the result is
+    bit-identical to that sequence's row there.
+    """
     actions = alpha.actions if isinstance(alpha, ActionSequence) else tuple(alpha)
     if len(actions) < 1:
         raise ValueError("action sequence must have length >= 1")
     if not 0 <= s0 < k.n_states:
         raise IndexError(f"state index {s0} out of range")
-    d = np.zeros(k.n_states)
-    d[s0] = 1.0
-    for a in actions:
-        d = d @ k.probs[a]
-    out = f.push(d)
-    if abs(float(out.sum()) - 1.0) > MASS_TOLERANCE:
-        raise ValueError(f"rollout mass {out.sum()!r} deviates from 1")
+    step = predecessor_lists(k)
+    D = np.zeros((k.n_states, 1))
+    D[s0, 0] = 1.0
+    for a in actions[:-1]:
+        D = pull(step, D).reshape(k.n_actions, k.n_states, 1)[a]
+    last = predecessor_lists(k, f.project, f.n_labels)
+    out = pull(last, D).reshape(k.n_actions, f.n_labels)[actions[-1]]
+    _check_mass(out)
     return out
 
 
@@ -100,10 +112,13 @@ def build_channel(
 
     Rows follow the deterministic lexicographic sequence order. With
     ``feasible_only`` the inputs are gated by the initial budget at ``s0``;
-    a zero-row channel is legal.
+    a zero-row channel is legal. Rows are bit-identical to the ones
+    ``median_empowerment_on_kernel`` solves for ``s0``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if not 0 <= s0 < k.n_states:
+        raise IndexError(f"state index {s0} out of range")
     if feasible_only:
         seqs = feasible_sequences(gate, s0, horizon)
     else:
@@ -115,8 +130,14 @@ def build_channel(
         ]
     if not seqs:
         return Channel(inputs=[], matrix=np.zeros((0, f.n_labels)))
-    rows = [rollout_output_distribution(k, s0, seq, f) for seq in seqs]
-    return Channel(inputs=seqs, matrix=np.stack(rows))
+    _, rows = _batched_sequence_rows(k, horizon, f, [s0])
+    # rows come in lexicographic order, so a sequence's row is its base-A value
+    picks = np.ravel_multi_index(
+        np.array([s.actions for s in seqs]).T, (k.n_actions,) * horizon
+    )
+    matrix = rows[picks, 0]
+    _check_mass(matrix)
+    return Channel(inputs=seqs, matrix=matrix)
 
 
 def channel_capacity(
@@ -202,8 +223,29 @@ def feasible_empowerment(
     tol: float = BA_DEFAULT_TOL,
 ) -> float:
     """Capacity (bits) of the budget-restricted sequence channel from ``s0``."""
-    channel = build_channel(k, gate, s0, horizon, f, feasible_only=True)
-    return channel_capacity(channel, tol=tol).capacity_bits
+    if not 0 <= s0 < k.n_states:
+        raise IndexError(f"state index {s0} out of range")
+    return feasible_empowerment_values(k, gate, [s0], horizon, f, tol=tol)[0]
+
+
+def feasible_empowerment_values(
+    k: ControlledKernel,
+    gate: FeasibilityGate,
+    states: list[int] | np.ndarray,
+    horizon: int,
+    f: Lens,
+    tol: float = BA_DEFAULT_TOL,
+) -> list[float]:
+    """``feasible_empowerment`` at each of several start states, in one rollout.
+
+    Each value is exactly the one ``feasible_empowerment`` gives at that state.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    return [
+        channel_capacity(w, tol=tol).capacity_bits
+        for w in _feasible_channels(k, gate, states, horizon, f)
+    ]
 
 
 @dataclass
@@ -242,28 +284,49 @@ def _batched_sequence_rows(
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Output rows for every length-H sequence from several start states at once.
 
-    Shares prefix products across the lexicographic sequence tree; returns the
-    sequences in lex order and an array of shape (n_seq, len(states), n_labels).
+    Shares prefix pushes across the lexicographic sequence tree, holding one
+    column per start state and pushing every action at once, and takes the
+    last step straight into labels; returns the sequences in lex order and an
+    array of shape (n_seq, len(states), n_labels). Each column is
+    bit-identical to the rollout of its start state alone (see ``pull``).
     """
     states = np.asarray(states, dtype=np.int64)
-    lens_onehot = np.zeros((k.n_states, f.n_labels))
-    lens_onehot[np.arange(k.n_states), f.project] = 1.0
-    D0 = np.zeros((len(states), k.n_states))
-    D0[np.arange(len(states)), states] = 1.0
+    m = len(states)
+    n_actions, n_states, n_labels = k.n_actions, k.n_states, f.n_labels
+    step = predecessor_lists(k)
+    last = predecessor_lists(k, f.project, n_labels)
+    D0 = np.zeros((n_states, m))
+    D0[states, np.arange(m)] = 1.0
 
     seqs: list[tuple[int, ...]] = []
     rows: list[np.ndarray] = []
 
     def descend(prefix: tuple[int, ...], D: np.ndarray) -> None:
-        if len(prefix) == horizon:
-            seqs.append(prefix)
-            rows.append(D @ lens_onehot)
+        if len(prefix) == horizon - 1:
+            out = pull(last, D).reshape(n_actions, n_labels, m)
+            for a in range(n_actions):
+                seqs.append(prefix + (a,))
+                rows.append(out[a].T)
             return
-        for a in range(k.n_actions):
-            descend(prefix + (a,), D @ k.probs[a])
+        children = pull(step, D).reshape(n_actions, n_states, m)
+        for a in range(n_actions):
+            descend(prefix + (a,), children[a])
 
     descend((), D0)
     return seqs, np.stack(rows)
+
+
+def _feasible_channels(
+    k: ControlledKernel, gate: FeasibilityGate, states: np.ndarray, horizon: int, f: Lens
+):
+    """Each start state's budget-feasible channel, cut from one batched rollout.
+
+    Yields, state by state, exactly the matrix ``build_channel`` gives.
+    """
+    seqs, rows = _batched_sequence_rows(k, horizon, f, states)
+    seq_costs = np.array([gate.costs[list(s)].sum() for s in seqs])
+    for i, s in enumerate(states):
+        yield rows[seq_costs <= gate.ledger[s], i]
 
 
 def cyclic_channel_key(w: np.ndarray) -> bytes:
@@ -298,6 +361,8 @@ def median_empowerment_on_kernel(
     once (see ``cyclic_channel_key``); ``max_gap_bits`` is the largest
     certified gap among the solves used.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     kernel_set = np.asarray(kernel_set)
     indices = np.flatnonzero(kernel_set) if kernel_set.dtype == bool else kernel_set
     if len(indices) == 0:
@@ -311,12 +376,9 @@ def median_empowerment_on_kernel(
     selected = select_kernel_subset(indices, max_states)
     rule = "all_states" if len(indices) <= max_states else f"strided_{max_states}"
 
-    seqs, rows = _batched_sequence_rows(k, horizon, f, selected)
-    seq_costs = np.array([gate.costs[list(s)].sum() for s in seqs])
     solved: dict[bytes, tuple[float, float]] = {}
     values = []
-    for i, s in enumerate(selected):
-        channel = rows[seq_costs <= gate.ledger[s], i]
+    for channel in _feasible_channels(k, gate, selected, horizon, f):
         key = cyclic_channel_key(channel)
         if key not in solved:
             res = channel_capacity(channel, tol=tol)

@@ -26,7 +26,9 @@ Per-step dynamics, composed in this fixed order:
    step when ``gain_every_step`` else only on phase wrap (new phi == 0).
 
 All transition rows are accumulated in exact rational arithmetic and only
-converted to float at the end, so row sums are exact.
+converted to float at the end, so row sums are exact. Since the dynamics are
+the same at every ring position, the rows of one position are computed and
+shifted around the ring into the kernel's successor lists.
 """
 
 from __future__ import annotations
@@ -165,22 +167,27 @@ def _slip_eff(cfg: RingWorldConfig, theta: int) -> Fraction:
     return slip
 
 
-def _ring_transitions(cfg: RingWorldConfig) -> np.ndarray:
-    """Exact transition tensor for every (action, state) pair."""
+def _local_rows(cfg: RingWorldConfig) -> list[list[dict[tuple[int, int], Fraction]]]:
+    """Exact transition rows of one ring position, per action and local state.
+
+    Nothing in the dynamics depends on ``y`` except where it lands, so each
+    row maps (shift, local target) to its probability, where the shift is the
+    move mod ring_size and the local state is the index with y = 0.
+    """
     layout = _RingLayout(cfg)
-    n = cfg.n_states
-    probs = np.zeros((len(ACTION_NAMES), n, n), dtype=np.float64)
     flip = _exact(cfg.p_flip)
     q = _exact(cfg.repair_success)
     costs = cfg.costs
+    rows: list[list[dict[tuple[int, int], Fraction]]] = [[] for _ in ACTION_NAMES]
 
-    for (y, u, phi, r, theta) in layout.tuples():
-        s = layout.index(y, u, phi, r, theta)
+    for u, phi, r, theta in itertools.product(
+        range(2), range(cfg.phase_period), range(cfg.ledger_max + 1), range(layout.n_theta)
+    ):
         slip = _slip_eff(cfg, theta)
         for a in range(len(ACTION_NAMES)):
             # infeasible commands collapse to no-ops at this layer
             e = a if costs[a] <= r else NOOP
-            row: dict[int, Fraction] = {}
+            row: dict[tuple[int, int], Fraction] = {}
 
             if e in (LEFT, RIGHT):
                 mag = 2 if (cfg.protocol_on and phi == 1) else 1
@@ -197,7 +204,6 @@ def _ring_transitions(cfg: RingWorldConfig) -> np.ndarray:
             for delta, p_move in move_branches:
                 if p_move == 0:
                     continue
-                y2 = (y + delta) % cfg.ring_size
                 for u_flipped, p_flip_branch in flip_branches:
                     if p_flip_branch == 0:
                         continue
@@ -213,18 +219,45 @@ def _ring_transitions(cfg: RingWorldConfig) -> np.ndarray:
                         income = cfg.ledger_gain if (cfg.gain_every_step or wrapped) else 0
                         raw = r - costs[e] - cfg.damage_leak * u2 + income
                         r2 = min(cfg.ledger_max, max(0, raw))
-                        t = layout.index(y2, u2, phi2, r2, theta)
+                        t = (delta % cfg.ring_size, layout.index(0, u2, phi2, r2, theta))
                         row[t] = row.get(t, Fraction(0)) + p_move * p_flip_branch * p_rep
 
             assert sum(row.values()) == 1
-            for t, mass in row.items():
-                probs[a, s, t] = float(mass)
-            # push the (sub-ulp) float conversion residual into the largest
-            # entry so every row sums to exactly 1.0 in float
-            residual = 1.0 - float(probs[a, s].sum())
-            if residual != 0.0:
-                probs[a, s, int(np.argmax(probs[a, s]))] += residual
-    return probs
+            rows[a].append(row)
+    return rows
+
+
+def _ring_transitions(cfg: RingWorldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Padded successor lists (succ, weights) for every (action, state) pair.
+
+    Each local row is converted to float once and placed at every ring
+    position by shifting its targets, so all positions carry bit-identical
+    weights in the same slot order.
+    """
+    rows = _local_rows(cfg)
+    n_actions, n_local = len(rows), len(rows[0])
+    width = max(len(row) for action_rows in rows for row in action_rows)
+    shift = np.zeros((n_actions, n_local, width), dtype=np.int64)
+    target = np.tile(np.arange(n_local)[None, :, None], (n_actions, 1, width))
+    weights = np.zeros((n_actions, n_local, width))
+    for a, action_rows in enumerate(rows):
+        for s, row in enumerate(action_rows):
+            # ascending probability, so the largest entry is summed last
+            items = sorted(row.items(), key=lambda item: item[1])
+            for j, ((dy, t), mass) in enumerate(items):
+                shift[a, s, j], target[a, s, j] = dy, t
+                weights[a, s, j] = float(mass)
+            # the largest entry absorbs the float conversion residual: set to
+            # 1 - (float sum of the entries before it), it makes the row sum
+            # to exactly 1.0 in slot order, at every ring position alike
+            last = len(items) - 1
+            weights[a, s, last] = 1.0 - weights[a, s, :last].sum()
+
+    ring = np.arange(cfg.ring_size)[None, :, None, None]
+    succ = ((ring + shift[:, None]) % cfg.ring_size) * n_local + target[:, None]
+    n = cfg.n_states
+    weights = np.broadcast_to(weights[:, None], succ.shape)
+    return succ.reshape(n_actions, n, width), weights.reshape(n_actions, n, width)
 
 
 def _ring_policies(cfg: RingWorldConfig, layout: _RingLayout) -> dict[str, Policy]:
@@ -247,13 +280,13 @@ def build_ringworld(cfg: RingWorldConfig) -> Environment:
     """Construct the full ring-world environment for one configuration."""
     layout = _RingLayout(cfg)
     tuples = tuple(layout.tuples())
-    probs = _ring_transitions(cfg)
+    succ, weights = _ring_transitions(cfg)
     kernel = ControlledKernel(
         n_states=cfg.n_states,
         n_actions=len(ACTION_NAMES),
-        probs=probs,
         action_names=ACTION_NAMES,
-        state_labels={layout.index(*t): t for t in tuples},
+        succ=succ,
+        weights=weights,
     )
 
     ledger = np.array([r for (_, _, _, r, _) in tuples], dtype=np.float64)

@@ -27,6 +27,7 @@ import numpy as np
 from agencykit.artifacts import ArtifactRecord, make_artifact
 from agencykit.empowerment import (
     feasible_empowerment,
+    feasible_empowerment_values,
     lower_median,
     median_empowerment_on_kernel,
     rollout_output_distribution,
@@ -118,6 +119,14 @@ def learning_config(profile: str, p_slip: float) -> RingWorldConfig:
     )
 
 
+def solver_block(max_gap_bits: float) -> dict:
+    """Largest certified capacity gap of an exhibit's solves, beside its tolerance.
+
+    ``audit`` fails an artifact whose gap exceeds the tolerance.
+    """
+    return {"max_gap_bits": max_gap_bits, "capacity_tol_bits": EMPOWERMENT_TOL}
+
+
 def run_nulls() -> ArtifactRecord:
     """Null regimes: single-action cycle and the exogenous-schedule trap."""
     null_a = build_null_single_action()
@@ -199,6 +208,7 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
     """Median feasible empowerment vs horizon for protocol on/off, plus TV witness."""
     results = {}
     envs = {}
+    max_gap = 0.0
     for regime, protocol in (("protocol_on", True), ("protocol_off", False)):
         cfg = holonomy_config(profile, protocol)
         env = build_ringworld(cfg)
@@ -215,6 +225,7 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
             medians.append(med.median_bits)
             per_state[f"H{h}"] = med.values
             subset_rule = med.subset_rule
+            max_gap = max(max_gap, med.max_gap_bits)
         results[regime] = {
             "kernel_size": vres.size,
             "kernel_members": vres.indices,
@@ -268,7 +279,7 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
         "protocol_on": results["protocol_on"],
         "protocol_off": results["protocol_off"],
         "witness": witness,
-        "witness_alpha_on_distribution": witness["protocol_on"]["alpha_output_distribution"],
+        "solver": solver_block(max_gap),
         "contracts": contracts,
     }
     return make_artifact("holonomy", config, metrics)
@@ -278,6 +289,7 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
     """Primitive toggle suite: |K|, median empowerment at H=2, defect at tau=2."""
     configs = ablation_configs(profile)
     rows = {}
+    max_gap = 0.0
     for name, cfg in sorted(configs.items()):
         env = build_ringworld(cfg)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
@@ -285,6 +297,7 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
             env.kernel, env.gate, vres.kernel, 2, env.output_lens,
             max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
         )
+        max_gap = max(max_gap, med.max_gap_bits)
         endo = packaging_endomap(
             env.kernel, env.macro_lens, env.policies["repair_then_right"], 2,
             "repair_then_right",
@@ -332,6 +345,7 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
     metrics = {
         "state_layout": env_full.state_layout,
         "rows": rows,
+        "solver": solver_block(max_gap),
         "contracts": contracts,
     }
     return make_artifact("ablations", config, metrics)
@@ -344,6 +358,7 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
     cost_grid = list(range(8))
     kernel_sizes = np.zeros((8, 8), dtype=np.int64)
     emp = np.zeros((8, 8))
+    max_gap = 0.0
     for i, p in enumerate(p_grid):
         for j, c in enumerate(cost_grid):
             cfg = replace(base, p_flip=float(p), cost_repair=int(c))
@@ -355,6 +370,7 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
                 max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
             )
             emp[i, j] = med.median_bits
+            max_gap = max(max_gap, med.max_gap_bits)
 
     mono_noise = all(
         kernel_sizes[i + 1, j] <= kernel_sizes[i, j] for i in range(7) for j in range(8)
@@ -394,6 +410,7 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
         "kernel_size_max": int(kernel_sizes.max()),
         "empowerment_min": float(emp.min()),
         "empowerment_max": float(emp.max()),
+        "solver": solver_block(max_gap),
         "contracts": contracts,
     }
     return make_artifact("sweep", config, metrics)
@@ -417,11 +434,9 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
                 for i, (y, u, phi, r, th) in enumerate(env.state_tuples)
                 if th == theta and u == 0 and phi == 0 and vres.kernel[i]
             ]
-            values = [
-                feasible_empowerment(env.kernel, env.gate, s, 2, env.output_lens,
-                                     tol=EMPOWERMENT_TOL)
-                for s in selected
-            ]
+            values = feasible_empowerment_values(
+                env.kernel, env.gate, selected, 2, env.output_lens, tol=EMPOWERMENT_TOL
+            )
             medians.append(lower_median(values) if values else 0.0)
             per_theta[f"theta{theta}"] = {"states": selected, "values": values}
         return medians, per_theta

@@ -1,9 +1,14 @@
 """Finite controlled stochastic kernels and their one-step algebra.
 
-A controlled kernel is a row-stochastic tensor ``probs[a, s, s']`` giving the
-probability of moving from state ``s`` to ``s'`` under action ``a``. All state
-and action spaces are finite and indexed by integers; structured labels live in
-the environment constructors, never here.
+A controlled kernel is stored as padded successor lists: ``succ[a, s, j]`` is
+a state reachable from ``s`` under action ``a`` with probability
+``weights[a, s, j]``. The width ``j`` is the largest fan-out of any
+(action, state) pair; shorter rows are padded with slots of weight exactly 0
+that point back at ``s``. A dense row-stochastic tensor ``probs[a, s, s']`` is
+accepted as input, converted once and not kept; ``dense()`` rebuilds it for
+serialization and small-kernel checks. All state and action spaces are finite
+and indexed by integers; structured labels live in the environment
+constructors, never here.
 """
 
 from __future__ import annotations
@@ -15,37 +20,100 @@ import numpy as np
 ROW_SUM_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class ControlledKernel:
-    """Row-stochastic transition tensor indexed [action, state, next_state].
+def pack_rows(
+    row: np.ndarray, col: np.ndarray, val: np.ndarray, fill: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack entries grouped by ``row`` into padded (n_rows, width) arrays.
 
-    Immutable after construction; all operations on it are pure functions.
+    Entries of one row must be contiguous; they keep their order. ``width``
+    is the longest row, and row ``r``'s unused slots hold column ``fill[r]``
+    with value 0.
+    """
+    counts = np.bincount(row, minlength=len(fill))
+    width = max(1, int(counts.max(initial=0)))
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = np.repeat(np.asarray(fill, dtype=np.int64)[:, None], width, axis=1)
+    vals = np.zeros((len(fill), width))
+    cols[row, slot] = col
+    vals[row, slot] = val
+    return cols, vals
+
+
+def _successor_lists(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded successor lists of a dense (A, S, S) tensor, in target order."""
+    n_actions, n_states, _ = probs.shape
+    # np.nonzero is row-major, so each (a, s) row's entries are contiguous
+    a, s, t = np.nonzero(probs)
+    succ, weights = pack_rows(
+        a * n_states + s, t, probs[a, s, t], np.tile(np.arange(n_states), n_actions)
+    )
+    return succ.reshape(n_actions, n_states, -1), weights.reshape(n_actions, n_states, -1)
+
+
+@dataclass(frozen=True, init=False)
+class ControlledKernel:
+    """Transition kernel as padded successor lists indexed [action, state, slot].
+
+    Build it from a dense tensor (``probs=``) or from ``succ=`` and
+    ``weights=`` directly. Immutable after construction; all operations on it
+    are pure functions.
     """
 
     n_states: int
     n_actions: int
-    probs: np.ndarray
-    action_names: tuple[str, ...] = ()
-    state_labels: dict[int, tuple] | None = None
+    succ: np.ndarray
+    weights: np.ndarray
+    action_names: tuple[str, ...]
 
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        if not self.action_names:
-            object.__setattr__(
-                self, "action_names", tuple(f"a{i}" for i in range(self.n_actions))
+    def __init__(
+        self,
+        n_states: int,
+        n_actions: int,
+        probs: np.ndarray | None = None,
+        action_names: tuple[str, ...] = (),
+        *,
+        succ: np.ndarray | None = None,
+        weights: np.ndarray | None = None,
+    ):
+        if (probs is None) == (succ is None or weights is None):
+            raise ValueError("give either probs or both succ and weights")
+        if probs is not None:
+            probs = np.asarray(probs, dtype=np.float64)
+            if probs.ndim != 3 or probs.shape[1] != probs.shape[2]:
+                raise ValueError(f"probs must have shape (A, S, S), got {probs.shape}")
+            succ, weights = _successor_lists(probs)
+        succ = np.asarray(succ, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if succ.ndim != 3 or succ.shape != weights.shape:
+            raise ValueError(
+                f"succ {succ.shape} and weights {weights.shape} must share one (A, S, k) shape"
             )
+        succ.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "n_states", n_states)
+        object.__setattr__(self, "n_actions", n_actions)
+        object.__setattr__(self, "succ", succ)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(
+            self, "action_names", tuple(action_names) or tuple(f"a{i}" for i in range(n_actions))
+        )
 
     def action_index(self, name: str) -> int:
         return self.action_names.index(name)
+
+    def dense(self) -> np.ndarray:
+        """The (A, S, S) probability tensor; meant for small kernels only."""
+        probs = np.zeros((self.n_actions, self.n_states, self.n_states))
+        a, s, j = np.nonzero(self.weights)
+        np.add.at(probs, (a, s, self.succ[a, s, j]), self.weights[a, s, j])
+        return probs
 
     def to_dict(self) -> dict:
         """Key-value form for canonical serialization (see artifacts module)."""
         return {
             "n_states": self.n_states,
             "n_actions": self.n_actions,
-            "probs": self.probs.tolist(),
+            "probs": self.dense().tolist(),
             "action_names": list(self.action_names),
         }
 
@@ -71,15 +139,20 @@ class Policy:
     kind: str  # "deterministic" | "stochastic"
     table: dict[int, int] | dict[int, np.ndarray]
 
-    def action_distribution(self, s: int, n_actions: int) -> np.ndarray:
+    def action_weights(self, n_states: int, n_actions: int) -> np.ndarray:
+        """(S, A) array whose row ``s`` is the action distribution at state ``s``."""
+        missing = [s for s in range(n_states) if s not in self.table]
+        if missing:
+            raise ValueError(f"policy does not cover states {missing[:5]}")
         if self.kind == "deterministic":
-            row = np.zeros(n_actions)
-            row[self.table[s]] = 1.0
-            return row
-        row = np.asarray(self.table[s], dtype=np.float64)
-        if row.shape != (n_actions,):
-            raise ValueError(f"policy row for state {s} has wrong length")
-        return row
+            weights = np.zeros((n_states, n_actions))
+            weights[np.arange(n_states), [self.table[s] for s in range(n_states)]] = 1.0
+            return weights
+        rows = [np.asarray(self.table[s], dtype=np.float64) for s in range(n_states)]
+        bad = [s for s, row in enumerate(rows) if row.shape != (n_actions,)]
+        if bad:
+            raise ValueError(f"policy row for state {bad[0]} has wrong length")
+        return np.stack(rows)
 
 
 @dataclass
@@ -91,32 +164,41 @@ class ValidationReport:
 
 
 def validate_kernel(k: ControlledKernel) -> ValidationReport:
-    """Check shape, nonnegativity, and row-stochasticity of a kernel.
+    """Check shape, successor range, nonnegativity, and row-stochasticity.
 
     Report-style: never raises. Each violation records the (action, state)
     pair and the defect magnitude.
     """
     violations: list[dict] = []
-    expected = (k.n_actions, k.n_states, k.n_states)
-    if k.probs.shape != expected:
+    expected = (k.n_actions, k.n_states)
+    if k.succ.shape[:2] != expected:
         violations.append(
-            {"rule": "shape", "expected": expected, "actual": tuple(k.probs.shape)}
+            {"rule": "shape", "expected": expected, "actual": tuple(k.succ.shape[:2])}
         )
         return ValidationReport(ok=False, violations=violations)
 
-    neg = np.argwhere(k.probs < 0.0)
-    for a, s, t in neg:
+    for a, s, j in np.argwhere((k.succ < 0) | (k.succ >= k.n_states)):
+        violations.append(
+            {
+                "rule": "successor out of range",
+                "action": int(a),
+                "state": int(s),
+                "next_state": int(k.succ[a, s, j]),
+            }
+        )
+
+    for a, s, j in np.argwhere(k.weights < 0.0):
         violations.append(
             {
                 "rule": "negative probability",
                 "action": int(a),
                 "state": int(s),
-                "next_state": int(t),
-                "value": float(k.probs[a, s, t]),
+                "next_state": int(k.succ[a, s, j]),
+                "value": float(k.weights[a, s, j]),
             }
         )
 
-    row_sums = k.probs.sum(axis=2)
+    row_sums = k.weights.sum(axis=2)
     bad = np.argwhere(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE)
     for a, s in bad:
         violations.append(
@@ -143,6 +225,67 @@ def validate_distribution(d: np.ndarray, n_states: int, tol: float = ROW_SUM_TOL
         raise ValueError(f"distribution sums to {d.sum()!r}, not 1")
 
 
+def predecessor_lists(
+    k: ControlledKernel, target_of: np.ndarray | None = None, n_targets: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Padded in-lists of every action: each target's sources and their weights.
+
+    Row ``a * n_targets + t`` lists the sources that reach target ``t`` under
+    action ``a``. ``target_of`` maps successor states to targets: the
+    identity by default, a lens projection for a step straight into labels.
+    A source that reaches one target through several successors gets one slot
+    carrying their summed weight; sources are in ascending order, and padding
+    slots have weight 0 and source 0.
+    """
+    if target_of is None:
+        target_of, n_targets = np.arange(k.n_states), k.n_states
+    a, src, j = np.nonzero(k.weights)
+    dst = a * n_targets + np.asarray(target_of)[k.succ[a, src, j]]
+    w = k.weights[a, src, j]
+    order = np.lexsort((src, dst))
+    src, dst, w = src[order], dst[order], w[order]
+    first = np.ones(len(dst), dtype=bool)
+    first[1:] = (dst[1:] != dst[:-1]) | (src[1:] != src[:-1])
+    starts = np.flatnonzero(first)
+    return pack_rows(
+        dst[starts],
+        src[starts],
+        np.add.reduceat(w, starts),
+        np.zeros(k.n_actions * n_targets, dtype=np.int64),
+    )
+
+
+def pull(lists: tuple[np.ndarray, np.ndarray], D: np.ndarray) -> np.ndarray:
+    """Push the columns of D (S, m) one step under every action at once.
+
+    Returns (A * targets, m) with ``out[r] = sum_j w[r, j] D[src[r, j]]``.
+    Only slots whose source row of D is nonzero are visited; each row adds
+    them one at a time in slot order. With nonnegative weights and columns
+    every term is >= 0, so a skipped term would have added an exact 0, and a
+    column's result does not depend on which other columns travel with it:
+    a rollout from one start state is bit-identical to its column of a
+    batched rollout. Each temporary is at most (A * targets, m), whatever
+    the in-degree.
+    """
+    use = (lists[1] != 0) & D.any(axis=1)[lists[0]]
+    counts = use.sum(axis=1)
+    live = np.flatnonzero(counts)
+    # longest rows first, so slot j is used by a prefix of the live rows
+    live = live[np.argsort(-counts[live], kind="stable")]
+    counts = counts[live]
+    # each row's used slots move to the front, in their original order
+    slots = np.argsort(~use[live], axis=1, kind="stable")
+    rows = np.arange(len(live))[:, None]
+    sources, weights = lists[0][live][rows, slots], lists[1][live][rows, slots]
+    acc = weights[:, 0, None] * D[sources[:, 0]]
+    for j in range(1, int(counts.max(initial=1))):
+        n = np.count_nonzero(counts > j)
+        acc[:n] += weights[:n, j, None] * D[sources[:n, j]]
+    out = np.zeros((len(lists[0]), D.shape[1]))
+    out[live] = acc
+    return out
+
+
 def step_distribution(k: ControlledKernel, d: np.ndarray, a: int) -> np.ndarray:
     """One step of the kernel under action ``a``: ``d'[s'] = sum_s d[s] P[a,s,s']``.
 
@@ -152,7 +295,8 @@ def step_distribution(k: ControlledKernel, d: np.ndarray, a: int) -> np.ndarray:
     if not 0 <= a < k.n_actions:
         raise IndexError(f"action index {a} out of range [0, {k.n_actions})")
     validate_distribution(d, k.n_states)
-    return np.asarray(d, dtype=np.float64) @ k.probs[a]
+    d = np.asarray(d, dtype=np.float64)
+    return pull(predecessor_lists(k), d[:, None]).reshape(k.n_actions, k.n_states)[a]
 
 
 def successor_support(k: ControlledKernel, s: int, a: int, epsilon: float = 0.0) -> set[int]:
@@ -166,24 +310,32 @@ def successor_support(k: ControlledKernel, s: int, a: int, epsilon: float = 0.0)
         raise IndexError(f"state index {s} out of range [0, {k.n_states})")
     if not 0 <= a < k.n_actions:
         raise IndexError(f"action index {a} out of range [0, {k.n_actions})")
-    return set(np.flatnonzero(k.probs[a, s] > epsilon).tolist())
+    return set(k.succ[a, s][k.weights[a, s] > epsilon].tolist())
 
 
-def support_tensor(k: ControlledKernel, epsilon: float = 0.0) -> np.ndarray:
-    """Boolean tensor post[a, s, s'] = (P[a,s,s'] > epsilon), for batch set work."""
-    return k.probs > epsilon
+def policy_successors(k: ControlledKernel, mu: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """Successor lists of the policy-closed chain, shape (S, A*k) each.
+
+    Slot (a, j) of state ``s`` carries ``mu(a|s) * P[a, s, succ[a, s, j]]``;
+    actions the policy never takes at ``s`` leave weight-0 slots.
+    """
+    action_weights = mu.action_weights(k.n_states, k.n_actions)
+    row_sums = action_weights.sum(axis=1)
+    bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE)
+    if bad.size:
+        raise ValueError(f"policy row for state {int(bad[0])} sums to {row_sums[bad[0]]}")
+    succ = k.succ.transpose(1, 0, 2).reshape(k.n_states, -1)
+    weights = (action_weights.T[:, :, None] * k.weights).transpose(1, 0, 2)
+    return succ, weights.reshape(k.n_states, -1)
 
 
 def policy_closure(k: ControlledKernel, mu: Policy) -> np.ndarray:
-    """Induced one-step transition matrix ``T[s,s'] = sum_a mu(a|s) P[a,s,s']``."""
-    missing = [s for s in range(k.n_states) if s not in mu.table]
-    if missing:
-        raise ValueError(f"policy does not cover states {missing[:5]}")
-    weights = np.zeros((k.n_states, k.n_actions))
-    for s in range(k.n_states):
-        weights[s] = mu.action_distribution(s, k.n_actions)
-        row_sum = weights[s].sum()
-        if abs(row_sum - 1.0) > ROW_SUM_TOLERANCE:
-            raise ValueError(f"policy row for state {s} sums to {row_sum}")
-    # T[s, s'] = sum_a weights[s, a] * probs[a, s, s']
-    return np.einsum("sa,ast->st", weights, k.probs)
+    """Induced one-step transition matrix ``T[s,s'] = sum_a mu(a|s) P[a,s,s']``.
+
+    Dense (S, S); the engine itself works on ``policy_successors``.
+    """
+    succ, weights = policy_successors(k, mu)
+    T = np.zeros((k.n_states, k.n_states))
+    s, j = np.nonzero(weights)
+    np.add.at(T, (s, succ[s, j]), weights[s, j])
+    return T

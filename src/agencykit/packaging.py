@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.empowerment import Lens
-from agencykit.kernel import ControlledKernel, Policy, policy_closure
+from agencykit.kernel import ControlledKernel, Policy, policy_successors
 
 
 @dataclass
@@ -54,32 +54,38 @@ def packaging_endomap(
 ) -> Endomap:
     """Roll uniform fiber distributions tau steps and take the modal label.
 
-    Labels with empty fibers are excluded from the domain (the uniform
+    Each fiber's distribution is held as sparse (fiber, state, mass) triplets
+    and pushed through the policy's successor lists; every member starts with
+    mass 1, and masses are divided by the fiber size only at the end. Labels
+    with empty fibers are excluded from the domain (the uniform
     initialization is undefined there). The modal label always has positive
     mass, hence a nonempty fiber, so the endomap is closed on its domain.
     """
-    T = policy_closure(k, mu)
-    M = np.linalg.matrix_power(T, tau)
-    mapping: dict[int, int] = {}
-    reach: dict[int, float] = {}
-    for x in range(pi.n_labels):
-        members = np.flatnonzero(pi.project == x)
-        if members.size == 0:
-            continue
-        d_tau = M[members].mean(axis=0)
-        macro = pi.push(d_tau)
-        # np.argmax returns the first maximum: the smallest-label tie-break
-        target = int(np.argmax(macro))
-        mapping[x] = target
-        reach[x] = float(macro[target])
-    if not mapping:
+    succ, weights = policy_successors(k, mu)
+    n = k.n_states
+    fib, state, mass = pi.project, np.arange(n), np.ones(n)
+    for _ in range(tau):
+        w = weights[state]
+        live = w != 0
+        keys, merged = np.unique((fib[:, None] * n + succ[state])[live], return_inverse=True)
+        mass = np.bincount(merged, weights=(mass[:, None] * w)[live])
+        fib, state = np.divmod(keys, n)
+    keys, merged = np.unique(fib * pi.n_labels + pi.project[state], return_inverse=True)
+    mass = np.bincount(merged, weights=mass)
+    fib, label = np.divmod(keys, pi.n_labels)
+    # per fiber: largest mass first, then the smallest label (the tie-break)
+    order = np.lexsort((label, -mass, fib))
+    first = order[np.r_[True, fib[order][1:] != fib[order][:-1]]]
+    if first.size == 0:
         raise ValueError("lens has no nonempty fibers")
+    sizes = np.bincount(pi.project, minlength=pi.n_labels)
+    domain = fib[first].tolist()
     return Endomap(
         lens_name=pi.name,
         horizon_tau=tau,
         policy_name=policy_name,
-        mapping=mapping,
-        reach_mass=reach,
+        mapping=dict(zip(domain, label[first].tolist())),
+        reach_mass=dict(zip(domain, (mass[first] / sizes[fib[first]]).tolist())),
     )
 
 

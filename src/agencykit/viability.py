@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.feasibility import FeasibilityGate, feasible_action_matrix
-from agencykit.kernel import ControlledKernel, support_tensor
+from agencykit.kernel import ControlledKernel
 
 BRUTE_FORCE_MAX_STATES = 20
 
@@ -62,12 +62,9 @@ def viability_step(
     Pointwise contracting: the result is always a subset of K.
     """
     K = np.asarray(K, dtype=bool)
-    post = support_tensor(k)  # (A, S, S')
-    outside = ~K
-    # escapes[a, s]: action a at state s can leak outside K
-    escapes = np.einsum("ast,t->as", post.astype(np.int64), outside.astype(np.int64)) > 0
-    feas = feasible_action_matrix(gate)  # (A, S)
-    keeps = feas & ~escapes
+    # escapes[a, s]: some nonzero-probability successor of (s, a) lies outside K
+    escapes = ((k.weights > 0) & ~K[k.succ]).any(axis=2)
+    keeps = feasible_action_matrix(gate) & ~escapes
     has_safe_action = keeps.any(axis=0)
     return K & safe.safe & has_safe_action
 

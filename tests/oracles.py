@@ -4,8 +4,12 @@ Everything here deliberately avoids the code paths under test: capacity comes
 from a dense grid search over the input simplex or from textbook
 Blahut-Arimoto on the rows exactly as given (no row merging), mutual
 information from the identity I(p) = H(pW) - sum_x p_x H(W_x), and the BSC
-capacity from its closed form 1 - H2(eps).
+capacity from its closed form 1 - H2(eps). The dense oracles at the end
+rebuild the (A, S, S) tensor and compute viability, rollouts and packaging
+with plain matrix algebra, independent of the successor lists.
 """
+
+import itertools
 
 import numpy as np
 
@@ -82,3 +86,127 @@ def bsc_capacity(eps: float) -> float:
         return 1.0
     h2 = -(eps * np.log2(eps) + (1 - eps) * np.log2(1 - eps))
     return 1.0 - h2
+
+
+# --------------------------------------------------------------------------
+# Dense (A, S, S) versions of the engine's layers, as they were before the
+# kernel moved to successor lists. Each works on ``k.dense()``.
+
+
+def fraction_ring_tensor(cfg) -> np.ndarray:
+    """Ring-world tensor built state by state in exact rationals.
+
+    The float residual of each row is pushed into its largest entry, found in
+    dense state order.
+    """
+    from fractions import Fraction
+
+    from agencykit.environments import ACTION_NAMES, LEFT, NOOP, REPAIR, RIGHT, ring_state_index
+
+    n = cfg.n_states
+    probs = np.zeros((len(ACTION_NAMES), n, n))
+    flip, q = Fraction(cfg.p_flip), Fraction(cfg.repair_success)
+    for y, u, phi, r, theta in itertools.product(
+        range(cfg.ring_size), range(2), range(cfg.phase_period),
+        range(cfg.ledger_max + 1), range(cfg.n_theta),
+    ):
+        s = ring_state_index(cfg, y, u, phi, r, theta)
+        slip = Fraction(cfg.p_slip)
+        if cfg.learning_on:
+            slip *= 1 - Fraction(theta, cfg.theta_levels - 1)
+        for a in range(len(ACTION_NAMES)):
+            e = a if cfg.costs[a] <= r else NOOP
+            row: dict[int, Fraction] = {}
+            if e in (LEFT, RIGHT):
+                mag = 2 if (cfg.protocol_on and phi == 1) else 1
+                moves = [(mag if e == RIGHT else -mag, 1 - slip), (0, slip)]
+            else:
+                moves = [(0, Fraction(1))]
+            flips = [(1, flip), (0, 1 - flip)] if u == 0 else [(1, Fraction(1))]
+            for delta, p_move in moves:
+                for u1, p_flip in flips:
+                    repairs = ([(0, q), (1, 1 - q)]
+                               if e == REPAIR and cfg.repair_enabled and u1 == 1
+                               else [(u1, Fraction(1))])
+                    for u2, p_rep in repairs:
+                        mass = p_move * p_flip * p_rep
+                        if mass == 0:
+                            continue
+                        phi2 = (phi + 1) % cfg.phase_period
+                        income = cfg.ledger_gain if (cfg.gain_every_step or phi2 == 0) else 0
+                        r2 = min(cfg.ledger_max,
+                                 max(0, r - cfg.costs[e] - cfg.damage_leak * u2 + income))
+                        t = ring_state_index(cfg, (y + delta) % cfg.ring_size, u2, phi2, r2, theta)
+                        row[t] = row.get(t, Fraction(0)) + mass
+            for t, mass in row.items():
+                probs[a, s, t] = float(mass)
+            residual = 1.0 - float(probs[a, s].sum())
+            if residual != 0.0:
+                probs[a, s, int(np.argmax(probs[a, s]))] += residual
+    return probs
+
+
+def dense_viability_step(k, gate, safe, K) -> np.ndarray:
+    """One sweep of the viability operator over the dense support tensor."""
+    from agencykit.feasibility import feasible_action_matrix
+
+    K = np.asarray(K, dtype=bool)
+    post = k.dense() > 0
+    escapes = np.einsum("ast,t->as", post.astype(np.int64), (~K).astype(np.int64)) > 0
+    keeps = feasible_action_matrix(gate) & ~escapes
+    return K & safe.safe & keeps.any(axis=0)
+
+
+def dense_viability_kernel(k, gate, safe) -> tuple[np.ndarray, int, list[int]]:
+    """(kernel, iterations, trace) by sweeping ``dense_viability_step`` to a repeat."""
+    K = np.asarray(safe.safe, dtype=bool).copy()
+    trace: list[int] = []
+    if not K.any():
+        return K, 0, trace
+    while True:
+        nxt = dense_viability_step(k, gate, safe, K)
+        trace.append(int(nxt.sum()))
+        if np.array_equal(nxt, K):
+            return nxt, len(trace), trace
+        K = nxt
+
+
+def dense_sequence_rows(k, horizon: int, f, states) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Output rows of every length-H sequence by dense matrix products.
+
+    Returns the sequences in lex order and rows of shape (n_seq, len(states), n_labels).
+    """
+    probs = k.dense()
+    states = np.asarray(states, dtype=np.int64)
+    lens_onehot = np.zeros((k.n_states, f.n_labels))
+    lens_onehot[np.arange(k.n_states), f.project] = 1.0
+    D0 = np.zeros((len(states), k.n_states))
+    D0[np.arange(len(states)), states] = 1.0
+    seqs, rows = [], []
+
+    def descend(prefix, D):
+        if len(prefix) == horizon:
+            seqs.append(prefix)
+            rows.append(D @ lens_onehot)
+            return
+        for a in range(k.n_actions):
+            descend(prefix + (a,), D @ probs[a])
+
+    descend((), D0)
+    return seqs, np.stack(rows)
+
+
+def matrix_power_endomap(k, pi, mu, tau: int) -> tuple[dict[int, int], dict[int, float]]:
+    """(mapping, reach_mass) of the packaging endomap via the dense closure T^tau."""
+    weights = mu.action_weights(k.n_states, k.n_actions)
+    T = np.einsum("sa,ast->st", weights, k.dense())
+    M = np.linalg.matrix_power(T, tau)
+    mapping, reach = {}, {}
+    for x in range(pi.n_labels):
+        members = np.flatnonzero(pi.project == x)
+        if members.size == 0:
+            continue
+        macro = pi.push(M[members].mean(axis=0))
+        mapping[x] = int(np.argmax(macro))
+        reach[x] = float(macro[mapping[x]])
+    return mapping, reach

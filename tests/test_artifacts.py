@@ -195,3 +195,43 @@ class TestAudit:
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             audit(tmp_path / "nope")
+
+    def test_ragged_rows_are_failure_entry(self, tmp_path):
+        self._write(tmp_path, metrics={"foo_rows": [[0.5, 0.5], [1.0]]})
+        report = audit(tmp_path)
+        assert any(rule == "stochasticity" for _, rule, _ in report.failures)
+
+    def test_non_numeric_distribution_is_failure_entry(self, tmp_path):
+        self._write(tmp_path, metrics={"foo_distribution": ["x", "y"]})
+        report = audit(tmp_path)
+        assert any(rule == "stochasticity" for _, rule, _ in report.failures)
+
+    def test_non_string_config_hash_is_failure_entry(self, tmp_path):
+        path, _ = self._write(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["config_hash"] = 12345
+        path.write_text(json.dumps(doc))
+        report = audit(tmp_path, strict=False)
+        assert report.files_checked == 1
+        assert any(rule == "config_hash_mismatch" for _, rule, _ in report.failures)
+
+    def test_non_object_file_is_failure_entry(self, tmp_path):
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "number.json").write_text("7")
+        report = audit(tmp_path)
+        assert report.files_checked == 2
+        assert [rule for _, rule, _ in report.failures] == ["missing_fields", "missing_fields"]
+
+    def test_gap_above_tolerance_fails(self, tmp_path):
+        self._write(tmp_path, metrics={"solver": {"max_gap_bits": 3e-9, "capacity_tol_bits": 1e-9}})
+        report = audit(tmp_path)
+        assert any(rule == "uncertified_capacity" for _, rule, _ in report.failures)
+
+    def test_gap_within_tolerance_passes(self, tmp_path):
+        self._write(tmp_path, metrics={"solver": {"max_gap_bits": 1e-9, "capacity_tol_bits": 1e-9}})
+        assert audit(tmp_path).passed
+
+    def test_malformed_solver_block_fails(self, tmp_path):
+        self._write(tmp_path, metrics={"solver": {"max_gap_bits": "small"}})
+        report = audit(tmp_path)
+        assert any(rule == "uncertified_capacity" for _, rule, _ in report.failures)

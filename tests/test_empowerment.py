@@ -9,6 +9,7 @@ from agencykit.empowerment import (
     channel_capacity,
     cyclic_channel_key,
     feasible_empowerment,
+    feasible_empowerment_values,
     lower_median,
     median_empowerment_on_kernel,
     rollout_output_distribution,
@@ -249,6 +250,22 @@ class TestFeasibleEmpowerment:
         assert med.median_bits == 0.0
         assert med.subset_rule == "empty_kernel"
         assert med.max_gap_bits == 0.0
+
+    def test_median_rejects_horizon_zero(self, rng):
+        k = random_kernel(rng, 4, 2)
+        with pytest.raises(ValueError, match="horizon"):
+            median_empowerment_on_kernel(k, zero_gate(4, 2), np.ones(4, bool), 0,
+                                         identity_lens(4))
+
+    def test_values_equal_per_state_calls_exactly(self, rng):
+        for _ in range(5):
+            k = random_kernel(rng, 6, 3)
+            g = random_gate(rng, 6, 3)
+            f = identity_lens(6)
+            states = [0, 2, 3, 5]
+            batched = feasible_empowerment_values(k, g, states, 2, f)
+            assert batched == [feasible_empowerment(k, g, s, 2, f) for s in states]
+        assert feasible_empowerment_values(k, g, [], 2, f) == []
 
     def test_batched_median_matches_per_state_path(self, rng):
         k = random_kernel(rng, 5, 2)

@@ -32,8 +32,22 @@ class TestKernelExactness:
     def test_rows_sum_exactly_to_one(self, cfg):
         env = build_ringworld(cfg)
         assert validate_kernel(env.kernel).ok
-        sums = env.kernel.probs.sum(axis=2)
+        sums = env.kernel.dense().sum(axis=2)
         assert np.abs(sums - 1.0).max() == 0.0
+
+    def test_rows_sum_exactly_to_one_for_random_probabilities(self):
+        # one residual push into the largest entry, in state order, leaves a
+        # row off 1.0 by an ulp in 3 of these 40 configs
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            cfg = RingWorldConfig(
+                ring_size=3, p_flip=float(rng.random()), p_slip=float(rng.random()),
+                repair_success=float(rng.random()), learning_on=True,
+                theta_levels=int(rng.integers(2, 5)),
+            )
+            env = build_ringworld(cfg)
+            assert validate_kernel(env.kernel).ok
+            assert np.all(env.kernel.weights.sum(axis=2) == 1.0)
 
     def test_state_count_formula(self):
         cfg = RingWorldConfig(learning_on=True, theta_levels=3)
@@ -54,7 +68,7 @@ class TestMovementRules:
         for y in range(cfg.ring_size):
             s = ring_state_index(cfg, y=y, u=0, phi=0, r=2)
             t = ring_state_index(cfg, y=(y + 1) % cfg.ring_size, u=0, phi=1, r=0)
-            assert env.kernel.probs[RIGHT, s, t] == 1.0
+            assert env.kernel.dense()[RIGHT, s, t] == 1.0
 
     def test_protocol_doubles_displacement_on_odd_phase(self):
         cfg = RingWorldConfig(p_flip=0.0, p_slip=0.0, protocol_on=True)
@@ -62,7 +76,7 @@ class TestMovementRules:
         s = ring_state_index(cfg, y=0, u=0, phi=1, r=2)
         # phase wraps and pays cost 2, gains 1
         t = ring_state_index(cfg, y=2, u=0, phi=0, r=1)
-        assert env.kernel.probs[RIGHT, s, t] == 1.0
+        assert env.kernel.dense()[RIGHT, s, t] == 1.0
 
     def test_slip_keeps_position(self):
         cfg = RingWorldConfig(p_flip=0.0, p_slip=0.25, protocol_on=False)
@@ -70,15 +84,15 @@ class TestMovementRules:
         s = ring_state_index(cfg, y=3, u=0, phi=0, r=2)
         stay = ring_state_index(cfg, y=3, u=0, phi=1, r=0)
         move = ring_state_index(cfg, y=4, u=0, phi=1, r=0)
-        assert env.kernel.probs[RIGHT, s, stay] == 0.25
-        assert env.kernel.probs[RIGHT, s, move] == 0.75
+        assert env.kernel.dense()[RIGHT, s, stay] == 0.25
+        assert env.kernel.dense()[RIGHT, s, move] == 0.75
 
     def test_repair_resets_damage_bit(self):
         cfg = RingWorldConfig(p_flip=0.0)
         env = build_ringworld(cfg)
         s = ring_state_index(cfg, y=0, u=1, phi=0, r=2)
         t = ring_state_index(cfg, y=0, u=0, phi=1, r=1)
-        assert env.kernel.probs[REPAIR, s, t] == 1.0
+        assert env.kernel.dense()[REPAIR, s, t] == 1.0
 
     def test_imperfect_repair_splits_damage_bit(self):
         cfg = RingWorldConfig(p_flip=0.0, repair_success=0.25)
@@ -86,8 +100,8 @@ class TestMovementRules:
         s = ring_state_index(cfg, y=0, u=1, phi=0, r=2)
         repaired = ring_state_index(cfg, y=0, u=0, phi=1, r=1)
         still_broken = ring_state_index(cfg, y=0, u=1, phi=1, r=1)
-        assert env.kernel.probs[REPAIR, s, repaired] == 0.25
-        assert env.kernel.probs[REPAIR, s, still_broken] == 0.75
+        assert env.kernel.dense()[REPAIR, s, repaired] == 0.25
+        assert env.kernel.dense()[REPAIR, s, still_broken] == 0.75
 
     def test_infeasible_command_collapses_to_noop(self):
         cfg = RingWorldConfig()  # movement costs 2
@@ -96,10 +110,10 @@ class TestMovementRules:
             for phi in range(cfg.phase_period):
                 broke = ring_state_index(cfg, y=y, u=0, phi=phi, r=1)
                 np.testing.assert_array_equal(
-                    env.kernel.probs[RIGHT, broke], env.kernel.probs[NOOP, broke]
+                    env.kernel.dense()[RIGHT, broke], env.kernel.dense()[NOOP, broke]
                 )
                 np.testing.assert_array_equal(
-                    env.kernel.probs[LEFT, broke], env.kernel.probs[NOOP, broke]
+                    env.kernel.dense()[LEFT, broke], env.kernel.dense()[NOOP, broke]
                 )
 
 
@@ -118,7 +132,7 @@ class TestLedgerRules:
         env = build_ringworld(cfg)
         s = ring_state_index(cfg, y=0, u=0, phi=1, r=0)  # broke: NOOP only
         t = ring_state_index(cfg, y=0, u=0, phi=0, r=1)
-        assert env.kernel.probs[NOOP, s, t] == 1.0
+        assert env.kernel.dense()[NOOP, s, t] == 1.0
 
     def test_damage_leak_drains_ledger(self):
         cfg = RingWorldConfig(p_flip=0.0, damage_leak=2, ledger_gain=1,
@@ -126,7 +140,7 @@ class TestLedgerRules:
         env = build_ringworld(cfg)
         s = ring_state_index(cfg, y=0, u=1, phi=0, r=2)
         t = ring_state_index(cfg, y=0, u=1, phi=1, r=1)  # -0 cost -2 leak +1 gain
-        assert env.kernel.probs[NOOP, s, t] == 1.0
+        assert env.kernel.dense()[NOOP, s, t] == 1.0
 
     def test_damage_conservation_without_noise(self):
         cfg = RingWorldConfig(p_flip=0.0)
@@ -147,7 +161,7 @@ class TestSkillSector:
         for theta in range(3):
             s = ring_state_index(cfg, y=0, u=0, phi=0, r=2, theta=theta)
             stay = ring_state_index(cfg, y=0, u=0, phi=1, r=2, theta=theta)
-            slips.append(env.kernel.probs[RIGHT, s, stay])
+            slips.append(env.kernel.dense()[RIGHT, s, stay])
         assert slips[0] > slips[1] > slips[2]
         assert slips[2] == 0.0
 
@@ -169,7 +183,7 @@ class TestProtocolMatching:
             for u in range(2):
                 for r in range(cfg.ledger_max + 1):
                     s = ring_state_index(cfg, y=y, u=u, phi=0, r=r)
-                    np.testing.assert_array_equal(on.kernel.probs[:, s], off.kernel.probs[:, s])
+                    np.testing.assert_array_equal(on.kernel.dense()[:, s], off.kernel.dense()[:, s])
 
     def test_h1_capacity_matches_across_protocol(self):
         on = build_ringworld(RingWorldConfig(protocol_on=True, cost_left=0, cost_right=0))
@@ -186,7 +200,7 @@ class TestNullEnvironments:
     def test_single_action_cycle_is_permutation(self):
         env = build_null_single_action()
         assert validate_kernel(env.kernel).ok
-        mat = env.kernel.probs[0]
+        mat = env.kernel.dense()[0]
         assert np.array_equal(mat.sum(axis=0), np.ones(4))
         assert set(np.unique(mat)) == {0.0, 1.0}
 
@@ -202,7 +216,7 @@ class TestNullEnvironments:
 
     def test_schedule_trap_right_model_rows_identical(self):
         env = build_schedule_trap("right")
-        np.testing.assert_array_equal(env.kernel.probs[0], env.kernel.probs[1])
+        np.testing.assert_array_equal(env.kernel.dense()[0], env.kernel.dense()[1])
         cap = feasible_empowerment(env.kernel, env.gate, 0, 1, env.output_lens)
         assert cap == 0.0
 

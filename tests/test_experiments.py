@@ -32,6 +32,10 @@ class TestRunnerBasics:
         assert len(record.config_hash) == 64
         if name != "nulls":
             assert "state_layout" in record.metrics
+        if name in ("sweep", "ablations"):
+            solver = record.metrics["solver"]
+            assert 0.0 <= solver["max_gap_bits"] <= solver["capacity_tol_bits"]
+            assert "solver" not in record.metrics["contracts"]
 
     def test_exhibit_list_matches_runners(self):
         assert set(EXHIBITS) == {"packaging", "nulls", "holonomy", "ablations", "sweep", "learning"}
@@ -79,3 +83,9 @@ class TestExhibitNumbers:
         assert a < b < c
         x, y, z = m["control_medians"]
         assert x == y == z
+
+    def test_holonomy_certificate_and_witness(self):
+        m = run_exhibit("holonomy").metrics
+        assert 0.0 < m["solver"]["max_gap_bits"] <= m["solver"]["capacity_tol_bits"]
+        assert "witness_alpha_on_distribution" not in m
+        assert len(m["witness"]["protocol_on"]["alpha_output_distribution"]) == 16

@@ -8,7 +8,6 @@ from agencykit.kernel import (
     policy_closure,
     step_distribution,
     successor_support,
-    support_tensor,
     validate_kernel,
 )
 from conftest import random_kernel
@@ -90,7 +89,9 @@ class TestSuccessorSupport:
     def test_default_support_is_exact(self):
         k = kernel_from_rows([[1 - 1e-15, 1e-15, 0], [1, 0, 0], [0, 0, 1]])
         assert successor_support(k, 0, 0) == {0, 1}
-        assert support_tensor(k)[0, 0].tolist() == [True, True, False]
+        dense = k.dense()
+        for s in range(3):
+            assert successor_support(k, s, 0) == set(np.flatnonzero(dense[0, s] > 0).tolist())
 
     def test_index_out_of_range(self):
         k = kernel_from_rows(np.eye(2))
@@ -110,7 +111,7 @@ class TestPolicyClosure:
     def test_constant_policy_selects_matrix(self, rng):
         k = random_kernel(rng, 5, 3)
         mu = Policy(kind="deterministic", table={s: 0 for s in range(5)})
-        np.testing.assert_array_equal(policy_closure(k, mu), k.probs[0])
+        np.testing.assert_array_equal(policy_closure(k, mu), k.dense()[0])
 
     def test_uniform_mix_identity_and_swap(self):
         swap = np.array([[0, 1], [1, 0]], dtype=float)
@@ -122,13 +123,19 @@ class TestPolicyClosure:
     def test_single_action_kernel(self, rng):
         k = random_kernel(rng, 4, 1)
         mu = Policy(kind="deterministic", table={s: 0 for s in range(4)})
-        np.testing.assert_array_equal(policy_closure(k, mu), k.probs[0])
+        np.testing.assert_array_equal(policy_closure(k, mu), k.dense()[0])
 
     def test_partial_policy_rejected(self, rng):
         k = random_kernel(rng, 4, 2)
         mu = Policy(kind="deterministic", table={0: 0, 1: 1})
         with pytest.raises(ValueError):
             policy_closure(k, mu)
+
+    def test_wrong_length_policy_row_rejected(self, rng):
+        k = random_kernel(rng, 3, 2)
+        table = {0: np.array([0.5, 0.5]), 1: np.array([1.0]), 2: np.array([0.0, 1.0])}
+        with pytest.raises(ValueError, match="state 1 has wrong length"):
+            policy_closure(k, Policy(kind="stochastic", table=table))
 
 
 class TestSerialization:
@@ -139,7 +146,9 @@ class TestSerialization:
         back = kernel_from_dict(data)
         assert back.n_states == k.n_states
         assert back.action_names == k.action_names
-        np.testing.assert_array_equal(back.probs, k.probs)
+        np.testing.assert_array_equal(back.dense(), k.dense())
+        np.testing.assert_array_equal(back.succ, k.succ)
+        np.testing.assert_array_equal(back.weights, k.weights)
 
     def test_serialized_form_is_canonicalizable(self, rng):
         from agencykit.artifacts import canonical_serialize
