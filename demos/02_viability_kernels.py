@@ -2,8 +2,8 @@
 
 A state is viable when some affordable action keeps every nonzero-probability
 successor inside the viable set. The kernel of all such states is computed by
-iterating a contracting set operator downward from the safe set; on small
-systems we can cross-check it against exhaustive subset enumeration.
+iterating a contracting set operator downward from the safe set, and the
+result is a fixed point of that operator.
 """
 
 import numpy as np
@@ -11,11 +11,7 @@ import numpy as np
 from agencykit.environments import RingWorldConfig, build_ringworld
 from agencykit.feasibility import FeasibilityGate
 from agencykit.kernel import ControlledKernel
-from agencykit.viability import (
-    SafetyPredicate,
-    brute_force_greatest_fixpoint,
-    viability_kernel,
-)
+from agencykit.viability import SafetyPredicate, viability_kernel, viability_step
 
 # A 5-state corridor: LEFT/RIGHT move deterministically, the ends are lava.
 n = 5
@@ -33,8 +29,8 @@ result = viability_kernel(corridor, gate, safe)
 print("corridor viable states:", result.indices)
 print("iteration trace (set sizes):", result.trace)
 
-oracle = brute_force_greatest_fixpoint(corridor, gate, safe)
-print("matches exhaustive subset enumeration:", bool(np.array_equal(result.kernel, oracle)))
+again = viability_step(corridor, gate, safe, result.kernel)
+print("one more sweep leaves it unchanged:", bool(np.array_equal(again, result.kernel)))
 
 # The ring world couples viability to a maintenance economy: each damaged
 # step leaks budget, income arrives every step, and repair costs one unit.

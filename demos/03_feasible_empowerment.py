@@ -23,7 +23,7 @@ env = build_ringworld(cfg)
 s0 = ring_state_index(cfg, y=0, u=0, phi=0, r=2)
 
 channel = build_channel(env.kernel, env.gate, s0, horizon=2, f=env.output_lens)
-print(f"H=2 channel: {channel.n_rows} sequence rows x {env.output_lens.n_labels} outputs")
+print(f"H=2 channel: {channel.shape[0]} sequence rows x {channel.shape[1]} outputs")
 res = channel_capacity(channel)
 print(f"capacity = {res.capacity_bits:.4f} bits "
       f"({res.iterations} iterations, bound gap {res.gap:.1e})")

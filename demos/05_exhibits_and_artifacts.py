@@ -15,19 +15,22 @@ from pathlib import Path
 from agencykit.artifacts import audit, write_artifact
 from agencykit.experiments import EXHIBITS, contracts_passed, run_exhibit
 
-out = Path(tempfile.mkdtemp(prefix="agencykit_demo_"))
-print(f"writing artifacts to {out}\n")
+with tempfile.TemporaryDirectory(prefix="agencykit_demo_") as tmp:
+    out = Path(tmp)
+    print(f"writing artifacts to {out}\n")
 
-for name in EXHIBITS:
-    record = run_exhibit(name, profile="paper")
-    path = write_artifact(record, out)
-    flag = "pass" if contracts_passed(record) else "FAIL"
-    print(f"[{flag}] {name:10s} -> {path.name}")
+    for name in EXHIBITS:
+        record = run_exhibit(name)
+        path = write_artifact(record, out)
+        flag = "pass" if contracts_passed(record) else "FAIL"
+        print(f"[{flag}] {name:10s} -> {path.name}")
 
-report = audit(out, strict=True)
-print(f"\naudit: {report.files_checked} files, passed = {report.passed}")
+    report = audit(out, strict=True)
+    print(f"\naudit: {report.files_checked} files, passed = {report.passed}")
 
-holonomy = json.loads(next(out.glob("holonomy_*.json")).read_text())
+    holonomy = json.loads(next(out.glob("holonomy_*.json")).read_text())
+    sweep = json.loads(next(out.glob("sweep_*.json")).read_text())
+
 m = holonomy["metrics"]
 print("\nmedian feasible empowerment by horizon:")
 print("  H      on      off")
@@ -35,7 +38,6 @@ for h, on, off in zip(m["horizons"], m["protocol_on"]["medians"],
                       m["protocol_off"]["medians"]):
     print(f"  {h}   {on:.4f}  {off:.4f}")
 
-sweep = json.loads(next(out.glob("sweep_*.json")).read_text())
 print("\nviability kernel size over the noise x repair-cost grid:")
 for row in sweep["metrics"]["kernel_size_grid"]:
     print("  " + " ".join(f"{v:3d}" for v in row))

@@ -4,7 +4,7 @@ Provides:
 
 - ``kernel``: validated row-stochastic controlled kernels and their one-step algebra
 - ``feasibility``: ledger-gated action sets and budgeted open-loop sequence enumeration
-- ``viability``: robust viability kernels as greatest fixed points, with a brute-force oracle
+- ``viability``: robust viability kernels as greatest fixed points
 - ``empowerment``: action-sequence channels, Blahut-Arimoto capacity, medians, TV distances
 - ``packaging``: empirical packaging endomaps over macro labels and their idempotence defect
 - ``environments``: ring-world family and calibrated null environments

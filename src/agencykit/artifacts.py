@@ -194,19 +194,21 @@ def _iter_probability_objects(tree, path: str = "$.metrics"):
         for k, v in tree.items():
             child = f"{path}.{k}"
             if k.endswith(DISTRIBUTION_SUFFIX) or k.endswith(ROWS_SUFFIX):
-                yield child, k, v
+                yield child, v
             yield from _iter_probability_objects(v, child)
     elif isinstance(tree, list):
         for i, v in enumerate(tree):
             yield from _iter_probability_objects(v, f"{path}[{i}]")
 
 
-def _check_probability_object(key: str, value) -> str | None:
+def _check_probability_object(value) -> str | None:
     """Entries must lie in [0, 1]; distribution vectors and each row sum to 1."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         return f"not a numeric array ({exc})"
+    if arr.ndim == 0:
+        return f"a scalar ({value!r}), not a distribution or rows"
     if arr.size == 0:
         return None
     if not np.all(np.isfinite(arr)):
@@ -214,8 +216,6 @@ def _check_probability_object(key: str, value) -> str | None:
     if np.any(arr < -STOCHASTICITY_TOLERANCE) or np.any(arr > 1 + STOCHASTICITY_TOLERANCE):
         return f"entries outside [0, 1] (range [{arr.min()}, {arr.max()}])"
     rows = arr[None, :] if arr.ndim == 1 else arr
-    if key.endswith(ROWS_SUFFIX) and arr.ndim == 1:
-        rows = arr[None, :]
     sums = rows.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > STOCHASTICITY_TOLERANCE):
         worst = sums[np.argmax(np.abs(sums - 1.0))]
@@ -285,8 +285,8 @@ def audit(directory: str | Path, strict: bool = True) -> AuditReport:
                 (name, "config_hash_mismatch", f"stored {stored[:12]}..., recomputed {expected[:12]}...")
             )
 
-        for tree_path, key, value in _iter_probability_objects(record["metrics"]):
-            problem = _check_probability_object(key, value)
+        for tree_path, value in _iter_probability_objects(record["metrics"]):
+            problem = _check_probability_object(value)
             if problem is not None:
                 report.failures.append((name, "stochasticity", f"{tree_path}: {problem}"))
 

@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("exhibit", help=f"one of {', '.join(EXHIBITS)}, or 'all'")
     p_run.add_argument("--clean", action="store_true", help="remove the output dir first")
     p_run.add_argument("--out", default=None, help="output directory (default: results/)")
-    p_run.add_argument("--profile", default="paper", help="config profile (paper | fast)")
 
     p_audit = sub.add_parser("audit", help="verify artifacts against the contract")
     p_audit.add_argument("--dir", default=None, help="artifact directory (default: results/)")
@@ -76,11 +75,7 @@ def _cmd_run(args) -> int:
     names = list(EXHIBITS) if args.exhibit == "all" else [args.exhibit]
     all_passed = True
     for name in names:
-        try:
-            record = run_exhibit(name, profile=args.profile)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        record = run_exhibit(name)
         try:
             path = write_artifact(record, out)
             stable_dir = out / "generated"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from agencykit.feasibility import ActionSequence, FeasibilityGate, feasible_sequences
+from agencykit.feasibility import FeasibilityGate, sequence_costs
 from agencykit.kernel import ControlledKernel, predecessor_lists, pull
 
 ROW_TOLERANCE = 1e-9
@@ -47,18 +47,6 @@ class Lens:
 
 
 @dataclass
-class Channel:
-    """Row-stochastic matrix from admissible action sequences to output labels."""
-
-    inputs: list[ActionSequence]
-    matrix: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass
 class CapacityResult:
     """Certified capacity estimate with its achieving input distribution."""
 
@@ -77,14 +65,14 @@ def _check_mass(out: np.ndarray) -> None:
 
 
 def rollout_output_distribution(
-    k: ControlledKernel, s0: int, alpha: ActionSequence | tuple[int, ...], f: Lens
+    k: ControlledKernel, s0: int, alpha: tuple[int, ...] | np.ndarray, f: Lens
 ) -> np.ndarray:
     """Exact push-forward of delta_{s0} through an action sequence, then the lens.
 
     Uses the same pushes as ``_batched_sequence_rows``, so the result is
     bit-identical to that sequence's row there.
     """
-    actions = alpha.actions if isinstance(alpha, ActionSequence) else tuple(alpha)
+    actions = tuple(alpha)
     if len(actions) < 1:
         raise ValueError("action sequence must have length >= 1")
     if not 0 <= s0 < k.n_states:
@@ -106,42 +94,22 @@ def build_channel(
     s0: int,
     horizon: int,
     f: Lens,
-    feasible_only: bool = True,
-) -> Channel:
-    """Channel whose rows are per-sequence output distributions from ``s0``.
+) -> np.ndarray:
+    """Channel matrix from ``s0``: one output-label row per budget-feasible sequence.
 
-    Rows follow the deterministic lexicographic sequence order. With
-    ``feasible_only`` the inputs are gated by the initial budget at ``s0``;
-    a zero-row channel is legal. Rows are bit-identical to the ones
+    Rows follow ``feasible_sequences(gate, s0, horizon)`` order; a zero-row
+    channel is legal. Rows are bit-identical to the ones
     ``median_empowerment_on_kernel`` solves for ``s0``.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     if not 0 <= s0 < k.n_states:
         raise IndexError(f"state index {s0} out of range")
-    if feasible_only:
-        seqs = feasible_sequences(gate, s0, horizon)
-    else:
-        free = FeasibilityGate(ledger=gate.ledger, costs=np.zeros_like(gate.costs))
-        seqs = feasible_sequences(free, s0, horizon)
-        seqs = [
-            ActionSequence(actions=s.actions, total_cost=float(gate.costs[list(s.actions)].sum()))
-            for s in seqs
-        ]
-    if not seqs:
-        return Channel(inputs=[], matrix=np.zeros((0, f.n_labels)))
-    _, rows = _batched_sequence_rows(k, horizon, f, [s0])
-    # rows come in lexicographic order, so a sequence's row is its base-A value
-    picks = np.ravel_multi_index(
-        np.array([s.actions for s in seqs]).T, (k.n_actions,) * horizon
-    )
-    matrix = rows[picks, 0]
+    matrix = next(_feasible_channels(k, gate, [s0], horizon, f))
     _check_mass(matrix)
-    return Channel(inputs=seqs, matrix=matrix)
+    return matrix
 
 
 def channel_capacity(
-    w: Channel | np.ndarray,
+    w: np.ndarray,
     tol: float = BA_DEFAULT_TOL,
     max_iter: int = BA_DEFAULT_MAX_ITER,
 ) -> CapacityResult:
@@ -156,7 +124,7 @@ def channel_capacity(
     still has one entry per original row: each merged row's mass is split
     evenly over its copies, which leaves I(p; W) and the gap unchanged.
     """
-    matrix = np.asarray(w.matrix if isinstance(w, Channel) else w, dtype=np.float64)
+    matrix = np.asarray(w, dtype=np.float64)
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = matrix.shape[0]
@@ -223,29 +191,7 @@ def feasible_empowerment(
     tol: float = BA_DEFAULT_TOL,
 ) -> float:
     """Capacity (bits) of the budget-restricted sequence channel from ``s0``."""
-    if not 0 <= s0 < k.n_states:
-        raise IndexError(f"state index {s0} out of range")
-    return feasible_empowerment_values(k, gate, [s0], horizon, f, tol=tol)[0]
-
-
-def feasible_empowerment_values(
-    k: ControlledKernel,
-    gate: FeasibilityGate,
-    states: list[int] | np.ndarray,
-    horizon: int,
-    f: Lens,
-    tol: float = BA_DEFAULT_TOL,
-) -> list[float]:
-    """``feasible_empowerment`` at each of several start states, in one rollout.
-
-    Each value is exactly the one ``feasible_empowerment`` gives at that state.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return [
-        channel_capacity(w, tol=tol).capacity_bits
-        for w in _feasible_channels(k, gate, states, horizon, f)
-    ]
+    return channel_capacity(build_channel(k, gate, s0, horizon, f), tol=tol).capacity_bits
 
 
 @dataclass
@@ -281,15 +227,18 @@ def lower_median(values: list[float] | np.ndarray) -> float:
 
 def _batched_sequence_rows(
     k: ControlledKernel, horizon: int, f: Lens, states: np.ndarray
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
+) -> np.ndarray:
     """Output rows for every length-H sequence from several start states at once.
 
     Shares prefix pushes across the lexicographic sequence tree, holding one
     column per start state and pushing every action at once, and takes the
-    last step straight into labels; returns the sequences in lex order and an
-    array of shape (n_seq, len(states), n_labels). Each column is
-    bit-identical to the rollout of its start state alone (see ``pull``).
+    last step straight into labels; returns an array of shape
+    (A**H, len(states), n_labels) whose row n is the sequence with base-A
+    digits n. Each column is bit-identical to the rollout of its start state
+    alone (see ``pull``).
     """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     states = np.asarray(states, dtype=np.int64)
     m = len(states)
     n_actions, n_states, n_labels = k.n_actions, k.n_states, f.n_labels
@@ -298,22 +247,19 @@ def _batched_sequence_rows(
     D0 = np.zeros((n_states, m))
     D0[states, np.arange(m)] = 1.0
 
-    seqs: list[tuple[int, ...]] = []
     rows: list[np.ndarray] = []
 
-    def descend(prefix: tuple[int, ...], D: np.ndarray) -> None:
-        if len(prefix) == horizon - 1:
+    def descend(depth: int, D: np.ndarray) -> None:
+        if depth == horizon - 1:
             out = pull(last, D).reshape(n_actions, n_labels, m)
-            for a in range(n_actions):
-                seqs.append(prefix + (a,))
-                rows.append(out[a].T)
+            rows.extend(out.transpose(0, 2, 1))
             return
         children = pull(step, D).reshape(n_actions, n_states, m)
         for a in range(n_actions):
-            descend(prefix + (a,), children[a])
+            descend(depth + 1, children[a])
 
-    descend((), D0)
-    return seqs, np.stack(rows)
+    descend(0, D0)
+    return np.stack(rows)
 
 
 def _feasible_channels(
@@ -321,12 +267,14 @@ def _feasible_channels(
 ):
     """Each start state's budget-feasible channel, cut from one batched rollout.
 
-    Yields, state by state, exactly the matrix ``build_channel`` gives.
+    The only code that cuts a channel: state by state, it yields the rows of
+    the sequences whose total cost fits that state's ledger, in
+    ``feasible_sequences`` order.
     """
-    seqs, rows = _batched_sequence_rows(k, horizon, f, states)
-    seq_costs = np.array([gate.costs[list(s)].sum() for s in seqs])
+    rows = _batched_sequence_rows(k, horizon, f, states)
+    costs = sequence_costs(gate, horizon)
     for i, s in enumerate(states):
-        yield rows[seq_costs <= gate.ledger[s], i]
+        yield rows[costs <= gate.ledger[s], i]
 
 
 def cyclic_channel_key(w: np.ndarray) -> bytes:

@@ -418,9 +418,8 @@ def build_schedule_trap(model: str) -> Environment:
     )
 
 
-# Named config profiles. "paper" is the default desk-scale profile; "fast"
-# shrinks the ring for CI. Exhibit runners derive per-exhibit variants.
+# Named config profiles. "paper" is the desk-scale profile every exhibit uses;
+# exhibit runners derive per-exhibit variants from it.
 PROFILES: dict[str, RingWorldConfig] = {
     "paper": RingWorldConfig(),
-    "fast": RingWorldConfig(ring_size=6),
 }

@@ -5,9 +5,9 @@ its qualitative contracts (orderings, zeros, equalities) in-process, and emits
 one artifact record whose metrics block is a deterministic function of the
 configuration. Runners never mutate environments and may run in any order.
 
-Exhibit configurations derive from a named base profile ("paper" by default,
-"fast" for a smaller CI ring). Per-exhibit parameter overrides are part of
-each exhibit's config block and therefore of its hash:
+Exhibit configurations derive from the named base profile "paper", which is
+recorded in each artifact's config. Per-exhibit parameter overrides are part
+of each exhibit's config block and therefore of its hash:
 
 - packaging and nulls use the base profile directly;
 - holonomy uses a movement-is-free variant on a wider ring so the viability
@@ -27,8 +27,6 @@ import numpy as np
 from agencykit.artifacts import ArtifactRecord, make_artifact
 from agencykit.empowerment import (
     feasible_empowerment,
-    feasible_empowerment_values,
-    lower_median,
     median_empowerment_on_kernel,
     rollout_output_distribution,
     total_variation,
@@ -134,10 +132,11 @@ def run_nulls() -> ArtifactRecord:
         f"H{h}": feasible_empowerment(null_a.kernel, null_a.gate, 0, h, null_a.output_lens)
         for h in (1, 2, 3)
     }
-    caps_b = {}
-    for model in ("wrong", "right"):
-        env = build_schedule_trap(model)
-        caps_b[model] = feasible_empowerment(env.kernel, env.gate, 0, 1, env.output_lens)
+    traps = {model: build_schedule_trap(model) for model in ("wrong", "right")}
+    caps_b = {
+        model: feasible_empowerment(env.kernel, env.gate, 0, 1, env.output_lens)
+        for model, env in traps.items()
+    }
 
     contracts = {
         "null_a_zero_all_horizons": all(abs(v) <= 1e-12 for v in caps_a.values()),
@@ -146,9 +145,9 @@ def run_nulls() -> ArtifactRecord:
     }
     config = {
         "exhibit": "nulls",
-        "null_a": build_null_single_action().config_echo,
-        "null_b_wrong": build_schedule_trap("wrong").config_echo,
-        "null_b_right": build_schedule_trap("right").config_echo,
+        "null_a": null_a.config_echo,
+        "null_b_wrong": traps["wrong"].config_echo,
+        "null_b_right": traps["right"].config_echo,
         "horizons_null_a": [1, 2, 3],
         "horizon_null_b": 1,
         "capacity_tol_bits": EMPOWERMENT_TOL,
@@ -312,6 +311,8 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
             "subset_rule": med.subset_rule,
             "packaging_defect": idempotence_defect(endo),
         }
+        if name == "full":
+            state_layout = env.state_layout
 
     contracts = {
         "no_repair_kernel_empty": rows["no_repair"]["kernel_size"] == 0,
@@ -341,9 +342,8 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
         "safety": "ledger_only",
         "max_states": MAX_MEDIAN_STATES,
     }
-    env_full = build_ringworld(configs["full"])
     metrics = {
-        "state_layout": env_full.state_layout,
+        "state_layout": state_layout,
         "rows": rows,
         "solver": solver_block(max_gap),
         "contracts": contracts,
@@ -401,7 +401,7 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
         "max_states": MAX_MEDIAN_STATES,
     }
     metrics = {
-        "state_layout": build_ringworld(base).state_layout,
+        "state_layout": env.state_layout,
         "p_flip_grid": p_grid,
         "cost_repair_grid": cost_grid,
         "kernel_size_grid": kernel_sizes.tolist(),
@@ -422,28 +422,31 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
     Medians are taken over viable states restricted to a fixed staged phase
     (phi = 0) and a coherent internal bit (u = 0) within each skill sector.
     """
-    def sector_medians(p_slip: float) -> tuple[list[float], dict]:
+    def sector_medians(p_slip: float):
         cfg = learning_config(profile, p_slip)
         env = build_ringworld(cfg)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
         medians = []
         per_theta = {}
+        max_gap = 0.0
         for theta in range(cfg.theta_levels):
             selected = [
                 i
                 for i, (y, u, phi, r, th) in enumerate(env.state_tuples)
                 if th == theta and u == 0 and phi == 0 and vres.kernel[i]
             ]
-            values = feasible_empowerment_values(
-                env.kernel, env.gate, selected, 2, env.output_lens, tol=EMPOWERMENT_TOL
+            med = median_empowerment_on_kernel(
+                env.kernel, env.gate, np.array(selected), 2, env.output_lens,
+                max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
             )
-            medians.append(lower_median(values) if values else 0.0)
-            per_theta[f"theta{theta}"] = {"states": selected, "values": values}
-        return medians, per_theta
+            medians.append(med.median_bits)
+            per_theta[f"theta{theta}"] = {"states": med.selected_states, "values": med.values}
+            max_gap = max(max_gap, med.max_gap_bits)
+        return env, medians, per_theta, max_gap
 
     slip = 0.2
-    medians, per_theta = sector_medians(slip)
-    control_medians, _ = sector_medians(0.0)
+    env, medians, per_theta, max_gap = sector_medians(slip)
+    _, control_medians, _, control_gap = sector_medians(0.0)
 
     contracts = {
         "medians_strictly_increase_with_skill": medians[0] < medians[1] < medians[2],
@@ -460,11 +463,12 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
         "safety": "ledger_only",
     }
     metrics = {
-        "state_layout": build_ringworld(learning_config(profile, slip)).state_layout,
+        "state_layout": env.state_layout,
         "theta_values": [0, 1, 2],
         "medians": medians,
         "control_medians": control_medians,
         "per_theta": per_theta,
+        "solver": solver_block(max(max_gap, control_gap)),
         "contracts": contracts,
     }
     return make_artifact("learning", config, metrics)

@@ -3,12 +3,12 @@
 An action is feasible at a state when its cost does not exceed the state's
 ledger value. A length-H action sequence is feasible when its total cost fits
 the *initial* budget (open-loop gate); feasibility is never re-evaluated along
-the branch.
+the branch. A sequence is identified by its lexicographic number: row ``n`` of
+every sequence table is the sequence whose base-A digits are ``n``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,17 +41,6 @@ class FeasibilityGate:
         return len(self.costs)
 
 
-@dataclass(frozen=True)
-class ActionSequence:
-    """Ordered open-loop action sequence with its derived total cost."""
-
-    actions: tuple[int, ...]
-    total_cost: float
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
 def feasible_actions(gate: FeasibilityGate, s: int) -> set[int]:
     """Actions affordable at state ``s``: {a : c(a) <= r(s)}, exact comparison."""
     budget = gate.ledger[s]
@@ -63,18 +52,23 @@ def feasible_action_matrix(gate: FeasibilityGate) -> np.ndarray:
     return gate.costs[:, None] <= gate.ledger[None, :]
 
 
-def feasible_sequences(gate: FeasibilityGate, s0: int, horizon: int) -> list[ActionSequence]:
+def _all_sequences(n_actions: int, horizon: int) -> np.ndarray:
+    """Every length-H sequence as an (A**H, H) int array; row n holds the digits of n."""
+    return np.indices((n_actions,) * horizon).reshape(horizon, -1).T
+
+
+def sequence_costs(gate: FeasibilityGate, horizon: int) -> np.ndarray:
+    """Total cost of every length-H sequence, in lexicographic row order."""
+    return gate.costs[_all_sequences(gate.n_actions, horizon)].sum(axis=1)
+
+
+def feasible_sequences(gate: FeasibilityGate, s0: int, horizon: int) -> np.ndarray:
     """All length-H sequences whose total cost fits the initial budget r(s0).
 
-    Enumeration is lexicographic by action index, so output order is
-    deterministic and stable across runs. May be empty.
+    Returns an (n, H) int array of the affordable rows of the lexicographic
+    enumeration, in that order. May have zero rows.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    budget = gate.ledger[s0]
-    out: list[ActionSequence] = []
-    for combo in itertools.product(range(gate.n_actions), repeat=horizon):
-        total = float(gate.costs[list(combo)].sum())
-        if total <= budget:
-            out.append(ActionSequence(actions=combo, total_cost=total))
-    return out
+    affordable = sequence_costs(gate, horizon) <= gate.ledger[s0]
+    return _all_sequences(gate.n_actions, horizon)[affordable]

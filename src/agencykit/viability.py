@@ -17,8 +17,6 @@ import numpy as np
 from agencykit.feasibility import FeasibilityGate, feasible_action_matrix
 from agencykit.kernel import ControlledKernel
 
-BRUTE_FORCE_MAX_STATES = 20
-
 
 @dataclass(frozen=True)
 class SafetyPredicate:
@@ -90,22 +88,3 @@ def viability_kernel(
             return ViabilityResult(kernel=nxt, iterations=iterations, trace=trace)
         K = nxt
 
-
-def brute_force_greatest_fixpoint(
-    k: ControlledKernel, gate: FeasibilityGate, safe: SafetyPredicate
-) -> np.ndarray:
-    """Union of all fixed points of the viability operator, by 2^n enumeration.
-
-    Serves as an independent oracle for ``viability_kernel``: the union of all
-    fixed points of a monotone contracting set operator equals its greatest
-    fixed point. Guarded to small state spaces.
-    """
-    n = k.n_states
-    if n > BRUTE_FORCE_MAX_STATES:
-        raise ValueError(f"brute force enumeration limited to {BRUTE_FORCE_MAX_STATES} states")
-    union = np.zeros(n, dtype=bool)
-    for mask_bits in range(1 << n):
-        K = np.array([(mask_bits >> i) & 1 == 1 for i in range(n)])
-        if np.array_equal(viability_step(k, gate, safe, K), K):
-            union |= K
-    return union

@@ -4,9 +4,11 @@ Everything here deliberately avoids the code paths under test: capacity comes
 from a dense grid search over the input simplex or from textbook
 Blahut-Arimoto on the rows exactly as given (no row merging), mutual
 information from the identity I(p) = H(pW) - sum_x p_x H(W_x), and the BSC
-capacity from its closed form 1 - H2(eps). The dense oracles at the end
-rebuild the (A, S, S) tensor and compute viability, rollouts and packaging
-with plain matrix algebra, independent of the successor lists.
+capacity from its closed form 1 - H2(eps). The viability kernel is checked
+against the union of all fixed points of its operator, by subset enumeration.
+The dense oracles at the end rebuild the (A, S, S) tensor and compute
+viability, rollouts and packaging with plain matrix algebra, independent of
+the successor lists.
 """
 
 import itertools
@@ -78,6 +80,29 @@ def blahut_arimoto_capacity(W: np.ndarray, tol: float = 1e-10,
         p = p * np.exp2(D - D.max())
         p /= p.sum()
     raise RuntimeError("Blahut-Arimoto oracle did not converge")
+
+
+BRUTE_FORCE_MAX_STATES = 20
+
+
+def brute_force_greatest_fixpoint(k, gate, safe) -> np.ndarray:
+    """Union of all fixed points of the viability operator, by 2^n enumeration.
+
+    The union of all fixed points of a monotone contracting set operator
+    equals its greatest fixed point, which ``viability_kernel`` must find.
+    Guarded to small state spaces.
+    """
+    from agencykit.viability import viability_step
+
+    n = k.n_states
+    if n > BRUTE_FORCE_MAX_STATES:
+        raise ValueError(f"brute force enumeration limited to {BRUTE_FORCE_MAX_STATES} states")
+    union = np.zeros(n, dtype=bool)
+    for mask_bits in range(1 << n):
+        K = np.array([(mask_bits >> i) & 1 == 1 for i in range(n)])
+        if np.array_equal(viability_step(k, gate, safe, K), K):
+            union |= K
+    return union
 
 
 def bsc_capacity(eps: float) -> float:

@@ -23,9 +23,9 @@ from agencykit.experiments import (
     run_sweep,
 )
 from agencykit.kernel import Policy, policy_closure, step_distribution, validate_kernel
-from agencykit.viability import brute_force_greatest_fixpoint, viability_kernel, viability_step
+from agencykit.viability import viability_kernel, viability_step
 from conftest import random_gate, random_kernel, random_safety
-from oracles import bsc_capacity, grid_search_capacity
+from oracles import brute_force_greatest_fixpoint, bsc_capacity, grid_search_capacity
 
 
 def report(number: int, name: str, passed: bool, detail: str = "") -> None:

@@ -206,6 +206,12 @@ class TestAudit:
         report = audit(tmp_path)
         assert any(rule == "stochasticity" for _, rule, _ in report.failures)
 
+    @pytest.mark.parametrize("key", ["x_distribution", "x_rows"])
+    def test_scalar_probability_object_is_failure_entry(self, tmp_path, key):
+        self._write(tmp_path, metrics={key: 0.5})
+        report = audit(tmp_path)
+        assert [rule for _, rule, _ in report.failures] == ["stochasticity"]
+
     def test_non_string_config_hash_is_failure_entry(self, tmp_path):
         path, _ = self._write(tmp_path)
         doc = json.loads(path.read_text())

@@ -3,13 +3,12 @@ import pytest
 
 from agencykit import empowerment
 from agencykit.empowerment import (
-    Channel,
     Lens,
+    _feasible_channels,
     build_channel,
     channel_capacity,
     cyclic_channel_key,
     feasible_empowerment,
-    feasible_empowerment_values,
     lower_median,
     median_empowerment_on_kernel,
     rollout_output_distribution,
@@ -18,7 +17,7 @@ from agencykit.empowerment import (
 )
 from agencykit.environments import build_ringworld
 from agencykit.experiments import holonomy_config
-from agencykit.feasibility import FeasibilityGate
+from agencykit.feasibility import FeasibilityGate, feasible_sequences
 from agencykit.kernel import ControlledKernel
 from agencykit.viability import viability_kernel
 from conftest import random_gate, random_kernel
@@ -66,30 +65,44 @@ class TestBuildChannel:
     def test_single_action_one_row(self):
         k = single_matrix_kernel([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
         ch = build_channel(k, zero_gate(4, 1), 0, 3, identity_lens(4))
-        assert ch.n_rows == 1
+        assert ch.shape == (1, 4)
 
     def test_two_free_actions_four_rows(self, rng):
         k = random_kernel(rng, 3, 2)
-        ch = build_channel(k, zero_gate(3, 2), 0, 2, identity_lens(3))
-        assert ch.n_rows == 4
-        assert [s.actions for s in ch.inputs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        g = zero_gate(3, 2)
+        ch = build_channel(k, g, 0, 2, identity_lens(3))
+        assert ch.shape == (4, 3)
+        assert feasible_sequences(g, 0, 2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+    def test_rows_follow_feasible_sequence_order(self, rng):
+        for _ in range(5):
+            k = random_kernel(rng, 5, 3)
+            g = random_gate(rng, 5, 3)
+            f = Lens(name="mod3", project=np.arange(5) % 3, n_labels=3)
+            for s0 in range(5):
+                ch = build_channel(k, g, s0, 2, f)
+                seqs = feasible_sequences(g, s0, 2)
+                assert len(ch) == len(seqs)
+                for row, alpha in zip(ch, seqs):
+                    np.testing.assert_array_equal(row, rollout_output_distribution(k, s0, alpha, f))
 
     def test_budget_limits_rows(self, rng):
         k = random_kernel(rng, 3, 2)
         g = FeasibilityGate(ledger=np.ones(3), costs=np.array([0.0, 1.0]))
         ch = build_channel(k, g, 0, 2, identity_lens(3))
-        assert ch.n_rows == 3
+        assert ch.shape[0] == 3
 
-    def test_feasible_only_off_keeps_all_rows(self, rng):
+    def test_zero_cost_gate_keeps_all_rows(self, rng):
         k = random_kernel(rng, 3, 2)
         g = FeasibilityGate(ledger=np.zeros(3), costs=np.array([1.0, 1.0]))
-        assert build_channel(k, g, 0, 2, identity_lens(3)).n_rows == 0
-        assert build_channel(k, g, 0, 2, identity_lens(3), feasible_only=False).n_rows == 4
+        assert build_channel(k, g, 0, 2, identity_lens(3)).shape[0] == 0
+        free = FeasibilityGate(ledger=g.ledger, costs=np.zeros(2))
+        assert build_channel(k, free, 0, 2, identity_lens(3)).shape[0] == 4
 
     def test_rows_are_distributions(self, rng):
         k = random_kernel(rng, 5, 3)
         ch = build_channel(k, zero_gate(5, 3), 1, 2, identity_lens(5))
-        np.testing.assert_allclose(ch.matrix.sum(axis=1), 1.0, atol=1e-10)
+        np.testing.assert_allclose(ch.sum(axis=1), 1.0, atol=1e-10)
 
 
 class TestChannelCapacity:
@@ -110,7 +123,7 @@ class TestChannelCapacity:
         empty = channel_capacity(np.zeros((0, 3)))
         assert (empty.capacity_bits, empty.iterations) == (0.0, 0)
         assert empty.input_distribution.shape == (0,)
-        single = channel_capacity(Channel(inputs=[], matrix=np.array([[0.2, 0.8]])))
+        single = channel_capacity(np.array([[0.2, 0.8]]))
         assert (single.capacity_bits, single.iterations) == (0.0, 0)
         np.testing.assert_array_equal(single.input_distribution, [1.0])
 
@@ -263,9 +276,12 @@ class TestFeasibleEmpowerment:
             g = random_gate(rng, 6, 3)
             f = identity_lens(6)
             states = [0, 2, 3, 5]
-            batched = feasible_empowerment_values(k, g, states, 2, f)
+            batched = [
+                channel_capacity(w).capacity_bits
+                for w in _feasible_channels(k, g, states, 2, f)
+            ]
             assert batched == [feasible_empowerment(k, g, s, 2, f) for s in states]
-        assert feasible_empowerment_values(k, g, [], 2, f) == []
+        assert list(_feasible_channels(k, g, [], 2, f)) == []
 
     def test_batched_median_matches_per_state_path(self, rng):
         k = random_kernel(rng, 5, 2)

@@ -239,5 +239,5 @@ class TestConfigValidation:
             RingWorldConfig(learning_on=True, theta_levels=1)
 
     def test_profiles_present(self):
-        assert set(PROFILES) == {"paper", "fast"}
-        assert PROFILES["fast"].ring_size < PROFILES["paper"].ring_size
+        assert set(PROFILES) == {"paper"}
+        assert PROFILES["paper"] == RingWorldConfig()

@@ -24,7 +24,7 @@ from agencykit.experiments import (
     holonomy_config,
     learning_config,
 )
-from agencykit.feasibility import FeasibilityGate
+from agencykit.feasibility import FeasibilityGate, feasible_sequences
 from agencykit.kernel import ControlledKernel, Policy
 from agencykit.packaging import idempotence_defect, packaging_endomap
 from agencykit.viability import viability_kernel, viability_step
@@ -108,19 +108,21 @@ class TestRollouts:
             k = random_kernel(rng, n, m)
             f = Lens(name="random", project=rng.randint(0, 3, size=n), n_labels=3)
             states = np.flatnonzero(rng.random(n) < 0.5)
+            free = FeasibilityGate(ledger=np.zeros(n), costs=np.zeros(m))
             for horizon in (1, 2, 3):
-                seqs, rows = _batched_sequence_rows(k, horizon, f, states)
+                rows = _batched_sequence_rows(k, horizon, f, states)
                 ref_seqs, ref_rows = dense_sequence_rows(k, horizon, f, states)
-                assert seqs == ref_seqs
+                assert [tuple(a) for a in feasible_sequences(free, 0, horizon).tolist()] == ref_seqs
                 np.testing.assert_allclose(rows, ref_rows, rtol=0, atol=1e-12)
 
     def test_ring_worlds_match_dense_products(self, ring_env):
         k = ring_env.kernel
         states = np.linspace(0, k.n_states - 1, 24).astype(np.int64)
+        free = FeasibilityGate(ledger=np.zeros(k.n_states), costs=np.zeros(k.n_actions))
         for horizon in (1, 3):
-            seqs, rows = _batched_sequence_rows(k, horizon, ring_env.output_lens, states)
+            rows = _batched_sequence_rows(k, horizon, ring_env.output_lens, states)
             ref_seqs, ref_rows = dense_sequence_rows(k, horizon, ring_env.output_lens, states)
-            assert seqs == ref_seqs
+            assert [tuple(a) for a in feasible_sequences(free, 0, horizon).tolist()] == ref_seqs
             np.testing.assert_allclose(rows, ref_rows, rtol=0, atol=1e-12)
 
 
@@ -137,10 +139,11 @@ class TestRollouts:
             states = np.linspace(0, k.n_states - 1, min(k.n_states, 12)).astype(np.int64)
             free = FeasibilityGate(ledger=np.zeros(k.n_states), costs=np.zeros(k.n_actions))
             for horizon in (1, 2, 3):
-                seqs, rows = _batched_sequence_rows(k, horizon, f, states)
+                rows = _batched_sequence_rows(k, horizon, f, states)
+                seqs = feasible_sequences(free, 0, horizon)
                 for i, s in enumerate(states):
                     channel = build_channel(k, free, int(s), horizon, f)
-                    np.testing.assert_array_equal(channel.matrix, rows[:, i])
+                    np.testing.assert_array_equal(channel, rows[:, i])
                     for j in (0, len(seqs) - 1):
                         out = rollout_output_distribution(k, int(s), seqs[j], f)
                         np.testing.assert_array_equal(out, rows[j, i])

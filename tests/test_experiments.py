@@ -32,7 +32,7 @@ class TestRunnerBasics:
         assert len(record.config_hash) == 64
         if name != "nulls":
             assert "state_layout" in record.metrics
-        if name in ("sweep", "ablations"):
+        if name in ("sweep", "ablations", "learning"):
             solver = record.metrics["solver"]
             assert 0.0 <= solver["max_gap_bits"] <= solver["capacity_tol_bits"]
             assert "solver" not in record.metrics["contracts"]

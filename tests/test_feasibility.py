@@ -2,7 +2,12 @@ import itertools
 
 import numpy as np
 
-from agencykit.feasibility import FeasibilityGate, feasible_actions, feasible_sequences
+from agencykit.feasibility import (
+    FeasibilityGate,
+    feasible_actions,
+    feasible_sequences,
+    sequence_costs,
+)
 
 
 def gate(ledger, costs) -> FeasibilityGate:
@@ -32,17 +37,17 @@ class TestFeasibleSequences:
     def test_zero_cost_lexicographic(self):
         g = gate([0], [0, 0])
         seqs = feasible_sequences(g, 0, 2)
-        assert [s.actions for s in seqs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert seqs.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_budget_filter(self):
         g = gate([1], [0, 1])
         seqs = feasible_sequences(g, 0, 2)
-        assert [s.actions for s in seqs] == [(0, 0), (0, 1), (1, 0)]
-        assert [s.total_cost for s in seqs] == [0.0, 1.0, 1.0]
+        assert seqs.tolist() == [[0, 0], [0, 1], [1, 0]]
+        assert sequence_costs(g, 2).tolist() == [0.0, 1.0, 1.0, 2.0]
 
     def test_empty_when_unaffordable(self):
         g = gate([0], [1, 2])
-        assert feasible_sequences(g, 0, 3) == []
+        assert feasible_sequences(g, 0, 3).shape == (0, 3)
 
     def test_zero_costs_count(self):
         g = gate([0], [0, 0, 0])
@@ -50,9 +55,18 @@ class TestFeasibleSequences:
 
     def test_order_stable_across_runs(self):
         g = gate([3], [0, 1, 2])
-        first = [s.actions for s in feasible_sequences(g, 0, 3)]
-        second = [s.actions for s in feasible_sequences(g, 0, 3)]
+        first = feasible_sequences(g, 0, 3).tolist()
+        second = feasible_sequences(g, 0, 3).tolist()
         assert first == second
+
+    def test_costs_equal_per_sequence_sums_exactly(self, rng):
+        # row n is the sequence whose base-A digits are n, lexicographic order
+        for n_actions in range(1, 5):
+            for horizon in range(1, 7):
+                g = gate([0], rng.random(n_actions) * 10)
+                combos = list(itertools.product(range(n_actions), repeat=horizon))
+                expected = [float(g.costs[list(c)].sum()) for c in combos]
+                assert sequence_costs(g, horizon).tolist() == expected
 
     def test_stepwise_subset_of_initial_budget(self, rng):
         # with zero replenishment, sequences affordable prefix-by-prefix are a
@@ -62,7 +76,7 @@ class TestFeasibleSequences:
             budget = float(rng.randint(0, 5))
             g = gate([budget], costs)
             horizon = 3
-            initial = {s.actions for s in feasible_sequences(g, 0, horizon)}
+            initial = {tuple(s) for s in feasible_sequences(g, 0, horizon).tolist()}
             stepwise = set()
             for combo in itertools.product(range(3), repeat=horizon):
                 remaining = budget

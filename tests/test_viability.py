@@ -4,13 +4,9 @@ import pytest
 from agencykit.environments import RingWorldConfig, build_ringworld
 from agencykit.feasibility import FeasibilityGate
 from agencykit.kernel import ControlledKernel
-from agencykit.viability import (
-    SafetyPredicate,
-    brute_force_greatest_fixpoint,
-    viability_kernel,
-    viability_step,
-)
+from agencykit.viability import SafetyPredicate, viability_kernel, viability_step
 from conftest import random_gate, random_kernel, random_safety
+from oracles import brute_force_greatest_fixpoint
 
 
 def chain_kernel(rows) -> ControlledKernel:
