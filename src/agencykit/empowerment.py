@@ -10,7 +10,8 @@ logs are base 2 and 0*log(0) = 0 throughout.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +55,6 @@ class CapacityResult:
     input_distribution: np.ndarray
     iterations: int
     gap: float
-    lower_bound_trace: list[float] = field(default_factory=list, repr=False)
 
 
 def _check_mass(out: np.ndarray) -> None:
@@ -113,73 +113,112 @@ def channel_capacity(
     tol: float = BA_DEFAULT_TOL,
     max_iter: int = BA_DEFAULT_MAX_ITER,
 ) -> CapacityResult:
-    """Channel capacity in bits via Blahut-Arimoto alternating maximization.
+    """Channel capacity in bits of one channel matrix (see ``channel_capacities``)."""
+    return channel_capacities([w], tol=tol, max_iter=max_iter)[0]
 
-    Terminates when the certified bound gap max_x D(W_x || q) - I(p; W) drops
-    to ``tol`` bits; a run that exhausts ``max_iter`` reports its final gap.
+
+def channel_capacities(
+    channels: Iterable[np.ndarray],
+    tol: float = BA_DEFAULT_TOL,
+    max_iter: int = BA_DEFAULT_MAX_ITER,
+) -> list[CapacityResult]:
+    """Channel capacities in bits via Blahut-Arimoto alternating maximization.
+
+    A channel stops when its certified bound gap max_x D(W_x || q) - I(p; W)
+    drops to ``tol`` bits; one that reaches ``max_iter`` reports its last gap.
     Channels with zero or one row have capacity zero by convention.
 
     Exact duplicate rows are merged before iterating, since capacity depends
     only on the set of distinct rows. The returned ``input_distribution``
     still has one entry per original row: each merged row's mass is split
     evenly over its copies, which leaves I(p; W) and the gap unchanged.
+
+    Channels are read one at a time and only their distinct rows are kept.
+    All channels iterate together in one flat stack of those rows, each
+    channel's rows contiguous, and leave it once they stop. Every step is
+    elementwise, per row or per channel segment, so a channel's arithmetic and
+    result do not depend on which other channels share the call.
     """
-    matrix = np.asarray(w, dtype=np.float64)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = matrix.shape[0]
-    if m <= 1:
-        return CapacityResult(
-            capacity_bits=0.0,
-            input_distribution=np.ones(m),
-            iterations=0,
-            gap=0.0,
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    results: list[CapacityResult | None] = []
+    blocks, merges = [], []
+    for w in channels:
+        matrix = np.asarray(w, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError("a channel must be a 2-d matrix")
+        if results and matrix.shape[1] != n_labels:
+            raise ValueError("channels must share one output alphabet")
+        n_labels = matrix.shape[1]
+        if len(matrix) <= 1:
+            results.append(CapacityResult(
+                capacity_bits=0.0,
+                input_distribution=np.ones(len(matrix)),
+                iterations=0,
+                gap=0.0,
+            ))
+            continue
+        row_sums = matrix.sum(axis=1)
+        bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_TOLERANCE)
+        if bad.size:
+            raise ValueError(f"channel row {int(bad[0])} sums to {row_sums[bad[0]]!r}")
+        # one opaque item per row, so np.unique compares whole rows bytewise;
+        # this is exact and several times faster than np.unique(matrix, axis=0)
+        row_items = np.ascontiguousarray(matrix).view(np.dtype((np.void, matrix[0].nbytes)))
+        _, first, copy_of, copies = np.unique(
+            row_items.ravel(), return_index=True, return_inverse=True, return_counts=True
         )
-    row_sums = matrix.sum(axis=1)
-    bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_TOLERANCE)
-    if bad.size:
-        raise ValueError(f"channel row {int(bad[0])} sums to {row_sums[bad[0]]!r}")
+        blocks.append(matrix[first])
+        merges.append((len(results), copy_of, copies))
+        results.append(None)
+    if not blocks:
+        return results
 
-    # one opaque item per row, so np.unique compares whole rows bytewise; this
-    # is exact and several times faster than np.unique(matrix, axis=0)
-    row_items = np.ascontiguousarray(matrix).view(np.dtype((np.void, matrix[0].nbytes)))
-    _, first, copy_of, copies = np.unique(
-        row_items.ravel(), return_index=True, return_inverse=True, return_counts=True
-    )
-    W = matrix[first]
+    W = np.concatenate(blocks)
     logW = np.log2(W, out=np.zeros_like(W), where=W > 0)
-    row_neg_entropy = (W * logW).sum(axis=1)
-
-    p = np.full(len(W), 1.0 / len(W))
-    trace: list[float] = []
-    iterations = 0
-    gap = np.inf
-    lower = 0.0
+    row_neg_entropy = np.einsum("ij,ij->i", W, logW)
+    live = np.arange(len(blocks))
+    counts = np.array([len(b) for b in blocks])
+    p = np.repeat(1.0 / counts, counts)
+    starts = np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(len(counts)), counts)
     for iterations in range(1, max_iter + 1):
-        q = p @ W
+        q = np.add.reduceat(p[:, None] * W, starts)
         # flooring q makes a supported column with zero marginal register as a
         # huge divergence (instead of dropping out of D), so the update pushes
         # input mass back toward that row; since logq stays finite and W is 0
-        # off its support, W @ logq sums over supported columns only
+        # off its support, the row dot sums over supported columns only
         logq = np.log2(np.maximum(q, 1e-300))
-        D = row_neg_entropy - W @ logq
-        lower = float(p @ D)
-        upper = float(D.max())
-        trace.append(lower)
+        D = row_neg_entropy - np.einsum("ij,ij->i", W, logq.take(seg, axis=0))
+        lower = np.add.reduceat(p * D, starts)
+        upper = np.maximum.reduceat(D, starts)
         gap = upper - lower
-        if gap <= tol:
-            break
-        # multiplicative update p <- p * 2^D, normalized
-        scaled = p * np.exp2(D - upper)
-        p = scaled / scaled.sum()
-
-    return CapacityResult(
-        capacity_bits=max(lower, 0.0),
-        input_distribution=(p / copies)[copy_of],
-        iterations=iterations,
-        gap=float(gap),
-        lower_bound_trace=trace,
-    )
+        stop = gap <= tol
+        if iterations == max_iter:
+            stop[:] = True
+        if np.count_nonzero(stop):
+            for j in np.flatnonzero(stop):
+                owner, copy_of, copies = merges[live[j]]
+                results[owner] = CapacityResult(
+                    capacity_bits=max(float(lower[j]), 0.0),
+                    input_distribution=(p[starts[j] : starts[j] + counts[j]] / copies)[copy_of],
+                    iterations=iterations,
+                    gap=float(gap[j]),
+                )
+            go = ~stop
+            if not np.count_nonzero(go):
+                break
+            rows = np.repeat(go, counts)
+            W, row_neg_entropy, p, D = W[rows], row_neg_entropy[rows], p[rows], D[rows]
+            live, counts, upper = live[go], counts[go], upper[go]
+            starts = np.cumsum(counts) - counts
+            seg = np.repeat(np.arange(len(counts)), counts)
+        # multiplicative update p <- p * 2^D, normalized per channel
+        scaled = p * np.exp2(D - upper.take(seg))
+        p = scaled / np.add.reduceat(scaled, starts).take(seg)
+    return results
 
 
 def feasible_empowerment(
@@ -196,13 +235,21 @@ def feasible_empowerment(
 
 @dataclass
 class MedianEmpowermentResult:
-    """Lower-median empowerment over a deterministically selected state subset."""
+    """Lower-median empowerment over a deterministically selected state subset.
+
+    The last four fields describe the distinct channels solved: their largest
+    certified gap, their number, and their total and largest Blahut-Arimoto
+    iteration counts.
+    """
 
     median_bits: float
     selected_states: list[int]
     values: list[float]
     subset_rule: str
     max_gap_bits: float
+    solves: int
+    iterations_total: int
+    iterations_max: int
 
 
 def select_kernel_subset(indices: np.ndarray, max_states: int) -> np.ndarray:
@@ -247,19 +294,23 @@ def _batched_sequence_rows(
     D0 = np.zeros((n_states, m))
     D0[states, np.arange(m)] = 1.0
 
-    rows: list[np.ndarray] = []
-
-    def descend(depth: int, D: np.ndarray) -> None:
+    # depth-first over the sequence tree; each node carries its prefix number,
+    # and each last-step node fills the rows of its n_actions sequences. Only
+    # the stacked views hold a push's children, so each is freed once its
+    # last child is done
+    rows = np.empty((n_actions**horizon, m, n_labels))
+    stack = [(0, 0, D0)]
+    while stack:
+        depth, prefix, D = stack.pop()
         if depth == horizon - 1:
             out = pull(last, D).reshape(n_actions, n_labels, m)
-            rows.extend(out.transpose(0, 2, 1))
-            return
-        children = pull(step, D).reshape(n_actions, n_states, m)
-        for a in range(n_actions):
-            descend(depth + 1, children[a])
-
-    descend(0, D0)
-    return np.stack(rows)
+            rows[prefix * n_actions : (prefix + 1) * n_actions] = out.transpose(0, 2, 1)
+            continue
+        stack += [
+            (depth + 1, prefix * n_actions + a, child)
+            for a, child in enumerate(pull(step, D).reshape(n_actions, n_states, m))
+        ]
+    return rows
 
 
 def _feasible_channels(
@@ -306,8 +357,8 @@ def median_empowerment_on_kernel(
     Rollouts share prefix products across the selected states; each state's
     channel still contains exactly its budget-feasible sequences. Within one
     call, channels equal up to a cyclic shift of the output labels are solved
-    once (see ``cyclic_channel_key``); ``max_gap_bits`` is the largest
-    certified gap among the solves used.
+    once (see ``cyclic_channel_key``), all in one ``channel_capacities`` call;
+    ``max_gap_bits`` is the largest certified gap among those solves.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -320,24 +371,38 @@ def median_empowerment_on_kernel(
             values=[],
             subset_rule="empty_kernel",
             max_gap_bits=0.0,
+            solves=0,
+            iterations_total=0,
+            iterations_max=0,
         )
     selected = select_kernel_subset(indices, max_states)
     rule = "all_states" if len(indices) <= max_states else f"strided_{max_states}"
 
-    solved: dict[bytes, tuple[float, float]] = {}
-    values = []
-    for channel in _feasible_channels(k, gate, selected, horizon, f):
-        key = cyclic_channel_key(channel)
-        if key not in solved:
-            res = channel_capacity(channel, tol=tol)
-            solved[key] = (res.capacity_bits, res.gap)
-        values.append(solved[key][0])
+    # the solver reads channels one at a time and keeps only their distinct
+    # rows, so only the first channel of each key is handed over
+    slots: dict[bytes, int] = {}
+    slot_of_state = []
+
+    def distinct_channels():
+        for channel in _feasible_channels(k, gate, selected, horizon, f):
+            key = cyclic_channel_key(channel)
+            if key not in slots:
+                slots[key] = len(slots)
+                yield channel
+            slot_of_state.append(slots[key])
+
+    solved = channel_capacities(distinct_channels(), tol=tol)
+    values = [solved[slot].capacity_bits for slot in slot_of_state]
+    iterations = [r.iterations for r in solved]
     return MedianEmpowermentResult(
         median_bits=lower_median(values),
         selected_states=[int(s) for s in selected],
         values=values,
         subset_rule=rule,
-        max_gap_bits=max(gap for _, gap in solved.values()),
+        max_gap_bits=max(r.gap for r in solved),
+        solves=len(solved),
+        iterations_total=sum(iterations),
+        iterations_max=max(iterations),
     )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from agencykit.artifacts import ArtifactRecord, make_artifact
 from agencykit.empowerment import (
-    feasible_empowerment,
+    MedianEmpowermentResult,
     median_empowerment_on_kernel,
     rollout_output_distribution,
     total_variation,
@@ -117,26 +117,38 @@ def learning_config(profile: str, p_slip: float) -> RingWorldConfig:
     )
 
 
-def solver_block(max_gap_bits: float) -> dict:
-    """Largest certified capacity gap of an exhibit's solves, beside its tolerance.
+def solver_block(meds: list[MedianEmpowermentResult]) -> dict:
+    """Largest certified capacity gap and Blahut-Arimoto work of an exhibit's medians.
 
-    ``audit`` fails an artifact whose gap exceeds the tolerance.
+    The counts are deterministic, so they sit in the hashed metrics beside the
+    tolerance. ``audit`` fails an artifact whose gap exceeds the tolerance.
     """
-    return {"max_gap_bits": max_gap_bits, "capacity_tol_bits": EMPOWERMENT_TOL}
+    return {
+        "max_gap_bits": max(m.max_gap_bits for m in meds),
+        "solves": sum(m.solves for m in meds),
+        "iterations_total": sum(m.iterations_total for m in meds),
+        "iterations_max": max(m.iterations_max for m in meds),
+        "capacity_tol_bits": EMPOWERMENT_TOL,
+    }
 
 
 def run_nulls() -> ArtifactRecord:
-    """Null regimes: single-action cycle and the exogenous-schedule trap."""
+    """Null regimes: single-action cycle and the exogenous-schedule trap.
+
+    Each null is the capacity of the channel from start state 0, solved as
+    the median over the one-state set {0}, which is that capacity exactly.
+    """
+    def solve(env, horizon: int) -> MedianEmpowermentResult:
+        return median_empowerment_on_kernel(
+            env.kernel, env.gate, np.array([0]), horizon, env.output_lens, tol=EMPOWERMENT_TOL
+        )
+
     null_a = build_null_single_action()
-    caps_a = {
-        f"H{h}": feasible_empowerment(null_a.kernel, null_a.gate, 0, h, null_a.output_lens)
-        for h in (1, 2, 3)
-    }
+    solves_a = {f"H{h}": solve(null_a, h) for h in (1, 2, 3)}
     traps = {model: build_schedule_trap(model) for model in ("wrong", "right")}
-    caps_b = {
-        model: feasible_empowerment(env.kernel, env.gate, 0, 1, env.output_lens)
-        for model, env in traps.items()
-    }
+    solves_b = {model: solve(env, 1) for model, env in traps.items()}
+    caps_a = {name: med.median_bits for name, med in solves_a.items()}
+    caps_b = {name: med.median_bits for name, med in solves_b.items()}
 
     contracts = {
         "null_a_zero_all_horizons": all(abs(v) <= 1e-12 for v in caps_a.values()),
@@ -155,6 +167,7 @@ def run_nulls() -> ArtifactRecord:
     metrics = {
         "null_a": caps_a,
         "null_b": caps_b,
+        "solver": solver_block([*solves_a.values(), *solves_b.values()]),
         "contracts": contracts,
     }
     return make_artifact("nulls", config, metrics)
@@ -207,7 +220,7 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
     """Median feasible empowerment vs horizon for protocol on/off, plus TV witness."""
     results = {}
     envs = {}
-    max_gap = 0.0
+    meds = []
     for regime, protocol in (("protocol_on", True), ("protocol_off", False)):
         cfg = holonomy_config(profile, protocol)
         env = build_ringworld(cfg)
@@ -224,7 +237,7 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
             medians.append(med.median_bits)
             per_state[f"H{h}"] = med.values
             subset_rule = med.subset_rule
-            max_gap = max(max_gap, med.max_gap_bits)
+            meds.append(med)
         results[regime] = {
             "kernel_size": vres.size,
             "kernel_members": vres.indices,
@@ -278,7 +291,7 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
         "protocol_on": results["protocol_on"],
         "protocol_off": results["protocol_off"],
         "witness": witness,
-        "solver": solver_block(max_gap),
+        "solver": solver_block(meds),
         "contracts": contracts,
     }
     return make_artifact("holonomy", config, metrics)
@@ -288,7 +301,7 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
     """Primitive toggle suite: |K|, median empowerment at H=2, defect at tau=2."""
     configs = ablation_configs(profile)
     rows = {}
-    max_gap = 0.0
+    meds = []
     for name, cfg in sorted(configs.items()):
         env = build_ringworld(cfg)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
@@ -296,7 +309,7 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
             env.kernel, env.gate, vres.kernel, 2, env.output_lens,
             max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
         )
-        max_gap = max(max_gap, med.max_gap_bits)
+        meds.append(med)
         endo = packaging_endomap(
             env.kernel, env.macro_lens, env.policies["repair_then_right"], 2,
             "repair_then_right",
@@ -345,7 +358,7 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
     metrics = {
         "state_layout": state_layout,
         "rows": rows,
-        "solver": solver_block(max_gap),
+        "solver": solver_block(meds),
         "contracts": contracts,
     }
     return make_artifact("ablations", config, metrics)
@@ -358,7 +371,7 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
     cost_grid = list(range(8))
     kernel_sizes = np.zeros((8, 8), dtype=np.int64)
     emp = np.zeros((8, 8))
-    max_gap = 0.0
+    meds = []
     for i, p in enumerate(p_grid):
         for j, c in enumerate(cost_grid):
             cfg = replace(base, p_flip=float(p), cost_repair=int(c))
@@ -370,7 +383,7 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
                 max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
             )
             emp[i, j] = med.median_bits
-            max_gap = max(max_gap, med.max_gap_bits)
+            meds.append(med)
 
     mono_noise = all(
         kernel_sizes[i + 1, j] <= kernel_sizes[i, j] for i in range(7) for j in range(8)
@@ -410,7 +423,7 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
         "kernel_size_max": int(kernel_sizes.max()),
         "empowerment_min": float(emp.min()),
         "empowerment_max": float(emp.max()),
-        "solver": solver_block(max_gap),
+        "solver": solver_block(meds),
         "contracts": contracts,
     }
     return make_artifact("sweep", config, metrics)
@@ -428,7 +441,7 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
         medians = []
         per_theta = {}
-        max_gap = 0.0
+        meds = []
         for theta in range(cfg.theta_levels):
             selected = [
                 i
@@ -441,12 +454,12 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
             )
             medians.append(med.median_bits)
             per_theta[f"theta{theta}"] = {"states": med.selected_states, "values": med.values}
-            max_gap = max(max_gap, med.max_gap_bits)
-        return env, medians, per_theta, max_gap
+            meds.append(med)
+        return env, medians, per_theta, meds
 
     slip = 0.2
-    env, medians, per_theta, max_gap = sector_medians(slip)
-    _, control_medians, _, control_gap = sector_medians(0.0)
+    env, medians, per_theta, meds = sector_medians(slip)
+    _, control_medians, _, control_meds = sector_medians(0.0)
 
     contracts = {
         "medians_strictly_increase_with_skill": medians[0] < medians[1] < medians[2],
@@ -468,7 +481,7 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
         "medians": medians,
         "control_medians": control_medians,
         "per_theta": per_theta,
-        "solver": solver_block(max(max_gap, control_gap)),
+        "solver": solver_block(meds + control_meds),
         "contracts": contracts,
     }
     return make_artifact("learning", config, metrics)

@@ -41,12 +41,6 @@ class FeasibilityGate:
         return len(self.costs)
 
 
-def feasible_actions(gate: FeasibilityGate, s: int) -> set[int]:
-    """Actions affordable at state ``s``: {a : c(a) <= r(s)}, exact comparison."""
-    budget = gate.ledger[s]
-    return set(np.flatnonzero(gate.costs <= budget).tolist())
-
-
 def feasible_action_matrix(gate: FeasibilityGate) -> np.ndarray:
     """Boolean matrix F[a, s] = (c(a) <= r(s)) for batch set computations."""
     return gate.costs[:, None] <= gate.ledger[None, :]

@@ -1,11 +1,16 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from agencykit import empowerment
 from agencykit.empowerment import (
     Lens,
+    _batched_sequence_rows,
     _feasible_channels,
     build_channel,
+    channel_capacities,
     channel_capacity,
     cyclic_channel_key,
     feasible_empowerment,
@@ -40,6 +45,23 @@ def zero_gate(n_states, n_actions) -> FeasibilityGate:
 
 
 class TestRollout:
+    def test_batched_rows_keep_nothing_alive(self):
+        # the rows are freed with the result, without waiting for the cycle
+        # collector: nothing from the rollout holds on to its leaf blocks
+        env = build_ringworld(holonomy_config("paper", True))
+        states = np.arange(0, env.n_states, 8)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            rows = _batched_sequence_rows(env.kernel, 4, env.output_lens, states)
+            size = rows.nbytes
+            del rows
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left < size / 10
+
     def test_deterministic_kernel_delta_output(self):
         k = single_matrix_kernel([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         out = rollout_output_distribution(k, 0, (0, 0), identity_lens(3))
@@ -235,12 +257,70 @@ class TestCapacityInvariants:
             assert channel_capacity(W).capacity_bits > 1e-9
 
     def test_lower_bound_nondecreasing_and_gap_met(self, rng):
+        # the bound returned after t iterations, for every t up to 40 and then
+        # on a geometric grid up to the certified stop
         for _ in range(10):
             W = rng.dirichlet(np.ones(4), size=4)
             res = channel_capacity(W, tol=1e-9)
-            trace = np.array(res.lower_bound_trace)
+            steps = np.union1d(np.arange(1, 41), np.geomspace(41, res.iterations, 12).astype(int))
+            trace = [
+                channel_capacity(W, tol=1e-9, max_iter=int(t)).capacity_bits
+                for t in steps[steps <= res.iterations]
+            ]
+            assert trace[-1] == res.capacity_bits
             assert np.all(np.diff(trace) >= -1e-12)
             assert res.gap <= 1e-9
+
+
+class TestChannelCapacities:
+    """The batched solver must return exactly what each channel's own solve returns."""
+
+    @staticmethod
+    def mixed_channels(rng, n_labels=5):
+        channels = [np.zeros((0, n_labels)), rng.dirichlet(np.ones(n_labels), size=1),
+                    np.tile(rng.dirichlet(np.ones(n_labels)), (4, 1))]
+        for _ in range(12):
+            W = rng.dirichlet(np.ones(n_labels) * rng.choice([0.5, 1.0]), size=rng.randint(2, 12))
+            channels.append(W[rng.randint(0, len(W), size=len(W) + rng.randint(0, 4))])
+        return channels
+
+    @staticmethod
+    def assert_same(a, b):
+        assert (a.capacity_bits, a.gap, a.iterations) == (b.capacity_bits, b.gap, b.iterations)
+        np.testing.assert_array_equal(a.input_distribution, b.input_distribution)
+
+    def test_batch_equals_single_solves_in_both_orders(self, rng):
+        for _ in range(2):
+            channels = self.mixed_channels(rng)
+            order = rng.permutation(len(channels))
+            single = [channel_capacity(w) for w in channels]
+            batched = channel_capacities(channels)
+            shuffled = channel_capacities([channels[i] for i in order])
+            assert len(batched) == len(channels)
+            for i, res in enumerate(single):
+                self.assert_same(batched[i], res)
+                self.assert_same(shuffled[int(np.flatnonzero(order == i)[0])], res)
+
+    def test_max_iter_stop_matches_single_solves(self, rng):
+        channels = self.mixed_channels(rng)
+        batched = channel_capacities(channels, tol=1e-12, max_iter=7)
+        for w, res in zip(channels, batched):
+            self.assert_same(res, channel_capacity(w, tol=1e-12, max_iter=7))
+            assert res.iterations <= 7
+            assert res.iterations == 7 or res.gap <= 1e-12
+
+    def test_empty_batch(self):
+        assert channel_capacities([]) == []
+
+    def test_mismatched_label_counts_rejected(self, rng):
+        with pytest.raises(ValueError, match="output alphabet"):
+            channel_capacities([rng.dirichlet(np.ones(3), size=2), rng.dirichlet(np.ones(4), size=2)])
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            channel_capacities([np.eye(2)], max_iter=0)
+        with pytest.raises(ValueError, match="2-d"):
+            channel_capacities([np.array([0.5, 0.5])])
 
 
 class TestFeasibleEmpowerment:
@@ -325,6 +405,9 @@ class TestMedianMemo:
             med = median_empowerment_on_kernel(k, g, np.ones(5, bool), 2, f, tol=1e-9)
             direct = self.direct(k, g, med, 2, f, 1e-9)
             assert med.max_gap_bits == max(r.gap for r in direct)
+            assert med.iterations_max == max(r.iterations for r in direct)
+            assert 1 <= med.solves <= len(direct)
+            assert med.iterations_max <= med.iterations_total
 
     @pytest.mark.parametrize("protocol_on", [True, False])
     def test_holonomy_ring_matches_unmerged_channels(self, protocol_on, monkeypatch):
@@ -332,10 +415,14 @@ class TestMedianMemo:
         env = build_ringworld(holonomy_config("paper", protocol_on))
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
         solves = []
-        counted = empowerment.channel_capacity
-        monkeypatch.setattr(
-            empowerment, "channel_capacity", lambda w, tol: solves.append(1) or counted(w, tol)
-        )
+        counted = empowerment.channel_capacities
+
+        def counting(channels, **kw):
+            results = counted(list(channels), **kw)
+            solves.extend(results)
+            return results
+
+        monkeypatch.setattr(empowerment, "channel_capacities", counting)
         for horizon in (1, 2, 3):
             solves.clear()
             med = median_empowerment_on_kernel(
@@ -343,7 +430,9 @@ class TestMedianMemo:
                 max_states=16, tol=tol,
             )
             # y-shifted start states repeat channels up to a label shift
-            assert len(solves) < len(med.selected_states)
+            assert 1 <= len(solves) == med.solves < len(med.selected_states)
+            assert med.iterations_total == sum(r.iterations for r in solves)
+            assert med.iterations_max == max(r.iterations for r in solves)
             direct = self.direct(env.kernel, env.gate, med, horizon, env.output_lens, tol)
             np.testing.assert_allclose(
                 med.values, [r.capacity_bits for r in direct], rtol=0, atol=2 * tol

@@ -32,9 +32,15 @@ class TestRunnerBasics:
         assert len(record.config_hash) == 64
         if name != "nulls":
             assert "state_layout" in record.metrics
-        if name in ("sweep", "ablations", "learning"):
+        if name != "packaging":
             solver = record.metrics["solver"]
+            assert set(solver) == {
+                "max_gap_bits", "solves", "iterations_total", "iterations_max",
+                "capacity_tol_bits",
+            }
             assert 0.0 <= solver["max_gap_bits"] <= solver["capacity_tol_bits"]
+            assert 1 <= solver["iterations_max"] <= solver["iterations_total"]
+            assert solver["solves"] >= 1
             assert "solver" not in record.metrics["contracts"]
 
     def test_exhibit_list_matches_runners(self):
@@ -55,6 +61,7 @@ class TestExhibitNumbers:
         assert all(v == 0.0 for v in m["null_a"].values())
         assert m["null_b"]["wrong"] == pytest.approx(1.0, abs=1e-6)
         assert m["null_b"]["right"] == pytest.approx(0.0, abs=1e-6)
+        assert m["solver"]["solves"] == 5
 
     def test_packaging_defect_profile(self):
         m = run_packaging().metrics
