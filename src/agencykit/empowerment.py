@@ -9,7 +9,6 @@ logs are base 2 and 0*log(0) = 0 throughout.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -98,12 +97,13 @@ def build_channel(
     """Channel matrix from ``s0``: one output-label row per budget-feasible sequence.
 
     Rows follow ``feasible_sequences(gate, s0, horizon)`` order; a zero-row
-    channel is legal. Rows are bit-identical to the ones
-    ``median_empowerment_on_kernel`` solves for ``s0``.
+    channel is legal. It is ``s0``'s orbit representative's channel with its
+    labels rolled (see ``_feasible_channels``), bit for bit ``s0``'s own rollout.
     """
     if not 0 <= s0 < k.n_states:
         raise IndexError(f"state index {s0} out of range")
-    matrix = next(_feasible_channels(k, gate, [s0], horizon, f))
+    channels, _, shift = _feasible_channels(k, gate, [s0], horizon, f)
+    matrix = np.roll(channels[0], shift[0], axis=1)
     _check_mass(matrix)
     return matrix
 
@@ -237,9 +237,9 @@ def feasible_empowerment(
 class MedianEmpowermentResult:
     """Lower-median empowerment over a deterministically selected state subset.
 
-    The last four fields describe the distinct channels solved: their largest
-    certified gap, their number, and their total and largest Blahut-Arimoto
-    iteration counts.
+    The last four fields describe the channels solved, one per orbit
+    representative: their largest certified gap, their number, and their
+    total and largest Blahut-Arimoto iteration counts.
     """
 
     median_bits: float
@@ -313,32 +313,43 @@ def _batched_sequence_rows(
     return rows
 
 
+def _translation_orbits(k: ControlledKernel, gate: FeasibilityGate, f: Lens):
+    """Each state's orbit representative and label shift under an exact translation.
+
+    ``s -> s + P (mod S)`` with ``P = S / n_labels`` (one ring position in the
+    ring world) is a channel symmetry when, bit for bit, it maps successor
+    lists onto successor lists with equal weights, keeps the ledger and steps
+    the lens label by +1. Then ``s``'s channel is that of ``s % P`` with its
+    labels rolled by ``s // P``; otherwise every state represents itself.
+    """
+    states, period = np.arange(k.n_states), k.n_states // f.n_labels
+    if k.n_states % f.n_labels == 0 and (
+        np.array_equal(np.roll(f.project, -period), (f.project + 1) % f.n_labels)
+        and np.roll(gate.ledger, -period).tobytes() == gate.ledger.tobytes()
+        and np.array_equal(np.roll(k.succ, -period, axis=1), (k.succ + period) % k.n_states)
+        and np.roll(k.weights, -period, axis=1).tobytes() == k.weights.tobytes()
+    ):
+        return states % period, states // period
+    return states, np.zeros_like(states)
+
+
 def _feasible_channels(
     k: ControlledKernel, gate: FeasibilityGate, states: np.ndarray, horizon: int, f: Lens
 ):
-    """Each start state's budget-feasible channel, cut from one batched rollout.
+    """Budget-feasible channels of ``states``, rolled out once per translation orbit.
 
-    The only code that cuts a channel: state by state, it yields the rows of
-    the sequences whose total cost fits that state's ledger, in
-    ``feasible_sequences`` order.
+    The only code that cuts a channel. Returns ``(channels, slot, shift)``:
+    one rollout of the distinct orbit representatives (``_translation_orbits``)
+    gives each its rows of the sequences that fit its ledger, in
+    ``feasible_sequences`` order, and ``states[i]``'s channel is, bit for bit,
+    ``np.roll(channels[slot[i]], shift[i], axis=1)``.
     """
-    rows = _batched_sequence_rows(k, horizon, f, states)
+    rep, shift = _translation_orbits(k, gate, f)
+    reps, slot = np.unique(rep[states], return_inverse=True)
+    rows = _batched_sequence_rows(k, horizon, f, reps)
     costs = sequence_costs(gate, horizon)
-    for i, s in enumerate(states):
-        yield rows[costs <= gate.ledger[s], i]
-
-
-def cyclic_channel_key(w: np.ndarray) -> bytes:
-    """Digest of a channel's bytes and shape up to a cyclic shift of its labels.
-
-    Each position of the largest column sum is rolled to column 0 and the
-    smallest resulting bytes are kept, so every cyclic shift of the label
-    columns yields one key. Capacity is invariant under any column
-    permutation, so channels that share a key share their capacity.
-    """
-    sums = w.sum(axis=0)
-    best = min(np.roll(w, -int(j), axis=1).tobytes() for j in np.flatnonzero(sums == sums.max()))
-    return hashlib.blake2b(repr(w.shape).encode() + best, digest_size=16).digest()
+    channels = [rows[costs <= gate.ledger[s], i] for i, s in enumerate(reps)]
+    return channels, slot, shift[states]
 
 
 def median_empowerment_on_kernel(
@@ -354,10 +365,8 @@ def median_empowerment_on_kernel(
 
     ``kernel_set`` is a boolean mask or an index array. The empty set yields
     zero by convention (no viable states means no induced action layer).
-    Rollouts share prefix products across the selected states; each state's
-    channel still contains exactly its budget-feasible sequences. Within one
-    call, channels equal up to a cyclic shift of the output labels are solved
-    once (see ``cyclic_channel_key``), all in one ``channel_capacities`` call;
+    Only the orbit representatives of the selected states are rolled out and
+    solved, in one ``channel_capacities`` call (see ``_feasible_channels``);
     ``max_gap_bits`` is the largest certified gap among those solves.
     """
     if horizon < 1:
@@ -378,21 +387,9 @@ def median_empowerment_on_kernel(
     selected = select_kernel_subset(indices, max_states)
     rule = "all_states" if len(indices) <= max_states else f"strided_{max_states}"
 
-    # the solver reads channels one at a time and keeps only their distinct
-    # rows, so only the first channel of each key is handed over
-    slots: dict[bytes, int] = {}
-    slot_of_state = []
-
-    def distinct_channels():
-        for channel in _feasible_channels(k, gate, selected, horizon, f):
-            key = cyclic_channel_key(channel)
-            if key not in slots:
-                slots[key] = len(slots)
-                yield channel
-            slot_of_state.append(slots[key])
-
-    solved = channel_capacities(distinct_channels(), tol=tol)
-    values = [solved[slot].capacity_bits for slot in slot_of_state]
+    channels, slot, _ = _feasible_channels(k, gate, selected, horizon, f)
+    solved = channel_capacities(channels, tol=tol)
+    values = [solved[j].capacity_bits for j in slot]
     iterations = [r.iterations for r in solved]
     return MedianEmpowermentResult(
         median_bits=lower_median(values),

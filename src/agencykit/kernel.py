@@ -234,15 +234,18 @@ def predecessor_lists(
     action ``a``. ``target_of`` maps successor states to targets: the
     identity by default, a lens projection for a step straight into labels.
     A source that reaches one target through several successors gets one slot
-    carrying their summed weight; sources are in ascending order, and padding
-    slots have weight 0 and source 0.
+    carrying their summed weight, and padding slots have weight 0 and source 0.
+    Target ``t``'s sources are sorted by offset ``(src - t * S // n_targets) mod
+    S``: where shifting states by ``S / n_targets`` maps the kernel onto itself
+    and ``target_of`` to ``target_of + 1``, rollouts are translation-exact.
     """
     if target_of is None:
         target_of, n_targets = np.arange(k.n_states), k.n_states
     a, src, j = np.nonzero(k.weights)
-    dst = a * n_targets + np.asarray(target_of)[k.succ[a, src, j]]
+    target = np.asarray(target_of)[k.succ[a, src, j]]
+    dst = a * n_targets + target
     w = k.weights[a, src, j]
-    order = np.lexsort((src, dst))
+    order = np.lexsort(((src - target * k.n_states // n_targets) % k.n_states, dst))
     src, dst, w = src[order], dst[order], w[order]
     first = np.ones(len(dst), dtype=bool)
     first[1:] = (dst[1:] != dst[:-1]) | (src[1:] != src[:-1])

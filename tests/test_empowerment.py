@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from agencykit.empowerment import (
     Lens,
     _batched_sequence_rows,
     _feasible_channels,
+    _translation_orbits,
     build_channel,
     channel_capacities,
     channel_capacity,
-    cyclic_channel_key,
     feasible_empowerment,
     lower_median,
     median_empowerment_on_kernel,
@@ -20,13 +21,24 @@ from agencykit.empowerment import (
     select_kernel_subset,
     total_variation,
 )
-from agencykit.environments import build_ringworld
-from agencykit.experiments import holonomy_config
+from agencykit.environments import build_ringworld, build_schedule_trap, ring_state_index
+from agencykit.experiments import (
+    ablation_configs,
+    base_profile,
+    holonomy_config,
+    learning_config,
+    maintenance_economy_config,
+)
 from agencykit.feasibility import FeasibilityGate, feasible_sequences
 from agencykit.kernel import ControlledKernel
 from agencykit.viability import viability_kernel
 from conftest import random_gate, random_kernel
-from oracles import blahut_arimoto_capacity, bsc_capacity, grid_search_capacity
+from oracles import (
+    blahut_arimoto_capacity,
+    bsc_capacity,
+    dense_sequence_rows,
+    grid_search_capacity,
+)
 
 
 def single_matrix_kernel(rows) -> ControlledKernel:
@@ -201,27 +213,102 @@ class TestRowMerging:
             channel_capacity(W)
 
 
-class TestCyclicChannelKey:
-    def test_every_column_roll_shares_the_key(self, rng):
-        for _ in range(10):
-            W = rng.dirichlet(np.ones(6), size=5)
-            key = cyclic_channel_key(W)
-            for shift in range(6):
-                assert cyclic_channel_key(np.roll(W, shift, axis=1)) == key
+def exhibit_ring_configs():
+    """The ring configs of the holonomy, ablation, sweep, learning and packaging exhibits."""
+    economy = maintenance_economy_config("paper")
+    return [
+        holonomy_config("paper", True),
+        holonomy_config("paper", False),
+        *ablation_configs("paper").values(),
+        *(replace(economy, p_flip=round(float(p), 10), cost_repair=c)
+          for p in np.linspace(0.0, 0.7, 8) for c in range(8)),
+        learning_config("paper", 0.2),
+        learning_config("paper", 0.0),
+        base_profile("paper"),
+    ]
 
-    def test_tied_column_sums_still_canonical(self):
-        W = np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5], [0.5, 0.5, 0.0, 0.0]])
-        key = cyclic_channel_key(W)
-        assert all(cyclic_channel_key(np.roll(W, j, axis=1)) == key for j in range(4))
 
-    def test_one_ulp_changes_the_key(self, rng):
-        W = rng.dirichlet(np.ones(4), size=3)
-        bumped = W.copy()
-        bumped[1, 2] = np.nextafter(bumped[1, 2], 1.0)
-        assert cyclic_channel_key(bumped) != cyclic_channel_key(W)
+def is_identity(orbits) -> bool:
+    rep, shift = orbits
+    return np.array_equal(rep, np.arange(len(rep))) and not shift.any()
 
-    def test_shape_is_part_of_the_key(self):
-        assert cyclic_channel_key(np.zeros((0, 4))) != cyclic_channel_key(np.zeros((0, 2)))
+
+class TestTranslationOrbits:
+    def test_every_y_shift_maps_to_one_representative(self):
+        cfg = holonomy_config("paper", True)
+        env = build_ringworld(cfg)
+        rep, shift = _translation_orbits(env.kernel, env.gate, env.output_lens)
+        for u, phi, r in [(0, 0, 0), (1, 1, 2), (0, 1, 1)]:
+            orbit = [ring_state_index(cfg, y, u, phi, r) for y in range(cfg.ring_size)]
+            assert set(rep[orbit].tolist()) == {orbit[0]}
+            assert shift[orbit].tolist() == list(range(cfg.ring_size))
+
+    def test_detected_on_every_exhibit_ring(self):
+        for cfg in exhibit_ring_configs():
+            env = build_ringworld(cfg)
+            period = env.n_states // cfg.ring_size
+            rep, shift = _translation_orbits(env.kernel, env.gate, env.output_lens)
+            states = np.arange(env.n_states)
+            np.testing.assert_array_equal(rep, states % period)
+            np.testing.assert_array_equal(shift, states // period)
+
+    def test_one_ulp_weight_bump_breaks_the_symmetry(self):
+        cfg = holonomy_config("paper", True)
+        env = build_ringworld(cfg)
+        k = env.kernel
+        weights = k.weights.copy()
+        s = ring_state_index(cfg, 5, 0, 1, 2)
+        weights[1, s, 0] = np.nextafter(weights[1, s, 0], 1.0)
+        bumped = ControlledKernel(k.n_states, k.n_actions, succ=k.succ, weights=weights)
+        assert is_identity(_translation_orbits(bumped, env.gate, env.output_lens))
+
+    def test_indivisible_label_count_gives_identity(self):
+        env = build_ringworld(holonomy_config("paper", True))
+        y = env.output_lens.project
+        assert env.n_states % 5 != 0
+        lens = Lens(name="y_mod_5", project=y % 5, n_labels=5)
+        assert is_identity(_translation_orbits(env.kernel, env.gate, lens))
+
+    def test_not_detected_without_the_symmetry(self, rng):
+        for _ in range(5):
+            n = rng.randint(2, 10)
+            k = random_kernel(rng, n, rng.randint(1, 4))
+            assert is_identity(_translation_orbits(k, zero_gate(n, k.n_actions), identity_lens(n)))
+        for model in ("wrong", "right"):
+            trap = build_schedule_trap(model)
+            assert is_identity(_translation_orbits(trap.kernel, trap.gate, trap.output_lens))
+        env = build_ringworld(holonomy_config("paper", True))
+        y = env.output_lens.project
+        uneven = FeasibilityGate(ledger=env.gate.ledger + (y == 3), costs=env.gate.costs)
+        assert is_identity(_translation_orbits(env.kernel, uneven, env.output_lens))
+        mirrored = Lens(name="mirrored", project=(-y) % env.output_lens.n_labels,
+                        n_labels=env.output_lens.n_labels)
+        assert is_identity(_translation_orbits(env.kernel, env.gate, mirrored))
+
+    def test_shifted_rollouts_are_rolled_bit_for_bit(self):
+        for cfg in (holonomy_config("paper", False), ablation_configs("paper")["learn_on"]):
+            env = build_ringworld(cfg)
+            k, f = env.kernel, env.output_lens
+            period = env.n_states // cfg.ring_size
+            states = np.arange(env.n_states)
+            for horizon in (1, 2, 3):
+                rows = _batched_sequence_rows(k, horizon, f, states)
+                reps = _batched_sequence_rows(k, horizon, f, np.arange(period))
+                for s in states:
+                    np.testing.assert_array_equal(
+                        rows[:, s], np.roll(reps[:, s % period], s // period, axis=1)
+                    )
+
+    def test_build_channel_is_the_rolled_representative(self):
+        env = build_ringworld(ablation_configs("paper")["full"])
+        k, g, f = env.kernel, env.gate, env.output_lens
+        rep, shift = _translation_orbits(k, g, f)
+        for s0 in range(0, env.n_states, 7):
+            for horizon in (1, 2):
+                np.testing.assert_array_equal(
+                    build_channel(k, g, s0, horizon, f),
+                    np.roll(build_channel(k, g, int(rep[s0]), horizon, f), shift[s0], axis=1),
+                )
 
 
 class TestCapacityInvariants:
@@ -356,12 +443,14 @@ class TestFeasibleEmpowerment:
             g = random_gate(rng, 6, 3)
             f = identity_lens(6)
             states = [0, 2, 3, 5]
+            channels, slot, shift = _feasible_channels(k, g, states, 2, f)
             batched = [
-                channel_capacity(w).capacity_bits
-                for w in _feasible_channels(k, g, states, 2, f)
+                channel_capacity(np.roll(channels[j], y, axis=1)).capacity_bits
+                for j, y in zip(slot, shift)
             ]
             assert batched == [feasible_empowerment(k, g, s, 2, f) for s in states]
-        assert list(_feasible_channels(k, g, [], 2, f)) == []
+        channels, slot, shift = _feasible_channels(k, g, [], 2, f)
+        assert channels == [] and len(slot) == len(shift) == 0
 
     def test_batched_median_matches_per_state_path(self, rng):
         k = random_kernel(rng, 5, 2)
@@ -375,7 +464,7 @@ class TestFeasibleEmpowerment:
 
 
 class TestMedianMemo:
-    """The per-call memo must return exactly what per-state solves certify."""
+    """The orbit quotient must return what per-state solves certify."""
 
     @staticmethod
     def direct(k, g, med, horizon, f, tol):
@@ -429,14 +518,22 @@ class TestMedianMemo:
                 env.kernel, env.gate, vres.kernel, horizon, env.output_lens,
                 max_states=16, tol=tol,
             )
-            # y-shifted start states repeat channels up to a label shift
+            # y-shifted start states share one orbit representative
+            rep, _ = _translation_orbits(env.kernel, env.gate, env.output_lens)
             assert 1 <= len(solves) == med.solves < len(med.selected_states)
+            assert med.solves <= len(set(rep[med.selected_states].tolist()))
             assert med.iterations_total == sum(r.iterations for r in solves)
             assert med.iterations_max == max(r.iterations for r in solves)
-            direct = self.direct(env.kernel, env.gate, med, horizon, env.output_lens, tol)
-            np.testing.assert_allclose(
-                med.values, [r.capacity_bits for r in direct], rtol=0, atol=2 * tol
+            # channels cut from independent dense rollouts, one per selected state
+            seqs, rows = dense_sequence_rows(
+                env.kernel, horizon, env.output_lens, med.selected_states
             )
+            costs = np.array([env.gate.costs[list(seq)].sum() for seq in seqs])
+            oracle = [
+                channel_capacity(rows[costs <= env.gate.ledger[s], i], tol=tol).capacity_bits
+                for i, s in enumerate(med.selected_states)
+            ]
+            np.testing.assert_allclose(med.values, oracle, rtol=0, atol=2 * tol)
             assert med.max_gap_bits <= tol
 
 
