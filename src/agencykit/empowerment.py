@@ -41,10 +41,6 @@ class Lens:
         project.setflags(write=False)
         object.__setattr__(self, "project", project)
 
-    def push(self, d: np.ndarray) -> np.ndarray:
-        """Aggregate a state distribution into a label distribution."""
-        return np.bincount(self.project, weights=d, minlength=self.n_labels)
-
 
 @dataclass
 class CapacityResult:

@@ -25,10 +25,13 @@ Per-step dynamics, composed in this fixed order:
    + ledger_gain * [income due], 0, ledger_max), where income is due every
    step when ``gain_every_step`` else only on phase wrap (new phi == 0).
 
-All transition rows are accumulated in exact rational arithmetic and only
-converted to float at the end, so row sums are exact. Since the dynamics are
-the same at every ring position, the rows of one position are computed and
-shifted around the ring into the kernel's successor lists.
+A step's branch masses depend only on the executed action, u and theta; phi
+and r only decide where each branch lands. So each (executed action, u,
+theta) gets one table of ((moved, u'), mass) branches, summed in exact
+rational arithmetic and converted to float once, with the largest mass set to
+1 - (float sum of the others) so every row sums to exactly 1.0. The targets
+are integer numpy arithmetic on the decoded state fields, and the same tables
+serve every ring position.
 """
 
 from __future__ import annotations
@@ -125,211 +128,121 @@ class Environment:
         return self.kernel.n_states
 
 
-def _exact(p: float) -> Fraction:
-    """Exact rational value of a float probability."""
-    return Fraction(p)
+def _branch_masses(cfg: RingWorldConfig, e: int, u: int, theta: int) -> list:
+    """Exact ((moved, u'), mass) branches of one step, by ascending mass.
 
-
-class _RingLayout:
-    """Mixed-radix index arithmetic for ring-world states."""
-
-    def __init__(self, cfg: RingWorldConfig):
-        self.cfg = cfg
-        self.n_theta = cfg.n_theta
-
-    def index(self, y: int, u: int, phi: int, r: int, theta: int = 0) -> int:
-        c = self.cfg
-        return ((((y * 2 + u) * c.phase_period + phi) * (c.ledger_max + 1)) + r) * self.n_theta + theta
-
-    def tuples(self):
-        c = self.cfg
-        for y, u, phi, r, theta in itertools.product(
-            range(c.ring_size), range(2), range(c.phase_period),
-            range(c.ledger_max + 1), range(self.n_theta),
-        ):
-            yield (y, u, phi, r, theta)
-
-    def describe(self) -> dict:
-        c = self.cfg
-        return {
-            "fields": ["y", "u", "phi", "r", "theta"],
-            "radices": [c.ring_size, 2, c.phase_period, c.ledger_max + 1, self.n_theta],
-            "order": "y slowest, theta fastest",
-            "formula": "idx = (((y*2 + u)*m_phi + phi)*(R_max+1) + r)*n_theta + theta",
-        }
-
-
-def _slip_eff(cfg: RingWorldConfig, theta: int) -> Fraction:
-    slip = _exact(cfg.p_slip)
-    if cfg.learning_on:
-        top = cfg.theta_levels - 1
-        slip = slip * (1 - Fraction(theta, top))
-    return slip
-
-
-def _local_rows(cfg: RingWorldConfig) -> list[list[dict[tuple[int, int], Fraction]]]:
-    """Exact transition rows of one ring position, per action and local state.
-
-    Nothing in the dynamics depends on ``y`` except where it lands, so each
-    row maps (shift, local target) to its probability, where the shift is the
-    move mod ring_size and the local state is the index with y = 0.
+    The masses depend only on the executed action ``e``, the damage bit and
+    the skill level; phase and ledger only decide where a branch lands. Ties
+    keep the order in which the branches are first reached.
     """
-    layout = _RingLayout(cfg)
-    flip = _exact(cfg.p_flip)
-    q = _exact(cfg.repair_success)
-    costs = cfg.costs
-    rows: list[list[dict[tuple[int, int], Fraction]]] = [[] for _ in ACTION_NAMES]
-
-    for u, phi, r, theta in itertools.product(
-        range(2), range(cfg.phase_period), range(cfg.ledger_max + 1), range(layout.n_theta)
-    ):
-        slip = _slip_eff(cfg, theta)
-        for a in range(len(ACTION_NAMES)):
-            # infeasible commands collapse to no-ops at this layer
-            e = a if costs[a] <= r else NOOP
-            row: dict[tuple[int, int], Fraction] = {}
-
-            if e in (LEFT, RIGHT):
-                mag = 2 if (cfg.protocol_on and phi == 1) else 1
-                delta = mag if e == RIGHT else -mag
-                move_branches = [(delta, 1 - slip), (0, slip)]
-            else:
-                move_branches = [(0, Fraction(1))]
-
-            if u == 0:
-                flip_branches = [(1, flip), (0, 1 - flip)]
-            else:
-                flip_branches = [(1, Fraction(1))]
-
-            for delta, p_move in move_branches:
-                if p_move == 0:
-                    continue
-                for u_flipped, p_flip_branch in flip_branches:
-                    if p_flip_branch == 0:
-                        continue
-                    if e == REPAIR and cfg.repair_enabled and u_flipped == 1:
-                        repair_branches = [(0, q), (1, 1 - q)]
-                    else:
-                        repair_branches = [(u_flipped, Fraction(1))]
-                    for u2, p_rep in repair_branches:
-                        if p_rep == 0:
-                            continue
-                        phi2 = (phi + 1) % cfg.phase_period
-                        wrapped = phi2 == 0
-                        income = cfg.ledger_gain if (cfg.gain_every_step or wrapped) else 0
-                        raw = r - costs[e] - cfg.damage_leak * u2 + income
-                        r2 = min(cfg.ledger_max, max(0, raw))
-                        t = (delta % cfg.ring_size, layout.index(0, u2, phi2, r2, theta))
-                        row[t] = row.get(t, Fraction(0)) + p_move * p_flip_branch * p_rep
-
-            assert sum(row.values()) == 1
-            rows[a].append(row)
-    return rows
+    slip = Fraction(cfg.p_slip)
+    if cfg.learning_on:
+        slip *= 1 - Fraction(theta, cfg.theta_levels - 1)
+    flip, q = Fraction(cfg.p_flip), Fraction(cfg.repair_success)
+    moves = [(1, 1 - slip), (0, slip)] if e in (LEFT, RIGHT) else [(0, Fraction(1))]
+    flips = [(1, flip), (0, 1 - flip)] if u == 0 else [(1, Fraction(1))]
+    masses: dict[tuple[int, int], Fraction] = {}
+    for moved, p_move in moves:
+        for u1, p_flip in flips:
+            repairs = ([(0, q), (1, 1 - q)] if e == REPAIR and cfg.repair_enabled and u1 == 1
+                       else [(u1, Fraction(1))])
+            for u2, p_rep in repairs:
+                if mass := p_move * p_flip * p_rep:
+                    masses[moved, u2] = masses.get((moved, u2), 0) + mass
+    assert sum(masses.values()) == 1
+    return sorted(masses.items(), key=lambda item: item[1])
 
 
-def _ring_transitions(cfg: RingWorldConfig) -> tuple[np.ndarray, np.ndarray]:
+def _ring_transitions(cfg: RingWorldConfig, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Padded successor lists (succ, weights) for every (action, state) pair.
 
-    Each local row is converted to float once and placed at every ring
-    position by shifting its targets, so all positions carry bit-identical
-    weights in the same slot order.
+    Row (a, s) takes the float table of its executed action, u and theta, so
+    every ring position carries bit-identical weights in the same slot order.
+    Targets are integer arithmetic on the fields of one ring position (y = 0),
+    shifted around the ring.
     """
-    rows = _local_rows(cfg)
-    n_actions, n_local = len(rows), len(rows[0])
-    width = max(len(row) for action_rows in rows for row in action_rows)
-    shift = np.zeros((n_actions, n_local, width), dtype=np.int64)
-    target = np.tile(np.arange(n_local)[None, :, None], (n_actions, 1, width))
-    weights = np.zeros((n_actions, n_local, width))
-    for a, action_rows in enumerate(rows):
-        for s, row in enumerate(action_rows):
-            # ascending probability, so the largest entry is summed last
-            items = sorted(row.items(), key=lambda item: item[1])
-            for j, ((dy, t), mass) in enumerate(items):
-                shift[a, s, j], target[a, s, j] = dy, t
-                weights[a, s, j] = float(mass)
-            # the largest entry absorbs the float conversion residual: set to
-            # 1 - (float sum of the entries before it), it makes the row sum
-            # to exactly 1.0 in slot order, at every ring position alike
-            last = len(items) - 1
-            weights[a, s, last] = 1.0 - weights[a, s, :last].sum()
+    keys = list(itertools.product(range(len(ACTION_NAMES)), range(2), range(cfg.n_theta)))
+    n_branches = np.zeros(len(keys), dtype=np.int64)
+    # at most four branches: moved or not, times u'
+    moved, u_next = np.zeros((2, len(keys), 4), dtype=np.int64)
+    mass = np.zeros((len(keys), 4))
+    for i, key in enumerate(keys):
+        branches, masses = zip(*_branch_masses(cfg, *key))
+        k = n_branches[i] = len(masses)
+        moved[i, :k], u_next[i, :k] = zip(*branches)
+        mass[i, :k] = [float(m) for m in masses]
+        # the largest entry absorbs the float conversion residual: set to
+        # 1 - (float sum of the entries before it), it makes the row sum to
+        # exactly 1.0 in slot order
+        mass[i, k - 1] = 1.0 - mass[i, :k - 1].sum()
+
+    n_local = cfg.n_states // cfg.ring_size
+    _, u, phi, r, theta = fields[:, :n_local]
+    costs = np.array(cfg.costs)
+    # infeasible commands collapse to no-ops at this layer
+    e = np.where(costs[:, None] <= r, np.arange(len(ACTION_NAMES))[:, None], NOOP)
+    table = (e * 2 + u) * cfg.n_theta + theta
+    width = n_branches[table].max()
+    moved, u_next, weights = moved[table, :width], u_next[table, :width], mass[table, :width]
+
+    mag = np.where((phi == 1) & cfg.protocol_on, 2, 1)
+    shift = moved * np.where(e == RIGHT, mag, -mag)[..., None]
+    phi_next = (phi + 1) % cfg.phase_period
+    income = cfg.ledger_gain * ((phi_next == 0) | cfg.gain_every_step)
+    r_next = np.clip((r + income - costs[e])[..., None] - cfg.damage_leak * u_next,
+                     0, cfg.ledger_max)
+    target = ((u_next * cfg.phase_period + phi_next[:, None]) * (cfg.ledger_max + 1)
+              + r_next) * cfg.n_theta + theta[:, None]
+    # padding slots have weight 0 and point back at their own state
+    live = np.arange(width) < n_branches[table][..., None]
+    target = np.where(live, target, np.arange(n_local)[:, None])
 
     ring = np.arange(cfg.ring_size)[None, :, None, None]
     succ = ((ring + shift[:, None]) % cfg.ring_size) * n_local + target[:, None]
-    n = cfg.n_states
-    weights = np.broadcast_to(weights[:, None], succ.shape)
-    return succ.reshape(n_actions, n, width), weights.reshape(n_actions, n, width)
-
-
-def _ring_policies(cfg: RingWorldConfig, layout: _RingLayout) -> dict[str, Policy]:
-    always_right: dict[int, int] = {}
-    repair_then_right: dict[int, int] = {}
-    for (y, u, phi, r, theta) in layout.tuples():
-        s = layout.index(y, u, phi, r, theta)
-        always_right[s] = RIGHT
-        use_repair = (
-            u == 1 and cfg.repair_enabled and cfg.cost_repair <= r
-        )
-        repair_then_right[s] = REPAIR if use_repair else RIGHT
-    return {
-        "always_right": Policy(kind="deterministic", table=always_right),
-        "repair_then_right": Policy(kind="deterministic", table=repair_then_right),
-    }
+    shape = (len(ACTION_NAMES), cfg.n_states, width)
+    return succ.reshape(shape), np.broadcast_to(weights[:, None], succ.shape).reshape(shape)
 
 
 def build_ringworld(cfg: RingWorldConfig) -> Environment:
     """Construct the full ring-world environment for one configuration."""
-    layout = _RingLayout(cfg)
-    tuples = tuple(layout.tuples())
-    succ, weights = _ring_transitions(cfg)
-    kernel = ControlledKernel(
-        n_states=cfg.n_states,
-        n_actions=len(ACTION_NAMES),
-        action_names=ACTION_NAMES,
-        succ=succ,
-        weights=weights,
-    )
-
-    ledger = np.array([r for (_, _, _, r, _) in tuples], dtype=np.float64)
-    gate = FeasibilityGate(ledger=ledger, costs=np.array(cfg.costs, dtype=np.float64))
-
-    y_of = np.array([y for (y, _, _, _, _) in tuples], dtype=np.int64)
-    output_lens = Lens(name="outside_position", project=y_of, n_labels=cfg.ring_size)
-
-    macro_labels = np.array(
-        [
-            (y * (cfg.ledger_max + 1) + r) * cfg.phase_period + phi
-            for (y, _, phi, r, _) in tuples
-        ],
-        dtype=np.int64,
-    )
-    macro_lens = Lens(
-        name="macro_y_r_phi",
-        project=macro_labels,
-        n_labels=cfg.ring_size * (cfg.ledger_max + 1) * cfg.phase_period,
-    )
-
-    r_of = np.array([r for (_, _, _, r, _) in tuples])
-    u_of = np.array([u for (_, u, _, _, _) in tuples])
-    safety_ledger_only = SafetyPredicate(safe=r_of >= 1, name="ledger_only")
-    safety_coherent = SafetyPredicate(safe=(r_of >= 1) & (u_of == 0), name="ledger_and_coherent")
-
+    radices = [cfg.ring_size, 2, cfg.phase_period, cfg.ledger_max + 1, cfg.n_theta]
+    fields = np.indices(radices).reshape(len(radices), -1)
+    y, u, phi, r, _ = fields
+    succ, weights = _ring_transitions(cfg, fields)
+    kernel = ControlledKernel(cfg.n_states, len(ACTION_NAMES), action_names=ACTION_NAMES,
+                              succ=succ, weights=weights)
+    use_repair = (u == 1) & cfg.repair_enabled & (cfg.cost_repair <= r)
     return Environment(
         kernel=kernel,
-        gate=gate,
-        output_lens=output_lens,
-        macro_lens=macro_lens,
-        safety_ledger_only=safety_ledger_only,
-        safety_coherent=safety_coherent,
-        policies=_ring_policies(cfg, layout),
+        gate=FeasibilityGate(ledger=r.astype(np.float64), costs=np.array(cfg.costs, dtype=np.float64)),
+        output_lens=Lens(name="outside_position", project=y, n_labels=cfg.ring_size),
+        macro_lens=Lens(
+            name="macro_y_r_phi",
+            project=(y * (cfg.ledger_max + 1) + r) * cfg.phase_period + phi,
+            n_labels=cfg.ring_size * (cfg.ledger_max + 1) * cfg.phase_period,
+        ),
+        safety_ledger_only=SafetyPredicate(safe=r >= 1, name="ledger_only"),
+        safety_coherent=SafetyPredicate(safe=(r >= 1) & (u == 0), name="ledger_and_coherent"),
+        policies={
+            "always_right": Policy(kind="deterministic",
+                                   table=dict.fromkeys(range(cfg.n_states), RIGHT)),
+            "repair_then_right": Policy(kind="deterministic", table=dict(
+                enumerate(np.where(use_repair, REPAIR, RIGHT).tolist()))),
+        },
         config_echo={"environment": "ringworld", **cfg.to_dict()},
-        state_layout=layout.describe(),
-        state_tuples=tuples,
+        state_layout={
+            "fields": ["y", "u", "phi", "r", "theta"],
+            "radices": radices,
+            "order": "y slowest, theta fastest",
+            "formula": "idx = (((y*2 + u)*m_phi + phi)*(R_max+1) + r)*n_theta + theta",
+        },
+        state_tuples=tuple(map(tuple, fields.T.tolist())),
     )
 
 
 def ring_state_index(cfg: RingWorldConfig, y: int, u: int, phi: int, r: int, theta: int = 0) -> int:
     """Public index helper matching the documented mixed-radix layout."""
-    return _RingLayout(cfg).index(y, u, phi, r, theta)
+    return (((y * 2 + u) * cfg.phase_period + phi) * (cfg.ledger_max + 1) + r) * cfg.n_theta + theta
 
 
 def build_null_single_action() -> Environment:

@@ -442,14 +442,11 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
         medians = []
         per_theta = {}
         meds = []
+        _, u, phi, _, th = np.array(env.state_tuples).T
         for theta in range(cfg.theta_levels):
-            selected = [
-                i
-                for i, (y, u, phi, r, th) in enumerate(env.state_tuples)
-                if th == theta and u == 0 and phi == 0 and vres.kernel[i]
-            ]
+            selected = np.flatnonzero((th == theta) & (u == 0) & (phi == 0) & vres.kernel)
             med = median_empowerment_on_kernel(
-                env.kernel, env.gate, np.array(selected), 2, env.output_lens,
+                env.kernel, env.gate, selected, 2, env.output_lens,
                 max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
             )
             medians.append(med.median_bits)

@@ -6,7 +6,7 @@ a state reachable from ``s`` under action ``a`` with probability
 (action, state) pair; shorter rows are padded with slots of weight exactly 0
 that point back at ``s``. A dense row-stochastic tensor ``probs[a, s, s']`` is
 accepted as input, converted once and not kept; ``dense()`` rebuilds it for
-serialization and small-kernel checks. All state and action spaces are finite
+small-kernel checks. All state and action spaces are finite
 and indexed by integers; structured labels live in the environment
 constructors, never here.
 """
@@ -107,25 +107,6 @@ class ControlledKernel:
         a, s, j = np.nonzero(self.weights)
         np.add.at(probs, (a, s, self.succ[a, s, j]), self.weights[a, s, j])
         return probs
-
-    def to_dict(self) -> dict:
-        """Key-value form for canonical serialization (see artifacts module)."""
-        return {
-            "n_states": self.n_states,
-            "n_actions": self.n_actions,
-            "probs": self.dense().tolist(),
-            "action_names": list(self.action_names),
-        }
-
-
-def kernel_from_dict(data: dict) -> ControlledKernel:
-    """Rebuild a kernel from its serialized key-value form."""
-    return ControlledKernel(
-        n_states=int(data["n_states"]),
-        n_actions=int(data["n_actions"]),
-        probs=np.asarray(data["probs"], dtype=np.float64),
-        action_names=tuple(data["action_names"]),
-    )
 
 
 @dataclass(frozen=True)

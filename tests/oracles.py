@@ -231,7 +231,7 @@ def matrix_power_endomap(k, pi, mu, tau: int) -> tuple[dict[int, int], dict[int,
         members = np.flatnonzero(pi.project == x)
         if members.size == 0:
             continue
-        macro = pi.push(M[members].mean(axis=0))
+        macro = np.bincount(pi.project, weights=M[members].mean(axis=0), minlength=pi.n_labels)
         mapping[x] = int(np.argmax(macro))
         reach[x] = float(macro[mapping[x]])
     return mapping, reach

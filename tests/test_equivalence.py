@@ -56,13 +56,28 @@ class TestBuild:
         RingWorldConfig(ring_size=3, p_flip=0.3, p_slip=0.25, repair_success=0.5),
         learning_config("paper", 0.2),
         *ablation_configs("paper").values(),
+        # edges of the mass tables and of the target arithmetic
+        RingWorldConfig(phase_period=1),
+        RingWorldConfig(ledger_max=0, cost_repair=0),
+        # LEFT and RIGHT never execute, so no row has four branches
+        RingWorldConfig(ledger_max=1, cost_left=2, cost_right=3, cost_repair=1),
+        RingWorldConfig(p_slip=0.0),
+        RingWorldConfig(p_slip=1.0, p_flip=1.0),
+        RingWorldConfig(ring_size=5, p_flip=1.0, repair_success=0.0, cost_left=1, cost_right=1),
+        replace(learning_config("paper", 1.0), repair_enabled=False),
+        replace(learning_config("paper", 0.0), repair_enabled=False, p_flip=1.0),
     ])
     def test_weights_within_one_ulp_of_fraction_tensor(self, cfg):
         probs = fraction_ring_tensor(cfg)
-        dense = build_ringworld(cfg).kernel.dense()
+        k = build_ringworld(cfg).kernel
+        dense = k.dense()
         np.testing.assert_array_equal(dense > 0, probs > 0)
         ulps = np.abs(dense - probs) / np.spacing(np.maximum(dense, probs))
         assert ulps.max() <= 1.0
+        assert k.succ.shape[2] == (probs > 0).sum(axis=-1).max()
+        assert np.all(k.weights.sum(axis=-1) == 1.0)
+        own = np.broadcast_to(np.arange(k.n_states)[:, None], k.succ.shape[1:])
+        assert np.all((k.succ == own) | (k.weights > 0))  # padding points back
 
     def test_every_ring_position_gets_identical_rows(self, ring_env):
         k = ring_env.kernel

@@ -4,7 +4,6 @@ import pytest
 from agencykit.kernel import (
     ControlledKernel,
     Policy,
-    kernel_from_dict,
     policy_closure,
     step_distribution,
     successor_support,
@@ -136,26 +135,6 @@ class TestPolicyClosure:
         table = {0: np.array([0.5, 0.5]), 1: np.array([1.0]), 2: np.array([0.0, 1.0])}
         with pytest.raises(ValueError, match="state 1 has wrong length"):
             policy_closure(k, Policy(kind="stochastic", table=table))
-
-
-class TestSerialization:
-    def test_round_trip_preserves_everything(self, rng):
-        k = random_kernel(rng, 5, 3)
-        data = k.to_dict()
-        assert set(data) == {"n_states", "n_actions", "probs", "action_names"}
-        back = kernel_from_dict(data)
-        assert back.n_states == k.n_states
-        assert back.action_names == k.action_names
-        np.testing.assert_array_equal(back.dense(), k.dense())
-        np.testing.assert_array_equal(back.succ, k.succ)
-        np.testing.assert_array_equal(back.weights, k.weights)
-
-    def test_serialized_form_is_canonicalizable(self, rng):
-        from agencykit.artifacts import canonical_serialize
-
-        k = random_kernel(rng, 3, 2)
-        payload = canonical_serialize(k.to_dict())
-        assert payload.startswith(b'{"action_names":')
 
 
 class TestProperties:
