@@ -18,20 +18,11 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-
-REQUIRED_FIELDS = (
-    "artifact_type",
-    "config",
-    "config_hash",
-    "metrics",
-    "created_at_utc",
-    "versions",
-)
 
 # metrics keys with these suffixes are audited as probability objects
 DISTRIBUTION_SUFFIX = "_distribution"
@@ -39,36 +30,15 @@ ROWS_SUFFIX = "_rows"
 STOCHASTICITY_TOLERANCE = 1e-9
 
 
-def _check_tree(value, path: str = "$") -> None:
-    if value is None or isinstance(value, (str, bool, int)):
-        return
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite number at {path}: {value!r}")
-        return
-    if isinstance(value, dict):
-        for k, v in value.items():
-            if not isinstance(k, str):
-                raise ValueError(f"non-string map key at {path}: {k!r}")
-            _check_tree(v, f"{path}.{k}")
-        return
-    if isinstance(value, list):
-        for i, v in enumerate(value):
-            _check_tree(v, f"{path}[{i}]")
-        return
-    raise ValueError(f"unsupported value kind at {path}: {type(value).__name__}")
-
-
 def canonical_serialize(value) -> bytes:
     """Stable UTF-8 JSON bytes: sorted keys, no whitespace, shortest decimals.
 
-    Accepts only maps with string keys, lists, strings, booleans, finite
-    numbers, and null. Integers and floats are distinct value kinds and are
-    never coerced into each other.
+    Accepts what ``to_jsonable`` accepts, numpy values and tuples included.
+    Integers and floats are distinct value kinds and are never coerced into
+    each other.
     """
-    _check_tree(value)
     return json.dumps(
-        value,
+        to_jsonable(value),
         sort_keys=True,
         separators=(",", ":"),
         ensure_ascii=False,
@@ -82,20 +52,30 @@ def config_hash(config) -> str:
 
 
 def to_jsonable(value):
-    """Recursively convert numpy scalars/arrays into plain JSON-ready values."""
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [to_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    return value
+    """Plain JSON tree of ``value``, with numpy scalars and arrays converted.
+
+    Raises ValueError, naming the path of the entry, on a non-finite number,
+    a non-string map key or any other value kind.
+    """
+    def walk(v, path: str):
+        if isinstance(v, (np.generic, np.ndarray)):
+            v = v.tolist()
+        if v is None or isinstance(v, (str, bool, int)):
+            return v
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite number at {path}: {v!r}")
+            return v
+        if isinstance(v, dict):
+            for k in v:
+                if not isinstance(k, str):
+                    raise ValueError(f"non-string map key at {path}: {k!r}")
+            return {k: walk(x, f"{path}.{k}") for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [walk(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        raise ValueError(f"unsupported value kind at {path}: {type(v).__name__}")
+
+    return walk(value, "$")
 
 
 @dataclass
@@ -110,23 +90,18 @@ class ArtifactRecord:
     versions: dict
 
     def to_dict(self) -> dict:
-        return {
-            "artifact_type": self.artifact_type,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "metrics": self.metrics,
-            "created_at_utc": self.created_at_utc,
-            "versions": self.versions,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def validate(self) -> None:
         if self.config_hash != config_hash(self.config):
             raise ValueError("config_hash does not match the embedded config")
-        _check_tree(self.metrics, "$.metrics")
 
     @property
     def filename(self) -> str:
         return f"{self.artifact_type}_{self.config_hash[:12]}.json"
+
+
+REQUIRED_FIELDS = tuple(f.name for f in fields(ArtifactRecord))
 
 
 def component_versions() -> dict:
@@ -142,12 +117,11 @@ def component_versions() -> dict:
 def make_artifact(artifact_type: str, config: dict, metrics: dict) -> ArtifactRecord:
     """Assemble a record, hashing the config and stamping provenance."""
     config = to_jsonable(config)
-    metrics = to_jsonable(metrics)
     return ArtifactRecord(
         artifact_type=artifact_type,
         config=config,
         config_hash=config_hash(config),
-        metrics=metrics,
+        metrics=to_jsonable(metrics),
         created_at_utc=datetime.now(timezone.utc).isoformat(),
         versions=component_versions(),
     )

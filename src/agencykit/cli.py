@@ -111,12 +111,13 @@ def _cmd_audit(args) -> int:
     return EXIT_OK if report.passed else EXIT_CONTRACT_FAILURE
 
 
-def _load_exhibit_artifact(directory: Path, exhibit: str) -> dict | None:
+def _load_exhibit_artifact(directory: Path, exhibit: str) -> tuple[Path, object] | None:
+    """The first readable artifact of ``exhibit``, as (path, parsed JSON)."""
     stable = directory / "generated" / f"{exhibit}.json"
     candidates = [stable] if stable.exists() else sorted(directory.glob(f"{exhibit}_*.json"))
     for path in candidates:
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            return path, json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             continue
     return None
@@ -152,16 +153,11 @@ def _plot_series(record: dict, exhibit: str) -> list[tuple[str, float, float]]:
             rows.append((f"defect:{name}", float(i), float(m["rows"][name]["packaging_defect"])))
     elif exhibit == "sweep":
         n = len(m["cost_repair_grid"])
-        for i in range(len(m["p_flip_grid"])):
-            for j in range(n):
-                flat = float(i * n + j)
-                rows.append(("kernel_size", flat, float(m["kernel_size_grid"][i][j])))
-        for i in range(len(m["p_flip_grid"])):
-            for j in range(n):
-                flat = float(i * n + j)
-                rows.append(("empowerment_median", flat, float(m["empowerment_grid"][i][j])))
-    else:
-        raise ValueError(f"unknown exhibit {exhibit!r}")
+        for series, grid in (("kernel_size", "kernel_size_grid"),
+                             ("empowerment_median", "empowerment_grid")):
+            for i in range(len(m["p_flip_grid"])):
+                for j in range(n):
+                    rows.append((series, float(i * n + j), float(m[grid][i][j])))
     return rows
 
 
@@ -220,11 +216,18 @@ def _cmd_plot(args) -> int:
         print(f"error: unknown exhibit {args.exhibit!r}", file=sys.stderr)
         return EXIT_USAGE
     directory = Path(args.dir or _default_out())
-    record = _load_exhibit_artifact(directory, args.exhibit)
-    if record is None:
+    loaded = _load_exhibit_artifact(directory, args.exhibit)
+    if loaded is None:
         print(f"error: no artifact for {args.exhibit!r} under {directory}", file=sys.stderr)
         return EXIT_USAGE
-    rows = _plot_series(record, args.exhibit)
+    path, record = loaded
+    try:
+        rows = _plot_series(record, args.exhibit)
+        if not rows:
+            raise ValueError("no data rows")
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        print(f"error: malformed artifact {path}: {exc!r}", file=sys.stderr)
+        return EXIT_USAGE
     plot_dir = directory / "plots"
     try:
         plot_dir.mkdir(parents=True, exist_ok=True)

@@ -245,6 +245,26 @@ def ring_state_index(cfg: RingWorldConfig, y: int, u: int, phi: int, r: int, the
     return (((y * 2 + u) * cfg.phase_period + phi) * (cfg.ledger_max + 1) + r) * cfg.n_theta + theta
 
 
+def _null_environment(targets: np.ndarray, names: tuple[str, ...], lens: Lens,
+                      echo: dict, layout: dict) -> Environment:
+    """Action a moves s to ``targets[a, s]``; zero costs, all safe, first-action policy."""
+    n_actions, n = targets.shape
+    kernel = ControlledKernel(n, n_actions, action_names=names,
+                              succ=targets[..., None], weights=np.ones((n_actions, n, 1)))
+    always = SafetyPredicate(safe=np.ones(n, dtype=bool), name="always_safe")
+    return Environment(
+        kernel=kernel,
+        gate=FeasibilityGate(ledger=np.zeros(n), costs=np.zeros(n_actions)),
+        output_lens=lens,
+        macro_lens=lens,
+        safety_ledger_only=always,
+        safety_coherent=always,
+        policies={"first_action": Policy(kind="deterministic", table=dict.fromkeys(range(n), 0))},
+        config_echo=echo,
+        state_layout=layout,
+    )
+
+
 def build_null_single_action() -> Environment:
     """Null regime A: nontrivial deterministic state cycle but a single action.
 
@@ -253,24 +273,12 @@ def build_null_single_action() -> Environment:
     identically zero at every horizon.
     """
     n = 4
-    probs = np.zeros((1, n, n))
-    for s in range(n):
-        probs[0, s, (s + 1) % n] = 1.0
-    kernel = ControlledKernel(n_states=n, n_actions=1, probs=probs, action_names=("STEP",))
-    gate = FeasibilityGate(ledger=np.zeros(n), costs=np.zeros(1))
-    identity = Lens(name="identity", project=np.arange(n), n_labels=n)
-    always = SafetyPredicate(safe=np.ones(n, dtype=bool), name="always_safe")
-    policy = Policy(kind="deterministic", table={s: 0 for s in range(n)})
-    return Environment(
-        kernel=kernel,
-        gate=gate,
-        output_lens=identity,
-        macro_lens=identity,
-        safety_ledger_only=always,
-        safety_coherent=always,
-        policies={"step": policy},
-        config_echo={"environment": "null_single_action", "n_states": n},
-        state_layout={"fields": ["x"], "radices": [n], "formula": "idx = x"},
+    return _null_environment(
+        ((np.arange(n) + 1) % n)[None],
+        ("STEP",),
+        Lens(name="identity", project=np.arange(n), n_labels=n),
+        {"environment": "null_single_action", "n_states": n},
+        {"fields": ["x"], "radices": [n], "formula": "idx = x"},
     )
 
 
@@ -285,49 +293,23 @@ def build_schedule_trap(model: str) -> Environment:
     action that sets x directly, manufacturing a spurious 1-bit channel.
     """
     if model == "wrong":
-        n = 2
-        probs = np.zeros((2, n, n))
-        for a in range(2):
-            for s in range(n):
-                probs[a, s, a] = 1.0
-        kernel = ControlledKernel(
-            n_states=n, n_actions=2, probs=probs, action_names=("SET0", "SET1")
-        )
-        lens = Lens(name="outside_x", project=np.arange(n), n_labels=n)
-        layout = {"fields": ["x"], "radices": [n], "formula": "idx = x"}
-        echo = {"environment": "schedule_trap", "model": "wrong", "n_states": n}
+        # action a sets x = a from either state
+        targets, names = np.array([[0, 0], [1, 1]]), ("SET0", "SET1")
+        project = np.arange(2)
+        layout = {"fields": ["x"], "radices": [2], "formula": "idx = x"}
     elif model == "right":
         # state = (x, s_ext), idx = x*2 + s_ext; x' = s_ext, s_ext' = 1 - s_ext
-        n = 4
-        probs = np.zeros((2, n, n))
-        for x in range(2):
-            for s_ext in range(2):
-                s = x * 2 + s_ext
-                t = s_ext * 2 + (1 - s_ext)
-                for a in range(2):
-                    probs[a, s, t] = 1.0
-        kernel = ControlledKernel(
-            n_states=n, n_actions=2, probs=probs, action_names=("A0", "A1")
-        )
-        lens = Lens(name="outside_x", project=np.array([0, 0, 1, 1]), n_labels=2)
+        project, s_ext = np.divmod(np.arange(4), 2)
+        targets, names = np.tile(s_ext * 2 + 1 - s_ext, (2, 1)), ("A0", "A1")
         layout = {"fields": ["x", "s_ext"], "radices": [2, 2], "formula": "idx = x*2 + s_ext"}
-        echo = {"environment": "schedule_trap", "model": "right", "n_states": n}
     else:
         raise ValueError(f"model must be 'wrong' or 'right', got {model!r}")
-
-    gate = FeasibilityGate(ledger=np.zeros(kernel.n_states), costs=np.zeros(2))
-    always = SafetyPredicate(safe=np.ones(kernel.n_states, dtype=bool), name="always_safe")
-    policy = Policy(kind="deterministic", table={s: 0 for s in range(kernel.n_states)})
-    return Environment(
-        kernel=kernel,
-        gate=gate,
-        output_lens=lens,
-        macro_lens=lens,
-        safety_ledger_only=always,
-        safety_coherent=always,
-        policies={"first_action": policy},
-        config_echo=echo,
-        state_layout=layout,
+    return _null_environment(
+        targets,
+        names,
+        Lens(name="outside_x", project=project, n_labels=2),
+        {"environment": "schedule_trap", "model": model, "n_states": len(project)},
+        layout,
     )
 
 

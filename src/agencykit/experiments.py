@@ -32,9 +32,11 @@ from agencykit.empowerment import (
     total_variation,
 )
 from agencykit.environments import (
+    ACTION_NAMES,
     LEFT,
     RIGHT,
     PROFILES,
+    Environment,
     RingWorldConfig,
     build_null_single_action,
     build_ringworld,
@@ -43,8 +45,6 @@ from agencykit.environments import (
 )
 from agencykit.packaging import idempotence_defect, packaging_endomap
 from agencykit.viability import viability_kernel
-
-EXHIBITS = ("packaging", "nulls", "holonomy", "ablations", "sweep", "learning")
 
 TAU_GRID = (0, 1, 2, 3, 4)
 HORIZON_GRID = (1, 2, 3, 4, 5)
@@ -132,21 +132,25 @@ def solver_block(meds: list[MedianEmpowermentResult]) -> dict:
     }
 
 
+def _median(env: Environment, states, horizon: int) -> MedianEmpowermentResult:
+    """Median feasible empowerment over ``states`` at the exhibits' solver settings."""
+    return median_empowerment_on_kernel(
+        env.kernel, env.gate, states, horizon, env.output_lens,
+        max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
+    )
+
+
 def run_nulls() -> ArtifactRecord:
     """Null regimes: single-action cycle and the exogenous-schedule trap.
 
     Each null is the capacity of the channel from start state 0, solved as
     the median over the one-state set {0}, which is that capacity exactly.
     """
-    def solve(env, horizon: int) -> MedianEmpowermentResult:
-        return median_empowerment_on_kernel(
-            env.kernel, env.gate, np.array([0]), horizon, env.output_lens, tol=EMPOWERMENT_TOL
-        )
-
+    horizons_a, horizon_b = [1, 2, 3], 1
     null_a = build_null_single_action()
-    solves_a = {f"H{h}": solve(null_a, h) for h in (1, 2, 3)}
+    solves_a = {f"H{h}": _median(null_a, [0], h) for h in horizons_a}
     traps = {model: build_schedule_trap(model) for model in ("wrong", "right")}
-    solves_b = {model: solve(env, 1) for model, env in traps.items()}
+    solves_b = {model: _median(env, [0], horizon_b) for model, env in traps.items()}
     caps_a = {name: med.median_bits for name, med in solves_a.items()}
     caps_b = {name: med.median_bits for name, med in solves_b.items()}
 
@@ -160,8 +164,8 @@ def run_nulls() -> ArtifactRecord:
         "null_a": null_a.config_echo,
         "null_b_wrong": traps["wrong"].config_echo,
         "null_b_right": traps["right"].config_echo,
-        "horizons_null_a": [1, 2, 3],
-        "horizon_null_b": 1,
+        "horizons_null_a": horizons_a,
+        "horizon_null_b": horizon_b,
         "capacity_tol_bits": EMPOWERMENT_TOL,
     }
     metrics = {
@@ -230,10 +234,7 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
         per_state = {}
         subset_rule = None
         for h in HORIZON_GRID:
-            med = median_empowerment_on_kernel(
-                env.kernel, env.gate, vres.kernel, h, env.output_lens,
-                max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
-            )
+            med = _median(env, vres.kernel, h)
             medians.append(med.median_bits)
             per_state[f"H{h}"] = med.values
             subset_rule = med.subset_rule
@@ -248,16 +249,18 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
             "subset_rule": subset_rule,
         }
 
-    # noncommutativity witness: (RIGHT, LEFT) vs (LEFT, RIGHT) from the
-    # matched full-budget start state (y=0, u=0, phi=1, r=R_max)
+    # noncommutativity witness: alpha vs beta from the matched full-budget
+    # start state
+    sequences = {"alpha": (RIGHT, LEFT), "beta": (LEFT, RIGHT)}
     witness = {}
     for regime, (cfg, env) in envs.items():
-        s_star = ring_state_index(cfg, y=0, u=0, phi=1, r=cfg.ledger_max)
-        w_a = rollout_output_distribution(env.kernel, s_star, (RIGHT, LEFT), env.output_lens)
-        w_b = rollout_output_distribution(env.kernel, s_star, (LEFT, RIGHT), env.output_lens)
+        start = {"y": 0, "u": 0, "phi": 1, "r": cfg.ledger_max}
+        s_star = ring_state_index(cfg, **start)
+        w_a, w_b = (rollout_output_distribution(env.kernel, s_star, seq, env.output_lens)
+                    for seq in sequences.values())
         witness[regime] = {
             "start_state": s_star,
-            "start_tuple": {"y": 0, "u": 0, "phi": 1, "r": cfg.ledger_max},
+            "start_tuple": start,
             "tv": total_variation(w_a, w_b),
             "alpha_output_distribution": w_a.tolist(),
             "beta_output_distribution": w_b.tolist(),
@@ -275,14 +278,16 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
     config = {
         "exhibit": "holonomy",
         "profile": profile,
-        "environment_on": holonomy_config(profile, True).to_dict(),
-        "environment_off": holonomy_config(profile, False).to_dict(),
+        "environment_on": envs["protocol_on"][0].to_dict(),
+        "environment_off": envs["protocol_off"][0].to_dict(),
         "horizons": list(HORIZON_GRID),
-        "output_lens": "outside_position",
-        "safety": "ledger_only",
+        "output_lens": env.output_lens.name,
+        "safety": env.safety_ledger_only.name,
         "max_states": MAX_MEDIAN_STATES,
         "capacity_tol_bits": EMPOWERMENT_TOL,
-        "witness_sequences": {"alpha": ["RIGHT", "LEFT"], "beta": ["LEFT", "RIGHT"]},
+        "witness_sequences": {
+            name: [ACTION_NAMES[a] for a in seq] for name, seq in sequences.items()
+        },
     }
     env_on = envs["protocol_on"][1]
     metrics = {
@@ -300,20 +305,15 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
 def run_ablations(profile: str = "paper") -> ArtifactRecord:
     """Primitive toggle suite: |K|, median empowerment at H=2, defect at tau=2."""
     configs = ablation_configs(profile)
+    horizon, tau, policy = 2, 2, "repair_then_right"
     rows = {}
     meds = []
     for name, cfg in sorted(configs.items()):
         env = build_ringworld(cfg)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
-        med = median_empowerment_on_kernel(
-            env.kernel, env.gate, vres.kernel, 2, env.output_lens,
-            max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
-        )
+        med = _median(env, vres.kernel, horizon)
         meds.append(med)
-        endo = packaging_endomap(
-            env.kernel, env.macro_lens, env.policies["repair_then_right"], 2,
-            "repair_then_right",
-        )
+        endo = packaging_endomap(env.kernel, env.macro_lens, env.policies[policy], tau, policy)
         rows[name] = {
             "n_states": env.n_states,
             "kernel_size": vres.size,
@@ -348,11 +348,11 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
         "exhibit": "ablations",
         "profile": profile,
         "configs": {name: cfg.to_dict() for name, cfg in configs.items()},
-        "empowerment_horizon": 2,
-        "packaging_tau": 2,
-        "output_lens": "outside_position",
-        "macro_lens": "macro_y_r_phi",
-        "safety": "ledger_only",
+        "empowerment_horizon": horizon,
+        "packaging_tau": tau,
+        "output_lens": env.output_lens.name,
+        "macro_lens": env.macro_lens.name,
+        "safety": env.safety_ledger_only.name,
         "max_states": MAX_MEDIAN_STATES,
     }
     metrics = {
@@ -369,8 +369,9 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
     base = maintenance_economy_config(profile)
     p_grid = [round(v, 10) for v in np.linspace(0.0, 0.7, 8)]
     cost_grid = list(range(8))
-    kernel_sizes = np.zeros((8, 8), dtype=np.int64)
-    emp = np.zeros((8, 8))
+    horizon = 2
+    kernel_sizes = np.zeros((len(p_grid), len(cost_grid)), dtype=np.int64)
+    emp = np.zeros(kernel_sizes.shape)
     meds = []
     for i, p in enumerate(p_grid):
         for j, c in enumerate(cost_grid):
@@ -378,29 +379,15 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
             env = build_ringworld(cfg)
             vres = viability_kernel(env.kernel, env.gate, env.safety_coherent)
             kernel_sizes[i, j] = vres.size
-            med = median_empowerment_on_kernel(
-                env.kernel, env.gate, vres.kernel, 2, env.output_lens,
-                max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
-            )
+            med = _median(env, vres.kernel, horizon)
             emp[i, j] = med.median_bits
             meds.append(med)
 
-    mono_noise = all(
-        kernel_sizes[i + 1, j] <= kernel_sizes[i, j] for i in range(7) for j in range(8)
-    )
-    mono_cost = all(
-        kernel_sizes[i, j + 1] <= kernel_sizes[i, j] for i in range(8) for j in range(7)
-    )
     contracts = {
-        "kernel_monotone_in_noise": mono_noise,
-        "kernel_monotone_in_cost": mono_cost,
+        "kernel_monotone_in_noise": bool(np.all(np.diff(kernel_sizes, axis=0) <= 0)),
+        "kernel_monotone_in_cost": bool(np.all(np.diff(kernel_sizes, axis=1) <= 0)),
         "hostile_corner_collapses": int(kernel_sizes[-1, -1]) == 0,
-        "empty_kernel_zero_empowerment": all(
-            emp[i, j] == 0.0
-            for i in range(8)
-            for j in range(8)
-            if kernel_sizes[i, j] == 0
-        ),
+        "empty_kernel_zero_empowerment": bool(np.all(emp[kernel_sizes == 0] == 0.0)),
     }
     config = {
         "exhibit": "sweep",
@@ -408,9 +395,9 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
         "base_environment": base.to_dict(),
         "p_flip_grid": p_grid,
         "cost_repair_grid": cost_grid,
-        "empowerment_horizon": 2,
-        "safety": "ledger_and_coherent",
-        "output_lens": "outside_position",
+        "empowerment_horizon": horizon,
+        "safety": env.safety_coherent.name,
+        "output_lens": env.output_lens.name,
         "max_states": MAX_MEDIAN_STATES,
     }
     metrics = {
@@ -435,28 +422,23 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
     Medians are taken over viable states restricted to a fixed staged phase
     (phi = 0) and a coherent internal bit (u = 0) within each skill sector.
     """
+    horizon, restriction = 2, {"u": 0, "phi": 0, "viable": True}
+
     def sector_medians(p_slip: float):
         cfg = learning_config(profile, p_slip)
         env = build_ringworld(cfg)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
-        medians = []
-        per_theta = {}
-        meds = []
-        _, u, phi, _, th = np.array(env.state_tuples).T
-        for theta in range(cfg.theta_levels):
-            selected = np.flatnonzero((th == theta) & (u == 0) & (phi == 0) & vres.kernel)
-            med = median_empowerment_on_kernel(
-                env.kernel, env.gate, selected, 2, env.output_lens,
-                max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
-            )
-            medians.append(med.median_bits)
-            per_theta[f"theta{theta}"] = {"states": med.selected_states, "values": med.values}
-            meds.append(med)
-        return env, medians, per_theta, meds
+        fields = dict(zip(env.state_layout["fields"], np.array(env.state_tuples).T),
+                      viable=vres.kernel)
+        kept = np.logical_and.reduce([fields[k] == v for k, v in restriction.items()])
+        meds = [_median(env, np.flatnonzero(kept & (fields["theta"] == theta)), horizon)
+                for theta in range(cfg.theta_levels)]
+        return cfg, env, meds
 
-    slip = 0.2
-    env, medians, per_theta, meds = sector_medians(slip)
-    _, control_medians, _, control_meds = sector_medians(0.0)
+    cfg, env, meds = sector_medians(0.2)
+    control_cfg, _, control_meds = sector_medians(0.0)
+    medians = [med.median_bits for med in meds]
+    control_medians = [med.median_bits for med in control_meds]
 
     contracts = {
         "medians_strictly_increase_with_skill": medians[0] < medians[1] < medians[2],
@@ -465,33 +447,38 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
     config = {
         "exhibit": "learning",
         "profile": profile,
-        "environment": learning_config(profile, slip).to_dict(),
-        "control_environment": learning_config(profile, 0.0).to_dict(),
-        "empowerment_horizon": 2,
-        "output_lens": "outside_position",
-        "restriction": {"u": 0, "phi": 0, "viable": True},
-        "safety": "ledger_only",
+        "environment": cfg.to_dict(),
+        "control_environment": control_cfg.to_dict(),
+        "empowerment_horizon": horizon,
+        "output_lens": env.output_lens.name,
+        "restriction": restriction,
+        "safety": env.safety_ledger_only.name,
     }
     metrics = {
         "state_layout": env.state_layout,
-        "theta_values": [0, 1, 2],
+        "theta_values": list(range(cfg.theta_levels)),
         "medians": medians,
         "control_medians": control_medians,
-        "per_theta": per_theta,
+        "per_theta": {
+            f"theta{theta}": {"states": med.selected_states, "values": med.values}
+            for theta, med in enumerate(meds)
+        },
         "solver": solver_block(meds + control_meds),
         "contracts": contracts,
     }
     return make_artifact("learning", config, metrics)
 
 
+# in run order
 RUNNERS = {
-    "nulls": lambda profile: run_nulls(),
     "packaging": run_packaging,
+    "nulls": lambda profile: run_nulls(),
     "holonomy": run_holonomy,
     "ablations": run_ablations,
     "sweep": run_sweep,
     "learning": run_learning,
 }
+EXHIBITS = tuple(RUNNERS)
 
 
 def run_exhibit(name: str, profile: str = "paper") -> ArtifactRecord:

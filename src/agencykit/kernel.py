@@ -283,18 +283,18 @@ def step_distribution(k: ControlledKernel, d: np.ndarray, a: int) -> np.ndarray:
     return pull(predecessor_lists(k), d[:, None]).reshape(k.n_actions, k.n_states)[a]
 
 
-def successor_support(k: ControlledKernel, s: int, a: int, epsilon: float = 0.0) -> set[int]:
-    """States reachable from (s, a) with probability above ``epsilon``.
+def successor_support(k: ControlledKernel, s: int, a: int) -> set[int]:
+    """States reachable from (s, a) with nonzero probability.
 
-    The default support is exact: environment constructors build rows from
-    rationals, so a zero is a true zero, and robust viability must see every
+    The support is exact: environment constructors build rows from rationals,
+    so a zero is a true zero, and robust viability must see every
     nonzero-probability successor.
     """
     if not 0 <= s < k.n_states:
         raise IndexError(f"state index {s} out of range [0, {k.n_states})")
     if not 0 <= a < k.n_actions:
         raise IndexError(f"action index {a} out of range [0, {k.n_actions})")
-    return set(k.succ[a, s][k.weights[a, s] > epsilon].tolist())
+    return set(k.succ[a, s][k.weights[a, s] > 0].tolist())
 
 
 def policy_successors(k: ControlledKernel, mu: Policy) -> tuple[np.ndarray, np.ndarray]:

@@ -58,6 +58,8 @@ class TestCanonicalSerialize:
             canonical_serialize({"x": float("nan")})
         with pytest.raises(ValueError):
             canonical_serialize({"x": float("inf")})
+        with pytest.raises(ValueError, match=r"non-finite number at \$\.x\[1\]"):
+            canonical_serialize({"x": np.array([0.5, np.nan])})
 
     def test_unsupported_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -66,6 +68,8 @@ class TestCanonicalSerialize:
     def test_non_string_key_rejected(self):
         with pytest.raises(ValueError):
             canonical_serialize({1: "x"})
+        with pytest.raises(ValueError, match="non-string map key"):
+            to_jsonable({"a": {1: "x"}})
 
     def test_round_trip_stable(self, rng):
         for _ in range(50):
@@ -100,6 +104,9 @@ class TestToJsonable:
                            "d": np.bool_(True)})
         assert out == {"a": 3, "b": 0.5, "c": [0, 1, 2], "d": True}
         canonical_serialize(out)
+        # canonical_serialize converts numpy values and tuples itself
+        tree = {"t": (1, np.float64(0.5)), "a": np.arange(2), "b": np.bool_(False)}
+        assert canonical_serialize(tree) == b'{"a":[0,1],"b":false,"t":[1,0.5]}'
 
 
 class TestWriteArtifact:

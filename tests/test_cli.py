@@ -1,6 +1,8 @@
 import json
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from agencykit.cli import main
 
 
@@ -86,6 +88,22 @@ class TestPlot:
         assert main(["plot", "nulls", "--dir", str(tmp_path), "--format", "csv"]) == 0
         lines = (tmp_path / "plots" / "nulls.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 5
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    @pytest.mark.parametrize("doc", [
+        {"metrics": {}},
+        [1, 2],
+        {"metrics": {"tau_grid": [], "defect": {"repair_off": [], "repair_on": []}}},
+    ], ids=["no_series", "top_level_list", "empty_series"])
+    def test_malformed_artifact_usage_error(self, tmp_path, capsys, doc, fmt):
+        stable = tmp_path / "generated" / "packaging.json"
+        stable.parent.mkdir(parents=True)
+        stable.write_text(json.dumps(doc))
+        assert main(["plot", "packaging", "--dir", str(tmp_path), "--format", fmt]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and str(stable) in err[0]
+        assert not (tmp_path / "plots" / f"packaging.{fmt}").exists()
 
 
 class TestUsage:

@@ -44,7 +44,8 @@ class TestRunnerBasics:
             assert "solver" not in record.metrics["contracts"]
 
     def test_exhibit_list_matches_runners(self):
-        assert set(EXHIBITS) == {"packaging", "nulls", "holonomy", "ablations", "sweep", "learning"}
+        # run order, which `agencykit run all` follows
+        assert EXHIBITS == ("packaging", "nulls", "holonomy", "ablations", "sweep", "learning")
 
 
 class TestDeterminism:
@@ -53,6 +54,19 @@ class TestDeterminism:
         a, b = runner(), runner()
         assert canonical_serialize(a.metrics) == canonical_serialize(b.metrics)
         assert a.config_hash == b.config_hash
+
+    # config hashes of `agencykit run all`: a change to any exhibit's config
+    # fails here, so config drift is always deliberate
+    @pytest.mark.parametrize("name, expected", [
+        ("packaging", "3b59540ca6e01551da322d13285b77ee8fd762cf9fc1596aca438f342087c38c"),
+        ("nulls", "7d0e5251123822cfa4a79fbff620413107abfcd060dd8145c5e8aadef6dc69d4"),
+        ("holonomy", "b331b5be93eb9766571af204ccf9436e713bd6ac94e160ccb7662f5c1920dcd9"),
+        ("ablations", "e3de9b31a7d8b45872a73c3f91eccc47a0552fb27301d3fb19b40cc491f092df"),
+        ("sweep", "96cb699425f2a6399f5ccfe4509567d1b15729007c7fd9bedc1c17ae39d5c579"),
+        ("learning", "63d3b5cdf976cbb5aa9054410c17e23cdaea3831e074084b7f16943300a9b2db"),
+    ])
+    def test_config_hash_pinned(self, name, expected):
+        assert run_exhibit(name).config_hash == expected
 
 
 class TestExhibitNumbers:

@@ -81,10 +81,6 @@ class TestSuccessorSupport:
         k = kernel_from_rows([[0.9, 0.1, 0.0], [1, 0, 0], [0, 0, 1]])
         assert successor_support(k, 0, 0) == {0, 1}
 
-    def test_epsilon_threshold(self):
-        k = kernel_from_rows([[1 - 1e-15, 1e-15, 0], [1, 0, 0], [0, 0, 1]])
-        assert successor_support(k, 0, 0, epsilon=1e-12) == {0}
-
     def test_default_support_is_exact(self):
         k = kernel_from_rows([[1 - 1e-15, 1e-15, 0], [1, 0, 0], [0, 0, 1]])
         assert successor_support(k, 0, 0) == {0, 1}
@@ -96,14 +92,6 @@ class TestSuccessorSupport:
         k = kernel_from_rows(np.eye(2))
         with pytest.raises(IndexError):
             successor_support(k, 2, 0)
-
-    def test_monotone_in_epsilon(self, rng):
-        k = random_kernel(rng, 6, 2)
-        for a in range(2):
-            for s in range(6):
-                lo = successor_support(k, s, a, epsilon=1e-12)
-                hi = successor_support(k, s, a, epsilon=0.05)
-                assert hi <= lo
 
 
 class TestPolicyClosure:
