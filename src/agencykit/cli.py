@@ -112,10 +112,13 @@ def _cmd_audit(args) -> int:
 
 
 def _load_exhibit_artifact(directory: Path, exhibit: str) -> tuple[Path, object] | None:
-    """The first readable artifact of ``exhibit``, as (path, parsed JSON)."""
+    """The first readable artifact of ``exhibit``, as (path, parsed JSON).
+
+    The stable copy ``generated/<exhibit>.json`` comes first; when it is
+    missing or unreadable, the hashed ``<exhibit>_*.json`` files follow.
+    """
     stable = directory / "generated" / f"{exhibit}.json"
-    candidates = [stable] if stable.exists() else sorted(directory.glob(f"{exhibit}_*.json"))
-    for path in candidates:
+    for path in [stable, *sorted(directory.glob(f"{exhibit}_*.json"))]:
         try:
             return path, json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):

@@ -64,8 +64,8 @@ def rollout_output_distribution(
 ) -> np.ndarray:
     """Exact push-forward of delta_{s0} through an action sequence, then the lens.
 
-    Uses the same pushes as ``_batched_sequence_rows``, so the result is
-    bit-identical to that sequence's row there.
+    Pushes one column with the same ``pull`` as ``_batched_sequence_rows``,
+    so the result is bit-identical to that sequence's row there.
     """
     actions = tuple(alpha)
     if len(actions) < 1:
@@ -278,7 +278,16 @@ def _batched_sequence_rows(
     last step straight into labels; returns an array of shape
     (A**H, len(states), n_labels) whose row n is the sequence with base-A
     digits n. Each column is bit-identical to the rollout of its start state
-    alone (see ``pull``).
+    alone (see ``pull``), so grouping columns differently never changes a row.
+
+    The walk is depth-first over the top of the tree and breadth-first below.
+    A node at depth d splits into its A children while ``d < H - 2`` and
+    ``S > L * A**d``; otherwise its whole subtree is pushed level by level,
+    one ``pull`` per level over all of its prefixes' columns side by side,
+    and one last ``pull`` fills that subtree's block of rows. The split rule
+    depends only on S, L, A and H, and it bounds the breadth-first frontier,
+    (S, A**(H-1-d) * m), by the larger of two arrays the walk allocates
+    anyway: the node's own one-step output (A * S, m) or 1/A of ``rows``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -290,22 +299,27 @@ def _batched_sequence_rows(
     D0 = np.zeros((n_states, m))
     D0[states, np.arange(m)] = 1.0
 
-    # depth-first over the sequence tree; each node carries its prefix number,
-    # and each last-step node fills the rows of its n_actions sequences. Only
-    # the stacked views hold a push's children, so each is freed once its
-    # last child is done
+    # each node carries its prefix number; only the stacked views hold a
+    # split's children, so each is freed once its subtree is done
     rows = np.empty((n_actions**horizon, m, n_labels))
     stack = [(0, 0, D0)]
     while stack:
         depth, prefix, D = stack.pop()
-        if depth == horizon - 1:
-            out = pull(last, D).reshape(n_actions, n_labels, m)
-            rows[prefix * n_actions : (prefix + 1) * n_actions] = out.transpose(0, 2, 1)
+        if depth < horizon - 2 and n_states > n_labels * n_actions**depth:
+            stack += [
+                (depth + 1, prefix * n_actions + a, child)
+                for a, child in enumerate(pull(step, D).reshape(n_actions, n_states, m))
+            ]
             continue
-        stack += [
-            (depth + 1, prefix * n_actions + a, child)
-            for a, child in enumerate(pull(step, D).reshape(n_actions, n_states, m))
-        ]
+        # D's columns are (subtree prefix, start state), prefix-major
+        width = 1
+        for _ in range(depth, horizon - 1):
+            out = pull(step, D).reshape(n_actions, n_states, width, m)
+            D = out.transpose(1, 2, 0, 3).reshape(n_states, width * n_actions * m)
+            width *= n_actions
+        block = rows[prefix * width * n_actions : (prefix + 1) * width * n_actions]
+        out = pull(last, D).reshape(n_actions, n_labels, width, m)
+        block.reshape(width, n_actions, m, n_labels)[...] = out.transpose(2, 0, 3, 1)
     return rows
 
 

@@ -42,11 +42,11 @@ def pack_rows(
 def _successor_lists(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Padded successor lists of a dense (A, S, S) tensor, in target order."""
     n_actions, n_states, _ = probs.shape
-    # np.nonzero is row-major, so each (a, s) row's entries are contiguous
-    a, s, t = np.nonzero(probs)
-    succ, weights = pack_rows(
-        a * n_states + s, t, probs[a, s, t], np.tile(np.arange(n_states), n_actions)
-    )
+    # flat indices are row-major, so each (a, s) row's entries are contiguous
+    values = probs.reshape(-1)
+    flat = np.flatnonzero(values)
+    row, t = np.divmod(flat, n_states)
+    succ, weights = pack_rows(row, t, values[flat], np.tile(np.arange(n_states), n_actions))
     return succ.reshape(n_actions, n_states, -1), weights.reshape(n_actions, n_states, -1)
 
 

@@ -89,6 +89,14 @@ class TestPlot:
         lines = (tmp_path / "plots" / "nulls.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 5
 
+    def test_unreadable_stable_copy_falls_back_to_hashed(self, tmp_path):
+        assert main(["run", "packaging", "--out", str(tmp_path)]) == 0
+        assert list(tmp_path.glob("packaging_*.json"))
+        (tmp_path / "generated" / "packaging.json").write_text("{broken")
+        assert main(["plot", "packaging", "--dir", str(tmp_path), "--format", "csv"]) == 0
+        lines = (tmp_path / "plots" / "packaging.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 10
+
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     @pytest.mark.parametrize("doc", [
         {"metrics": {}},

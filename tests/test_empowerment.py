@@ -30,7 +30,7 @@ from agencykit.experiments import (
     maintenance_economy_config,
 )
 from agencykit.feasibility import FeasibilityGate, feasible_sequences
-from agencykit.kernel import ControlledKernel
+from agencykit.kernel import ControlledKernel, pull
 from agencykit.viability import viability_kernel
 from conftest import random_gate, random_kernel
 from oracles import (
@@ -73,6 +73,33 @@ class TestRollout:
             tracemalloc.stop()
             gc.enable()
         assert left < size / 10
+
+    @pytest.mark.parametrize("n_states, n_labels, pulls", [
+        (4, 5, 4),  # S <= L: breadth-first from the root, one pull per level
+        (9, 2, 11),  # S > L * A**(H - 3): split down to depth H - 2 = 2
+    ])
+    def test_walk_branches_match_single_rollouts(self, rng, monkeypatch, n_states, n_labels,
+                                                 pulls):
+        n_actions, horizon = 2, 4
+        k = random_kernel(rng, n_states, n_actions)
+        f = Lens(name="random", project=rng.randint(0, n_labels, size=n_states),
+                 n_labels=n_labels)
+        states = np.arange(n_states)
+        calls = []
+
+        def counted_pull(*args):
+            calls.append(None)
+            return pull(*args)
+
+        monkeypatch.setattr(empowerment, "pull", counted_pull)
+        rows = _batched_sequence_rows(k, horizon, f, states)
+        assert len(calls) == pulls
+        seqs = feasible_sequences(zero_gate(n_states, n_actions), 0, horizon)
+        assert rows.shape == (len(seqs), n_states, n_labels)
+        for j, alpha in enumerate(seqs):
+            for s in states:
+                out = rollout_output_distribution(k, int(s), alpha, f)
+                assert out.tobytes() == rows[j, s].tobytes()
 
     def test_deterministic_kernel_delta_output(self):
         k = single_matrix_kernel([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
@@ -286,12 +313,16 @@ class TestTranslationOrbits:
         assert is_identity(_translation_orbits(env.kernel, env.gate, mirrored))
 
     def test_shifted_rollouts_are_rolled_bit_for_bit(self):
-        for cfg in (holonomy_config("paper", False), ablation_configs("paper")["learn_on"]):
+        # H = 4 and 5 on the holonomy ring walk breadth-first below depth 2
+        for cfg, horizons in (
+            (holonomy_config("paper", False), (1, 2, 3, 4, 5)),
+            (ablation_configs("paper")["learn_on"], (1, 2, 3)),
+        ):
             env = build_ringworld(cfg)
             k, f = env.kernel, env.output_lens
             period = env.n_states // cfg.ring_size
             states = np.arange(env.n_states)
-            for horizon in (1, 2, 3):
+            for horizon in horizons:
                 rows = _batched_sequence_rows(k, horizon, f, states)
                 reps = _batched_sequence_rows(k, horizon, f, np.arange(period))
                 for s in states:

@@ -143,23 +143,26 @@ class TestRollouts:
 
     def test_per_state_rollouts_are_columns_of_the_batch(self, rng):
         # one push primitive for both paths: a start state's rows do not
-        # depend on which other start states share the batch
-        envs = [build_ringworld(RING_CONFIGS["holonomy_on"])]
-        cases = [(e.kernel, e.output_lens) for e in envs]
+        # depend on which other start states share the batch. On the holonomy
+        # ring (S = 192, L = 16, A = 4), H = 4 and H = 5 walk breadth-first
+        # below depth 2
+        env = build_ringworld(RING_CONFIGS["holonomy_on"])
+        cases = [(env.kernel, env.output_lens, (1, 2, 3, 4, 5))]
         for _ in range(5):
             n = rng.randint(2, 10)
             cases.append((random_kernel(rng, n, rng.randint(1, 4)),
-                          Lens(name="random", project=rng.randint(0, 3, size=n), n_labels=3)))
-        for k, f in cases:
+                          Lens(name="random", project=rng.randint(0, 3, size=n), n_labels=3),
+                          (1, 2, 3)))
+        for k, f, horizons in cases:
             states = np.linspace(0, k.n_states - 1, min(k.n_states, 12)).astype(np.int64)
             free = FeasibilityGate(ledger=np.zeros(k.n_states), costs=np.zeros(k.n_actions))
-            for horizon in (1, 2, 3):
+            for horizon in horizons:
                 rows = _batched_sequence_rows(k, horizon, f, states)
                 seqs = feasible_sequences(free, 0, horizon)
                 for i, s in enumerate(states):
                     channel = build_channel(k, free, int(s), horizon, f)
                     np.testing.assert_array_equal(channel, rows[:, i])
-                    for j in (0, len(seqs) - 1):
+                    for j in (0, len(seqs) // 3, len(seqs) - 1):
                         out = rollout_output_distribution(k, int(s), seqs[j], f)
                         np.testing.assert_array_equal(out, rows[j, i])
 

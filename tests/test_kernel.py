@@ -4,6 +4,7 @@ import pytest
 from agencykit.kernel import (
     ControlledKernel,
     Policy,
+    pack_rows,
     policy_closure,
     step_distribution,
     successor_support,
@@ -70,6 +71,42 @@ class TestStepDistribution:
         k = kernel_from_rows(np.eye(2))
         with pytest.raises(ValueError):
             step_distribution(k, [0.5, 0.4], 0)
+
+
+def nonzero_successor_lists(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dense conversion by a 3-d ``np.nonzero``, as an independent reference."""
+    n_actions, n_states, _ = probs.shape
+    a, s, t = np.nonzero(probs)
+    succ, weights = pack_rows(
+        a * n_states + s, t, probs[a, s, t], np.tile(np.arange(n_states), n_actions)
+    )
+    return succ.reshape(n_actions, n_states, -1), weights.reshape(n_actions, n_states, -1)
+
+
+class TestDenseConversion:
+    def assert_matches_nonzero(self, probs):
+        k = ControlledKernel(n_states=probs.shape[1], n_actions=probs.shape[0], probs=probs)
+        succ, weights = nonzero_successor_lists(np.asarray(probs, dtype=np.float64))
+        assert k.succ.tobytes() == succ.tobytes() and k.succ.shape == succ.shape
+        assert k.weights.tobytes() == weights.tobytes()
+
+    def test_negative_zero_and_one_entry_rows(self):
+        probs = np.array([
+            [[-0.0, 1.0, 0.0], [0.25, -0.0, 0.75], [0.0, 0.0, 1.0]],
+            [[1.0, -0.0, -0.0], [0.5, 0.25, 0.25], [-0.0, 1.0, 0.0]],
+        ])
+        self.assert_matches_nonzero(probs)
+        k = ControlledKernel(n_states=3, n_actions=2, probs=probs)
+        assert k.weights[0, 0].tolist() == [1.0, 0.0, 0.0]
+        assert k.succ[0, 0].tolist() == [1, 0, 0]
+        assert not np.signbit(k.weights).any()
+
+    def test_random_kernels(self, rng):
+        for n_states, n_actions in [(1, 1), (5, 2), (17, 3)]:
+            probs = random_kernel(rng, n_states, n_actions).dense()
+            self.assert_matches_nonzero(probs)
+            # a non-contiguous view converts like its contiguous copy
+            self.assert_matches_nonzero(np.asfortranarray(probs))
 
 
 class TestSuccessorSupport:
