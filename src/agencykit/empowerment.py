@@ -22,6 +22,7 @@ MASS_TOLERANCE = 1e-10
 
 BA_DEFAULT_TOL = 1e-9
 BA_DEFAULT_MAX_ITER = 10000
+SMALLEST_NORMAL = np.finfo(np.float64).tiny  # 2**-1022
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,15 @@ def channel_capacities(
     channel's rows contiguous, and leave it once they stop. Every step is
     elementwise, per row or per channel segment, so a channel's arithmetic and
     result do not depend on which other channels share the call.
+
+    After each normalisation, input mass below 2**-1022 (the smallest normal
+    double) is set to exactly 0. Such a row adds less than 2**-1022 to any
+    output marginal, and q is floored at 1e-300 anyway, so the flush does not
+    move the other rows' iterates. It cannot certify a wrong value either:
+    the upper bound is still the maximum of D(W_x || q) over every row,
+    flushed ones included, so a row the optimum needed could only hold the
+    gap open. The flush exists because arithmetic on subnormal operands runs
+    several times slower and numpy has no flush-to-zero mode.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -214,6 +224,8 @@ def channel_capacities(
         # multiplicative update p <- p * 2^D, normalized per channel
         scaled = p * np.exp2(D - upper.take(seg))
         p = scaled / np.add.reduceat(scaled, starts).take(seg)
+        # flush subnormal input mass to zero (see the docstring)
+        np.putmask(p, p < SMALLEST_NORMAL, 0.0)
     return results
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ROW_SUM_TOLERANCE = 1e-12
+SCAN_CHUNK = 1 << 16  # entries of a dense tensor scanned per nonzero search
 
 
 def pack_rows(
@@ -42,9 +43,14 @@ def pack_rows(
 def _successor_lists(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Padded successor lists of a dense (A, S, S) tensor, in target order."""
     n_actions, n_states, _ = probs.shape
-    # flat indices are row-major, so each (a, s) row's entries are contiguous
+    # flat indices are row-major, so each (a, s) row's entries are contiguous;
+    # a bool scan is several times faster than a float one, and fixed chunks
+    # keep its mask small whatever S is
     values = probs.reshape(-1)
-    flat = np.flatnonzero(values)
+    flat = np.concatenate([
+        start + np.flatnonzero(values[start : start + SCAN_CHUNK] != 0)
+        for start in range(0, values.size, SCAN_CHUNK)
+    ])
     row, t = np.divmod(flat, n_states)
     succ, weights = pack_rows(row, t, values[flat], np.tile(np.arange(n_states), n_actions))
     return succ.reshape(n_actions, n_states, -1), weights.reshape(n_actions, n_states, -1)

@@ -27,6 +27,13 @@ def mutual_information_bits(p: np.ndarray, W: np.ndarray) -> float:
     return entropy_bits(p @ W) - float(p @ row_entropies)
 
 
+def row_divergences_bits(W: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(W_x || q) in bits for every row x of W."""
+    return np.array([
+        sum(w * np.log2(w / qj) for w, qj in zip(row, q) if w > 0) for row in W
+    ])
+
+
 def grid_search_capacity(W: np.ndarray, step: float = 1e-3) -> float:
     """Capacity by dense enumeration of input distributions (<= 3 rows)."""
     W = np.asarray(W, dtype=np.float64)
@@ -70,10 +77,7 @@ def blahut_arimoto_capacity(W: np.ndarray, tol: float = 1e-10,
         return 0.0
     p = np.full(m, 1.0 / m)
     for _ in range(max_iter):
-        q = p @ W
-        D = np.array([
-            sum(w * np.log2(w / qj) for w, qj in zip(row, q) if w > 0) for row in W
-        ])
+        D = row_divergences_bits(W, p @ W)
         lower = float(p @ D)
         if D.max() - lower <= tol:
             return lower

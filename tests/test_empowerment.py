@@ -7,6 +7,7 @@ import pytest
 
 from agencykit import empowerment
 from agencykit.empowerment import (
+    BA_DEFAULT_TOL,
     Lens,
     _batched_sequence_rows,
     _feasible_channels,
@@ -38,6 +39,8 @@ from oracles import (
     bsc_capacity,
     dense_sequence_rows,
     grid_search_capacity,
+    mutual_information_bits,
+    row_divergences_bits,
 )
 
 
@@ -433,6 +436,24 @@ class TestChannelCapacities:
     def test_mismatched_label_counts_rejected(self, rng):
         with pytest.raises(ValueError, match="output alphabet"):
             channel_capacities([rng.dirichlet(np.ones(3), size=2), rng.dirichlet(np.ones(4), size=2)])
+
+    def test_subnormal_input_mass_is_flushed(self, rng):
+        # two of this channel's six rows are dominated, and their mass falls
+        # below 2**-1022 during the 3149-iteration solve
+        tiny = np.finfo(np.float64).tiny
+        W = np.random.RandomState(51).dirichlet([0.5, 0.5], size=6)
+        res = channel_capacity(W)
+        p = res.input_distribution
+        assert np.count_nonzero(p == 0) == 2
+        assert not np.any((p > 0) & (p < tiny))
+        others = [rng.dirichlet(np.ones(2), size=n) for n in (3, 7)]
+        batched = channel_capacities([others[0], W, others[1]])[1]
+        self.assert_same(batched, res)
+        assert batched.input_distribution.tobytes() == p.tobytes()
+        # the gap is still taken over every row, the flushed ones included
+        upper = row_divergences_bits(W, p @ W).max()
+        assert res.gap == pytest.approx(upper - mutual_information_bits(p, W), abs=1e-12)
+        assert abs(res.capacity_bits - blahut_arimoto_capacity(W)) <= 2 * BA_DEFAULT_TOL
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="max_iter"):

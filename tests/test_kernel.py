@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from agencykit.kernel import (
+    SCAN_CHUNK,
     ControlledKernel,
     Policy,
     pack_rows,
@@ -107,6 +108,19 @@ class TestDenseConversion:
             self.assert_matches_nonzero(probs)
             # a non-contiguous view converts like its contiguous copy
             self.assert_matches_nonzero(np.asfortranarray(probs))
+
+    def test_entries_on_scan_chunk_edges(self, rng):
+        # 2 * 300**2 = 180,000 entries: two full scan chunks and a partial one
+        n_actions, n_states = 2, 300
+        size = n_actions * n_states**2
+        values = np.where(rng.rand(size) < 1e-3, rng.rand(size), 0.0)
+        starts = np.arange(0, size, SCAN_CHUNK)
+        ends = np.minimum(starts + SCAN_CHUNK, size) - 1
+        assert size % SCAN_CHUNK and len(starts) == 3
+        values[np.concatenate([starts + 1, ends - 1, rng.randint(0, size, 50)])] = -0.0
+        values[np.concatenate([starts, ends])] = 0.5
+        probs = values.reshape(n_actions, n_states, n_states)
+        self.assert_matches_nonzero(probs)
 
 
 class TestSuccessorSupport:
