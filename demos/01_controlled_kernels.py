@@ -1,8 +1,9 @@
 """Controlled stochastic kernels: construction, validation, one-step algebra.
 
-A controlled kernel is a stack of row-stochastic matrices, one per action.
-This demo builds a tiny 3-state example by hand and walks through the core
-operations: validation, stepping a distribution, successor supports, and
+A controlled kernel is a stack of row-stochastic matrices, one per action,
+stored as padded successor lists. This demo builds a tiny 3-state example by
+hand and walks through the core operations: validation, the successor lists
+themselves, pushing a distribution one step under every action at once, and
 closing the kernel under a policy.
 """
 
@@ -11,43 +12,47 @@ import numpy as np
 from agencykit.kernel import (
     ControlledKernel,
     Policy,
-    policy_closure,
-    step_distribution,
-    successor_support,
+    policy_successors,
+    predecessor_lists,
+    pull,
     validate_kernel,
 )
 
-# Two actions on three states: STAY is the identity, DRIFT moves right with
-# probability 0.75 and stays put otherwise.
+# Two actions on three states: STAY (action 0) is the identity, DRIFT
+# (action 1) moves right with probability 0.75 and stays put otherwise.
+STAY, DRIFT = 0, 1
 stay = np.eye(3)
 drift = np.array([
     [0.25, 0.75, 0.00],
     [0.00, 0.25, 0.75],
     [0.75, 0.00, 0.25],
 ])
-kernel = ControlledKernel(
-    n_states=3,
-    n_actions=2,
-    probs=np.stack([stay, drift]),
-    action_names=("STAY", "DRIFT"),
-)
+kernel = ControlledKernel(n_states=3, n_actions=2, probs=np.stack([stay, drift]))
 
 report = validate_kernel(kernel)
 print("kernel is valid:", report.ok)
 
-# Push a point mass at state 0 through two DRIFT steps.
+# The dense tensor is converted once into successor lists; the slots with
+# nonzero weight are the worst-case outcome sets used by viability.
+for a, name in ((DRIFT, "DRIFT"), (STAY, "STAY")):
+    live = kernel.weights[a, 0] > 0
+    print(f"successors of (state 0, {name}):", kernel.succ[a, 0][live].tolist(),
+          "with weights", kernel.weights[a, 0][live].tolist())
+
+# Push a point mass at state 0 through two DRIFT steps. One pull steps the
+# distribution under every action at once; row DRIFT is the one we follow.
+step = predecessor_lists(kernel)
 d = np.array([1.0, 0.0, 0.0])
-for step in range(2):
-    d = step_distribution(kernel, d, kernel.action_index("DRIFT"))
-    print(f"after DRIFT step {step + 1}: {np.round(d, 4)}")
+for t in range(2):
+    d = pull(step, d[:, None]).reshape(kernel.n_actions, kernel.n_states)[DRIFT]
+    print(f"after DRIFT step {t + 1}: {np.round(d, 4)}")
 
-# Successor supports are the worst-case outcome sets used by viability.
-print("support of (state 0, DRIFT):", successor_support(kernel, 0, 1))
-print("support of (state 0, STAY): ", successor_support(kernel, 0, 0))
-
-# A stochastic policy mixes the action matrices row by row.
+# A stochastic policy mixes the actions state by state; the closed chain is
+# again a set of successor lists, one slot per (action, successor).
 mu = Policy(kind="stochastic", table={s: np.array([0.5, 0.5]) for s in range(3)})
-T = policy_closure(kernel, mu)
+succ, weights = policy_successors(kernel, mu)
+T = np.zeros((3, 3))
+np.add.at(T, (np.arange(3)[:, None], succ), weights)
 print("half-and-half policy closure:")
 print(np.round(T, 4))
 

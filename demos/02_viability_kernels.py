@@ -20,8 +20,7 @@ right = np.zeros((n, n))
 for s in range(n):
     left[s, max(s - 1, 0)] = 1.0
     right[s, min(s + 1, n - 1)] = 1.0
-corridor = ControlledKernel(n_states=n, n_actions=2, probs=np.stack([left, right]),
-                            action_names=("LEFT", "RIGHT"))
+corridor = ControlledKernel(n_states=n, n_actions=2, probs=np.stack([left, right]))
 gate = FeasibilityGate(ledger=np.ones(n), costs=np.zeros(2))
 safe = SafetyPredicate(safe=np.array([False, True, True, True, False]), name="not_lava")
 

@@ -7,14 +7,18 @@ E(E(x)) != E(x) is the idempotence defect: zero means the labels compose like
 stable objects, one means the lens fails to package anything.
 """
 
+import numpy as np
+
 from agencykit.environments import RingWorldConfig, build_ringworld
-from agencykit.packaging import fiber, idempotence_defect, packaging_endomap
+from agencykit.packaging import idempotence_defect, packaging_endomap
 
 cfg = RingWorldConfig()  # movement costs 2, repair costs 1, income on phase wrap
 env = build_ringworld(cfg)
 
 print(f"macro lens '{env.macro_lens.name}' has {env.macro_lens.n_labels} labels;")
-print(f"each fiber hides the damage bit: |fiber(0)| = {len(fiber(env.macro_lens, 0))}")
+fiber = np.flatnonzero(env.macro_lens.project == 0)
+damage = env.state_fields[1, fiber]  # field 1 is the damage bit u
+print(f"each fiber hides the damage bit: fiber(0) = {fiber.tolist()}, u = {damage.tolist()}")
 
 print("\ndefect by horizon (repair policy vs always-right policy):")
 print(" tau   repair_on   repair_off")
@@ -34,7 +38,7 @@ Odd horizons are never idempotent because the phase coordinate is mid-cycle.
 
 e = packaging_endomap(env.kernel, env.macro_lens,
                       env.policies["repair_then_right"], 2, "repair_then_right")
-sample = sorted(e.mapping)[:6]
+sample = e.domain[:6]
 print("sample of the tau=2 endomap (label -> label, modal mass):")
 for x in sample:
     print(f"  {x:3d} -> {e.mapping[x]:3d}   mass {e.reach_mass[x]:.3f}")

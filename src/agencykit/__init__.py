@@ -14,7 +14,7 @@ Provides:
 """
 
 from agencykit.kernel import ControlledKernel, Policy, validate_kernel
-from agencykit.feasibility import FeasibilityGate
+from agencykit.feasibility import FeasibilityGate, feasible_sequences
 from agencykit.viability import SafetyPredicate, viability_kernel
 from agencykit.empowerment import Lens, channel_capacity, feasible_empowerment
 from agencykit.packaging import packaging_endomap, idempotence_defect
@@ -27,6 +27,7 @@ __all__ = [
     "Policy",
     "validate_kernel",
     "FeasibilityGate",
+    "feasible_sequences",
     "SafetyPredicate",
     "viability_kernel",
     "Lens",

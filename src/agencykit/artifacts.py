@@ -179,7 +179,7 @@ def _check_probability_object(value) -> str | None:
     """Entries must lie in [0, 1]; distribution vectors and each row sum to 1."""
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         return f"not a numeric array ({exc})"
     if arr.ndim == 0:
         return f"a scalar ({value!r}), not a distribution or rows"
@@ -205,7 +205,7 @@ def _check_solver(metrics) -> str | None:
     try:
         gap = float(solver["max_gap_bits"])
         tol = float(solver["capacity_tol_bits"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return f"malformed solver block ({exc!r})"
     if not gap <= tol:
         return f"max_gap_bits {gap!r} exceeds capacity_tol_bits {tol!r}"
@@ -219,8 +219,8 @@ def audit(directory: str | Path, strict: bool = True) -> AuditReport:
     config, scans tagged probability objects for stochasticity violations,
     checks that a ``solver`` block's certified capacity gap is within its
     tolerance, and checks filename/hash consistency (a warning instead of a
-    failure when ``strict`` is off). Unreadable or malformed files become
-    failure entries, not crashes.
+    failure when ``strict`` is off). Unreadable or malformed files, nested
+    too deeply to parse or walk included, become failure entries, not crashes.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -228,53 +228,61 @@ def audit(directory: str | Path, strict: bool = True) -> AuditReport:
     report = AuditReport(files_checked=0)
     for path in sorted(directory.glob("*.json")):
         report.files_checked += 1
-        name = str(path)
         try:
-            raw = path.read_text(encoding="utf-8")
-            record = json.loads(raw, parse_constant=_reject_constant)
-        except (OSError, ValueError) as exc:
-            report.failures.append((name, "unreadable", str(exc)))
-            continue
-
-        if not isinstance(record, dict):
-            report.failures.append((name, "missing_fields", "file is not a JSON object"))
-            continue
-        missing = [f for f in REQUIRED_FIELDS if f not in record]
-        if missing:
-            report.failures.append((name, "missing_fields", ", ".join(missing)))
-            continue
-
-        try:
-            expected = config_hash(record["config"])
-        except ValueError as exc:
-            report.failures.append((name, "config_not_serializable", str(exc)))
-            continue
-        stored = record["config_hash"]
-        if not isinstance(stored, str):
-            report.failures.append(
-                (name, "config_hash_mismatch", f"stored {stored!r} is not a hex string")
-            )
-        elif stored != expected:
-            report.failures.append(
-                (name, "config_hash_mismatch", f"stored {stored[:12]}..., recomputed {expected[:12]}...")
-            )
-
-        for tree_path, value in _iter_probability_objects(record["metrics"]):
-            problem = _check_probability_object(value)
-            if problem is not None:
-                report.failures.append((name, "stochasticity", f"{tree_path}: {problem}"))
-
-        problem = _check_solver(record["metrics"])
-        if problem is not None:
-            report.failures.append((name, "uncertified_capacity", f"$.metrics.solver: {problem}"))
-
-        if not isinstance(stored, str):
-            continue
-        expected_name = f"{record['artifact_type']}_{stored[:12]}.json"
-        if path.name != expected_name:
-            entry = (name, "filename_hash_prefix", f"expected {expected_name}")
-            if strict:
-                report.failures.append(entry)
-            else:
-                report.warnings.append(entry)
+            _audit_file(path, strict, report)
+        except RecursionError:
+            report.failures.append((str(path), "too_deep", "nesting exceeds the recursion limit"))
     return report
+
+
+def _audit_file(path: Path, strict: bool, report: AuditReport) -> None:
+    """Append the failures and warnings of one artifact file to ``report``."""
+    name = str(path)
+    try:
+        raw = path.read_text(encoding="utf-8")
+        record = json.loads(raw, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
+        report.failures.append((name, "unreadable", str(exc)))
+        return
+
+    if not isinstance(record, dict):
+        report.failures.append((name, "missing_fields", "file is not a JSON object"))
+        return
+    missing = [f for f in REQUIRED_FIELDS if f not in record]
+    if missing:
+        report.failures.append((name, "missing_fields", ", ".join(missing)))
+        return
+
+    try:
+        expected = config_hash(record["config"])
+    except ValueError as exc:
+        report.failures.append((name, "config_not_serializable", str(exc)))
+        return
+    stored = record["config_hash"]
+    if not isinstance(stored, str):
+        report.failures.append(
+            (name, "config_hash_mismatch", f"stored {stored!r} is not a hex string")
+        )
+    elif stored != expected:
+        report.failures.append(
+            (name, "config_hash_mismatch", f"stored {stored[:12]}..., recomputed {expected[:12]}...")
+        )
+
+    for tree_path, value in _iter_probability_objects(record["metrics"]):
+        problem = _check_probability_object(value)
+        if problem is not None:
+            report.failures.append((name, "stochasticity", f"{tree_path}: {problem}"))
+
+    problem = _check_solver(record["metrics"])
+    if problem is not None:
+        report.failures.append((name, "uncertified_capacity", f"$.metrics.solver: {problem}"))
+
+    if not isinstance(stored, str):
+        return
+    expected_name = f"{record['artifact_type']}_{stored[:12]}.json"
+    if path.name != expected_name:
+        entry = (name, "filename_hash_prefix", f"expected {expected_name}")
+        if strict:
+            report.failures.append(entry)
+        else:
+            report.warnings.append(entry)

@@ -121,7 +121,7 @@ def _load_exhibit_artifact(directory: Path, exhibit: str) -> tuple[Path, object]
     for path in [stable, *sorted(directory.glob(f"{exhibit}_*.json"))]:
         try:
             return path, json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             continue
     return None
 
@@ -228,7 +228,7 @@ def _cmd_plot(args) -> int:
         rows = _plot_series(record, args.exhibit)
         if not rows:
             raise ValueError("no data rows")
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         print(f"error: malformed artifact {path}: {exc!r}", file=sys.stderr)
         return EXIT_USAGE
     plot_dir = directory / "plots"

@@ -7,7 +7,9 @@ skill sector ``theta``. State indices use the mixed-radix encoding
     idx = (((y * 2 + u) * m_phi + phi) * (ledger_max + 1) + r) * theta_levels + theta
 
 (theta_levels = 1 when learning is off). The encoding is echoed into every
-artifact as a machine-readable ``state_layout`` block.
+artifact as a machine-readable ``state_layout`` block, and the decoded digits
+of every state are kept as the read-only (5, S) array
+``Environment.state_fields``.
 
 Per-step dynamics, composed in this fixed order:
 
@@ -25,9 +27,10 @@ Per-step dynamics, composed in this fixed order:
    + ledger_gain * [income due], 0, ledger_max), where income is due every
    step when ``gain_every_step`` else only on phase wrap (new phi == 0).
 
-A step's branch masses depend only on the executed action, u and theta; phi
-and r only decide where each branch lands. So each (executed action, u,
-theta) gets one table of ((moved, u'), mass) branches, summed in exact
+A step's branch masses depend only on whether the executed action moves or
+repairs, on u and on theta; the direction of a move, phi and r only decide
+where each branch lands. So each (movement kind, u, theta) gets one table of
+((moved, u'), mass) branches, summed in exact
 rational arithmetic and converted to float once, with the largest mass set to
 1 - (float sum of the others) so every row sums to exactly 1.0. The targets
 are integer numpy arithmetic on the decoded state fields, and the same tables
@@ -72,7 +75,6 @@ class RingWorldConfig:
     repair_enabled: bool = True
     learning_on: bool = False
     theta_levels: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if self.ring_size < 3:
@@ -121,32 +123,33 @@ class Environment:
     policies: dict[str, Policy]
     config_echo: dict
     state_layout: dict
-    state_tuples: tuple = field(default=(), repr=False)
+    # ring worlds: read-only (5, S) array of every state's decoded fields
+    state_fields: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_states(self) -> int:
         return self.kernel.n_states
 
 
-def _branch_masses(cfg: RingWorldConfig, e: int, u: int, theta: int) -> list:
+def _branch_masses(cfg: RingWorldConfig, moves: bool, repairs: bool, u: int, theta: int) -> list:
     """Exact ((moved, u'), mass) branches of one step, by ascending mass.
 
-    The masses depend only on the executed action ``e``, the damage bit and
-    the skill level; phase and ledger only decide where a branch lands. Ties
-    keep the order in which the branches are first reached.
+    The masses depend only on whether the executed action moves or repairs,
+    the damage bit and the skill level; the direction of a move, phase and
+    ledger only decide where a branch lands. Ties keep the order in which the
+    branches are first reached.
     """
     slip = Fraction(cfg.p_slip)
     if cfg.learning_on:
         slip *= 1 - Fraction(theta, cfg.theta_levels - 1)
     flip, q = Fraction(cfg.p_flip), Fraction(cfg.repair_success)
-    moves = [(1, 1 - slip), (0, slip)] if e in (LEFT, RIGHT) else [(0, Fraction(1))]
+    displacements = [(1, 1 - slip), (0, slip)] if moves else [(0, Fraction(1))]
     flips = [(1, flip), (0, 1 - flip)] if u == 0 else [(1, Fraction(1))]
     masses: dict[tuple[int, int], Fraction] = {}
-    for moved, p_move in moves:
+    for moved, p_move in displacements:
         for u1, p_flip in flips:
-            repairs = ([(0, q), (1, 1 - q)] if e == REPAIR and cfg.repair_enabled and u1 == 1
-                       else [(u1, Fraction(1))])
-            for u2, p_rep in repairs:
+            outcomes = [(0, q), (1, 1 - q)] if repairs and u1 == 1 else [(u1, Fraction(1))]
+            for u2, p_rep in outcomes:
                 if mass := p_move * p_flip * p_rep:
                     masses[moved, u2] = masses.get((moved, u2), 0) + mass
     assert sum(masses.values()) == 1
@@ -156,12 +159,19 @@ def _branch_masses(cfg: RingWorldConfig, e: int, u: int, theta: int) -> list:
 def _ring_transitions(cfg: RingWorldConfig, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Padded successor lists (succ, weights) for every (action, state) pair.
 
-    Row (a, s) takes the float table of its executed action, u and theta, so
-    every ring position carries bit-identical weights in the same slot order.
-    Targets are integer arithmetic on the fields of one ring position (y = 0),
-    shifted around the ring.
+    Row (a, s) takes the float table of its executed action's movement kind,
+    u and theta, so every ring position carries bit-identical weights in the
+    same slot order. Targets are integer arithmetic on the fields of one ring
+    position (y = 0), shifted around the ring.
     """
-    keys = list(itertools.product(range(len(ACTION_NAMES)), range(2), range(cfg.n_theta)))
+    # (moves, repairs) of each executed action: LEFT and RIGHT share a table,
+    # and so do REPAIR and NOOP when repair is disabled
+    kinds = [(e in (LEFT, RIGHT), e == REPAIR and cfg.repair_enabled)
+             for e in range(len(ACTION_NAMES))]
+    distinct = sorted(set(kinds))
+    kind_of = np.array([distinct.index(kind) for kind in kinds])
+    keys = [(*kind, u, theta)
+            for kind, u, theta in itertools.product(distinct, range(2), range(cfg.n_theta))]
     n_branches = np.zeros(len(keys), dtype=np.int64)
     # at most four branches: moved or not, times u'
     moved, u_next = np.zeros((2, len(keys), 4), dtype=np.int64)
@@ -181,7 +191,7 @@ def _ring_transitions(cfg: RingWorldConfig, fields: np.ndarray) -> tuple[np.ndar
     costs = np.array(cfg.costs)
     # infeasible commands collapse to no-ops at this layer
     e = np.where(costs[:, None] <= r, np.arange(len(ACTION_NAMES))[:, None], NOOP)
-    table = (e * 2 + u) * cfg.n_theta + theta
+    table = (kind_of[e] * 2 + u) * cfg.n_theta + theta
     width = n_branches[table].max()
     moved, u_next, weights = moved[table, :width], u_next[table, :width], mass[table, :width]
 
@@ -207,10 +217,10 @@ def build_ringworld(cfg: RingWorldConfig) -> Environment:
     """Construct the full ring-world environment for one configuration."""
     radices = [cfg.ring_size, 2, cfg.phase_period, cfg.ledger_max + 1, cfg.n_theta]
     fields = np.indices(radices).reshape(len(radices), -1)
+    fields.setflags(write=False)
     y, u, phi, r, _ = fields
     succ, weights = _ring_transitions(cfg, fields)
-    kernel = ControlledKernel(cfg.n_states, len(ACTION_NAMES), action_names=ACTION_NAMES,
-                              succ=succ, weights=weights)
+    kernel = ControlledKernel(cfg.n_states, len(ACTION_NAMES), succ=succ, weights=weights)
     use_repair = (u == 1) & cfg.repair_enabled & (cfg.cost_repair <= r)
     return Environment(
         kernel=kernel,
@@ -236,7 +246,7 @@ def build_ringworld(cfg: RingWorldConfig) -> Environment:
             "order": "y slowest, theta fastest",
             "formula": "idx = (((y*2 + u)*m_phi + phi)*(R_max+1) + r)*n_theta + theta",
         },
-        state_tuples=tuple(map(tuple, fields.T.tolist())),
+        state_fields=fields,
     )
 
 
@@ -245,12 +255,11 @@ def ring_state_index(cfg: RingWorldConfig, y: int, u: int, phi: int, r: int, the
     return (((y * 2 + u) * cfg.phase_period + phi) * (cfg.ledger_max + 1) + r) * cfg.n_theta + theta
 
 
-def _null_environment(targets: np.ndarray, names: tuple[str, ...], lens: Lens,
-                      echo: dict, layout: dict) -> Environment:
+def _null_environment(targets: np.ndarray, lens: Lens, echo: dict, layout: dict) -> Environment:
     """Action a moves s to ``targets[a, s]``; zero costs, all safe, first-action policy."""
     n_actions, n = targets.shape
-    kernel = ControlledKernel(n, n_actions, action_names=names,
-                              succ=targets[..., None], weights=np.ones((n_actions, n, 1)))
+    kernel = ControlledKernel(n, n_actions, succ=targets[..., None],
+                              weights=np.ones((n_actions, n, 1)))
     always = SafetyPredicate(safe=np.ones(n, dtype=bool), name="always_safe")
     return Environment(
         kernel=kernel,
@@ -275,7 +284,6 @@ def build_null_single_action() -> Environment:
     n = 4
     return _null_environment(
         ((np.arange(n) + 1) % n)[None],
-        ("STEP",),
         Lens(name="identity", project=np.arange(n), n_labels=n),
         {"environment": "null_single_action", "n_states": n},
         {"fields": ["x"], "radices": [n], "formula": "idx = x"},
@@ -294,19 +302,18 @@ def build_schedule_trap(model: str) -> Environment:
     """
     if model == "wrong":
         # action a sets x = a from either state
-        targets, names = np.array([[0, 0], [1, 1]]), ("SET0", "SET1")
+        targets = np.array([[0, 0], [1, 1]])
         project = np.arange(2)
         layout = {"fields": ["x"], "radices": [2], "formula": "idx = x"}
     elif model == "right":
         # state = (x, s_ext), idx = x*2 + s_ext; x' = s_ext, s_ext' = 1 - s_ext
         project, s_ext = np.divmod(np.arange(4), 2)
-        targets, names = np.tile(s_ext * 2 + 1 - s_ext, (2, 1)), ("A0", "A1")
+        targets = np.tile(s_ext * 2 + 1 - s_ext, (2, 1))
         layout = {"fields": ["x", "s_ext"], "radices": [2, 2], "formula": "idx = x*2 + s_ext"}
     else:
         raise ValueError(f"model must be 'wrong' or 'right', got {model!r}")
     return _null_environment(
         targets,
-        names,
         Lens(name="outside_x", project=project, n_labels=2),
         {"environment": "schedule_trap", "model": model, "n_states": len(project)},
         layout,

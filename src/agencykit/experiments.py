@@ -191,9 +191,9 @@ def run_packaging(profile: str = "paper") -> ArtifactRecord:
             )
             defects[regime].append(idempotence_defect(e))
             endomaps[f"{env.macro_lens.name}|{policy_name}|tau{tau}"] = {
-                "mapping": [e.mapping[x] for x in sorted(e.mapping)],
-                "reach_mass": [e.reach_mass[x] for x in sorted(e.mapping)],
-                "domain": sorted(e.mapping),
+                "mapping": [e.mapping[x] for x in e.domain],
+                "reach_mass": [e.reach_mass[x] for x in e.domain],
+                "domain": e.domain,
             }
 
     i2 = TAU_GRID.index(2)
@@ -428,7 +428,7 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
         cfg = learning_config(profile, p_slip)
         env = build_ringworld(cfg)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
-        fields = dict(zip(env.state_layout["fields"], np.array(env.state_tuples).T),
+        fields = dict(zip(env.state_layout["fields"], env.state_fields),
                       viable=vres.kernel)
         kept = np.logical_and.reduce([fields[k] == v for k, v in restriction.items()])
         meds = [_median(env, np.flatnonzero(kept & (fields["theta"] == theta)), horizon)

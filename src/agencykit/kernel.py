@@ -5,9 +5,8 @@ a state reachable from ``s`` under action ``a`` with probability
 ``weights[a, s, j]``. The width ``j`` is the largest fan-out of any
 (action, state) pair; shorter rows are padded with slots of weight exactly 0
 that point back at ``s``. A dense row-stochastic tensor ``probs[a, s, s']`` is
-accepted as input, converted once and not kept; ``dense()`` rebuilds it for
-small-kernel checks. All state and action spaces are finite
-and indexed by integers; structured labels live in the environment
+accepted as input, converted once and not kept. All state and action spaces
+are finite and indexed by integers; structured labels live in the environment
 constructors, never here.
 """
 
@@ -69,14 +68,12 @@ class ControlledKernel:
     n_actions: int
     succ: np.ndarray
     weights: np.ndarray
-    action_names: tuple[str, ...]
 
     def __init__(
         self,
         n_states: int,
         n_actions: int,
         probs: np.ndarray | None = None,
-        action_names: tuple[str, ...] = (),
         *,
         succ: np.ndarray | None = None,
         weights: np.ndarray | None = None,
@@ -100,19 +97,6 @@ class ControlledKernel:
         object.__setattr__(self, "n_actions", n_actions)
         object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(
-            self, "action_names", tuple(action_names) or tuple(f"a{i}" for i in range(n_actions))
-        )
-
-    def action_index(self, name: str) -> int:
-        return self.action_names.index(name)
-
-    def dense(self) -> np.ndarray:
-        """The (A, S, S) probability tensor; meant for small kernels only."""
-        probs = np.zeros((self.n_actions, self.n_states, self.n_states))
-        a, s, j = np.nonzero(self.weights)
-        np.add.at(probs, (a, s, self.succ[a, s, j]), self.weights[a, s, j])
-        return probs
 
 
 @dataclass(frozen=True)
@@ -201,17 +185,6 @@ def validate_kernel(k: ControlledKernel) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=violations)
 
 
-def validate_distribution(d: np.ndarray, n_states: int, tol: float = ROW_SUM_TOLERANCE) -> None:
-    """Raise ValueError unless ``d`` is a valid distribution over states."""
-    d = np.asarray(d)
-    if d.shape != (n_states,):
-        raise ValueError(f"distribution has shape {d.shape}, expected ({n_states},)")
-    if np.any(d < 0):
-        raise ValueError("distribution has negative entries")
-    if abs(float(d.sum()) - 1.0) > tol:
-        raise ValueError(f"distribution sums to {d.sum()!r}, not 1")
-
-
 def predecessor_lists(
     k: ControlledKernel, target_of: np.ndarray | None = None, n_targets: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -276,33 +249,6 @@ def pull(lists: tuple[np.ndarray, np.ndarray], D: np.ndarray) -> np.ndarray:
     return out
 
 
-def step_distribution(k: ControlledKernel, d: np.ndarray, a: int) -> np.ndarray:
-    """One step of the kernel under action ``a``: ``d'[s'] = sum_s d[s] P[a,s,s']``.
-
-    The result is returned as computed; renormalization is deliberately not
-    performed (a result off by more than tolerance indicates a broken kernel).
-    """
-    if not 0 <= a < k.n_actions:
-        raise IndexError(f"action index {a} out of range [0, {k.n_actions})")
-    validate_distribution(d, k.n_states)
-    d = np.asarray(d, dtype=np.float64)
-    return pull(predecessor_lists(k), d[:, None]).reshape(k.n_actions, k.n_states)[a]
-
-
-def successor_support(k: ControlledKernel, s: int, a: int) -> set[int]:
-    """States reachable from (s, a) with nonzero probability.
-
-    The support is exact: environment constructors build rows from rationals,
-    so a zero is a true zero, and robust viability must see every
-    nonzero-probability successor.
-    """
-    if not 0 <= s < k.n_states:
-        raise IndexError(f"state index {s} out of range [0, {k.n_states})")
-    if not 0 <= a < k.n_actions:
-        raise IndexError(f"action index {a} out of range [0, {k.n_actions})")
-    return set(k.succ[a, s][k.weights[a, s] > 0].tolist())
-
-
 def policy_successors(k: ControlledKernel, mu: Policy) -> tuple[np.ndarray, np.ndarray]:
     """Successor lists of the policy-closed chain, shape (S, A*k) each.
 
@@ -317,15 +263,3 @@ def policy_successors(k: ControlledKernel, mu: Policy) -> tuple[np.ndarray, np.n
     succ = k.succ.transpose(1, 0, 2).reshape(k.n_states, -1)
     weights = (action_weights.T[:, :, None] * k.weights).transpose(1, 0, 2)
     return succ, weights.reshape(k.n_states, -1)
-
-
-def policy_closure(k: ControlledKernel, mu: Policy) -> np.ndarray:
-    """Induced one-step transition matrix ``T[s,s'] = sum_a mu(a|s) P[a,s,s']``.
-
-    Dense (S, S); the engine itself works on ``policy_successors``.
-    """
-    succ, weights = policy_successors(k, mu)
-    T = np.zeros((k.n_states, k.n_states))
-    s, j = np.nonzero(weights)
-    np.add.at(T, (s, succ[s, j]), weights[s, j])
-    return T

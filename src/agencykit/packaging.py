@@ -38,13 +38,6 @@ class Endomap:
         return sorted(self.mapping)
 
 
-def fiber(pi: Lens, x: int) -> set[int]:
-    """States projecting to label ``x``; may be empty."""
-    if not 0 <= x < pi.n_labels:
-        raise IndexError(f"label {x} out of range [0, {pi.n_labels})")
-    return set(np.flatnonzero(pi.project == x).tolist())
-
-
 def packaging_endomap(
     k: ControlledKernel,
     pi: Lens,

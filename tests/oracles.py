@@ -119,7 +119,25 @@ def bsc_capacity(eps: float) -> float:
 
 # --------------------------------------------------------------------------
 # Dense (A, S, S) versions of the engine's layers, as they were before the
-# kernel moved to successor lists. Each works on ``k.dense()``.
+# kernel moved to successor lists. Each works on ``dense(k)``.
+
+
+def dense_rows(succ: np.ndarray, weights: np.ndarray, n_states: int) -> np.ndarray:
+    """Dense rows of padded successor lists: ``out[..., t]`` sums the slots pointing at t."""
+    out = np.zeros(succ.shape[:-1] + (n_states,))
+    idx = np.nonzero(weights)
+    np.add.at(out, idx[:-1] + (succ[idx],), weights[idx])
+    return out
+
+
+def dense(k) -> np.ndarray:
+    """The (A, S, S) probability tensor of a kernel; for small kernels only."""
+    return dense_rows(k.succ, k.weights, k.n_states)
+
+
+def successor_support(k, s: int, a: int) -> set[int]:
+    """States reachable from (s, a) with nonzero probability, from the successor lists."""
+    return set(k.succ[a, s][k.weights[a, s] > 0].tolist())
 
 
 def fraction_ring_tensor(cfg) -> np.ndarray:
@@ -180,7 +198,7 @@ def dense_viability_step(k, gate, safe, K) -> np.ndarray:
     from agencykit.feasibility import feasible_action_matrix
 
     K = np.asarray(K, dtype=bool)
-    post = k.dense() > 0
+    post = dense(k) > 0
     escapes = np.einsum("ast,t->as", post.astype(np.int64), (~K).astype(np.int64)) > 0
     keeps = feasible_action_matrix(gate) & ~escapes
     return K & safe.safe & keeps.any(axis=0)
@@ -205,7 +223,7 @@ def dense_sequence_rows(k, horizon: int, f, states) -> tuple[list[tuple[int, ...
 
     Returns the sequences in lex order and rows of shape (n_seq, len(states), n_labels).
     """
-    probs = k.dense()
+    probs = dense(k)
     states = np.asarray(states, dtype=np.int64)
     lens_onehot = np.zeros((k.n_states, f.n_labels))
     lens_onehot[np.arange(k.n_states), f.project] = 1.0
@@ -228,7 +246,7 @@ def dense_sequence_rows(k, horizon: int, f, states) -> tuple[list[tuple[int, ...
 def matrix_power_endomap(k, pi, mu, tau: int) -> tuple[dict[int, int], dict[int, float]]:
     """(mapping, reach_mass) of the packaging endomap via the dense closure T^tau."""
     weights = mu.action_weights(k.n_states, k.n_actions)
-    T = np.einsum("sa,ast->st", weights, k.dense())
+    T = np.einsum("sa,ast->st", weights, dense(k))
     M = np.linalg.matrix_power(T, tau)
     mapping, reach = {}, {}
     for x in range(pi.n_labels):

@@ -1,0 +1,66 @@
+"""The package keeps only names something reads.
+
+Parses ``src/agencykit`` and ``bench/`` with ``ast``: every imported name is
+used in its module, and every module-level public function or class is
+referenced somewhere in the package outside its own definition, used by the
+benchmark, or exported in ``agencykit.__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import agencykit
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "agencykit"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def referenced_names(nodes) -> set[str]:
+    """Names read as variables or attributes, or imported by name, under ``nodes``."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                names.update(alias.name for alias in sub.names)
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = parse(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        elif isinstance(node, ast.Import):
+            imported.update({(alias.asname or alias.name).split(".")[0]: node.lineno
+                             for alias in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def test_every_public_definition_is_read():
+    trees = {path: parse(path) for path in MODULES}
+    statements = [(node, referenced_names([node])) for tree in trees.values() for node in tree.body]
+    bench = referenced_names(parse(p) for p in sorted((ROOT / "bench").rglob("*.py")))
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            read = any(node.name in names for other, names in statements if other is not node)
+            if not (read or node.name in bench or node.name in agencykit.__all__):
+                unread.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unread == []

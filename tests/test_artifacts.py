@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -248,3 +249,29 @@ class TestAudit:
         self._write(tmp_path, metrics={"solver": {"max_gap_bits": "small"}})
         report = audit(tmp_path)
         assert any(rule == "uncertified_capacity" for _, rule, _ in report.failures)
+
+    @pytest.mark.parametrize("metrics, rule", [
+        ({"solver": {"max_gap_bits": "HUGE", "capacity_tol_bits": 1e-9}}, "uncertified_capacity"),
+        ({"x_distribution": ["HUGE", 0]}, "stochasticity"),
+        ({"x_rows": [[0.5, 0.5], [0, "HUGE"]]}, "stochasticity"),
+    ], ids=["solver_gap", "distribution_entry", "rows_entry"])
+    def test_integer_too_large_for_a_float_is_failure_entry(self, tmp_path, metrics, rule):
+        path, _ = self._write(tmp_path, metrics=metrics)
+        path.write_text(path.read_text().replace('"HUGE"', str(10**400)))
+        report = audit(tmp_path)
+        assert [r for _, r, _ in report.failures] == [rule]
+        assert "too large" in report.failures[0][2]
+
+    @pytest.mark.parametrize("where", ["parser", "config_walk"])
+    def test_deep_nesting_is_failure_entry(self, tmp_path, where):
+        # the JSON parser gives up at the recursion limit; shallower nesting
+        # still parses and then exhausts the walk that hashes the config
+        if where == "parser":
+            (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000)
+        else:
+            path, _ = self._write(tmp_path, config={"n": "DEEP"})
+            depth = sys.getrecursionlimit() * 2 // 3
+            path.write_text(path.read_text().replace('"DEEP"', '{"a":' * depth + "1" + "}" * depth))
+        report = audit(tmp_path)
+        assert report.files_checked == 1
+        assert [rule for _, rule, _ in report.failures] == ["too_deep"]

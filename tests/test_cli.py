@@ -114,6 +114,21 @@ class TestPlot:
         assert not (tmp_path / "plots" / f"packaging.{fmt}").exists()
 
 
+    @pytest.mark.parametrize("text", [
+        '{"metrics": {"null_a": {"H1": %d, "H2": 0.0, "H3": 0.0},'
+        ' "null_b": {"wrong": 1.0, "right": 0.0}}}' % 10**400,
+        "[" * 200000 + "]" * 200000,
+    ], ids=["integer_too_large_for_a_float", "deep_nesting"])
+    def test_unusable_stable_copy_usage_error(self, tmp_path, capsys, text):
+        stable = tmp_path / "generated" / "nulls.json"
+        stable.parent.mkdir(parents=True)
+        stable.write_text(text)
+        assert main(["plot", "nulls", "--dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "plots" / "nulls.csv").exists()
+
+
 class TestUsage:
     def test_no_command_prints_usage(self, capsys):
         assert main([]) == 2

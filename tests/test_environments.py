@@ -16,7 +16,8 @@ from agencykit.environments import (
     build_schedule_trap,
     ring_state_index,
 )
-from agencykit.kernel import successor_support, validate_kernel
+from agencykit.kernel import validate_kernel
+from oracles import dense, successor_support
 
 
 class TestKernelExactness:
@@ -32,7 +33,7 @@ class TestKernelExactness:
     def test_rows_sum_exactly_to_one(self, cfg):
         env = build_ringworld(cfg)
         assert validate_kernel(env.kernel).ok
-        sums = env.kernel.dense().sum(axis=2)
+        sums = dense(env.kernel).sum(axis=2)
         assert np.abs(sums - 1.0).max() == 0.0
 
     def test_rows_sum_exactly_to_one_for_random_probabilities(self):
@@ -57,7 +58,9 @@ class TestKernelExactness:
     def test_encoding_round_trip(self):
         cfg = RingWorldConfig(learning_on=True, theta_levels=2)
         env = build_ringworld(cfg)
-        for idx, t in enumerate(env.state_tuples):
+        assert env.state_fields.shape == (5, cfg.n_states)
+        assert not env.state_fields.flags.writeable
+        for idx, t in enumerate(env.state_fields.T.tolist()):
             assert ring_state_index(cfg, *t) == idx
 
 
@@ -68,7 +71,7 @@ class TestMovementRules:
         for y in range(cfg.ring_size):
             s = ring_state_index(cfg, y=y, u=0, phi=0, r=2)
             t = ring_state_index(cfg, y=(y + 1) % cfg.ring_size, u=0, phi=1, r=0)
-            assert env.kernel.dense()[RIGHT, s, t] == 1.0
+            assert dense(env.kernel)[RIGHT, s, t] == 1.0
 
     def test_protocol_doubles_displacement_on_odd_phase(self):
         cfg = RingWorldConfig(p_flip=0.0, p_slip=0.0, protocol_on=True)
@@ -76,7 +79,7 @@ class TestMovementRules:
         s = ring_state_index(cfg, y=0, u=0, phi=1, r=2)
         # phase wraps and pays cost 2, gains 1
         t = ring_state_index(cfg, y=2, u=0, phi=0, r=1)
-        assert env.kernel.dense()[RIGHT, s, t] == 1.0
+        assert dense(env.kernel)[RIGHT, s, t] == 1.0
 
     def test_slip_keeps_position(self):
         cfg = RingWorldConfig(p_flip=0.0, p_slip=0.25, protocol_on=False)
@@ -84,15 +87,15 @@ class TestMovementRules:
         s = ring_state_index(cfg, y=3, u=0, phi=0, r=2)
         stay = ring_state_index(cfg, y=3, u=0, phi=1, r=0)
         move = ring_state_index(cfg, y=4, u=0, phi=1, r=0)
-        assert env.kernel.dense()[RIGHT, s, stay] == 0.25
-        assert env.kernel.dense()[RIGHT, s, move] == 0.75
+        assert dense(env.kernel)[RIGHT, s, stay] == 0.25
+        assert dense(env.kernel)[RIGHT, s, move] == 0.75
 
     def test_repair_resets_damage_bit(self):
         cfg = RingWorldConfig(p_flip=0.0)
         env = build_ringworld(cfg)
         s = ring_state_index(cfg, y=0, u=1, phi=0, r=2)
         t = ring_state_index(cfg, y=0, u=0, phi=1, r=1)
-        assert env.kernel.dense()[REPAIR, s, t] == 1.0
+        assert dense(env.kernel)[REPAIR, s, t] == 1.0
 
     def test_imperfect_repair_splits_damage_bit(self):
         cfg = RingWorldConfig(p_flip=0.0, repair_success=0.25)
@@ -100,8 +103,8 @@ class TestMovementRules:
         s = ring_state_index(cfg, y=0, u=1, phi=0, r=2)
         repaired = ring_state_index(cfg, y=0, u=0, phi=1, r=1)
         still_broken = ring_state_index(cfg, y=0, u=1, phi=1, r=1)
-        assert env.kernel.dense()[REPAIR, s, repaired] == 0.25
-        assert env.kernel.dense()[REPAIR, s, still_broken] == 0.75
+        assert dense(env.kernel)[REPAIR, s, repaired] == 0.25
+        assert dense(env.kernel)[REPAIR, s, still_broken] == 0.75
 
     def test_infeasible_command_collapses_to_noop(self):
         cfg = RingWorldConfig()  # movement costs 2
@@ -110,10 +113,10 @@ class TestMovementRules:
             for phi in range(cfg.phase_period):
                 broke = ring_state_index(cfg, y=y, u=0, phi=phi, r=1)
                 np.testing.assert_array_equal(
-                    env.kernel.dense()[RIGHT, broke], env.kernel.dense()[NOOP, broke]
+                    dense(env.kernel)[RIGHT, broke], dense(env.kernel)[NOOP, broke]
                 )
                 np.testing.assert_array_equal(
-                    env.kernel.dense()[LEFT, broke], env.kernel.dense()[NOOP, broke]
+                    dense(env.kernel)[LEFT, broke], dense(env.kernel)[NOOP, broke]
                 )
 
 
@@ -124,15 +127,14 @@ class TestLedgerRules:
             for a in range(env.kernel.n_actions):
                 for s in range(env.n_states):
                     for t in successor_support(env.kernel, s, a):
-                        r = env.state_tuples[t][3]
-                        assert 0 <= r <= cfg.ledger_max
+                        assert 0 <= env.state_fields[3, t] <= cfg.ledger_max
 
     def test_wrap_income_credits_ledger(self):
         cfg = RingWorldConfig(p_flip=0.0)
         env = build_ringworld(cfg)
         s = ring_state_index(cfg, y=0, u=0, phi=1, r=0)  # broke: NOOP only
         t = ring_state_index(cfg, y=0, u=0, phi=0, r=1)
-        assert env.kernel.dense()[NOOP, s, t] == 1.0
+        assert dense(env.kernel)[NOOP, s, t] == 1.0
 
     def test_damage_leak_drains_ledger(self):
         cfg = RingWorldConfig(p_flip=0.0, damage_leak=2, ledger_gain=1,
@@ -140,16 +142,15 @@ class TestLedgerRules:
         env = build_ringworld(cfg)
         s = ring_state_index(cfg, y=0, u=1, phi=0, r=2)
         t = ring_state_index(cfg, y=0, u=1, phi=1, r=1)  # -0 cost -2 leak +1 gain
-        assert env.kernel.dense()[NOOP, s, t] == 1.0
+        assert dense(env.kernel)[NOOP, s, t] == 1.0
 
     def test_damage_conservation_without_noise(self):
         cfg = RingWorldConfig(p_flip=0.0)
         env = build_ringworld(cfg)
-        healthy = [i for i, t in enumerate(env.state_tuples) if t[1] == 0]
-        for s in healthy:
+        for s in np.flatnonzero(env.state_fields[1] == 0):
             for a in range(env.kernel.n_actions):
                 for t in successor_support(env.kernel, s, a):
-                    assert env.state_tuples[t][1] == 0
+                    assert env.state_fields[1, t] == 0
 
 
 class TestSkillSector:
@@ -161,17 +162,18 @@ class TestSkillSector:
         for theta in range(3):
             s = ring_state_index(cfg, y=0, u=0, phi=0, r=2, theta=theta)
             stay = ring_state_index(cfg, y=0, u=0, phi=1, r=2, theta=theta)
-            slips.append(env.kernel.dense()[RIGHT, s, stay])
+            slips.append(dense(env.kernel)[RIGHT, s, stay])
         assert slips[0] > slips[1] > slips[2]
         assert slips[2] == 0.0
 
     def test_theta_is_static(self):
         cfg = RingWorldConfig(learning_on=True, theta_levels=2)
         env = build_ringworld(cfg)
-        for s, t in enumerate(env.state_tuples):
+        theta = env.state_fields[4]
+        for s in range(env.n_states):
             for a in range(env.kernel.n_actions):
                 for succ in successor_support(env.kernel, s, a):
-                    assert env.state_tuples[succ][4] == t[4]
+                    assert theta[succ] == theta[s]
 
 
 class TestProtocolMatching:
@@ -183,7 +185,7 @@ class TestProtocolMatching:
             for u in range(2):
                 for r in range(cfg.ledger_max + 1):
                     s = ring_state_index(cfg, y=y, u=u, phi=0, r=r)
-                    np.testing.assert_array_equal(on.kernel.dense()[:, s], off.kernel.dense()[:, s])
+                    np.testing.assert_array_equal(dense(on.kernel)[:, s], dense(off.kernel)[:, s])
 
     def test_h1_capacity_matches_across_protocol(self):
         on = build_ringworld(RingWorldConfig(protocol_on=True, cost_left=0, cost_right=0))
@@ -200,7 +202,7 @@ class TestNullEnvironments:
     def test_single_action_cycle_is_permutation(self):
         env = build_null_single_action()
         assert validate_kernel(env.kernel).ok
-        mat = env.kernel.dense()[0]
+        mat = dense(env.kernel)[0]
         assert np.array_equal(mat.sum(axis=0), np.ones(4))
         assert set(np.unique(mat)) == {0.0, 1.0}
 
@@ -216,7 +218,7 @@ class TestNullEnvironments:
 
     def test_schedule_trap_right_model_rows_identical(self):
         env = build_schedule_trap("right")
-        np.testing.assert_array_equal(env.kernel.dense()[0], env.kernel.dense()[1])
+        np.testing.assert_array_equal(dense(env.kernel)[0], dense(env.kernel)[1])
         cap = feasible_empowerment(env.kernel, env.gate, 0, 1, env.output_lens)
         assert cap == 0.0
 
@@ -237,6 +239,34 @@ class TestConfigValidation:
     def test_learning_needs_multiple_levels(self):
         with pytest.raises(ValueError):
             RingWorldConfig(learning_on=True, theta_levels=1)
+
+    def test_no_field_is_only_hashed(self):
+        # every field is hashed into the artifacts, so each must also shape
+        # the kernel, gate, lenses, safety masks or policies of some build
+        def engine_inputs(cfg: RingWorldConfig) -> list[np.ndarray]:
+            env = build_ringworld(cfg)
+            return [
+                env.kernel.succ, env.kernel.weights, env.gate.ledger, env.gate.costs,
+                env.output_lens.project, env.macro_lens.project,
+                env.safety_ledger_only.safe, env.safety_coherent.safe,
+                *(mu.action_weights(env.n_states, env.kernel.n_actions)
+                  for mu in env.policies.values()),
+            ]
+
+        def changes_environment(base: RingWorldConfig, name: str) -> bool:
+            value = getattr(base, name)
+            if isinstance(value, bool):
+                value = not value
+            else:
+                value = value + 1 if isinstance(value, int) else value / 2
+            before = engine_inputs(base)
+            after = engine_inputs(dataclasses.replace(base, **{name: value}))
+            return any(not np.array_equal(a, b) for a, b in zip(before, after))
+
+        bases = (RingWorldConfig(), RingWorldConfig(learning_on=True))
+        inert = [f.name for f in dataclasses.fields(RingWorldConfig)
+                 if not any(changes_environment(base, f.name) for base in bases)]
+        assert inert == []
 
     def test_profiles_present(self):
         assert set(PROFILES) == {"paper"}

@@ -58,12 +58,12 @@ class TestDeterminism:
     # config hashes of `agencykit run all`: a change to any exhibit's config
     # fails here, so config drift is always deliberate
     @pytest.mark.parametrize("name, expected", [
-        ("packaging", "3b59540ca6e01551da322d13285b77ee8fd762cf9fc1596aca438f342087c38c"),
+        ("packaging", "4449371cd6d28ecbd33830092709fcf095cb6d20a5b4efc94e8a6ca4551a706a"),
         ("nulls", "7d0e5251123822cfa4a79fbff620413107abfcd060dd8145c5e8aadef6dc69d4"),
-        ("holonomy", "b331b5be93eb9766571af204ccf9436e713bd6ac94e160ccb7662f5c1920dcd9"),
-        ("ablations", "e3de9b31a7d8b45872a73c3f91eccc47a0552fb27301d3fb19b40cc491f092df"),
-        ("sweep", "96cb699425f2a6399f5ccfe4509567d1b15729007c7fd9bedc1c17ae39d5c579"),
-        ("learning", "63d3b5cdf976cbb5aa9054410c17e23cdaea3831e074084b7f16943300a9b2db"),
+        ("holonomy", "a5c4b6619313dc24f5eac83ea12c8afc5742c15ab4483f7840cd9cfe1f9a72d8"),
+        ("ablations", "f469541d6aa24e4d415baf0323ef4223ee7c2b8e8de0a6971e39189442947905"),
+        ("sweep", "c4ffeea0289581c627ccb5db988cf23907914fff1c025fc00154135b0fd90380"),
+        ("learning", "b31597db1e36f80f3461df28933e9a3a5671be352533fd691b6d4b1ddb89eec8"),
     ])
     def test_config_hash_pinned(self, name, expected):
         assert run_exhibit(name).config_hash == expected

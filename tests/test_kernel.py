@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from agencykit.empowerment import Lens, rollout_output_distribution
 from agencykit.kernel import (
     SCAN_CHUNK,
     ControlledKernel,
     Policy,
     pack_rows,
-    policy_closure,
-    step_distribution,
-    successor_support,
+    policy_successors,
+    predecessor_lists,
+    pull,
     validate_kernel,
 )
 from conftest import random_kernel
+from oracles import dense, dense_rows, successor_support
 
 
 def kernel_from_rows(rows) -> ControlledKernel:
@@ -19,6 +21,17 @@ def kernel_from_rows(rows) -> ControlledKernel:
     if probs.ndim == 2:
         probs = probs[None, :, :]
     return ControlledKernel(n_states=probs.shape[1], n_actions=probs.shape[0], probs=probs)
+
+
+def step(k: ControlledKernel, d, a: int) -> np.ndarray:
+    """Distribution ``d`` one step on under action ``a``, by the engine's ``pull``."""
+    D = np.asarray(d, dtype=np.float64)[:, None]
+    return pull(predecessor_lists(k), D).reshape(k.n_actions, k.n_states)[a]
+
+
+def closure(k: ControlledKernel, mu: Policy) -> np.ndarray:
+    """Dense (S, S) matrix of the policy-closed chain's successor lists."""
+    return dense_rows(*policy_successors(k, mu), k.n_states)
 
 
 class TestValidation:
@@ -52,26 +65,28 @@ class TestStepDistribution:
     def test_identity_fixes_any_distribution(self, rng):
         k = kernel_from_rows(np.eye(4))
         d = rng.dirichlet(np.ones(4))
-        np.testing.assert_allclose(step_distribution(k, d, 0), d)
+        np.testing.assert_allclose(step(k, d, 0), d)
 
     def test_deterministic_move(self):
         k = kernel_from_rows([[0, 1], [0, 1]])
-        np.testing.assert_array_equal(step_distribution(k, [1.0, 0.0], 0), [0.0, 1.0])
+        np.testing.assert_array_equal(step(k, [1.0, 0.0], 0), [0.0, 1.0])
 
     def test_hand_matrix_product(self):
         # [0.5, 0.5] @ [[0.5, 0.5], [0.5, 0.5]] = [0.5, 0.5]
         k = kernel_from_rows([[0.5, 0.5], [0.5, 0.5]])
-        np.testing.assert_allclose(step_distribution(k, [0.5, 0.5], 0), [0.5, 0.5])
+        np.testing.assert_allclose(step(k, [0.5, 0.5], 0), [0.5, 0.5])
 
     def test_action_out_of_range(self):
         k = kernel_from_rows(np.eye(2))
         with pytest.raises(IndexError):
-            step_distribution(k, [1.0, 0.0], 1)
+            step(k, [1.0, 0.0], 1)
 
     def test_rejects_invalid_distribution(self):
-        k = kernel_from_rows(np.eye(2))
-        with pytest.raises(ValueError):
-            step_distribution(k, [0.5, 0.4], 0)
+        # a rollout that loses mass through a sub-stochastic row is rejected
+        k = kernel_from_rows([[0.5, 0.4], [0, 1]])
+        lens = Lens(name="identity", project=np.arange(2), n_labels=2)
+        with pytest.raises(ValueError, match="mass"):
+            rollout_output_distribution(k, 0, (0,), lens)
 
 
 def nonzero_successor_lists(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +119,7 @@ class TestDenseConversion:
 
     def test_random_kernels(self, rng):
         for n_states, n_actions in [(1, 1), (5, 2), (17, 3)]:
-            probs = random_kernel(rng, n_states, n_actions).dense()
+            probs = dense(random_kernel(rng, n_states, n_actions))
             self.assert_matches_nonzero(probs)
             # a non-contiguous view converts like its contiguous copy
             self.assert_matches_nonzero(np.asfortranarray(probs))
@@ -135,9 +150,9 @@ class TestSuccessorSupport:
     def test_default_support_is_exact(self):
         k = kernel_from_rows([[1 - 1e-15, 1e-15, 0], [1, 0, 0], [0, 0, 1]])
         assert successor_support(k, 0, 0) == {0, 1}
-        dense = k.dense()
+        probs = dense(k)
         for s in range(3):
-            assert successor_support(k, s, 0) == set(np.flatnonzero(dense[0, s] > 0).tolist())
+            assert successor_support(k, s, 0) == set(np.flatnonzero(probs[0, s] > 0).tolist())
 
     def test_index_out_of_range(self):
         k = kernel_from_rows(np.eye(2))
@@ -149,31 +164,31 @@ class TestPolicyClosure:
     def test_constant_policy_selects_matrix(self, rng):
         k = random_kernel(rng, 5, 3)
         mu = Policy(kind="deterministic", table={s: 0 for s in range(5)})
-        np.testing.assert_array_equal(policy_closure(k, mu), k.dense()[0])
+        np.testing.assert_array_equal(closure(k, mu), dense(k)[0])
 
     def test_uniform_mix_identity_and_swap(self):
         swap = np.array([[0, 1], [1, 0]], dtype=float)
         k = ControlledKernel(n_states=2, n_actions=2,
                              probs=np.stack([np.eye(2), swap]))
         mu = Policy(kind="stochastic", table={s: np.array([0.5, 0.5]) for s in range(2)})
-        np.testing.assert_allclose(policy_closure(k, mu), np.full((2, 2), 0.5))
+        np.testing.assert_allclose(closure(k, mu), np.full((2, 2), 0.5))
 
     def test_single_action_kernel(self, rng):
         k = random_kernel(rng, 4, 1)
         mu = Policy(kind="deterministic", table={s: 0 for s in range(4)})
-        np.testing.assert_array_equal(policy_closure(k, mu), k.dense()[0])
+        np.testing.assert_array_equal(closure(k, mu), dense(k)[0])
 
     def test_partial_policy_rejected(self, rng):
         k = random_kernel(rng, 4, 2)
         mu = Policy(kind="deterministic", table={0: 0, 1: 1})
         with pytest.raises(ValueError):
-            policy_closure(k, mu)
+            closure(k, mu)
 
     def test_wrong_length_policy_row_rejected(self, rng):
         k = random_kernel(rng, 3, 2)
         table = {0: np.array([0.5, 0.5]), 1: np.array([1.0]), 2: np.array([0.0, 1.0])}
         with pytest.raises(ValueError, match="state 1 has wrong length"):
-            policy_closure(k, Policy(kind="stochastic", table=table))
+            closure(k, Policy(kind="stochastic", table=table))
 
 
 class TestProperties:
@@ -184,7 +199,7 @@ class TestProperties:
             assert validate_kernel(k).ok
             d = rng.dirichlet(np.ones(n))
             for a in range(m):
-                out = step_distribution(k, d, a)
+                out = step(k, d, a)
                 assert abs(out.sum() - 1.0) <= 1e-12
                 assert np.all(out >= -1e-15)
 
@@ -194,7 +209,7 @@ class TestProperties:
             k = random_kernel(rng, n, m)
             mu = Policy(kind="stochastic",
                         table={s: rng.dirichlet(np.ones(m)) for s in range(n)})
-            T = policy_closure(k, mu)
+            T = closure(k, mu)
             np.testing.assert_allclose(T.sum(axis=1), np.ones(n), atol=1e-12)
 
     def test_step_linear_in_distribution(self, rng):
@@ -203,6 +218,6 @@ class TestProperties:
             d1, d2 = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
             alpha = rng.random()
             mix = alpha * d1 + (1 - alpha) * d2
-            lhs = step_distribution(k, mix, 0)
-            rhs = alpha * step_distribution(k, d1, 0) + (1 - alpha) * step_distribution(k, d2, 0)
+            lhs = step(k, mix, 0)
+            rhs = alpha * step(k, d1, 0) + (1 - alpha) * step(k, d2, 0)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)

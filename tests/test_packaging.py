@@ -4,7 +4,7 @@ import pytest
 from agencykit.empowerment import Lens
 from agencykit.environments import RingWorldConfig, build_ringworld
 from agencykit.kernel import ControlledKernel, Policy
-from agencykit.packaging import Endomap, fiber, idempotence_defect, packaging_endomap
+from agencykit.packaging import Endomap, idempotence_defect, packaging_endomap
 from conftest import random_kernel
 
 
@@ -17,22 +17,32 @@ def constant_policy(n_states, action=0) -> Policy:
 
 
 class TestFiber:
-    def test_identity_lens_singletons(self):
-        lens = identity_lens(4)
-        assert fiber(lens, 2) == {2}
+    """A label's fiber is the set of states the lens projects onto it."""
 
-    def test_constant_lens_full_fiber(self):
+    def test_identity_lens_singletons(self, rng):
+        # each singleton fiber starts all its mass on its one state
+        k = random_kernel(rng, 4, 1)
+        e = packaging_endomap(k, identity_lens(4), constant_policy(4), 0)
+        assert e.mapping == {x: x for x in range(4)}
+        assert e.reach_mass == {x: 1.0 for x in range(4)}
+
+    def test_constant_lens_full_fiber(self, rng):
+        # five unit masses divided by the fiber size give mass 1
+        k = random_kernel(rng, 5, 2)
         lens = Lens(name="const", project=np.zeros(5, dtype=int), n_labels=1)
-        assert fiber(lens, 0) == {0, 1, 2, 3, 4}
+        e = packaging_endomap(k, lens, constant_policy(5), 3)
+        assert e.mapping == {0: 0}
+        assert e.reach_mass[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_ringworld_macro_fibers_hide_damage_bit(self):
         env = build_ringworld(RingWorldConfig())
         for x in range(env.macro_lens.n_labels):
-            assert len(fiber(env.macro_lens, x)) == 2
+            members = np.flatnonzero(env.macro_lens.project == x)
+            assert sorted(env.state_fields[1, members]) == [0, 1]
 
     def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
-            fiber(identity_lens(3), 3)
+        with pytest.raises(ValueError, match="out of range"):
+            Lens(name="identity", project=np.arange(4), n_labels=3)
 
 
 class TestPackagingEndomap:
