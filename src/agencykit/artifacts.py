@@ -163,6 +163,11 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite JSON constant {token!r}")
 
 
+def read_artifact(path: Path):
+    """Parsed JSON of an artifact file; a NaN or Infinity raises ValueError."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
 def _iter_probability_objects(tree, path: str = "$.metrics"):
     if isinstance(tree, dict):
         for k, v in tree.items():
@@ -239,8 +244,7 @@ def _audit_file(path: Path, strict: bool, report: AuditReport) -> None:
     """Append the failures and warnings of one artifact file to ``report``."""
     name = str(path)
     try:
-        raw = path.read_text(encoding="utf-8")
-        record = json.loads(raw, parse_constant=_reject_constant)
+        record = read_artifact(path)
     except (OSError, ValueError) as exc:
         report.failures.append((name, "unreadable", str(exc)))
         return

@@ -11,13 +11,12 @@ The output directory defaults to ``results/`` and can be overridden by the
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
 from pathlib import Path
 
-from agencykit.artifacts import audit, write_artifact
+from agencykit.artifacts import audit, read_artifact, write_artifact
 from agencykit.experiments import EXHIBITS, contracts_passed, run_exhibit
 
 EXIT_OK = 0
@@ -116,11 +115,12 @@ def _load_exhibit_artifact(directory: Path, exhibit: str) -> tuple[Path, object]
 
     The stable copy ``generated/<exhibit>.json`` comes first; when it is
     missing or unreadable, the hashed ``<exhibit>_*.json`` files follow.
+    Files are read as ``audit`` reads them, so a NaN makes one unreadable.
     """
     stable = directory / "generated" / f"{exhibit}.json"
     for path in [stable, *sorted(directory.glob(f"{exhibit}_*.json"))]:
         try:
-            return path, json.loads(path.read_text(encoding="utf-8"))
+            return path, read_artifact(path)
         except (OSError, ValueError, RecursionError):
             continue
     return None

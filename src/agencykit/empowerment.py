@@ -20,7 +20,9 @@ from agencykit.kernel import ControlledKernel, predecessor_lists, pull
 ROW_TOLERANCE = 1e-9
 MASS_TOLERANCE = 1e-10
 
-BA_DEFAULT_TOL = 1e-9
+# default capacity stop tolerance in bits, and the most states a median solves
+EMPOWERMENT_TOL = 1e-9
+MAX_MEDIAN_STATES = 64
 BA_DEFAULT_MAX_ITER = 10000
 SMALLEST_NORMAL = np.finfo(np.float64).tiny  # 2**-1022
 
@@ -100,14 +102,12 @@ def build_channel(
     if not 0 <= s0 < k.n_states:
         raise IndexError(f"state index {s0} out of range")
     channels, _, shift = _feasible_channels(k, gate, [s0], horizon, f)
-    matrix = np.roll(channels[0], shift[0], axis=1)
-    _check_mass(matrix)
-    return matrix
+    return np.roll(channels[0], shift[0], axis=1)
 
 
 def channel_capacity(
     w: np.ndarray,
-    tol: float = BA_DEFAULT_TOL,
+    tol: float = EMPOWERMENT_TOL,
     max_iter: int = BA_DEFAULT_MAX_ITER,
 ) -> CapacityResult:
     """Channel capacity in bits of one channel matrix (see ``channel_capacities``)."""
@@ -116,7 +116,7 @@ def channel_capacity(
 
 def channel_capacities(
     channels: Iterable[np.ndarray],
-    tol: float = BA_DEFAULT_TOL,
+    tol: float = EMPOWERMENT_TOL,
     max_iter: int = BA_DEFAULT_MAX_ITER,
 ) -> list[CapacityResult]:
     """Channel capacities in bits via Blahut-Arimoto alternating maximization.
@@ -235,7 +235,7 @@ def feasible_empowerment(
     s0: int,
     horizon: int,
     f: Lens,
-    tol: float = BA_DEFAULT_TOL,
+    tol: float = EMPOWERMENT_TOL,
 ) -> float:
     """Capacity (bits) of the budget-restricted sequence channel from ``s0``."""
     return channel_capacity(build_channel(k, gate, s0, horizon, f), tol=tol).capacity_bits
@@ -364,13 +364,16 @@ def _feasible_channels(
     one rollout of the distinct orbit representatives (``_translation_orbits``)
     gives each its rows of the sequences that fit its ledger, in
     ``feasible_sequences`` order, and ``states[i]``'s channel is, bit for bit,
-    ``np.roll(channels[slot[i]], shift[i], axis=1)``.
+    ``np.roll(channels[slot[i]], shift[i], axis=1)``. Raises ValueError when
+    a row of a cut channel does not carry total mass 1.
     """
     rep, shift = _translation_orbits(k, gate, f)
     reps, slot = np.unique(rep[states], return_inverse=True)
     rows = _batched_sequence_rows(k, horizon, f, reps)
     costs = sequence_costs(gate, horizon)
     channels = [rows[costs <= gate.ledger[s], i] for i, s in enumerate(reps)]
+    for channel in channels:
+        _check_mass(channel)
     return channels, slot, shift[states]
 
 
@@ -380,8 +383,8 @@ def median_empowerment_on_kernel(
     kernel_set: np.ndarray,
     horizon: int,
     f: Lens,
-    max_states: int = 64,
-    tol: float = BA_DEFAULT_TOL,
+    max_states: int = MAX_MEDIAN_STATES,
+    tol: float = EMPOWERMENT_TOL,
 ) -> MedianEmpowermentResult:
     """Lower-median feasible empowerment over a viability kernel.
 

@@ -2,14 +2,15 @@
 
 Ring-world microstate: outside ring position ``y``, internal damage bit ``u``,
 staged phase ``phi`` (period ``m_phi``), ledger ``r``, and an optional static
-skill sector ``theta``. State indices use the mixed-radix encoding
+skill sector ``theta`` with ``theta_levels`` levels (``theta_levels = 1``, the
+default, means no skill sector). State indices use the mixed-radix encoding
+over ``RingWorldConfig.radices``, y slowest and theta fastest:
 
     idx = (((y * 2 + u) * m_phi + phi) * (ledger_max + 1) + r) * theta_levels + theta
 
-(theta_levels = 1 when learning is off). The encoding is echoed into every
-artifact as a machine-readable ``state_layout`` block, and the decoded digits
-of every state are kept as the read-only (5, S) array
-``Environment.state_fields``.
+The encoding is echoed into every artifact as a machine-readable
+``state_layout`` block, and the decoded digits of every state are kept as the
+read-only (5, S) array ``Environment.state_fields``.
 
 Per-step dynamics, composed in this fixed order:
 
@@ -40,6 +41,7 @@ serve every ring position.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
@@ -73,8 +75,7 @@ class RingWorldConfig:
     damage_leak: int = 0
     protocol_on: bool = True
     repair_enabled: bool = True
-    learning_on: bool = False
-    theta_levels: int = 3
+    theta_levels: int = 1
 
     def __post_init__(self):
         if self.ring_size < 3:
@@ -91,16 +92,17 @@ class RingWorldConfig:
                      "ledger_gain", "damage_leak"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.learning_on and self.theta_levels < 2:
-            raise ValueError("learning_on requires theta_levels >= 2")
+        if self.theta_levels < 1:
+            raise ValueError("theta_levels must be >= 1")
 
     @property
-    def n_theta(self) -> int:
-        return self.theta_levels if self.learning_on else 1
+    def radices(self) -> tuple[int, int, int, int, int]:
+        """Mixed radices of the state fields (y, u, phi, r, theta), y slowest."""
+        return (self.ring_size, 2, self.phase_period, self.ledger_max + 1, self.theta_levels)
 
     @property
     def n_states(self) -> int:
-        return self.ring_size * 2 * self.phase_period * (self.ledger_max + 1) * self.n_theta
+        return math.prod(self.radices)
 
     @property
     def costs(self) -> tuple[int, int, int, int]:
@@ -140,7 +142,7 @@ def _branch_masses(cfg: RingWorldConfig, moves: bool, repairs: bool, u: int, the
     branches are first reached.
     """
     slip = Fraction(cfg.p_slip)
-    if cfg.learning_on:
+    if cfg.theta_levels > 1:
         slip *= 1 - Fraction(theta, cfg.theta_levels - 1)
     flip, q = Fraction(cfg.p_flip), Fraction(cfg.repair_success)
     displacements = [(1, 1 - slip), (0, slip)] if moves else [(0, Fraction(1))]
@@ -161,8 +163,8 @@ def _ring_transitions(cfg: RingWorldConfig, fields: np.ndarray) -> tuple[np.ndar
 
     Row (a, s) takes the float table of its executed action's movement kind,
     u and theta, so every ring position carries bit-identical weights in the
-    same slot order. Targets are integer arithmetic on the fields of one ring
-    position (y = 0), shifted around the ring.
+    same slot order. Targets are the successor fields of one ring position
+    (y = 0), encoded over ``cfg.radices`` and shifted around the ring.
     """
     # (moves, repairs) of each executed action: LEFT and RIGHT share a table,
     # and so do REPAIR and NOOP when repair is disabled
@@ -171,7 +173,7 @@ def _ring_transitions(cfg: RingWorldConfig, fields: np.ndarray) -> tuple[np.ndar
     distinct = sorted(set(kinds))
     kind_of = np.array([distinct.index(kind) for kind in kinds])
     keys = [(*kind, u, theta)
-            for kind, u, theta in itertools.product(distinct, range(2), range(cfg.n_theta))]
+            for kind, u, theta in itertools.product(distinct, range(2), range(cfg.theta_levels))]
     n_branches = np.zeros(len(keys), dtype=np.int64)
     # at most four branches: moved or not, times u'
     moved, u_next = np.zeros((2, len(keys), 4), dtype=np.int64)
@@ -191,7 +193,7 @@ def _ring_transitions(cfg: RingWorldConfig, fields: np.ndarray) -> tuple[np.ndar
     costs = np.array(cfg.costs)
     # infeasible commands collapse to no-ops at this layer
     e = np.where(costs[:, None] <= r, np.arange(len(ACTION_NAMES))[:, None], NOOP)
-    table = (kind_of[e] * 2 + u) * cfg.n_theta + theta
+    table = (kind_of[e] * 2 + u) * cfg.theta_levels + theta
     width = n_branches[table].max()
     moved, u_next, weights = moved[table, :width], u_next[table, :width], mass[table, :width]
 
@@ -201,12 +203,13 @@ def _ring_transitions(cfg: RingWorldConfig, fields: np.ndarray) -> tuple[np.ndar
     income = cfg.ledger_gain * ((phi_next == 0) | cfg.gain_every_step)
     r_next = np.clip((r + income - costs[e])[..., None] - cfg.damage_leak * u_next,
                      0, cfg.ledger_max)
-    target = ((u_next * cfg.phase_period + phi_next[:, None]) * (cfg.ledger_max + 1)
-              + r_next) * cfg.n_theta + theta[:, None]
+    target = np.ravel_multi_index((0, u_next, phi_next[:, None], r_next, theta[:, None]),
+                                  cfg.radices)
     # padding slots have weight 0 and point back at their own state
     live = np.arange(width) < n_branches[table][..., None]
     target = np.where(live, target, np.arange(n_local)[:, None])
 
+    # y is the slowest field, so a ring position spans n_local indices
     ring = np.arange(cfg.ring_size)[None, :, None, None]
     succ = ((ring + shift[:, None]) % cfg.ring_size) * n_local + target[:, None]
     shape = (len(ACTION_NAMES), cfg.n_states, width)
@@ -215,8 +218,7 @@ def _ring_transitions(cfg: RingWorldConfig, fields: np.ndarray) -> tuple[np.ndar
 
 def build_ringworld(cfg: RingWorldConfig) -> Environment:
     """Construct the full ring-world environment for one configuration."""
-    radices = [cfg.ring_size, 2, cfg.phase_period, cfg.ledger_max + 1, cfg.n_theta]
-    fields = np.indices(radices).reshape(len(radices), -1)
+    fields = np.indices(cfg.radices).reshape(len(cfg.radices), -1)
     fields.setflags(write=False)
     y, u, phi, r, _ = fields
     succ, weights = _ring_transitions(cfg, fields)
@@ -242,7 +244,7 @@ def build_ringworld(cfg: RingWorldConfig) -> Environment:
         config_echo={"environment": "ringworld", **cfg.to_dict()},
         state_layout={
             "fields": ["y", "u", "phi", "r", "theta"],
-            "radices": radices,
+            "radices": list(cfg.radices),
             "order": "y slowest, theta fastest",
             "formula": "idx = (((y*2 + u)*m_phi + phi)*(R_max+1) + r)*n_theta + theta",
         },
@@ -251,8 +253,8 @@ def build_ringworld(cfg: RingWorldConfig) -> Environment:
 
 
 def ring_state_index(cfg: RingWorldConfig, y: int, u: int, phi: int, r: int, theta: int = 0) -> int:
-    """Public index helper matching the documented mixed-radix layout."""
-    return (((y * 2 + u) * cfg.phase_period + phi) * (cfg.ledger_max + 1) + r) * cfg.n_theta + theta
+    """Index of the state with these fields; raises ValueError on a field out of range."""
+    return int(np.ravel_multi_index((y, u, phi, r, theta), cfg.radices))
 
 
 def _null_environment(targets: np.ndarray, lens: Lens, echo: dict, layout: dict) -> Environment:

@@ -26,6 +26,8 @@ import numpy as np
 
 from agencykit.artifacts import ArtifactRecord, make_artifact
 from agencykit.empowerment import (
+    EMPOWERMENT_TOL,
+    MAX_MEDIAN_STATES,
     MedianEmpowermentResult,
     median_empowerment_on_kernel,
     rollout_output_distribution,
@@ -49,8 +51,8 @@ from agencykit.viability import viability_kernel
 TAU_GRID = (0, 1, 2, 3, 4)
 HORIZON_GRID = (1, 2, 3, 4, 5)
 
-EMPOWERMENT_TOL = 1e-9
-MAX_MEDIAN_STATES = 64
+# hashed into the config of every exhibit that solves medians
+SOLVER_SETTINGS = {"capacity_tol_bits": EMPOWERMENT_TOL, "max_states": MAX_MEDIAN_STATES}
 
 
 def base_profile(profile: str) -> RingWorldConfig:
@@ -94,7 +96,7 @@ def ablation_configs(profile: str) -> dict[str, RingWorldConfig]:
         "constraints_off": replace(base, cost_left=0, cost_right=0, cost_repair=0, cost_noop=0),
         "full": base,
         "high_noise": replace(base, p_flip=0.3),
-        "learn_on": replace(base, learning_on=True, theta_levels=2),
+        "learn_on": replace(base, theta_levels=2),
         "no_protocol": replace(base, protocol_on=False),
         "no_repair": replace(base, repair_enabled=False),
         "repair_imperfect": replace(base, repair_success=0.2),
@@ -112,7 +114,6 @@ def learning_config(profile: str, p_slip: float) -> RingWorldConfig:
         cost_noop=0,
         p_slip=p_slip,
         protocol_on=False,
-        learning_on=True,
         theta_levels=3,
     )
 
@@ -133,11 +134,8 @@ def solver_block(meds: list[MedianEmpowermentResult]) -> dict:
 
 
 def _median(env: Environment, states, horizon: int) -> MedianEmpowermentResult:
-    """Median feasible empowerment over ``states`` at the exhibits' solver settings."""
-    return median_empowerment_on_kernel(
-        env.kernel, env.gate, states, horizon, env.output_lens,
-        max_states=MAX_MEDIAN_STATES, tol=EMPOWERMENT_TOL,
-    )
+    """Median feasible empowerment over ``states`` at the defaults ``SOLVER_SETTINGS`` records."""
+    return median_empowerment_on_kernel(env.kernel, env.gate, states, horizon, env.output_lens)
 
 
 def run_nulls() -> ArtifactRecord:
@@ -166,7 +164,7 @@ def run_nulls() -> ArtifactRecord:
         "null_b_right": traps["right"].config_echo,
         "horizons_null_a": horizons_a,
         "horizon_null_b": horizon_b,
-        "capacity_tol_bits": EMPOWERMENT_TOL,
+        **SOLVER_SETTINGS,
     }
     metrics = {
         "null_a": caps_a,
@@ -283,8 +281,7 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
         "horizons": list(HORIZON_GRID),
         "output_lens": env.output_lens.name,
         "safety": env.safety_ledger_only.name,
-        "max_states": MAX_MEDIAN_STATES,
-        "capacity_tol_bits": EMPOWERMENT_TOL,
+        **SOLVER_SETTINGS,
         "witness_sequences": {
             name: [ACTION_NAMES[a] for a in seq] for name, seq in sequences.items()
         },
@@ -353,7 +350,7 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
         "output_lens": env.output_lens.name,
         "macro_lens": env.macro_lens.name,
         "safety": env.safety_ledger_only.name,
-        "max_states": MAX_MEDIAN_STATES,
+        **SOLVER_SETTINGS,
     }
     metrics = {
         "state_layout": state_layout,
@@ -398,7 +395,7 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
         "empowerment_horizon": horizon,
         "safety": env.safety_coherent.name,
         "output_lens": env.output_lens.name,
-        "max_states": MAX_MEDIAN_STATES,
+        **SOLVER_SETTINGS,
     }
     metrics = {
         "state_layout": env.state_layout,
@@ -453,6 +450,7 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
         "output_lens": env.output_lens.name,
         "restriction": restriction,
         "safety": env.safety_ledger_only.name,
+        **SOLVER_SETTINGS,
     }
     metrics = {
         "state_layout": env.state_layout,

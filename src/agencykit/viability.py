@@ -36,8 +36,11 @@ class ViabilityResult:
     """Greatest viable set plus the iteration trace that produced it."""
 
     kernel: np.ndarray  # boolean mask over states
-    iterations: int
     trace: list[int]  # set sizes per sweep, non-increasing
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     @property
     def size(self) -> int:
@@ -78,13 +81,11 @@ def viability_kernel(
     K = np.asarray(safe.safe, dtype=bool).copy()
     trace: list[int] = []
     if not K.any():
-        return ViabilityResult(kernel=K, iterations=0, trace=trace)
-    iterations = 0
+        return ViabilityResult(kernel=K, trace=trace)
     while True:
         nxt = viability_step(k, gate, safe, K)
-        iterations += 1
         trace.append(int(nxt.sum()))
         if np.array_equal(nxt, K):
-            return ViabilityResult(kernel=nxt, iterations=iterations, trace=trace)
+            return ViabilityResult(kernel=nxt, trace=trace)
         K = nxt
 

@@ -155,11 +155,11 @@ def fraction_ring_tensor(cfg) -> np.ndarray:
     flip, q = Fraction(cfg.p_flip), Fraction(cfg.repair_success)
     for y, u, phi, r, theta in itertools.product(
         range(cfg.ring_size), range(2), range(cfg.phase_period),
-        range(cfg.ledger_max + 1), range(cfg.n_theta),
+        range(cfg.ledger_max + 1), range(cfg.theta_levels),
     ):
         s = ring_state_index(cfg, y, u, phi, r, theta)
         slip = Fraction(cfg.p_slip)
-        if cfg.learning_on:
+        if cfg.theta_levels > 1:
             slip *= 1 - Fraction(theta, cfg.theta_levels - 1)
         for a in range(len(ACTION_NAMES)):
             e = a if cfg.costs[a] <= r else NOOP

@@ -1,9 +1,9 @@
 """The package keeps only names something reads.
 
 Parses ``src/agencykit`` and ``bench/`` with ``ast``: every imported name is
-used in its module, and every module-level public function or class is
-referenced somewhere in the package outside its own definition, used by the
-benchmark, or exported in ``agencykit.__all__``.
+used in its module, and every module-level public function, class or
+UPPER_CASE constant is referenced somewhere in the package outside its own
+definition, used by the benchmark, or exported in ``agencykit.__all__``.
 """
 
 import ast
@@ -36,6 +36,17 @@ def referenced_names(nodes) -> set[str]:
     return names
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """Public functions and classes, and UPPER_CASE constants, a module statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [] if node.name.startswith("_") else [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [sub.id for target in targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Name) and sub.id.isupper()]
+    return []
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
@@ -58,9 +69,8 @@ def test_every_public_definition_is_read():
     unread = []
     for path, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            read = any(node.name in names for other, names in statements if other is not node)
-            if not (read or node.name in bench or node.name in agencykit.__all__):
-                unread.append(f"{path.name}:{node.lineno} {node.name}")
+            for name in defined_names(node):
+                read = any(name in names for other, names in statements if other is not node)
+                if not (read or name in bench or name in agencykit.__all__):
+                    unread.append(f"{path.name}:{node.lineno} {name}")
     assert unread == []

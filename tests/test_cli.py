@@ -97,6 +97,17 @@ class TestPlot:
         lines = (tmp_path / "plots" / "packaging.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 10
 
+    def test_non_finite_stable_copy_falls_back_to_hashed(self, tmp_path):
+        # audit fails a NaN, so plot counts the copy as unreadable too
+        assert main(["run", "nulls", "--out", str(tmp_path)]) == 0
+        stable = tmp_path / "generated" / "nulls.json"
+        doc = json.loads(stable.read_text())
+        doc["metrics"]["null_a"]["H1"] = float("nan")
+        stable.write_text(json.dumps(doc))
+        assert main(["plot", "nulls", "--dir", str(tmp_path), "--format", "csv"]) == 0
+        lines = (tmp_path / "plots" / "nulls.csv").read_text().strip().splitlines()
+        assert "null_a,1,0.0" in lines and not any("nan" in line for line in lines)
+
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     @pytest.mark.parametrize("doc", [
         {"metrics": {}},

@@ -7,7 +7,7 @@ import pytest
 
 from agencykit import empowerment
 from agencykit.empowerment import (
-    BA_DEFAULT_TOL,
+    EMPOWERMENT_TOL,
     Lens,
     _batched_sequence_rows,
     _feasible_channels,
@@ -167,6 +167,16 @@ class TestBuildChannel:
         k = random_kernel(rng, 5, 3)
         ch = build_channel(k, zero_gate(5, 3), 1, 2, identity_lens(5))
         np.testing.assert_allclose(ch.sum(axis=1), 1.0, atol=1e-10)
+
+    def test_rollout_mass_checked_on_every_path(self):
+        # the one-row channel from state 0 carries mass 0.5; capacity alone
+        # would report it as zero
+        k = ControlledKernel(2, 1, probs=[[[0.5, 0], [0, 1]]])
+        g, f = zero_gate(2, 1), identity_lens(2)
+        with pytest.raises(ValueError, match="rollout mass"):
+            build_channel(k, g, 0, 1, f)
+        with pytest.raises(ValueError, match="rollout mass"):
+            median_empowerment_on_kernel(k, g, np.array([0]), 1, f)
 
 
 class TestChannelCapacity:
@@ -453,7 +463,7 @@ class TestChannelCapacities:
         # the gap is still taken over every row, the flushed ones included
         upper = row_divergences_bits(W, p @ W).max()
         assert res.gap == pytest.approx(upper - mutual_information_bits(p, W), abs=1e-12)
-        assert abs(res.capacity_bits - blahut_arimoto_capacity(W)) <= 2 * BA_DEFAULT_TOL
+        assert abs(res.capacity_bits - blahut_arimoto_capacity(W)) <= 2 * EMPOWERMENT_TOL
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="max_iter"):

@@ -27,7 +27,7 @@ class TestKernelExactness:
         RingWorldConfig(p_flip=0.3, p_slip=0.25, repair_success=0.5),
         RingWorldConfig(damage_leak=2, ledger_gain=1, gain_every_step=True,
                         cost_left=1, cost_right=1),
-        RingWorldConfig(learning_on=True, theta_levels=3, p_slip=0.2),
+        RingWorldConfig(theta_levels=3, p_slip=0.2),
         RingWorldConfig(protocol_on=False),
     ])
     def test_rows_sum_exactly_to_one(self, cfg):
@@ -43,25 +43,36 @@ class TestKernelExactness:
         for _ in range(40):
             cfg = RingWorldConfig(
                 ring_size=3, p_flip=float(rng.random()), p_slip=float(rng.random()),
-                repair_success=float(rng.random()), learning_on=True,
-                theta_levels=int(rng.integers(2, 5)),
+                repair_success=float(rng.random()), theta_levels=int(rng.integers(2, 5)),
             )
             env = build_ringworld(cfg)
             assert validate_kernel(env.kernel).ok
             assert np.all(env.kernel.weights.sum(axis=2) == 1.0)
 
     def test_state_count_formula(self):
-        cfg = RingWorldConfig(learning_on=True, theta_levels=3)
+        cfg = RingWorldConfig(theta_levels=3)
         assert cfg.n_states == 8 * 2 * 2 * 3 * 3
         assert build_ringworld(cfg).n_states == cfg.n_states
 
     def test_encoding_round_trip(self):
-        cfg = RingWorldConfig(learning_on=True, theta_levels=2)
+        cfg = RingWorldConfig(theta_levels=2)
         env = build_ringworld(cfg)
         assert env.state_fields.shape == (5, cfg.n_states)
         assert not env.state_fields.flags.writeable
         for idx, t in enumerate(env.state_fields.T.tolist()):
             assert ring_state_index(cfg, *t) == idx
+
+    @pytest.mark.parametrize("fields", [
+        {"y": 8, "u": 0, "phi": 0, "r": 0},
+        {"y": 0, "u": 2, "phi": 0, "r": 0},
+        {"y": 0, "u": 0, "phi": 2, "r": 0},
+        {"y": 0, "u": 0, "phi": 0, "r": 3},
+        {"y": 0, "u": 0, "phi": 0, "r": -1},
+        {"y": 0, "u": 0, "phi": 0, "r": 0, "theta": 1},
+    ], ids=["y", "u", "phi", "r", "negative_r", "theta"])
+    def test_state_index_rejects_out_of_range_field(self, fields):
+        with pytest.raises(ValueError):
+            ring_state_index(RingWorldConfig(), **fields)
 
 
 class TestMovementRules:
@@ -155,7 +166,7 @@ class TestLedgerRules:
 
 class TestSkillSector:
     def test_slip_strictly_decreases_with_skill(self):
-        cfg = RingWorldConfig(learning_on=True, theta_levels=3, p_slip=0.3,
+        cfg = RingWorldConfig(theta_levels=3, p_slip=0.3,
                               p_flip=0.0, cost_left=0, cost_right=0, protocol_on=False)
         env = build_ringworld(cfg)
         slips = []
@@ -167,7 +178,7 @@ class TestSkillSector:
         assert slips[2] == 0.0
 
     def test_theta_is_static(self):
-        cfg = RingWorldConfig(learning_on=True, theta_levels=2)
+        cfg = RingWorldConfig(theta_levels=2)
         env = build_ringworld(cfg)
         theta = env.state_fields[4]
         for s in range(env.n_states):
@@ -236,9 +247,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RingWorldConfig(ring_size=2)
 
-    def test_learning_needs_multiple_levels(self):
+    def test_theta_levels_must_be_positive(self):
         with pytest.raises(ValueError):
-            RingWorldConfig(learning_on=True, theta_levels=1)
+            RingWorldConfig(theta_levels=0)
 
     def test_no_field_is_only_hashed(self):
         # every field is hashed into the artifacts, so each must also shape
@@ -263,9 +274,8 @@ class TestConfigValidation:
             after = engine_inputs(dataclasses.replace(base, **{name: value}))
             return any(not np.array_equal(a, b) for a, b in zip(before, after))
 
-        bases = (RingWorldConfig(), RingWorldConfig(learning_on=True))
         inert = [f.name for f in dataclasses.fields(RingWorldConfig)
-                 if not any(changes_environment(base, f.name) for base in bases)]
+                 if not changes_environment(RingWorldConfig(), f.name)]
         assert inert == []
 
     def test_profiles_present(self):

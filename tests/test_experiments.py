@@ -3,6 +3,7 @@ import pytest
 from agencykit.artifacts import canonical_serialize
 from agencykit.experiments import (
     EXHIBITS,
+    MAX_MEDIAN_STATES,
     ablation_configs,
     contracts_passed,
     run_exhibit,
@@ -43,6 +44,13 @@ class TestRunnerBasics:
             assert solver["solves"] >= 1
             assert "solver" not in record.metrics["contracts"]
 
+    @pytest.mark.parametrize("name", ["nulls", "holonomy", "ablations", "sweep", "learning"])
+    def test_config_hashes_solver_settings(self, name):
+        # the hashed config covers the settings that produced the medians
+        record = run_exhibit(name)
+        assert record.config["capacity_tol_bits"] == record.metrics["solver"]["capacity_tol_bits"]
+        assert record.config["max_states"] == MAX_MEDIAN_STATES
+
     def test_exhibit_list_matches_runners(self):
         # run order, which `agencykit run all` follows
         assert EXHIBITS == ("packaging", "nulls", "holonomy", "ablations", "sweep", "learning")
@@ -57,16 +65,18 @@ class TestDeterminism:
 
     # config hashes of `agencykit run all`: a change to any exhibit's config
     # fails here, so config drift is always deliberate
-    @pytest.mark.parametrize("name, expected", [
-        ("packaging", "4449371cd6d28ecbd33830092709fcf095cb6d20a5b4efc94e8a6ca4551a706a"),
-        ("nulls", "7d0e5251123822cfa4a79fbff620413107abfcd060dd8145c5e8aadef6dc69d4"),
-        ("holonomy", "a5c4b6619313dc24f5eac83ea12c8afc5742c15ab4483f7840cd9cfe1f9a72d8"),
-        ("ablations", "f469541d6aa24e4d415baf0323ef4223ee7c2b8e8de0a6971e39189442947905"),
-        ("sweep", "c4ffeea0289581c627ccb5db988cf23907914fff1c025fc00154135b0fd90380"),
-        ("learning", "b31597db1e36f80f3461df28933e9a3a5671be352533fd691b6d4b1ddb89eec8"),
-    ])
-    def test_config_hash_pinned(self, name, expected):
-        assert run_exhibit(name).config_hash == expected
+    PINNED_HASHES = {
+        "packaging": "f53f834148911e3c782ef0ed4df1b29e7168c641b6a811bc9b30dfb91b3ed9b9",
+        "nulls": "b888a599ee552bc65a3a48c7433a4446da9814cb2842a824e4751b1d5048f8cb",
+        "holonomy": "2ad6c325af8757767361b9c45494a99f8cd70c65a8a15b8e8517747071be9e56",
+        "ablations": "fd55e135e6b3e0d68051062145dca7eedbb849c71f2b35738d456b74cf6bcbe0",
+        "sweep": "3245866e143af8fb8431f7ec386d1f3aee8393944c4b102c09923da495d7e8f9",
+        "learning": "0ee50283300d4fec4a98633b6d95b089315ea9c503b4588a81cf6837b146bfd9",
+    }
+
+    @pytest.mark.parametrize("name", EXHIBITS)
+    def test_config_hash_pinned(self, name):
+        assert run_exhibit(name).config_hash == self.PINNED_HASHES[name]
 
 
 class TestExhibitNumbers:
