@@ -37,17 +37,18 @@ for r in (0, 1, 2):
     print(f"budget r={r}: feasible empowerment = {cap:.4f} bits")
 
 # Order of composition matters when the protocol is on: compare the output
-# distributions of (RIGHT, LEFT) vs (LEFT, RIGHT) from a staged phase.
-from agencykit.empowerment import rollout_output_distribution
+# distributions of (RIGHT, LEFT) vs (LEFT, RIGHT) from a staged phase. Each
+# is a row of the H=2 channel, found by its position among the feasible
+# sequences.
 from agencykit.environments import LEFT, RIGHT
+from agencykit.feasibility import feasible_sequences
 
 s_star = ring_state_index(cfg, y=0, u=0, phi=1, r=2)
-w_rl = rollout_output_distribution(env.kernel, s_star, (RIGHT, LEFT), env.output_lens)
-w_lr = rollout_output_distribution(env.kernel, s_star, (LEFT, RIGHT), env.output_lens)
-print(f"\nTV((R,L), (L,R)) with protocol on:  {total_variation(w_rl, w_lr):.4f}")
-
 off = build_ringworld(RingWorldConfig(cost_left=0, cost_right=0, p_slip=0.1,
                                       protocol_on=False))
-w_rl = rollout_output_distribution(off.kernel, s_star, (RIGHT, LEFT), off.output_lens)
-w_lr = rollout_output_distribution(off.kernel, s_star, (LEFT, RIGHT), off.output_lens)
-print(f"TV((R,L), (L,R)) with protocol off: {total_variation(w_rl, w_lr):.4f}")
+print()
+for label, e in (("on: ", env), ("off:", off)):
+    w = build_channel(e.kernel, e.gate, s_star, horizon=2, f=e.output_lens)
+    seqs = feasible_sequences(e.gate, s_star, 2).tolist()
+    w_rl, w_lr = w[seqs.index([RIGHT, LEFT])], w[seqs.index([LEFT, RIGHT])]
+    print(f"TV((R,L), (L,R)) with protocol {label} {total_variation(w_rl, w_lr):.4f}")

@@ -197,8 +197,8 @@ def _check_probability_object(value) -> str | None:
     rows = arr[None, :] if arr.ndim == 1 else arr
     sums = rows.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > STOCHASTICITY_TOLERANCE):
-        worst = sums[np.argmax(np.abs(sums - 1.0))]
-        return f"row sum {worst!r} deviates from 1"
+        worst = float(sums[np.argmax(np.abs(sums - 1.0))])
+        return f"row sum {worst} deviates from 1"
     return None
 
 

@@ -139,8 +139,8 @@ def _plot_series(record: dict, exhibit: str) -> list[tuple[str, float, float]]:
             for h, v in zip(m["horizons"], m[regime]["medians"]):
                 rows.append((regime, float(h), float(v)))
     elif exhibit == "nulls":
-        for h in (1, 2, 3):
-            rows.append(("null_a", float(h), float(m["null_a"][f"H{h}"])))
+        rows += sorted(("null_a", float(key.removeprefix("H")), float(v))
+                       for key, v in m["null_a"].items())
         rows.append(("null_b_wrong", 1.0, float(m["null_b"]["wrong"])))
         rows.append(("null_b_right", 1.0, float(m["null_b"]["right"])))
     elif exhibit == "learning":

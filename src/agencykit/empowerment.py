@@ -5,6 +5,10 @@ action sequences to the lens output at time H. Feasible empowerment restricts
 the input alphabet to sequences whose total cost fits the initial budget.
 Capacity is solved by Blahut-Arimoto with certified upper/lower bounds; all
 logs are base 2 and 0*log(0) = 0 throughout.
+
+Every output distribution comes from one rollout, ``_batched_sequence_rows``,
+cut into channels by ``_feasible_channels``; a single sequence's distribution
+is a row of ``build_channel``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.feasibility import FeasibilityGate, sequence_costs
-from agencykit.kernel import ControlledKernel, predecessor_lists, pull
+from agencykit.kernel import ControlledKernel, check_fits, predecessor_lists, pull
 
 ROW_TOLERANCE = 1e-9
 MASS_TOLERANCE = 1e-10
@@ -53,37 +57,6 @@ class CapacityResult:
     input_distribution: np.ndarray
     iterations: int
     gap: float
-
-
-def _check_mass(out: np.ndarray) -> None:
-    total = out.sum(axis=-1)
-    bad = np.flatnonzero(np.abs(total - 1.0) > MASS_TOLERANCE)
-    if bad.size:
-        raise ValueError(f"rollout mass {total.flat[bad[0]]!r} deviates from 1")
-
-
-def rollout_output_distribution(
-    k: ControlledKernel, s0: int, alpha: tuple[int, ...] | np.ndarray, f: Lens
-) -> np.ndarray:
-    """Exact push-forward of delta_{s0} through an action sequence, then the lens.
-
-    Pushes one column with the same ``pull`` as ``_batched_sequence_rows``,
-    so the result is bit-identical to that sequence's row there.
-    """
-    actions = tuple(alpha)
-    if len(actions) < 1:
-        raise ValueError("action sequence must have length >= 1")
-    if not 0 <= s0 < k.n_states:
-        raise IndexError(f"state index {s0} out of range")
-    step = predecessor_lists(k)
-    D = np.zeros((k.n_states, 1))
-    D[s0, 0] = 1.0
-    for a in actions[:-1]:
-        D = pull(step, D).reshape(k.n_actions, k.n_states, 1)[a]
-    last = predecessor_lists(k, f.project, f.n_labels)
-    out = pull(last, D).reshape(k.n_actions, f.n_labels)[actions[-1]]
-    _check_mass(out)
-    return out
 
 
 def build_channel(
@@ -169,7 +142,7 @@ def channel_capacities(
         row_sums = matrix.sum(axis=1)
         bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_TOLERANCE)
         if bad.size:
-            raise ValueError(f"channel row {int(bad[0])} sums to {row_sums[bad[0]]!r}")
+            raise ValueError(f"channel row {int(bad[0])} sums to {float(row_sums[bad[0]])}")
         # one opaque item per row, so np.unique compares whole rows bytewise;
         # this is exact and several times faster than np.unique(matrix, axis=0)
         row_items = np.ascontiguousarray(matrix).view(np.dtype((np.void, matrix[0].nbytes)))
@@ -245,33 +218,39 @@ def feasible_empowerment(
 class MedianEmpowermentResult:
     """Lower-median empowerment over a deterministically selected state subset.
 
-    The last four fields describe the channels solved, one per orbit
-    representative: their largest certified gap, their number, and their
-    total and largest Blahut-Arimoto iteration counts.
+    ``solved`` holds one certified solve per distinct channel, that is per
+    orbit representative of the selected states; it is empty for an empty
+    kernel. ``experiments.solver_block`` reduces it.
     """
 
     median_bits: float
     selected_states: list[int]
     values: list[float]
     subset_rule: str
-    max_gap_bits: float
-    solves: int
-    iterations_total: int
-    iterations_max: int
+    solved: list[CapacityResult]
 
 
-def select_kernel_subset(indices: np.ndarray, max_states: int) -> np.ndarray:
+def select_kernel_subset(indices: np.ndarray, max_states: int) -> tuple[np.ndarray, str]:
     """Deterministic subset rule: all states when small, else evenly strided.
 
-    States are sorted by index; when more than ``max_states`` remain, positions
-    floor(i * n / max_states) for i = 0..max_states-1 are kept.
+    The indices are taken as a set, sorted; when more than ``max_states``
+    remain, positions floor(i * n / max_states) for i = 0..max_states-1 are
+    kept. Returns the selected states and the rule's name: ``empty_kernel``,
+    ``all_states`` or ``strided_<max_states>``.
     """
     indices = np.sort(np.asarray(indices))
+    # each index once; plain np.unique would take numpy's hash-table path,
+    # whose first call maps about 1 MB of pages into the process
+    first = np.ones(len(indices), dtype=bool)
+    first[1:] = indices[1:] != indices[:-1]
+    indices = indices[first]
     n = len(indices)
+    if n == 0:
+        return indices, "empty_kernel"
     if n <= max_states:
-        return indices
+        return indices, "all_states"
     picks = (np.arange(max_states) * n) // max_states
-    return indices[picks]
+    return indices[picks], f"strided_{max_states}"
 
 
 def lower_median(values: list[float] | np.ndarray) -> float:
@@ -365,15 +344,20 @@ def _feasible_channels(
     gives each its rows of the sequences that fit its ledger, in
     ``feasible_sequences`` order, and ``states[i]``'s channel is, bit for bit,
     ``np.roll(channels[slot[i]], shift[i], axis=1)``. Raises ValueError when
-    a row of a cut channel does not carry total mass 1.
+    the gate or lens does not fit the kernel or a row of a cut channel does
+    not carry total mass 1.
     """
+    check_fits(k, gate, lens=f)
     rep, shift = _translation_orbits(k, gate, f)
     reps, slot = np.unique(rep[states], return_inverse=True)
     rows = _batched_sequence_rows(k, horizon, f, reps)
     costs = sequence_costs(gate, horizon)
     channels = [rows[costs <= gate.ledger[s], i] for i, s in enumerate(reps)]
     for channel in channels:
-        _check_mass(channel)
+        total = channel.sum(axis=1)
+        bad = np.flatnonzero(np.abs(total - 1.0) > MASS_TOLERANCE)
+        if bad.size:
+            raise ValueError(f"rollout mass {float(total[bad[0]])} deviates from 1")
     return channels, slot, shift[states]
 
 
@@ -388,43 +372,34 @@ def median_empowerment_on_kernel(
 ) -> MedianEmpowermentResult:
     """Lower-median feasible empowerment over a viability kernel.
 
-    ``kernel_set`` is a boolean mask or an index array. The empty set yields
-    zero by convention (no viable states means no induced action layer).
-    Only the orbit representatives of the selected states are rolled out and
-    solved, in one ``channel_capacities`` call (see ``_feasible_channels``);
-    ``max_gap_bits`` is the largest certified gap among those solves.
+    ``kernel_set`` is a boolean mask over the states or a set of state
+    indices; a repeated index counts once. The empty set yields zero by
+    convention (no viable states means no induced action layer). Only the
+    orbit representatives of the selected states are rolled out and solved,
+    in one ``channel_capacities`` call (see ``_feasible_channels``).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     kernel_set = np.asarray(kernel_set)
+    if kernel_set.dtype == bool and kernel_set.shape != (k.n_states,):
+        raise ValueError(f"kernel mask has shape {kernel_set.shape}, not ({k.n_states},)")
     indices = np.flatnonzero(kernel_set) if kernel_set.dtype == bool else kernel_set
-    if len(indices) == 0:
-        return MedianEmpowermentResult(
-            median_bits=0.0,
-            selected_states=[],
-            values=[],
-            subset_rule="empty_kernel",
-            max_gap_bits=0.0,
-            solves=0,
-            iterations_total=0,
-            iterations_max=0,
-        )
-    selected = select_kernel_subset(indices, max_states)
-    rule = "all_states" if len(indices) <= max_states else f"strided_{max_states}"
+    outside = indices[(indices < 0) | (indices >= k.n_states)]
+    if outside.size:
+        raise IndexError(f"state index {outside[0]} out of range")
+    selected, rule = select_kernel_subset(indices, max_states)
+    if len(selected) == 0:
+        return MedianEmpowermentResult(0.0, [], [], rule, [])
 
     channels, slot, _ = _feasible_channels(k, gate, selected, horizon, f)
     solved = channel_capacities(channels, tol=tol)
     values = [solved[j].capacity_bits for j in slot]
-    iterations = [r.iterations for r in solved]
     return MedianEmpowermentResult(
         median_bits=lower_median(values),
         selected_states=[int(s) for s in selected],
         values=values,
         subset_rule=rule,
-        max_gap_bits=max(r.gap for r in solved),
-        solves=len(solved),
-        iterations_total=sum(iterations),
-        iterations_max=max(iterations),
+        solved=solved,
     )
 
 

@@ -185,6 +185,22 @@ def validate_kernel(k: ControlledKernel) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=violations)
 
 
+def check_fits(k: ControlledKernel, gate=None, safe=None, lens=None) -> None:
+    """Raise ValueError unless a gate, safety predicate or lens is sized for ``k``.
+
+    numpy would otherwise broadcast a one-entry ledger, cost table, safety
+    mask or lens projection over every state or action.
+    """
+    for name, owner, attr, n in (
+        ("gate ledger", gate, "ledger", k.n_states),
+        ("gate costs", gate, "costs", k.n_actions),
+        ("safety mask", safe, "safe", k.n_states),
+        ("lens projection", lens, "project", k.n_states),
+    ):
+        if owner is not None and getattr(owner, attr).shape != (n,):
+            raise ValueError(f"{name} has shape {getattr(owner, attr).shape}, not ({n},)")
+
+
 def predecessor_lists(
     k: ControlledKernel, target_of: np.ndarray | None = None, n_targets: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.empowerment import Lens
-from agencykit.kernel import ControlledKernel, Policy, policy_successors
+from agencykit.kernel import ControlledKernel, Policy, check_fits, policy_successors
 
 
 @dataclass
@@ -27,8 +27,6 @@ class Endomap:
     confident modes from near-ties.
     """
 
-    lens_name: str
-    horizon_tau: int
     policy_name: str
     mapping: dict[int, int]
     reach_mass: dict[int, float]
@@ -54,6 +52,7 @@ def packaging_endomap(
     initialization is undefined there). The modal label always has positive
     mass, hence a nonempty fiber, so the endomap is closed on its domain.
     """
+    check_fits(k, lens=pi)
     succ, weights = policy_successors(k, mu)
     n = k.n_states
     fib, state, mass = pi.project, np.arange(n), np.ones(n)
@@ -74,8 +73,6 @@ def packaging_endomap(
     sizes = np.bincount(pi.project, minlength=pi.n_labels)
     domain = fib[first].tolist()
     return Endomap(
-        lens_name=pi.name,
-        horizon_tau=tau,
         policy_name=policy_name,
         mapping=dict(zip(domain, label[first].tolist())),
         reach_mass=dict(zip(domain, (mass[first] / sizes[fib[first]]).tolist())),

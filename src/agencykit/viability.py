@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.feasibility import FeasibilityGate, feasible_action_matrix
-from agencykit.kernel import ControlledKernel
+from agencykit.kernel import ControlledKernel, check_fits
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ def viability_kernel(
     Starts from the top safe set and sweeps until the set repeats exactly.
     An empty safe set short-circuits to the empty kernel in zero iterations.
     """
+    check_fits(k, gate, safe=safe)
     K = np.asarray(safe.safe, dtype=bool).copy()
     trace: list[int] = []
     if not K.any():

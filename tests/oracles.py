@@ -8,7 +8,8 @@ capacity from its closed form 1 - H2(eps). The viability kernel is checked
 against the union of all fixed points of its operator, by subset enumeration.
 The dense oracles at the end rebuild the (A, S, S) tensor and compute
 viability, rollouts and packaging with plain matrix algebra, independent of
-the successor lists.
+the successor lists. ``rollout_output_distribution`` pushes a single column
+with the engine's own ``pull``, as the reference for the batched sequence walk.
 """
 
 import itertools
@@ -115,6 +116,25 @@ def bsc_capacity(eps: float) -> float:
         return 1.0
     h2 = -(eps * np.log2(eps) + (1 - eps) * np.log2(1 - eps))
     return 1.0 - h2
+
+
+def rollout_output_distribution(k, s0: int, alpha, f) -> np.ndarray:
+    """Exact push-forward of delta_{s0} through an action sequence, then the lens.
+
+    Pushes one column through ``pull`` one action at a time, with no sequence
+    tree, orbit quotient or channel cut, so it must equal that sequence's row
+    of a batched rollout bit for bit.
+    """
+    from agencykit.kernel import predecessor_lists, pull
+
+    *prefix, final = alpha
+    step = predecessor_lists(k)
+    D = np.zeros((k.n_states, 1))
+    D[s0, 0] = 1.0
+    for a in prefix:
+        D = pull(step, D).reshape(k.n_actions, k.n_states, 1)[a]
+    last = predecessor_lists(k, f.project, f.n_labels)
+    return pull(last, D).reshape(k.n_actions, f.n_labels)[final]
 
 
 # --------------------------------------------------------------------------

@@ -170,6 +170,8 @@ class TestAudit:
         self._write(tmp_path, metrics={"w_rows": [[0.5, 0.4], [0.5, 0.5]]})
         report = audit(tmp_path)
         assert any(rule == "stochasticity" for _, rule, _ in report.failures)
+        # the sum is a plain float in the detail, not a numpy repr
+        assert any("row sum 0.9 deviates from 1" in detail for _, _, detail in report.failures)
 
     def test_good_probability_objects_pass(self, tmp_path):
         self._write(tmp_path, metrics={"out_distribution": [0.25, 0.75],

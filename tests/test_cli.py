@@ -89,6 +89,18 @@ class TestPlot:
         lines = (tmp_path / "plots" / "nulls.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 5
 
+    def test_nulls_series_follow_the_artifact_horizons(self, tmp_path):
+        assert main(["run", "nulls", "--out", str(tmp_path)]) == 0
+        stable = tmp_path / "generated" / "nulls.json"
+        doc = json.loads(stable.read_text())
+        doc["metrics"]["null_a"]["H4"] = 0.25
+        stable.write_text(json.dumps(doc))
+        assert main(["plot", "nulls", "--dir", str(tmp_path), "--format", "csv"]) == 0
+        lines = (tmp_path / "plots" / "nulls.csv").read_text().strip().splitlines()
+        assert [line for line in lines if line.startswith("null_a,")] == [
+            "null_a,1,0.0", "null_a,2,0.0", "null_a,3,0.0", "null_a,4,0.25",
+        ]
+
     def test_unreadable_stable_copy_falls_back_to_hashed(self, tmp_path):
         assert main(["run", "packaging", "--out", str(tmp_path)]) == 0
         assert list(tmp_path.glob("packaging_*.json"))

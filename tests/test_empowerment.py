@@ -18,7 +18,6 @@ from agencykit.empowerment import (
     feasible_empowerment,
     lower_median,
     median_empowerment_on_kernel,
-    rollout_output_distribution,
     select_kernel_subset,
     total_variation,
 )
@@ -40,6 +39,7 @@ from oracles import (
     dense_sequence_rows,
     grid_search_capacity,
     mutual_information_bits,
+    rollout_output_distribution,
     row_divergences_bits,
 )
 
@@ -104,25 +104,26 @@ class TestRollout:
                 out = rollout_output_distribution(k, int(s), alpha, f)
                 assert out.tobytes() == rows[j, s].tobytes()
 
+    # a one-action kernel's channel has one row, the all-zeros sequence
     def test_deterministic_kernel_delta_output(self):
         k = single_matrix_kernel([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        out = rollout_output_distribution(k, 0, (0, 0), identity_lens(3))
-        np.testing.assert_array_equal(out, [0, 0, 1])
+        out = build_channel(k, zero_gate(3, 1), 0, 2, identity_lens(3))
+        np.testing.assert_array_equal(out, [[0, 0, 1]])
 
     def test_identity_dynamics_keep_start_label(self):
         k = single_matrix_kernel(np.eye(4))
-        out = rollout_output_distribution(k, 2, (0, 0, 0), identity_lens(4))
-        np.testing.assert_array_equal(out, [0, 0, 1, 0])
+        out = build_channel(k, zero_gate(4, 1), 2, 3, identity_lens(4))
+        np.testing.assert_array_equal(out, [[0, 0, 1, 0]])
 
     def test_double_flip_returns_start(self):
         flip = single_matrix_kernel([[0, 1], [1, 0]])
-        out = rollout_output_distribution(flip, 0, (0, 0), identity_lens(2))
-        np.testing.assert_allclose(out, [1, 0])
+        out = build_channel(flip, zero_gate(2, 1), 0, 2, identity_lens(2))
+        np.testing.assert_allclose(out, [[1, 0]])
 
     def test_empty_sequence_rejected(self):
         k = single_matrix_kernel(np.eye(2))
-        with pytest.raises(ValueError):
-            rollout_output_distribution(k, 0, (), identity_lens(2))
+        with pytest.raises(ValueError, match="horizon"):
+            build_channel(k, zero_gate(2, 1), 0, 0, identity_lens(2))
 
 
 class TestBuildChannel:
@@ -173,9 +174,10 @@ class TestBuildChannel:
         # would report it as zero
         k = ControlledKernel(2, 1, probs=[[[0.5, 0], [0, 1]]])
         g, f = zero_gate(2, 1), identity_lens(2)
-        with pytest.raises(ValueError, match="rollout mass"):
+        # the mass is a plain float in the message, not a numpy repr
+        with pytest.raises(ValueError, match=r"rollout mass 0\.5 deviates from 1"):
             build_channel(k, g, 0, 1, f)
-        with pytest.raises(ValueError, match="rollout mass"):
+        with pytest.raises(ValueError, match=r"rollout mass 0\.5 deviates from 1"):
             median_empowerment_on_kernel(k, g, np.array([0]), 1, f)
 
 
@@ -202,7 +204,7 @@ class TestChannelCapacity:
         np.testing.assert_array_equal(single.input_distribution, [1.0])
 
     def test_non_stochastic_row_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"channel row 0 sums to 1\.1$"):
             channel_capacity(np.array([[0.5, 0.6], [0.5, 0.5]]))
 
     def test_bad_tolerance_rejected(self):
@@ -491,7 +493,7 @@ class TestFeasibleEmpowerment:
                                            identity_lens(4))
         assert med.median_bits == 0.0
         assert med.subset_rule == "empty_kernel"
-        assert med.max_gap_bits == 0.0
+        assert med.solved == []
 
     def test_median_rejects_horizon_zero(self, rng):
         k = random_kernel(rng, 4, 2)
@@ -525,6 +527,50 @@ class TestFeasibleEmpowerment:
         assert med.median_bits == pytest.approx(lower_median(direct), abs=1e-12)
 
 
+class TestMedianInputs:
+    """State sets, gates and lenses that do not fit the kernel are rejected."""
+
+    @pytest.fixture(scope="class")
+    def env(self):
+        return build_ringworld(base_profile("paper"))
+
+    @staticmethod
+    def median(env, states, gate=None, lens=None):
+        return median_empowerment_on_kernel(
+            env.kernel, gate or env.gate, states, 1, lens or env.output_lens
+        )
+
+    @pytest.mark.parametrize("index", [-1, "S"])
+    def test_out_of_range_index_rejected(self, env, index):
+        # the stride over these 70 indices never picks the last one
+        index = env.n_states if index == "S" else index
+        with pytest.raises(IndexError, match="out of range"):
+            self.median(env, np.array([*range(69), index]))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_mask_of_wrong_length_rejected(self, env, delta):
+        with pytest.raises(ValueError, match="kernel mask"):
+            self.median(env, np.ones(env.n_states + delta, dtype=bool))
+
+    def test_repeated_indices_count_once(self, env):
+        once = self.median(env, np.array([0, 50]))
+        repeated = self.median(env, np.array([50, 0, 50]))
+        assert repeated.selected_states == once.selected_states == [0, 50]
+        assert (repeated.values, repeated.median_bits) == (once.values, once.median_bits)
+
+    @pytest.mark.parametrize("part", ["gate ledger", "gate costs", "lens projection"])
+    def test_gate_and_lens_must_fit_the_kernel(self, env, part):
+        gate, lens = env.gate, env.output_lens
+        if part == "gate ledger":
+            gate = FeasibilityGate(ledger=[2.0], costs=gate.costs)
+        elif part == "gate costs":
+            gate = FeasibilityGate(ledger=gate.ledger, costs=[0.0])
+        else:
+            lens = Lens(name="one_entry", project=np.array([0]), n_labels=lens.n_labels)
+        with pytest.raises(ValueError, match=part):
+            self.median(env, np.array([0]), gate, lens)
+
+
 class TestMedianMemo:
     """The orbit quotient must return what per-state solves certify."""
 
@@ -555,10 +601,9 @@ class TestMedianMemo:
             f = identity_lens(5)
             med = median_empowerment_on_kernel(k, g, np.ones(5, bool), 2, f, tol=1e-9)
             direct = self.direct(k, g, med, 2, f, 1e-9)
-            assert med.max_gap_bits == max(r.gap for r in direct)
-            assert med.iterations_max == max(r.iterations for r in direct)
-            assert 1 <= med.solves <= len(direct)
-            assert med.iterations_max <= med.iterations_total
+            assert max(r.gap for r in med.solved) == max(r.gap for r in direct)
+            assert max(r.iterations for r in med.solved) == max(r.iterations for r in direct)
+            assert 1 <= len(med.solved) <= len(direct)
 
     @pytest.mark.parametrize("protocol_on", [True, False])
     def test_holonomy_ring_matches_unmerged_channels(self, protocol_on, monkeypatch):
@@ -582,10 +627,10 @@ class TestMedianMemo:
             )
             # y-shifted start states share one orbit representative
             rep, _ = _translation_orbits(env.kernel, env.gate, env.output_lens)
-            assert 1 <= len(solves) == med.solves < len(med.selected_states)
-            assert med.solves <= len(set(rep[med.selected_states].tolist()))
-            assert med.iterations_total == sum(r.iterations for r in solves)
-            assert med.iterations_max == max(r.iterations for r in solves)
+            assert 1 <= len(solves) == len(med.solved) < len(med.selected_states)
+            assert len(med.solved) <= len(set(rep[med.selected_states].tolist()))
+            # the median keeps its one capacity call's results, unreduced
+            assert all(a is b for a, b in zip(med.solved, solves))
             # channels cut from independent dense rollouts, one per selected state
             seqs, rows = dense_sequence_rows(
                 env.kernel, horizon, env.output_lens, med.selected_states
@@ -596,18 +641,27 @@ class TestMedianMemo:
                 for i, s in enumerate(med.selected_states)
             ]
             np.testing.assert_allclose(med.values, oracle, rtol=0, atol=2 * tol)
-            assert med.max_gap_bits <= tol
+            assert max(r.gap for r in med.solved) <= tol
 
 
 class TestSubsetRule:
     def test_small_sets_taken_whole(self):
-        sel = select_kernel_subset(np.array([5, 3, 9]), max_states=64)
+        sel, rule = select_kernel_subset(np.array([5, 3, 9]), max_states=64)
         np.testing.assert_array_equal(sel, [3, 5, 9])
+        assert rule == "all_states"
+        sel, rule = select_kernel_subset(np.array([], dtype=np.int64), max_states=64)
+        assert len(sel) == 0 and rule == "empty_kernel"
+
+    def test_repeated_indices_count_once(self):
+        sel, rule = select_kernel_subset(np.array([5, 3, 5, 9, 3]), max_states=3)
+        np.testing.assert_array_equal(sel, [3, 5, 9])
+        assert rule == "all_states"
 
     def test_strided_selection_deterministic(self):
         idx = np.arange(100)
-        sel = select_kernel_subset(idx, max_states=10)
+        sel, rule = select_kernel_subset(idx, max_states=10)
         np.testing.assert_array_equal(sel, np.arange(10) * 10)
+        assert rule == "strided_10"
 
     def test_lower_median_definition(self):
         assert lower_median([3.0, 1.0, 2.0]) == 2.0

@@ -16,7 +16,6 @@ from agencykit.empowerment import (
     _batched_sequence_rows,
     build_channel,
     median_empowerment_on_kernel,
-    rollout_output_distribution,
 )
 from agencykit.environments import RingWorldConfig, build_ringworld
 from agencykit.experiments import (
@@ -36,6 +35,7 @@ from oracles import (
     dense_viability_step,
     fraction_ring_tensor,
     matrix_power_endomap,
+    rollout_output_distribution,
 )
 
 RING_CONFIGS = {

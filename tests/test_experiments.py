@@ -1,17 +1,24 @@
+import numpy as np
 import pytest
 
 from agencykit.artifacts import canonical_serialize
+from agencykit.empowerment import median_empowerment_on_kernel
+from agencykit.environments import LEFT, RIGHT, build_ringworld
 from agencykit.experiments import (
+    EMPOWERMENT_TOL,
     EXHIBITS,
     MAX_MEDIAN_STATES,
     ablation_configs,
     contracts_passed,
+    holonomy_config,
     run_exhibit,
     run_learning,
     run_nulls,
     run_packaging,
     run_sweep,
+    solver_block,
 )
+from oracles import rollout_output_distribution
 
 
 class TestRunnerBasics:
@@ -120,3 +127,25 @@ class TestExhibitNumbers:
         assert 0.0 < m["solver"]["max_gap_bits"] <= m["solver"]["capacity_tol_bits"]
         assert "witness_alpha_on_distribution" not in m
         assert len(m["witness"]["protocol_on"]["alpha_output_distribution"]) == 16
+
+    def test_holonomy_witness_rows_are_single_column_rollouts(self):
+        # the witness reads two rows of the start state's H=2 channel; each
+        # must be its sequence's one-column rollout, bit for bit
+        witness = run_exhibit("holonomy").metrics["witness"]
+        for regime, protocol_on in (("protocol_on", True), ("protocol_off", False)):
+            env = build_ringworld(holonomy_config("paper", protocol_on))
+            w = witness[regime]
+            for name, seq in (("alpha", (RIGHT, LEFT)), ("beta", (LEFT, RIGHT))):
+                out = rollout_output_distribution(env.kernel, w["start_state"], seq,
+                                                  env.output_lens)
+                assert np.array(w[f"{name}_output_distribution"]).tobytes() == out.tobytes()
+
+    def test_solver_block_of_empty_medians(self):
+        env = build_ringworld(holonomy_config("paper", True))
+        empty = median_empowerment_on_kernel(
+            env.kernel, env.gate, np.zeros(env.n_states, bool), 2, env.output_lens
+        )
+        assert solver_block([empty, empty]) == {
+            "max_gap_bits": 0.0, "solves": 0, "iterations_total": 0, "iterations_max": 0,
+            "capacity_tol_bits": EMPOWERMENT_TOL,
+        }

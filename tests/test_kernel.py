@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from agencykit.empowerment import Lens, rollout_output_distribution
+from agencykit.empowerment import Lens, build_channel
+from agencykit.feasibility import FeasibilityGate
 from agencykit.kernel import (
     SCAN_CHUNK,
     ControlledKernel,
@@ -85,8 +86,9 @@ class TestStepDistribution:
         # a rollout that loses mass through a sub-stochastic row is rejected
         k = kernel_from_rows([[0.5, 0.4], [0, 1]])
         lens = Lens(name="identity", project=np.arange(2), n_labels=2)
+        gate = FeasibilityGate(ledger=np.zeros(2), costs=np.zeros(1))
         with pytest.raises(ValueError, match="mass"):
-            rollout_output_distribution(k, 0, (0,), lens)
+            build_channel(k, gate, 0, 1, lens)
 
 
 def nonzero_successor_lists(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -90,28 +90,34 @@ class TestPackagingEndomap:
         for x, target in e.mapping.items():
             assert (x % cfg.phase_period) != (target % cfg.phase_period)
 
+    def test_lens_must_fit_the_kernel(self, rng):
+        k = random_kernel(rng, 4, 1)
+        one_entry = Lens(name="one_entry", project=np.array([0]), n_labels=1)
+        with pytest.raises(ValueError, match="lens projection"):
+            packaging_endomap(k, one_entry, constant_policy(4), 1)
+
 
 class TestIdempotenceDefect:
     def test_identity_map_zero(self):
-        e = Endomap("l", 1, "p", mapping={0: 0, 1: 1}, reach_mass={0: 1, 1: 1})
+        e = Endomap("p", mapping={0: 0, 1: 1}, reach_mass={0: 1, 1: 1})
         assert idempotence_defect(e) == 0.0
 
     def test_two_cycle_everything_fails(self):
-        e = Endomap("l", 1, "p", mapping={0: 1, 1: 0}, reach_mass={0: 1, 1: 1})
+        e = Endomap("p", mapping={0: 1, 1: 0}, reach_mass={0: 1, 1: 1})
         assert idempotence_defect(e) == 1.0
 
     def test_constant_map_zero(self):
-        e = Endomap("l", 1, "p", mapping={0: 2, 1: 2, 2: 2}, reach_mass={})
+        e = Endomap("p", mapping={0: 2, 1: 2, 2: 2}, reach_mass={})
         assert idempotence_defect(e) == 0.0
 
     def test_denominator_is_domain_size(self):
-        e = Endomap("l", 1, "p", mapping={0: 1, 1: 0, 2: 2}, reach_mass={})
+        e = Endomap("p", mapping={0: 1, 1: 0, 2: 2}, reach_mass={})
         assert idempotence_defect(e) == pytest.approx(2 / 3)
 
     def test_zero_defect_iff_identity_on_image(self, rng):
         for _ in range(50):
             n = rng.randint(2, 8)
             mapping = {x: int(rng.randint(0, n)) for x in range(n)}
-            e = Endomap("l", 1, "p", mapping=mapping, reach_mass={})
+            e = Endomap("p", mapping=mapping, reach_mass={})
             image_identity = all(mapping[y] == y for y in set(mapping.values()))
             assert (idempotence_defect(e) == 0.0) == image_identity

@@ -27,6 +27,7 @@ import workloads  # noqa: E402
 
 import agencykit as ak  # noqa: E402
 from agencykit.empowerment import median_empowerment_on_kernel  # noqa: E402
+from agencykit.experiments import solver_block  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -89,5 +90,7 @@ def test_random_kernels_batch0_solver_counts():
             k, gate, ak.viability_kernel(k, gate, safe).kernel, workloads.RANDOM_HORIZON, out,
             max_states=workloads.MAX_MEDIAN_STATES, tol=workloads.EMPOWERMENT_TOL,
         )
-        counts.append((med.solves, med.iterations_total, med.iterations_max, med.max_gap_bits))
+        block = solver_block([med])
+        counts.append(tuple(block[key] for key in
+                            ("solves", "iterations_total", "iterations_max", "max_gap_bits")))
     assert counts == BATCH0_SOLVER_COUNTS

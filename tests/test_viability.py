@@ -65,9 +65,23 @@ class TestViabilityKernel:
 
     def test_empty_safe_set_short_circuits(self, rng):
         k = random_kernel(rng, 4, 2)
-        res = viability_kernel(k, free_gate(4), SafetyPredicate(safe=np.zeros(4, bool)))
+        res = viability_kernel(k, free_gate(4, 2), SafetyPredicate(safe=np.zeros(4, bool)))
         assert res.size == 0
         assert res.iterations == 0
+
+    @pytest.mark.parametrize("part", ["gate ledger", "gate costs", "safety mask"])
+    def test_inputs_must_fit_the_kernel(self, part):
+        # numpy would broadcast each of these one-entry arrays over the kernel
+        env = build_ringworld(RingWorldConfig())
+        gate, safe = env.gate, env.safety_ledger_only
+        if part == "gate ledger":
+            gate = FeasibilityGate(ledger=[2.0], costs=gate.costs)
+        elif part == "gate costs":
+            gate = FeasibilityGate(ledger=gate.ledger, costs=[0.0])
+        else:
+            safe = SafetyPredicate(safe=[True], name="one_entry")
+        with pytest.raises(ValueError, match=part):
+            viability_kernel(env.kernel, gate, safe)
 
 
 class TestBruteForceOracle:
