@@ -8,7 +8,8 @@ logs are base 2 and 0*log(0) = 0 throughout.
 
 Every output distribution comes from one rollout, ``_batched_sequence_rows``,
 cut into channels by ``_feasible_channels``; a single sequence's distribution
-is a row of ``build_channel``.
+is a row of ``build_channel``. Medians are computed by ``median_empowerments``,
+which solves a whole batch of them in one ``channel_capacities`` call.
 """
 
 from __future__ import annotations
@@ -370,37 +371,64 @@ def median_empowerment_on_kernel(
     max_states: int = MAX_MEDIAN_STATES,
     tol: float = EMPOWERMENT_TOL,
 ) -> MedianEmpowermentResult:
-    """Lower-median feasible empowerment over a viability kernel.
+    """Lower-median feasible empowerment over a viability kernel (see ``median_empowerments``)."""
+    return median_empowerments([(k, gate, kernel_set, horizon, f)], max_states, tol)[0]
+
+
+def median_empowerments(
+    problems: Iterable[tuple[ControlledKernel, FeasibilityGate, np.ndarray, int, Lens]],
+    max_states: int = MAX_MEDIAN_STATES,
+    tol: float = EMPOWERMENT_TOL,
+) -> list[MedianEmpowermentResult]:
+    """Lower-median feasible empowerments of ``(k, gate, kernel_set, horizon, f)`` problems.
 
     ``kernel_set`` is a boolean mask over the states or a set of state
     indices; a repeated index counts once. The empty set yields zero by
     convention (no viable states means no induced action layer). Only the
-    orbit representatives of the selected states are rolled out and solved,
-    in one ``channel_capacities`` call (see ``_feasible_channels``).
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    kernel_set = np.asarray(kernel_set)
-    if kernel_set.dtype == bool and kernel_set.shape != (k.n_states,):
-        raise ValueError(f"kernel mask has shape {kernel_set.shape}, not ({k.n_states},)")
-    indices = np.flatnonzero(kernel_set) if kernel_set.dtype == bool else kernel_set
-    outside = indices[(indices < 0) | (indices >= k.n_states)]
-    if outside.size:
-        raise IndexError(f"state index {outside[0]} out of range")
-    selected, rule = select_kernel_subset(indices, max_states)
-    if len(selected) == 0:
-        return MedianEmpowermentResult(0.0, [], [], rule, [])
+    orbit representatives of the selected states are rolled out and solved
+    (see ``_feasible_channels``).
 
-    channels, slot, _ = _feasible_channels(k, gate, selected, horizon, f)
+    ``problems`` is read lazily: each problem is validated and cut into its
+    channels before the next is drawn, so a generator may build one
+    environment at a time. After the last one, every channel goes to one
+    ``channel_capacities`` call, whose solves do not depend on which channels
+    share it, so each result equals its problem's own median bit for bit.
+    That call needs one output alphabet: a problem whose lens has another
+    label count than the first problem's raises ValueError.
+    """
+    pending, channels, n_labels = [], [], None
+    for k, gate, kernel_set, horizon, f in problems:
+        if n_labels is not None and f.n_labels != n_labels:
+            raise ValueError(f"lens has {f.n_labels} labels, not {n_labels} like the first problem's")
+        n_labels = f.n_labels
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        kernel_set = np.asarray(kernel_set)
+        if kernel_set.dtype == bool and kernel_set.shape != (k.n_states,):
+            raise ValueError(f"kernel mask has shape {kernel_set.shape}, not ({k.n_states},)")
+        indices = np.flatnonzero(kernel_set) if kernel_set.dtype == bool else kernel_set
+        outside = indices[(indices < 0) | (indices >= k.n_states)]
+        if outside.size:
+            raise IndexError(f"state index {outside[0]} out of range")
+        selected, rule = select_kernel_subset(indices, max_states)
+        start, slot = len(channels), []
+        if len(selected):
+            cut, slot, _ = _feasible_channels(k, gate, selected, horizon, f)
+            channels += cut
+        pending.append((selected, rule, slot, start, len(channels)))
+
     solved = channel_capacities(channels, tol=tol)
-    values = [solved[j].capacity_bits for j in slot]
-    return MedianEmpowermentResult(
-        median_bits=lower_median(values),
-        selected_states=[int(s) for s in selected],
-        values=values,
-        subset_rule=rule,
-        solved=solved,
-    )
+    results = []
+    for selected, rule, slot, start, stop in pending:
+        values = [solved[start + j].capacity_bits for j in slot]
+        results.append(MedianEmpowermentResult(
+            median_bits=lower_median(values) if values else 0.0,
+            selected_states=[int(s) for s in selected],
+            values=values,
+            subset_rule=rule,
+            solved=solved[start:stop],
+        ))
+    return results
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

@@ -35,11 +35,14 @@ where each branch lands. So each (movement kind, u, theta) gets one table of
 rational arithmetic and converted to float once, with the largest mass set to
 1 - (float sum of the others) so every row sums to exactly 1.0. The targets
 are integer numpy arithmetic on the decoded state fields, and the same tables
-serve every ring position.
+serve every ring position. A table is summed once per process: it is memoised
+on the config fields that set its masses, so configs that differ only in
+costs, ledger or ring geometry share it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, asdict
@@ -133,29 +136,36 @@ class Environment:
         return self.kernel.n_states
 
 
-def _branch_masses(cfg: RingWorldConfig, moves: bool, repairs: bool, u: int, theta: int) -> list:
-    """Exact ((moved, u'), mass) branches of one step, by ascending mass.
+@functools.lru_cache(maxsize=1024)
+def _branch_masses(p_slip: float, p_flip: float, repair_success: float, theta_levels: int,
+                   moves: bool, repairs: bool, u: int, theta: int) -> tuple:
+    """((moved, u'), mass) branches of one step, by ascending exact mass.
 
-    The masses depend only on whether the executed action moves or repairs,
-    the damage bit and the skill level; the direction of a move, phase and
-    ledger only decide where a branch lands. Ties keep the order in which the
-    branches are first reached.
+    The masses depend only on these arguments: the config's noise and skill
+    fields, whether the executed action moves or repairs, the damage bit and
+    the skill level; the direction of a move, phase and ledger only decide
+    where a branch lands. Each mass is summed in exact rational arithmetic
+    and converted to float once. Ties keep the order in which the branches
+    are first reached. The result is memoised, so each distinct table is
+    summed once per process, and holds only floats and small ints, so the
+    memo keeps few objects alive.
     """
-    slip = Fraction(cfg.p_slip)
-    if cfg.theta_levels > 1:
-        slip *= 1 - Fraction(theta, cfg.theta_levels - 1)
-    flip, q = Fraction(cfg.p_flip), Fraction(cfg.repair_success)
+    slip = Fraction(p_slip)
+    if theta_levels > 1:
+        slip *= 1 - Fraction(theta, theta_levels - 1)
+    flip, q = Fraction(p_flip), Fraction(repair_success)
     displacements = [(1, 1 - slip), (0, slip)] if moves else [(0, Fraction(1))]
     flips = [(1, flip), (0, 1 - flip)] if u == 0 else [(1, Fraction(1))]
     masses: dict[tuple[int, int], Fraction] = {}
     for moved, p_move in displacements:
-        for u1, p_flip in flips:
+        for u1, p_u1 in flips:
             outcomes = [(0, q), (1, 1 - q)] if repairs and u1 == 1 else [(u1, Fraction(1))]
             for u2, p_rep in outcomes:
-                if mass := p_move * p_flip * p_rep:
+                if mass := p_move * p_u1 * p_rep:
                     masses[moved, u2] = masses.get((moved, u2), 0) + mass
     assert sum(masses.values()) == 1
-    return sorted(masses.items(), key=lambda item: item[1])
+    return tuple((branch, float(mass))
+                 for branch, mass in sorted(masses.items(), key=lambda item: item[1]))
 
 
 def _ring_transitions(cfg: RingWorldConfig, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,10 +189,11 @@ def _ring_transitions(cfg: RingWorldConfig, fields: np.ndarray) -> tuple[np.ndar
     moved, u_next = np.zeros((2, len(keys), 4), dtype=np.int64)
     mass = np.zeros((len(keys), 4))
     for i, key in enumerate(keys):
-        branches, masses = zip(*_branch_masses(cfg, *key))
+        branches, masses = zip(*_branch_masses(
+            cfg.p_slip, cfg.p_flip, cfg.repair_success, cfg.theta_levels, *key))
         k = n_branches[i] = len(masses)
         moved[i, :k], u_next[i, :k] = zip(*branches)
-        mass[i, :k] = [float(m) for m in masses]
+        mass[i, :k] = masses
         # the largest entry absorbs the float conversion residual: set to
         # 1 - (float sum of the entries before it), it makes the row sum to
         # exactly 1.0 in slot order

@@ -60,9 +60,13 @@ def viability_step(
     """One sweep of the controlled-invariance operator.
 
     Returns {s in K : safe(s) and exists feasible a with support(s,a) subset K}.
-    Pointwise contracting: the result is always a subset of K.
+    Pointwise contracting: the result is always a subset of K. Raises
+    ValueError unless the gate, safety mask and K are sized for ``k``.
     """
+    check_fits(k, gate, safe=safe)
     K = np.asarray(K, dtype=bool)
+    if K.shape != (k.n_states,):
+        raise ValueError(f"candidate set has shape {K.shape}, not ({k.n_states},)")
     # escapes[a, s]: some nonzero-probability successor of (s, a) lies outside K
     escapes = ((k.weights > 0) & ~K[k.succ]).any(axis=2)
     keeps = feasible_action_matrix(gate) & ~escapes

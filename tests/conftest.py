@@ -1,6 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from agencykit.experiments import (
+    ablation_configs,
+    base_profile,
+    holonomy_config,
+    learning_config,
+    maintenance_economy_config,
+)
 from agencykit.feasibility import FeasibilityGate
 from agencykit.kernel import ControlledKernel
 from agencykit.viability import SafetyPredicate
@@ -29,6 +38,26 @@ def random_gate(rng: np.random.RandomState, n_states: int, n_actions: int) -> Fe
 
 def random_safety(rng: np.random.RandomState, n_states: int) -> SafetyPredicate:
     return SafetyPredicate(safe=rng.random(n_states) < 0.7, name="random")
+
+
+def sweep_ring_configs():
+    """The 64 ring configs of the sweep exhibit, in grid order."""
+    economy = maintenance_economy_config("paper")
+    return [replace(economy, p_flip=round(float(p), 10), cost_repair=c)
+            for p in np.linspace(0.0, 0.7, 8) for c in range(8)]
+
+
+def exhibit_ring_configs():
+    """The 76 ring configs of the holonomy, ablation, sweep, learning and packaging exhibits."""
+    return [
+        holonomy_config("paper", True),
+        holonomy_config("paper", False),
+        *ablation_configs("paper").values(),
+        *sweep_ring_configs(),
+        learning_config("paper", 0.2),
+        learning_config("paper", 0.0),
+        base_profile("paper"),
+    ]
 
 
 @pytest.fixture

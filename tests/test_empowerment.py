@@ -1,6 +1,5 @@
 import gc
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,21 +17,21 @@ from agencykit.empowerment import (
     feasible_empowerment,
     lower_median,
     median_empowerment_on_kernel,
+    median_empowerments,
     select_kernel_subset,
     total_variation,
 )
-from agencykit.environments import build_ringworld, build_schedule_trap, ring_state_index
-from agencykit.experiments import (
-    ablation_configs,
-    base_profile,
-    holonomy_config,
-    learning_config,
-    maintenance_economy_config,
+from agencykit.environments import (
+    RingWorldConfig,
+    build_ringworld,
+    build_schedule_trap,
+    ring_state_index,
 )
+from agencykit.experiments import ablation_configs, base_profile, holonomy_config
 from agencykit.feasibility import FeasibilityGate, feasible_sequences
 from agencykit.kernel import ControlledKernel, pull
 from agencykit.viability import viability_kernel
-from conftest import random_gate, random_kernel
+from conftest import exhibit_ring_configs, random_gate, random_kernel
 from oracles import (
     blahut_arimoto_capacity,
     bsc_capacity,
@@ -253,21 +252,6 @@ class TestRowMerging:
         W = np.array([[0.5, 0.5], [0.5, 0.5], [0.3, 0.6]])
         with pytest.raises(ValueError, match="row 2"):
             channel_capacity(W)
-
-
-def exhibit_ring_configs():
-    """The ring configs of the holonomy, ablation, sweep, learning and packaging exhibits."""
-    economy = maintenance_economy_config("paper")
-    return [
-        holonomy_config("paper", True),
-        holonomy_config("paper", False),
-        *ablation_configs("paper").values(),
-        *(replace(economy, p_flip=round(float(p), 10), cost_repair=c)
-          for p in np.linspace(0.0, 0.7, 8) for c in range(8)),
-        learning_config("paper", 0.2),
-        learning_config("paper", 0.0),
-        base_profile("paper"),
-    ]
 
 
 def is_identity(orbits) -> bool:
@@ -642,6 +626,81 @@ class TestMedianMemo:
             ]
             np.testing.assert_allclose(med.values, oracle, rtol=0, atol=2 * tol)
             assert max(r.gap for r in med.solved) <= tol
+
+
+class TestMedianEmpowerments:
+    """A batch of medians must return what each median's own call returns."""
+
+    @staticmethod
+    def mixed_problems(rng):
+        """Three-label problems: random kernels and a ring, horizons 1-3, masks and index lists."""
+        def mod3(n):
+            return Lens(name="mod3", project=np.arange(n) % 3, n_labels=3)
+
+        ring = build_ringworld(RingWorldConfig(ring_size=3, p_slip=0.2, cost_left=0, cost_right=0))
+        ring_viable = viability_kernel(ring.kernel, ring.gate, ring.safety_ledger_only).kernel
+        problems = []
+        for n, horizon, free in ((6, 1, False), (9, 2, True), (6, 3, False)):
+            k = random_kernel(rng, n, 2)
+            g = zero_gate(n, 2) if free else random_gate(rng, n, 2)
+            problems.append((k, g, rng.random(n) < 0.7, horizon, mod3(n)))
+            problems.append((k, g, rng.randint(0, n, size=4), horizon, mod3(n)))
+        problems.append((k, g, np.zeros(6, bool), 2, mod3(6)))
+        problems.append((ring.kernel, ring.gate, ring_viable, 2, ring.output_lens))
+        problems.append((ring.kernel, ring.gate, np.flatnonzero(ring_viable), 3, ring.output_lens))
+        return problems
+
+    @staticmethod
+    def assert_same(a, b):
+        assert (a.median_bits, a.values, a.subset_rule, a.selected_states) == (
+            b.median_bits, b.values, b.subset_rule, b.selected_states)
+        assert len(a.solved) == len(b.solved)
+        for x, y in zip(a.solved, b.solved):
+            assert (x.capacity_bits, x.gap, x.iterations) == (y.capacity_bits, y.gap, y.iterations)
+            assert x.input_distribution.tobytes() == y.input_distribution.tobytes()
+
+    @pytest.mark.parametrize("max_states", [4, 64])
+    def test_batch_equals_single_medians_in_both_orders(self, rng, max_states):
+        problems = self.mixed_problems(rng)
+        single = [median_empowerment_on_kernel(*p, max_states=max_states) for p in problems]
+        assert any(m.subset_rule == "empty_kernel" for m in single)
+        assert len({len(m.solved) for m in single}) > 1
+        forward = median_empowerments(problems, max_states=max_states)
+        backward = median_empowerments(problems[::-1], max_states=max_states)
+        assert len(forward) == len(backward) == len(problems)
+        for a, b, c in zip(single, forward, backward[::-1]):
+            self.assert_same(b, a)
+            self.assert_same(c, a)
+
+    def test_generator_is_cut_one_problem_at_a_time(self, rng, monkeypatch):
+        problems = self.mixed_problems(rng)
+        cuts = []
+        real_cut = empowerment._feasible_channels
+        monkeypatch.setattr(empowerment, "_feasible_channels",
+                            lambda *args: cuts.append(1) or real_cut(*args))
+        nonempty = [len(median_empowerment_on_kernel(*p).selected_states) > 0 for p in problems]
+        cuts.clear()
+
+        def drawn():
+            for i, problem in enumerate(problems):
+                # every earlier nonempty problem is cut before this one is drawn
+                assert len(cuts) == sum(nonempty[:i])
+                yield problem
+
+        meds = median_empowerments(drawn())
+        assert len(cuts) == sum(nonempty)
+        for med, problem in zip(meds, problems):
+            self.assert_same(med, median_empowerment_on_kernel(*problem))
+
+    def test_lenses_must_share_a_label_count(self, rng):
+        k, g = random_kernel(rng, 6, 2), zero_gate(6, 2)
+        problems = [(k, g, [0, 1], 2, identity_lens(6)),
+                    (k, g, [0, 1], 2, Lens(name="mod3", project=np.arange(6) % 3, n_labels=3))]
+        with pytest.raises(ValueError, match="labels"):
+            median_empowerments(problems)
+
+    def test_empty_batch(self):
+        assert median_empowerments([]) == []
 
 
 class TestSubsetRule:

@@ -11,12 +11,14 @@ from agencykit.environments import (
     RIGHT,
     PROFILES,
     RingWorldConfig,
+    _branch_masses,
     build_null_single_action,
     build_ringworld,
     build_schedule_trap,
     ring_state_index,
 )
 from agencykit.kernel import validate_kernel
+from conftest import exhibit_ring_configs, sweep_ring_configs
 from oracles import dense, successor_support
 
 
@@ -207,6 +209,67 @@ class TestProtocolMatching:
             c_on = feasible_empowerment(on.kernel, on.gate, s, 1, on.output_lens)
             c_off = feasible_empowerment(off.kernel, off.gate, s, 1, off.output_lens)
             assert abs(c_on - c_off) <= 1e-9
+
+
+class TestBranchTableMemo:
+    """Memoised branch tables must keep every build a pure function of its config."""
+
+    @staticmethod
+    def random_configs(n=20):
+        rng = np.random.RandomState(20261019)
+
+        def probability():
+            return float(rng.choice([0.0, 0.1, 0.25, 1.0, rng.random()]))
+
+        return [
+            RingWorldConfig(
+                ring_size=int(rng.randint(3, 7)), phase_period=int(rng.randint(1, 4)),
+                ledger_max=int(rng.randint(0, 4)), p_flip=probability(), p_slip=probability(),
+                repair_success=probability(), cost_left=int(rng.randint(0, 3)),
+                cost_right=int(rng.randint(0, 3)), cost_repair=int(rng.randint(0, 3)),
+                cost_noop=int(rng.randint(0, 2)), ledger_gain=int(rng.randint(0, 3)),
+                gain_every_step=bool(rng.randint(2)), damage_leak=int(rng.randint(0, 3)),
+                protocol_on=bool(rng.randint(2)), repair_enabled=bool(rng.randint(2)),
+                theta_levels=int(rng.randint(1, 4)),
+            )
+            for _ in range(n)
+        ]
+
+    @staticmethod
+    def kernel_bytes(configs, order, clear_each=False):
+        _branch_masses.cache_clear()
+        out = {}
+        for i in order:
+            if clear_each:
+                _branch_masses.cache_clear()
+            k = build_ringworld(configs[i]).kernel
+            out[i] = (k.succ.tobytes(), k.weights.tobytes())
+        return out
+
+    def test_builds_do_not_depend_on_the_memo_or_the_order(self):
+        configs = exhibit_ring_configs() + self.random_configs()
+        n = len(configs)
+        assert n == 96
+        cold = self.kernel_bytes(configs, range(n), clear_each=True)
+        assert self.kernel_bytes(configs, range(n)) == cold
+        assert self.kernel_bytes(configs, reversed(range(n))) == cold
+
+    def test_sweep_sums_48_distinct_tables(self):
+        # 8 noise levels times 6 (movement kind, u) tables; repair cost sets none
+        _branch_masses.cache_clear()
+        for cfg in sweep_ring_configs():
+            build_ringworld(cfg)
+        info = _branch_masses.cache_info()
+        assert (info.misses, info.currsize) == (48, 48)
+
+    def test_every_keyed_field_changes_a_table(self):
+        # (p_slip, p_flip, repair_success, theta_levels, moves, repairs, u, theta)
+        key = (0.08, 0.1, 0.5, 3, True, True, 0, 1)
+        perturbed = (0.2, 0.3, 0.25, 4, False, False, 1, 2)
+        table = _branch_masses(*key)
+        for i, value in enumerate(perturbed):
+            other = key[:i] + (value,) + key[i + 1:]
+            assert _branch_masses(*other) != table, f"argument {i}"
 
 
 class TestNullEnvironments:

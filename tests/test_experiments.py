@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agencykit import empowerment
 from agencykit.artifacts import canonical_serialize
 from agencykit.empowerment import median_empowerment_on_kernel
 from agencykit.environments import LEFT, RIGHT, build_ringworld
@@ -11,6 +12,7 @@ from agencykit.experiments import (
     ablation_configs,
     contracts_passed,
     holonomy_config,
+    maintenance_economy_config,
     run_exhibit,
     run_learning,
     run_nulls,
@@ -85,6 +87,24 @@ class TestDeterminism:
     def test_config_hash_pinned(self, name):
         assert run_exhibit(name).config_hash == self.PINNED_HASHES[name]
 
+    # solver blocks of `agencykit run all`: batching or reordering solves
+    # must not change a single solve's iterations or certified gap
+    PINNED_SOLVERS = {
+        "nulls": (0.0, 5, 2, 1),
+        "holonomy": (9.973915027217117e-10, 40, 3030, 313),
+        "ablations": (9.558140945387095e-10, 40, 1580, 95),
+        "sweep": (9.972875858466068e-10, 88, 4924, 204),
+        "learning": (8.143665741755512e-10, 12, 182, 47),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SOLVERS))
+    def test_solver_block_pinned(self, name):
+        max_gap_bits, solves, iterations_total, iterations_max = self.PINNED_SOLVERS[name]
+        assert run_exhibit(name).metrics["solver"] == {
+            "max_gap_bits": max_gap_bits, "solves": solves, "iterations_total": iterations_total,
+            "iterations_max": iterations_max, "capacity_tol_bits": EMPOWERMENT_TOL,
+        }
+
 
 class TestExhibitNumbers:
     def test_nulls_table_values(self):
@@ -114,6 +134,24 @@ class TestExhibitNumbers:
         assert all(len(row) == 8 for row in m["kernel_size_grid"])
         assert len(m["empowerment_grid"]) == 8
         assert m["kernel_size_min"] == 0
+
+    def test_sweep_solves_all_cells_in_one_capacity_call(self, monkeypatch):
+        calls = []
+        real = empowerment.channel_capacities
+
+        def counting(channels, **kw):
+            channels = list(channels)
+            calls.append(len(channels))
+            return real(channels, **kw)
+
+        monkeypatch.setattr(empowerment, "channel_capacities", counting)
+        record = run_sweep()
+        assert calls == [record.metrics["solver"]["solves"]] == [88]
+        # the config still names what a built environment carries
+        env = build_ringworld(maintenance_economy_config("paper"))
+        assert record.metrics["state_layout"] == env.state_layout
+        assert record.config["safety"] == env.safety_coherent.name
+        assert record.config["output_lens"] == env.output_lens.name
 
     def test_learning_medians_monotone(self):
         m = run_learning().metrics

@@ -49,6 +49,26 @@ class TestViabilityStep:
         out = viability_step(k, free_gate(3), safe, K)
         assert out.tolist() == [True, True, False]
 
+    @pytest.mark.parametrize("part,n_candidates", [
+        ("gate ledger", 96), ("gate costs", 96), ("safety mask", 96),
+        ("candidate set", 1), ("candidate set", 97),
+    ])
+    def test_inputs_must_fit_the_kernel(self, part, n_candidates):
+        # a one-entry ledger, cost table or safety mask would broadcast over
+        # the kernel, and a candidate set longer than S would be indexed
+        env = build_ringworld(RingWorldConfig())
+        assert env.n_states == 96
+        gate, safe = env.gate, env.safety_ledger_only
+        if part == "gate ledger":
+            gate = FeasibilityGate(ledger=[2.0], costs=gate.costs)
+        elif part == "gate costs":
+            gate = FeasibilityGate(ledger=gate.ledger, costs=[0.0])
+        elif part == "safety mask":
+            safe = SafetyPredicate(safe=[True], name="one_entry")
+        K = np.ones(n_candidates, dtype=bool)
+        with pytest.raises(ValueError, match=part):
+            viability_step(env.kernel, gate, safe, K)
+
 
 class TestViabilityKernel:
     def test_no_feasible_actions_anywhere(self, rng):
