@@ -75,6 +75,7 @@ def build_channel(
     """
     if not 0 <= s0 < k.n_states:
         raise IndexError(f"state index {s0} out of range")
+    check_fits(k, gate, lens=f)
     channels, _, shift = _feasible_channels(k, gate, [s0], horizon, f)
     return np.roll(channels[0], shift[0], axis=1)
 
@@ -156,11 +157,12 @@ def channel_capacities(
     if not blocks:
         return results
 
+    counts = np.array([len(b) for b in blocks])
     W = np.concatenate(blocks)
+    del blocks
     logW = np.log2(W, out=np.zeros_like(W), where=W > 0)
     row_neg_entropy = np.einsum("ij,ij->i", W, logW)
-    live = np.arange(len(blocks))
-    counts = np.array([len(b) for b in blocks])
+    live = np.arange(len(counts))
     p = np.repeat(1.0 / counts, counts)
     starts = np.cumsum(counts) - counts
     seg = np.repeat(np.arange(len(counts)), counts)
@@ -261,7 +263,7 @@ def lower_median(values: list[float] | np.ndarray) -> float:
 
 
 def _batched_sequence_rows(
-    k: ControlledKernel, horizon: int, f: Lens, states: np.ndarray
+    k: ControlledKernel, horizon: int, f: Lens, states: np.ndarray, lists=None
 ) -> np.ndarray:
     """Output rows for every length-H sequence from several start states at once.
 
@@ -286,8 +288,7 @@ def _batched_sequence_rows(
     states = np.asarray(states, dtype=np.int64)
     m = len(states)
     n_actions, n_states, n_labels = k.n_actions, k.n_states, f.n_labels
-    step = predecessor_lists(k)
-    last = predecessor_lists(k, f.project, n_labels)
+    step, last = lists or _rollout_lists(k, f)
     D0 = np.zeros((n_states, m))
     D0[states, np.arange(m)] = 1.0
 
@@ -335,8 +336,19 @@ def _translation_orbits(k: ControlledKernel, gate: FeasibilityGate, f: Lens):
     return states, np.zeros_like(states)
 
 
+def _rollout_lists(k: ControlledKernel, f: Lens):
+    """The one-step and the into-label predecessor lists that a rollout pulls through."""
+    return predecessor_lists(k), predecessor_lists(k, f.project, f.n_labels)
+
+
+def _rollout_setup(k: ControlledKernel, gate: FeasibilityGate, f: Lens):
+    """``(rep, shift, lists)``: the ``_translation_orbits`` and ``_rollout_lists`` a cut reads."""
+    return (*_translation_orbits(k, gate, f), _rollout_lists(k, f))
+
+
 def _feasible_channels(
-    k: ControlledKernel, gate: FeasibilityGate, states: np.ndarray, horizon: int, f: Lens
+    k: ControlledKernel, gate: FeasibilityGate, states: np.ndarray, horizon: int, f: Lens,
+    setup=None,
 ):
     """Budget-feasible channels of ``states``, rolled out once per translation orbit.
 
@@ -344,14 +356,14 @@ def _feasible_channels(
     one rollout of the distinct orbit representatives (``_translation_orbits``)
     gives each its rows of the sequences that fit its ledger, in
     ``feasible_sequences`` order, and ``states[i]``'s channel is, bit for bit,
-    ``np.roll(channels[slot[i]], shift[i], axis=1)``. Raises ValueError when
-    the gate or lens does not fit the kernel or a row of a cut channel does
-    not carry total mass 1.
+    ``np.roll(channels[slot[i]], shift[i], axis=1)``. ``setup`` is the
+    ``_rollout_setup`` of ``(k, gate, f)``, built here when omitted; callers
+    check that the gate and lens fit the kernel. Raises ValueError when a row
+    of a cut channel does not carry total mass 1.
     """
-    check_fits(k, gate, lens=f)
-    rep, shift = _translation_orbits(k, gate, f)
+    rep, shift, lists = setup or _rollout_setup(k, gate, f)
     reps, slot = np.unique(rep[states], return_inverse=True)
-    rows = _batched_sequence_rows(k, horizon, f, reps)
+    rows = _batched_sequence_rows(k, horizon, f, reps, lists)
     costs = sequence_costs(gate, horizon)
     channels = [rows[costs <= gate.ledger[s], i] for i, s in enumerate(reps)]
     for channel in channels:
@@ -382,7 +394,7 @@ def median_empowerments(
 ) -> list[MedianEmpowermentResult]:
     """Lower-median feasible empowerments of ``(k, gate, kernel_set, horizon, f)`` problems.
 
-    ``kernel_set`` is a boolean mask over the states or a set of state
+    ``kernel_set`` is a ``(S,)`` boolean mask or a 1-d integer array of state
     indices; a repeated index counts once. The empty set yields zero by
     convention (no viable states means no induced action layer). Only the
     orbit representatives of the selected states are rolled out and solved
@@ -390,22 +402,33 @@ def median_empowerments(
 
     ``problems`` is read lazily: each problem is validated and cut into its
     channels before the next is drawn, so a generator may build one
-    environment at a time. After the last one, every channel goes to one
-    ``channel_capacities`` call, whose solves do not depend on which channels
-    share it, so each result equals its problem's own median bit for bit.
-    That call needs one output alphabet: a problem whose lens has another
-    label count than the first problem's raises ValueError.
+    environment at a time; consecutive problems on the same kernel, gate and
+    lens objects share one ``_rollout_setup``. After the last one, every
+    channel goes to one ``channel_capacities`` call, whose solves do not
+    depend on which channels share it, so each result equals its problem's
+    own median bit for bit. That call needs one output alphabet: a problem
+    whose lens has another label count than the first problem's raises
+    ValueError.
     """
     pending, channels, n_labels = [], [], None
+    shared, setup = (None, None, None), None
     for k, gate, kernel_set, horizon, f in problems:
         if n_labels is not None and f.n_labels != n_labels:
             raise ValueError(f"lens has {f.n_labels} labels, not {n_labels} like the first problem's")
         n_labels = f.n_labels
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
+        # compared by identity while ``shared`` holds the objects, so a freed
+        # object's id reused by a new one can never match
+        if any(a is not b for a, b in zip(shared, (k, gate, f))):
+            check_fits(k, gate, lens=f)
+            shared, setup = (k, gate, f), None
         kernel_set = np.asarray(kernel_set)
         if kernel_set.dtype == bool and kernel_set.shape != (k.n_states,):
             raise ValueError(f"kernel mask has shape {kernel_set.shape}, not ({k.n_states},)")
+        if kernel_set.dtype != bool and (kernel_set.ndim != 1 or kernel_set.dtype.kind not in "iu"):
+            raise ValueError(f"kernel set has shape {kernel_set.shape} and dtype "
+                             f"{kernel_set.dtype}: neither a mask nor 1-d state indices")
         indices = np.flatnonzero(kernel_set) if kernel_set.dtype == bool else kernel_set
         outside = indices[(indices < 0) | (indices >= k.n_states)]
         if outside.size:
@@ -413,11 +436,14 @@ def median_empowerments(
         selected, rule = select_kernel_subset(indices, max_states)
         start, slot = len(channels), []
         if len(selected):
-            cut, slot, _ = _feasible_channels(k, gate, selected, horizon, f)
+            setup = setup or _rollout_setup(k, gate, f)
+            cut, slot, _ = _feasible_channels(k, gate, selected, horizon, f, setup)
             channels += cut
+            del cut  # the feed below must hold the only reference
         pending.append((selected, rule, slot, start, len(channels)))
 
-    solved = channel_capacities(channels, tol=tol)
+    # fed lazily, so each full channel is dropped once its distinct rows are kept
+    solved = channel_capacities((channels.pop(0) for _ in range(len(channels))), tol=tol)
     results = []
     for selected, rule, slot, start, stop in pending:
         values = [solved[start + j].capacity_bits for j in slot]

@@ -30,7 +30,6 @@ from agencykit.empowerment import (
     MAX_MEDIAN_STATES,
     MedianEmpowermentResult,
     build_channel,
-    median_empowerment_on_kernel,
     median_empowerments,
     total_variation,
 )
@@ -53,7 +52,7 @@ from agencykit.viability import viability_kernel
 TAU_GRID = (0, 1, 2, 3, 4)
 HORIZON_GRID = (1, 2, 3, 4, 5)
 
-# hashed into the config of every exhibit that solves medians
+# the defaults of every median_empowerments call below, hashed into each solving exhibit's config
 SOLVER_SETTINGS = {"capacity_tol_bits": EMPOWERMENT_TOL, "max_states": MAX_MEDIAN_STATES}
 
 
@@ -138,9 +137,9 @@ def solver_block(meds: list[MedianEmpowermentResult]) -> dict:
     }
 
 
-def _median(env: Environment, states, horizon: int) -> MedianEmpowermentResult:
-    """Median feasible empowerment over ``states`` at the defaults ``SOLVER_SETTINGS`` records."""
-    return median_empowerment_on_kernel(env.kernel, env.gate, states, horizon, env.output_lens)
+def _problem(env: Environment, states, horizon: int) -> tuple:
+    """The ``median_empowerments`` problem of ``env``'s output lens over ``states``."""
+    return env.kernel, env.gate, states, horizon, env.output_lens
 
 
 def run_nulls() -> ArtifactRecord:
@@ -151,9 +150,11 @@ def run_nulls() -> ArtifactRecord:
     """
     horizons_a, horizon_b = [1, 2, 3], 1
     null_a = build_null_single_action()
-    solves_a = {f"H{h}": _median(null_a, [0], h) for h in horizons_a}
+    meds_a = median_empowerments(_problem(null_a, [0], h) for h in horizons_a)
+    solves_a = {f"H{h}": med for h, med in zip(horizons_a, meds_a)}
     traps = {model: build_schedule_trap(model) for model in ("wrong", "right")}
-    solves_b = {model: _median(env, [0], horizon_b) for model, env in traps.items()}
+    meds_b = median_empowerments(_problem(env, [0], horizon_b) for env in traps.values())
+    solves_b = dict(zip(traps, meds_b))
     caps_a = {name: med.median_bits for name, med in solves_a.items()}
     caps_b = {name: med.median_bits for name, med in solves_b.items()}
 
@@ -233,23 +234,18 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
         env = build_ringworld(cfg)
         envs[regime] = (cfg, env)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
-        medians = []
-        per_state = {}
-        subset_rule = None
-        for h in HORIZON_GRID:
-            med = _median(env, vres.kernel, h)
-            medians.append(med.median_bits)
-            per_state[f"H{h}"] = med.values
-            subset_rule = med.subset_rule
-            meds.append(med)
+        # one call per regime; the largest horizon is cut first, while no channel is held
+        regime_meds = median_empowerments(
+            _problem(env, vres.kernel, h) for h in HORIZON_GRID[::-1])[::-1]
+        meds += regime_meds
         results[regime] = {
             "kernel_size": vres.size,
             "kernel_members": vres.indices,
             "kernel_trace": vres.trace,
-            "medians": medians,
-            "per_state": per_state,
-            "selected_states": med.selected_states,
-            "subset_rule": subset_rule,
+            "medians": [med.median_bits for med in regime_meds],
+            "per_state": {f"H{h}": med.values for h, med in zip(HORIZON_GRID, regime_meds)},
+            "selected_states": regime_meds[-1].selected_states,
+            "subset_rule": regime_meds[-1].subset_rule,
         }
 
     # noncommutativity witness: alpha vs beta from the matched full-budget
@@ -306,29 +302,35 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
 
 
 def run_ablations(profile: str = "paper") -> ArtifactRecord:
-    """Primitive toggle suite: |K|, median empowerment at H=2, defect at tau=2."""
+    """Primitive toggle suite: |K|, median empowerment at H=2 (one pass), defect at tau=2."""
     configs = ablation_configs(profile)
     horizon, tau, policy = 2, 2, "repair_then_right"
-    rows = {}
-    meds = []
-    for name, cfg in sorted(configs.items()):
-        env = build_ringworld(cfg)
-        vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
-        med = _median(env, vres.kernel, horizon)
-        meds.append(med)
-        endo = packaging_endomap(env.kernel, env.macro_lens, env.policies[policy], tau, policy)
-        rows[name] = {
-            "n_states": env.n_states,
-            "kernel_size": vres.size,
-            "kernel_members": vres.indices,
-            "kernel_iterations": vres.iterations,
-            "kernel_trace": vres.trace,
-            "empowerment_median": med.median_bits,
-            "subset_rule": med.subset_rule,
-            "packaging_defect": idempotence_defect(endo),
-        }
-        if name == "full":
-            state_layout = env.state_layout
+    rows, kept = {}, {}
+
+    def problems():
+        # one environment alive at a time, as in ``run_sweep``
+        for name, cfg in sorted(configs.items()):
+            env = build_ringworld(cfg)
+            vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
+            endo = packaging_endomap(env.kernel, env.macro_lens, env.policies[policy], tau, policy)
+            rows[name] = {
+                "n_states": env.n_states,
+                "kernel_size": vres.size,
+                "kernel_members": vres.indices,
+                "kernel_iterations": vres.iterations,
+                "kernel_trace": vres.trace,
+                "packaging_defect": idempotence_defect(endo),
+            }
+            if name == "full":
+                kept["state_layout"] = env.state_layout
+            yield _problem(env, vres.kernel, horizon)
+        kept["env"] = env
+
+    meds = median_empowerments(problems())
+    for row, med in zip(rows.values(), meds):
+        row["empowerment_median"] = med.median_bits
+        row["subset_rule"] = med.subset_rule
+    env = kept["env"]
 
     contracts = {
         "no_repair_kernel_empty": rows["no_repair"]["kernel_size"] == 0,
@@ -359,7 +361,7 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
         **SOLVER_SETTINGS,
     }
     metrics = {
-        "state_layout": state_layout,
+        "state_layout": kept["state_layout"],
         "rows": rows,
         "solver": solver_block(meds),
         "contracts": contracts,
@@ -387,10 +389,9 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
                 env = build_ringworld(replace(base, p_flip=float(p), cost_repair=int(c)))
                 vres = viability_kernel(env.kernel, env.gate, env.safety_coherent)
                 kernel_sizes[i, j] = vres.size
-                yield env.kernel, env.gate, vres.kernel, horizon, env.output_lens
+                yield _problem(env, vres.kernel, horizon)
         last.append(env)
 
-    # at the defaults SOLVER_SETTINGS records, as in ``_median``
     meds = median_empowerments(cells())
     emp = np.array([med.median_bits for med in meds]).reshape(kernel_sizes.shape)
     env = last[0]
@@ -436,19 +437,22 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
     """
     horizon, restriction = 2, {"u": 0, "phi": 0, "viable": True}
 
-    def sector_medians(p_slip: float):
+    def sector_problems(p_slip: float):
         cfg = learning_config(profile, p_slip)
         env = build_ringworld(cfg)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
         fields = dict(zip(env.state_layout["fields"], env.state_fields),
                       viable=vres.kernel)
         kept = np.logical_and.reduce([fields[k] == v for k, v in restriction.items()])
-        meds = [_median(env, np.flatnonzero(kept & (fields["theta"] == theta)), horizon)
-                for theta in range(cfg.theta_levels)]
-        return cfg, env, meds
+        problems = [_problem(env, np.flatnonzero(kept & (fields["theta"] == theta)), horizon)
+                    for theta in range(cfg.theta_levels)]
+        return cfg, env, problems
 
-    cfg, env, meds = sector_medians(0.2)
-    control_cfg, _, control_meds = sector_medians(0.0)
+    # both sectors' medians in one call
+    cfg, env, problems = sector_problems(0.2)
+    control_cfg, _, control_problems = sector_problems(0.0)
+    all_meds = median_empowerments(problems + control_problems)
+    meds, control_meds = all_meds[: len(problems)], all_meds[len(problems) :]
     medians = [med.median_bits for med in meds]
     control_medians = [med.median_bits for med in control_meds]
 

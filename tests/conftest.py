@@ -60,6 +60,18 @@ def exhibit_ring_configs():
     ]
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` for one test; the returned list gains an entry per call."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.RandomState(20260809)

@@ -551,8 +551,19 @@ class TestMedianInputs:
             gate = FeasibilityGate(ledger=gate.ledger, costs=[0.0])
         else:
             lens = Lens(name="one_entry", project=np.array([0]), n_labels=lens.n_labels)
-        with pytest.raises(ValueError, match=part):
-            self.median(env, np.array([0]), gate, lens)
+        # an empty state set is checked too, though it rolls nothing out
+        for states in (np.array([0]), np.zeros(env.n_states, dtype=bool), np.array([], dtype=int)):
+            with pytest.raises(ValueError, match=part):
+                self.median(env, states, gate, lens)
+
+    @pytest.mark.parametrize("states, named", [
+        (np.array([[0, 1], [2, 3]]), r"shape \(2, 2\) and dtype int64"),
+        ([0.0, 1.5], r"shape \(2,\) and dtype float64"),
+        (np.array([], dtype=np.float64), r"shape \(0,\) and dtype float64"),
+    ], ids=["2d_indices", "float_indices", "empty_floats"])
+    def test_kernel_set_is_a_mask_or_1d_indices(self, env, states, named):
+        with pytest.raises(ValueError, match=f"kernel set has {named}"):
+            self.median(env, states)
 
 
 class TestMedianMemo:
@@ -691,6 +702,31 @@ class TestMedianEmpowerments:
         assert len(cuts) == sum(nonempty)
         for med, problem in zip(meds, problems):
             self.assert_same(med, median_empowerment_on_kernel(*problem))
+
+    def test_gates_with_other_orbits_get_their_own_setup(self):
+        env = build_ringworld(holonomy_config("paper", True))
+        k, f, states = env.kernel, env.output_lens, np.ones(env.n_states, dtype=bool)
+        y = f.project
+        uneven = FeasibilityGate(ledger=env.gate.ledger + (y == 3), costs=env.gate.costs)
+        rep, _ = _translation_orbits(k, env.gate, f)
+        assert not np.array_equal(rep, _translation_orbits(k, uneven, f)[0])
+        # one kernel and lens, gates alternating: each run rebuilds its setup
+        problems = [(k, gate, states, 2, f) for gate in (env.gate, uneven, env.gate, uneven)]
+        for med, problem in zip(median_empowerments(problems), problems):
+            self.assert_same(med, median_empowerment_on_kernel(*problem))
+
+    def test_fresh_kernel_per_problem_never_reads_a_dropped_setup(self):
+        # each kernel is built as it is drawn and dropped after its cut, so
+        # CPython may give a later kernel a dropped one's id
+        g, f, states = zero_gate(6, 2), identity_lens(6), np.ones(6, dtype=bool)
+        seeds = range(8)
+
+        def kernel(seed):
+            return random_kernel(np.random.RandomState(seed), 6, 2)
+
+        meds = median_empowerments((kernel(seed), g, states, 2, f) for seed in seeds)
+        for med, seed in zip(meds, seeds):
+            self.assert_same(med, median_empowerment_on_kernel(kernel(seed), g, states, 2, f))
 
     def test_lenses_must_share_a_label_count(self, rng):
         k, g = random_kernel(rng, 6, 2), zero_gate(6, 2)

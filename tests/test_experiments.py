@@ -13,13 +13,16 @@ from agencykit.experiments import (
     contracts_passed,
     holonomy_config,
     maintenance_economy_config,
+    run_ablations,
     run_exhibit,
+    run_holonomy,
     run_learning,
     run_nulls,
     run_packaging,
     run_sweep,
     solver_block,
 )
+from conftest import count_calls
 from oracles import rollout_output_distribution
 
 
@@ -66,7 +69,9 @@ class TestRunnerBasics:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("runner", [run_nulls, run_packaging, run_sweep, run_learning])
+    @pytest.mark.parametrize(
+        "runner", [run_nulls, run_packaging, run_holonomy, run_ablations, run_sweep, run_learning]
+    )
     def test_metrics_byte_identical_across_runs(self, runner):
         a, b = runner(), runner()
         assert canonical_serialize(a.metrics) == canonical_serialize(b.metrics)
@@ -136,22 +141,27 @@ class TestExhibitNumbers:
         assert m["kernel_size_min"] == 0
 
     def test_sweep_solves_all_cells_in_one_capacity_call(self, monkeypatch):
-        calls = []
-        real = empowerment.channel_capacities
-
-        def counting(channels, **kw):
-            channels = list(channels)
-            calls.append(len(channels))
-            return real(channels, **kw)
-
-        monkeypatch.setattr(empowerment, "channel_capacities", counting)
+        calls = count_calls(monkeypatch, empowerment, "channel_capacities")
         record = run_sweep()
-        assert calls == [record.metrics["solver"]["solves"]] == [88]
+        assert len(calls) == 1 and record.metrics["solver"]["solves"] == 88
         # the config still names what a built environment carries
         env = build_ringworld(maintenance_economy_config("paper"))
         assert record.metrics["state_layout"] == env.state_layout
         assert record.config["safety"] == env.safety_coherent.name
         assert record.config["output_lens"] == env.output_lens.name
+
+    # (channel_capacities calls, predecessor_lists builds) of each exhibit: one
+    # solver pass per exhibit (per regime for holonomy), and one pair of lists
+    # per kernel that rolls out, plus a pair per holonomy witness build_channel
+    WORK = {"packaging": (0, 0), "nulls": (2, 6), "holonomy": (2, 8), "ablations": (1, 10),
+            "sweep": (1, 44), "learning": (1, 4)}
+
+    @pytest.mark.parametrize("name", EXHIBITS)
+    def test_solver_work_pinned(self, name, monkeypatch):
+        solves = count_calls(monkeypatch, empowerment, "channel_capacities")
+        builds = count_calls(monkeypatch, empowerment, "predecessor_lists")
+        run_exhibit(name)
+        assert (len(solves), len(builds)) == self.WORK[name]
 
     def test_learning_medians_monotone(self):
         m = run_learning().metrics
