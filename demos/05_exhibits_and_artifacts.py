@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from agencykit.artifacts import audit, write_artifact
-from agencykit.experiments import EXHIBITS, contracts_passed, run_exhibit
+from agencykit.experiments import EXHIBITS, run_exhibit
 
 with tempfile.TemporaryDirectory(prefix="agencykit_demo_") as tmp:
     out = Path(tmp)
@@ -22,7 +22,7 @@ with tempfile.TemporaryDirectory(prefix="agencykit_demo_") as tmp:
     for name in EXHIBITS:
         record = run_exhibit(name)
         path = write_artifact(record, out)
-        flag = "pass" if contracts_passed(record) else "FAIL"
+        flag = "pass" if all(record.metrics["contracts"].values()) else "FAIL"
         print(f"[{flag}] {name:10s} -> {path.name}")
 
     report = audit(out, strict=True)

@@ -3,8 +3,9 @@
 Every experiment emits one JSON artifact containing its full configuration,
 the SHA-256 hash of that configuration under a canonical serialization, the
 metrics payload, and provenance (UTC timestamp, component versions). The
-auditor re-derives the hash from the embedded config and checks basic
-stochasticity invariants on any metrics tagged as probability objects.
+auditor re-derives the hash from the embedded config and each exhibit's
+contracts from its metrics, checks stochasticity invariants on any metrics
+tagged as probability objects, and compares ``generated/`` copies byte for byte.
 
 The hash covers the config subtree only -- never metrics or timestamps -- so
 identical configurations always map to identical hashes and filenames.
@@ -217,15 +218,36 @@ def _check_solver(metrics) -> str | None:
     return None
 
 
+def _contract_problems(exhibit, metrics) -> list[tuple[str, str]]:
+    """(rule, detail) of each way an exhibit's stored contracts fail the re-derived ones."""
+    from agencykit.experiments import RUNNERS  # at call time: experiments imports this module
+
+    if not isinstance(exhibit, str) or exhibit not in RUNNERS:
+        return []
+    try:
+        derived = RUNNERS[exhibit][1](metrics)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        return [("missing_metrics", f"the {exhibit} contracts cannot read $.metrics ({exc!r})")]
+    problems = [("contract_false", key) for key, ok in derived.items() if not ok]
+    # sorted-key JSON tells true from 1, and cannot fail on a parsed tree
+    expected = json.dumps(derived, sort_keys=True)
+    if json.dumps(metrics.get("contracts"), sort_keys=True) != expected:
+        problems.append(("contract_mismatch", f"$.metrics.contracts is not the derived {expected}"))
+    return problems
+
+
 def audit(directory: str | Path, strict: bool = True) -> AuditReport:
     """Check every JSON artifact in ``directory`` against the artifact contract.
 
     Verifies required fields, recomputes each config hash from the embedded
     config, scans tagged probability objects for stochasticity violations,
     checks that a ``solver`` block's certified capacity gap is within its
-    tolerance, and checks filename/hash consistency (a warning instead of a
-    failure when ``strict`` is off). Unreadable or malformed files, nested
-    too deeply to parse or walk included, become failure entries, not crashes.
+    tolerance, re-derives an exhibit's contracts (each must hold and equal the
+    stored block), and checks filename/hash consistency (a warning instead of
+    a failure when ``strict`` is off). A copy ``generated/<exhibit>.json`` must
+    hold the bytes of its hashed artifact; ``files_checked`` counts top-level
+    files only. Unreadable or malformed files, nested too deeply to parse or
+    walk included, become failure entries, not crashes.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -237,6 +259,17 @@ def audit(directory: str | Path, strict: bool = True) -> AuditReport:
             _audit_file(path, strict, report)
         except RecursionError:
             report.failures.append((str(path), "too_deep", "nesting exceeds the recursion limit"))
+    for path in sorted(directory.glob("generated/*.json")):
+        try:
+            record = read_artifact(path)
+            original = directory / f"{record['artifact_type']}_{record['config_hash'][:12]}.json"
+            # the name check comes first, so an odd artifact_type never reaches the file system
+            if path.stem == record["artifact_type"] and original.read_bytes() == path.read_bytes():
+                continue
+            detail = f"not the bytes of {original.name} under its artifact_type's name"
+        except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
+            detail = f"not a readable artifact copy ({exc!r})"
+        report.failures.append((str(path), "generated_copy_mismatch", detail))
     return report
 
 
@@ -280,6 +313,8 @@ def _audit_file(path: Path, strict: bool, report: AuditReport) -> None:
     problem = _check_solver(record["metrics"])
     if problem is not None:
         report.failures.append((name, "uncertified_capacity", f"$.metrics.solver: {problem}"))
+    for rule, detail in _contract_problems(record["artifact_type"], record["metrics"]):
+        report.failures.append((name, rule, detail))
 
     if not isinstance(stored, str):
         return

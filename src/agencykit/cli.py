@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from agencykit.artifacts import audit, read_artifact, write_artifact
-from agencykit.experiments import EXHIBITS, contracts_passed, run_exhibit
+from agencykit.experiments import EXHIBITS, run_exhibit
 
 EXIT_OK = 0
 EXIT_CONTRACT_FAILURE = 1
@@ -83,11 +83,11 @@ def _cmd_run(args) -> int:
         except OSError as exc:
             print(f"error: cannot write artifact for {name}: {exc}", file=sys.stderr)
             return EXIT_IO
-        passed = contracts_passed(record)
+        passed = all(record.metrics["contracts"].values())
         all_passed &= passed
         status = "pass" if passed else "FAIL"
         print(f"[{status}] {name}: {path.name}")
-        for contract, ok in record.metrics.get("contracts", {}).items():
+        for contract, ok in record.metrics["contracts"].items():
             print(f"    {'ok  ' if ok else 'FAIL'} {contract}")
     return EXIT_OK if all_passed else EXIT_CONTRACT_FAILURE
 

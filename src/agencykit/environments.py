@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -112,7 +112,7 @@ class RingWorldConfig:
         return (self.cost_left, self.cost_right, self.cost_repair, self.cost_noop)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

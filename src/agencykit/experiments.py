@@ -1,9 +1,10 @@
-"""The six exhibit runners.
+"""The six exhibit runners and the contracts derived from their metrics.
 
-Each runner consumes environment constructors plus the solvers, self-certifies
-its qualitative contracts (orderings, zeros, equalities) in-process, and emits
-one artifact record whose metrics block is a deterministic function of the
-configuration. Runners never mutate environments and may run in any order.
+Each runner returns its config and its metrics, a deterministic function of
+the config; runners never mutate environments and may run in any order.
+``RUNNERS`` pairs each runner with a pure function of the JSON-plain metrics
+that names its contracts (orderings, zeros, equalities): ``run_exhibit``
+stores them under ``metrics["contracts"]`` and ``artifacts.audit`` re-derives them.
 
 Exhibit configurations derive from the named base profile "paper", which is
 recorded in each artifact's config. Per-exhibit parameter overrides are part
@@ -142,7 +143,7 @@ def _problem(env: Environment, states, horizon: int) -> tuple:
     return env.kernel, env.gate, states, horizon, env.output_lens
 
 
-def run_nulls() -> ArtifactRecord:
+def run_nulls() -> tuple[dict, dict]:
     """Null regimes: single-action cycle and the exogenous-schedule trap.
 
     Each null is the capacity of the channel from start state 0, solved as
@@ -151,20 +152,9 @@ def run_nulls() -> ArtifactRecord:
     horizons_a, horizon_b = [1, 2, 3], 1
     null_a = build_null_single_action()
     meds_a = median_empowerments(_problem(null_a, [0], h) for h in horizons_a)
-    solves_a = {f"H{h}": med for h, med in zip(horizons_a, meds_a)}
     traps = {model: build_schedule_trap(model) for model in ("wrong", "right")}
     meds_b = median_empowerments(_problem(env, [0], horizon_b) for env in traps.values())
-    solves_b = dict(zip(traps, meds_b))
-    caps_a = {name: med.median_bits for name, med in solves_a.items()}
-    caps_b = {name: med.median_bits for name, med in solves_b.items()}
-
-    contracts = {
-        "null_a_zero_all_horizons": all(abs(v) <= 1e-12 for v in caps_a.values()),
-        "null_b_wrong_model_one_bit": abs(caps_b["wrong"] - 1.0) <= 1e-6,
-        "null_b_right_model_zero": abs(caps_b["right"]) <= 1e-6,
-    }
     config = {
-        "exhibit": "nulls",
         "null_a": null_a.config_echo,
         "null_b_wrong": traps["wrong"].config_echo,
         "null_b_right": traps["right"].config_echo,
@@ -173,15 +163,22 @@ def run_nulls() -> ArtifactRecord:
         **SOLVER_SETTINGS,
     }
     metrics = {
-        "null_a": caps_a,
-        "null_b": caps_b,
-        "solver": solver_block([*solves_a.values(), *solves_b.values()]),
-        "contracts": contracts,
+        "null_a": {f"H{h}": med.median_bits for h, med in zip(horizons_a, meds_a)},
+        "null_b": {model: med.median_bits for model, med in zip(traps, meds_b)},
+        "solver": solver_block(meds_a + meds_b),
     }
-    return make_artifact("nulls", config, metrics)
+    return config, metrics
 
 
-def run_packaging(profile: str = "paper") -> ArtifactRecord:
+def nulls_contracts(m: dict) -> dict:
+    return {
+        "null_a_zero_all_horizons": all(abs(v) <= 1e-12 for v in m["null_a"].values()),
+        "null_b_wrong_model_one_bit": abs(m["null_b"]["wrong"] - 1.0) <= 1e-6,
+        "null_b_right_model_zero": abs(m["null_b"]["right"]) <= 1e-6,
+    }
+
+
+def run_packaging(profile: str = "paper") -> tuple[dict, dict]:
     """Idempotence defect across tau for repair-off vs repair-on policies."""
     cfg = base_profile(profile)
     env = build_ringworld(cfg)
@@ -200,14 +197,7 @@ def run_packaging(profile: str = "paper") -> ArtifactRecord:
                 "domain": e.domain,
             }
 
-    i2 = TAU_GRID.index(2)
-    contracts = {
-        "tau0_defect_zero_both": defects["repair_off"][0] == 0.0 and defects["repair_on"][0] == 0.0,
-        "tau2_repair_on_zero": defects["repair_on"][i2] == 0.0,
-        "tau2_repair_off_high": defects["repair_off"][i2] >= 0.9,
-    }
     config = {
-        "exhibit": "packaging",
         "profile": profile,
         "environment": cfg.to_dict(),
         "tau_grid": list(TAU_GRID),
@@ -219,12 +209,21 @@ def run_packaging(profile: str = "paper") -> ArtifactRecord:
         "tau_grid": list(TAU_GRID),
         "defect": defects,
         "endomaps": endomaps,
-        "contracts": contracts,
     }
-    return make_artifact("packaging", config, metrics)
+    return config, metrics
 
 
-def run_holonomy(profile: str = "paper") -> ArtifactRecord:
+def packaging_contracts(m: dict) -> dict:
+    off, on = m["defect"]["repair_off"], m["defect"]["repair_on"]
+    i0, i2 = m["tau_grid"].index(0), m["tau_grid"].index(2)
+    return {
+        "tau0_defect_zero_both": off[i0] == 0.0 and on[i0] == 0.0,
+        "tau2_repair_on_zero": on[i2] == 0.0,
+        "tau2_repair_off_high": off[i2] >= 0.9,
+    }
+
+
+def run_holonomy(profile: str = "paper") -> tuple[dict, dict]:
     """Median feasible empowerment vs horizon for protocol on/off, plus TV witness."""
     results = {}
     envs = {}
@@ -266,17 +265,7 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
             "beta_output_distribution": w_b.tolist(),
         }
 
-    on = np.array(results["protocol_on"]["medians"])
-    off = np.array(results["protocol_off"]["medians"])
-    contracts = {
-        "h1_medians_equal": abs(on[0] - off[0]) <= 1e-9,
-        "gap_at_least_02_for_h2_to_h5": bool(np.all(on[1:] - off[1:] >= 0.2)),
-        "tv_witness_gap": witness["protocol_on"]["tv"] - witness["protocol_off"]["tv"] >= 0.3,
-        "kernel_sizes_equal": results["protocol_on"]["kernel_size"]
-        == results["protocol_off"]["kernel_size"],
-    }
     config = {
-        "exhibit": "holonomy",
         "profile": profile,
         "environment_on": envs["protocol_on"][0].to_dict(),
         "environment_off": envs["protocol_off"][0].to_dict(),
@@ -296,12 +285,22 @@ def run_holonomy(profile: str = "paper") -> ArtifactRecord:
         "protocol_off": results["protocol_off"],
         "witness": witness,
         "solver": solver_block(meds),
-        "contracts": contracts,
     }
-    return make_artifact("holonomy", config, metrics)
+    return config, metrics
 
 
-def run_ablations(profile: str = "paper") -> ArtifactRecord:
+def holonomy_contracts(m: dict) -> dict:
+    on, off, tv = m["protocol_on"], m["protocol_off"], m["witness"]
+    gaps = [a - b for a, b in zip(on["medians"], off["medians"], strict=True)]
+    return {
+        "h1_medians_equal": abs(gaps[0]) <= 1e-9,
+        "gap_at_least_02_for_h2_to_h5": all(gap >= 0.2 for gap in gaps[1:]),
+        "tv_witness_gap": tv["protocol_on"]["tv"] - tv["protocol_off"]["tv"] >= 0.3,
+        "kernel_sizes_equal": on["kernel_size"] == off["kernel_size"],
+    }
+
+
+def run_ablations(profile: str = "paper") -> tuple[dict, dict]:
     """Primitive toggle suite: |K|, median empowerment at H=2 (one pass), defect at tau=2."""
     configs = ablation_configs(profile)
     horizon, tau, policy = 2, 2, "repair_then_right"
@@ -331,26 +330,7 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
         row["empowerment_median"] = med.median_bits
         row["subset_rule"] = med.subset_rule
     env = kept["env"]
-
-    contracts = {
-        "no_repair_kernel_empty": rows["no_repair"]["kernel_size"] == 0,
-        "no_repair_empowerment_zero": rows["no_repair"]["empowerment_median"] == 0.0,
-        "full_no_protocol_equal_kernel": rows["full"]["kernel_size"]
-        == rows["no_protocol"]["kernel_size"],
-        "full_no_protocol_equal_defect": rows["full"]["packaging_defect"]
-        == rows["no_protocol"]["packaging_defect"],
-        "full_beats_no_protocol_empowerment": rows["full"]["empowerment_median"]
-        > rows["no_protocol"]["empowerment_median"],
-        "constraints_off_defect_exceeds_full": rows["constraints_off"]["packaging_defect"]
-        > rows["full"]["packaging_defect"],
-        "repair_imperfect_defect_zero": rows["repair_imperfect"]["packaging_defect"] == 0.0,
-        "repair_imperfect_below_full_empowerment": rows["repair_imperfect"]["empowerment_median"]
-        < rows["full"]["empowerment_median"],
-        "learn_on_doubles_state_count": rows["learn_on"]["n_states"]
-        == 2 * rows["full"]["n_states"],
-    }
     config = {
-        "exhibit": "ablations",
         "profile": profile,
         "configs": {name: cfg.to_dict() for name, cfg in configs.items()},
         "empowerment_horizon": horizon,
@@ -364,12 +344,28 @@ def run_ablations(profile: str = "paper") -> ArtifactRecord:
         "state_layout": kept["state_layout"],
         "rows": rows,
         "solver": solver_block(meds),
-        "contracts": contracts,
     }
-    return make_artifact("ablations", config, metrics)
+    return config, metrics
 
 
-def run_sweep(profile: str = "paper") -> ArtifactRecord:
+def ablations_contracts(m: dict) -> dict:
+    # one column per row field, keyed by ablation name
+    size, emp, defect, n_states = ({name: row[key] for name, row in m["rows"].items()} for key in (
+        "kernel_size", "empowerment_median", "packaging_defect", "n_states"))
+    return {
+        "no_repair_kernel_empty": size["no_repair"] == 0,
+        "no_repair_empowerment_zero": emp["no_repair"] == 0.0,
+        "full_no_protocol_equal_kernel": size["full"] == size["no_protocol"],
+        "full_no_protocol_equal_defect": defect["full"] == defect["no_protocol"],
+        "full_beats_no_protocol_empowerment": emp["full"] > emp["no_protocol"],
+        "constraints_off_defect_exceeds_full": defect["constraints_off"] > defect["full"],
+        "repair_imperfect_defect_zero": defect["repair_imperfect"] == 0.0,
+        "repair_imperfect_below_full_empowerment": emp["repair_imperfect"] < emp["full"],
+        "learn_on_doubles_state_count": n_states["learn_on"] == 2 * n_states["full"],
+    }
+
+
+def run_sweep(profile: str = "paper") -> tuple[dict, dict]:
     """8x8 noise/maintenance-cost grid under the coherence safety predicate.
 
     The 64 cells' medians are solved in one ``median_empowerments`` pass.
@@ -395,15 +391,7 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
     meds = median_empowerments(cells())
     emp = np.array([med.median_bits for med in meds]).reshape(kernel_sizes.shape)
     env = last[0]
-
-    contracts = {
-        "kernel_monotone_in_noise": bool(np.all(np.diff(kernel_sizes, axis=0) <= 0)),
-        "kernel_monotone_in_cost": bool(np.all(np.diff(kernel_sizes, axis=1) <= 0)),
-        "hostile_corner_collapses": int(kernel_sizes[-1, -1]) == 0,
-        "empty_kernel_zero_empowerment": bool(np.all(emp[kernel_sizes == 0] == 0.0)),
-    }
     config = {
-        "exhibit": "sweep",
         "profile": profile,
         "base_environment": base.to_dict(),
         "p_flip_grid": p_grid,
@@ -424,12 +412,24 @@ def run_sweep(profile: str = "paper") -> ArtifactRecord:
         "empowerment_min": float(emp.min()),
         "empowerment_max": float(emp.max()),
         "solver": solver_block(meds),
-        "contracts": contracts,
     }
-    return make_artifact("sweep", config, metrics)
+    return config, metrics
 
 
-def run_learning(profile: str = "paper") -> ArtifactRecord:
+def sweep_contracts(m: dict) -> dict:
+    sizes, emp = m["kernel_size_grid"], m["empowerment_grid"]
+    # strict zips: a ragged or mismatched grid raises ValueError
+    columns = [pair for a, b in zip(sizes, sizes[1:]) for pair in zip(a, b, strict=True)]
+    cells = [pair for a, b in zip(sizes, emp, strict=True) for pair in zip(a, b, strict=True)]
+    return {
+        "kernel_monotone_in_noise": all(a >= b for a, b in columns),
+        "kernel_monotone_in_cost": all(a >= b for row in sizes for a, b in zip(row, row[1:])),
+        "hostile_corner_collapses": sizes[-1][-1] == 0,
+        "empty_kernel_zero_empowerment": all(e == 0.0 for k, e in cells if k == 0),
+    }
+
+
+def run_learning(profile: str = "paper") -> tuple[dict, dict]:
     """Median empowerment per skill level, with a zero-slip control group.
 
     Medians are taken over viable states restricted to a fixed staged phase
@@ -453,15 +453,7 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
     control_cfg, _, control_problems = sector_problems(0.0)
     all_meds = median_empowerments(problems + control_problems)
     meds, control_meds = all_meds[: len(problems)], all_meds[len(problems) :]
-    medians = [med.median_bits for med in meds]
-    control_medians = [med.median_bits for med in control_meds]
-
-    contracts = {
-        "medians_strictly_increase_with_skill": medians[0] < medians[1] < medians[2],
-        "zero_slip_control_equal": control_medians[0] == control_medians[1] == control_medians[2],
-    }
     config = {
-        "exhibit": "learning",
         "profile": profile,
         "environment": cfg.to_dict(),
         "control_environment": control_cfg.to_dict(),
@@ -474,35 +466,43 @@ def run_learning(profile: str = "paper") -> ArtifactRecord:
     metrics = {
         "state_layout": env.state_layout,
         "theta_values": list(range(cfg.theta_levels)),
-        "medians": medians,
-        "control_medians": control_medians,
+        "medians": [med.median_bits for med in meds],
+        "control_medians": [med.median_bits for med in control_meds],
         "per_theta": {
             f"theta{theta}": {"states": med.selected_states, "values": med.values}
             for theta, med in enumerate(meds)
         },
         "solver": solver_block(meds + control_meds),
-        "contracts": contracts,
     }
-    return make_artifact("learning", config, metrics)
+    return config, metrics
 
 
-# in run order
+def learning_contracts(m: dict) -> dict:
+    medians, control = m["medians"], m["control_medians"]
+    return {
+        "medians_strictly_increase_with_skill": medians[0] < medians[1] < medians[2],
+        "zero_slip_control_equal": control[0] == control[1] == control[2],
+    }
+
+
+# (runner, contracts function) of each exhibit, in run order
 RUNNERS = {
-    "packaging": run_packaging,
-    "nulls": lambda profile: run_nulls(),
-    "holonomy": run_holonomy,
-    "ablations": run_ablations,
-    "sweep": run_sweep,
-    "learning": run_learning,
+    "packaging": (run_packaging, packaging_contracts),
+    "nulls": (lambda profile: run_nulls(), nulls_contracts),
+    "holonomy": (run_holonomy, holonomy_contracts),
+    "ablations": (run_ablations, ablations_contracts),
+    "sweep": (run_sweep, sweep_contracts),
+    "learning": (run_learning, learning_contracts),
 }
 EXHIBITS = tuple(RUNNERS)
 
 
 def run_exhibit(name: str, profile: str = "paper") -> ArtifactRecord:
+    """The artifact of exhibit ``name``, its contracts derived from its metrics."""
     if name not in RUNNERS:
         raise ValueError(f"unknown exhibit {name!r}; known: {sorted(RUNNERS)}")
-    return RUNNERS[name](profile)
-
-
-def contracts_passed(record: ArtifactRecord) -> bool:
-    return all(record.metrics.get("contracts", {}).values())
+    runner, contracts = RUNNERS[name]
+    config, metrics = runner(profile)
+    record = make_artifact(name, {"exhibit": name, **config}, metrics)
+    record.metrics["contracts"] = contracts(record.metrics)
+    return record

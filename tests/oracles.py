@@ -13,6 +13,7 @@ with the engine's own ``pull``, as the reference for the batched sequence walk.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -160,18 +161,11 @@ def successor_support(k, s: int, a: int) -> set[int]:
     return set(k.succ[a, s][k.weights[a, s] > 0].tolist())
 
 
-def fraction_ring_tensor(cfg) -> np.ndarray:
-    """Ring-world tensor built state by state in exact rationals.
-
-    The float residual of each row is pushed into its largest entry, found in
-    dense state order.
-    """
-    from fractions import Fraction
-
+def fraction_ring_rows(cfg):
+    """Yield ``(a, s, row)`` for every action and state, ``row`` mapping each
+    successor to its exact rational probability."""
     from agencykit.environments import ACTION_NAMES, LEFT, NOOP, REPAIR, RIGHT, ring_state_index
 
-    n = cfg.n_states
-    probs = np.zeros((len(ACTION_NAMES), n, n))
     flip, q = Fraction(cfg.p_flip), Fraction(cfg.repair_success)
     for y, u, phi, r, theta in itertools.product(
         range(cfg.ring_size), range(2), range(cfg.phase_period),
@@ -205,12 +199,49 @@ def fraction_ring_tensor(cfg) -> np.ndarray:
                                  max(0, r - cfg.costs[e] - cfg.damage_leak * u2 + income))
                         t = ring_state_index(cfg, (y + delta) % cfg.ring_size, u2, phi2, r2, theta)
                         row[t] = row.get(t, Fraction(0)) + mass
-            for t, mass in row.items():
-                probs[a, s, t] = float(mass)
-            residual = 1.0 - float(probs[a, s].sum())
-            if residual != 0.0:
-                probs[a, s, int(np.argmax(probs[a, s]))] += residual
+            yield a, s, row
+
+
+def fraction_ring_tensor(cfg) -> np.ndarray:
+    """Ring-world tensor built state by state in exact rationals.
+
+    The float residual of each row is pushed into its largest entry, found in
+    dense state order.
+    """
+    from agencykit.environments import ACTION_NAMES
+
+    probs = np.zeros((len(ACTION_NAMES), cfg.n_states, cfg.n_states))
+    for a, s, row in fraction_ring_rows(cfg):
+        for t, mass in row.items():
+            probs[a, s, t] = float(mass)
+        residual = 1.0 - float(probs[a, s].sum())
+        if residual != 0.0:
+            probs[a, s, int(np.argmax(probs[a, s]))] += residual
     return probs
+
+
+def fraction_packaging_masses(cfg, actions, project: np.ndarray, tau: int) -> dict:
+    """Exact ``{fiber: {label: mass}}`` after tau steps of a deterministic policy.
+
+    Every member of a fiber starts with mass 1, as in ``packaging_endomap``
+    before its division by the fiber size; ``actions[s]`` is the policy's
+    action at state ``s``, and every step uses ``fraction_ring_rows``.
+    """
+    rows = {(a, s): row for a, s, row in fraction_ring_rows(cfg)}
+    masses = {}
+    for fiber in sorted(set(project.tolist())):
+        dist = dict.fromkeys(np.flatnonzero(project == fiber).tolist(), Fraction(1))
+        for _ in range(tau):
+            step: dict[int, Fraction] = {}
+            for s, mass in dist.items():
+                for t, p in rows[actions[s], s].items():
+                    step[t] = step.get(t, Fraction(0)) + mass * p
+            dist = step
+        labels: dict[int, Fraction] = {}
+        for s, mass in dist.items():
+            labels[int(project[s])] = labels.get(int(project[s]), Fraction(0)) + mass
+        masses[fiber] = labels
+    return masses
 
 
 def dense_viability_step(k, gate, safe, K) -> np.ndarray:

@@ -14,14 +14,7 @@ import pytest
 from agencykit.artifacts import canonical_serialize, config_hash
 from agencykit.cli import main
 from agencykit.empowerment import channel_capacity
-from agencykit.experiments import (
-    run_ablations,
-    run_holonomy,
-    run_learning,
-    run_nulls,
-    run_packaging,
-    run_sweep,
-)
+from agencykit.experiments import run_exhibit
 from agencykit.kernel import Policy, policy_successors, predecessor_lists, pull, validate_kernel
 from agencykit.viability import viability_kernel, viability_step
 from conftest import random_gate, random_kernel, random_safety
@@ -38,16 +31,9 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
 def timed_records():
     records = {}
     timings = {}
-    for name, runner in [
-        ("nulls", run_nulls),
-        ("packaging", run_packaging),
-        ("holonomy", run_holonomy),
-        ("ablations", run_ablations),
-        ("sweep", run_sweep),
-        ("learning", run_learning),
-    ]:
+    for name in ("nulls", "packaging", "holonomy", "ablations", "sweep", "learning"):
         t0 = time.perf_counter()
-        records[name] = runner()
+        records[name] = run_exhibit(name)
         timings[name] = time.perf_counter() - t0
     return records, timings
 

@@ -10,16 +10,9 @@ from agencykit.experiments import (
     EXHIBITS,
     MAX_MEDIAN_STATES,
     ablation_configs,
-    contracts_passed,
     holonomy_config,
     maintenance_economy_config,
-    run_ablations,
     run_exhibit,
-    run_holonomy,
-    run_learning,
-    run_nulls,
-    run_packaging,
-    run_sweep,
     solver_block,
 )
 from conftest import count_calls
@@ -40,7 +33,7 @@ class TestRunnerBasics:
         record = run_exhibit(name)
         assert record.artifact_type == name
         assert set(record.metrics["contracts"]) >= {next(iter(record.metrics["contracts"]))}
-        assert contracts_passed(record)
+        assert all(record.metrics["contracts"].values())
         # config identity is reproducible
         assert len(record.config_hash) == 64
         if name != "nulls":
@@ -69,11 +62,9 @@ class TestRunnerBasics:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "runner", [run_nulls, run_packaging, run_holonomy, run_ablations, run_sweep, run_learning]
-    )
-    def test_metrics_byte_identical_across_runs(self, runner):
-        a, b = runner(), runner()
+    @pytest.mark.parametrize("name", EXHIBITS, ids=lambda name: f"run_{name}")
+    def test_metrics_byte_identical_across_runs(self, name):
+        a, b = run_exhibit(name), run_exhibit(name)
         assert canonical_serialize(a.metrics) == canonical_serialize(b.metrics)
         assert a.config_hash == b.config_hash
 
@@ -113,14 +104,14 @@ class TestDeterminism:
 
 class TestExhibitNumbers:
     def test_nulls_table_values(self):
-        m = run_nulls().metrics
+        m = run_exhibit("nulls").metrics
         assert all(v == 0.0 for v in m["null_a"].values())
         assert m["null_b"]["wrong"] == pytest.approx(1.0, abs=1e-6)
         assert m["null_b"]["right"] == pytest.approx(0.0, abs=1e-6)
         assert m["solver"]["solves"] == 5
 
     def test_packaging_defect_profile(self):
-        m = run_packaging().metrics
+        m = run_exhibit("packaging").metrics
         i2 = m["tau_grid"].index(2)
         assert m["defect"]["repair_on"][i2] == 0.0
         assert m["defect"]["repair_off"][i2] >= 0.9
@@ -134,7 +125,7 @@ class TestExhibitNumbers:
         }
 
     def test_sweep_grid_shapes(self):
-        m = run_sweep().metrics
+        m = run_exhibit("sweep").metrics
         assert len(m["kernel_size_grid"]) == 8
         assert all(len(row) == 8 for row in m["kernel_size_grid"])
         assert len(m["empowerment_grid"]) == 8
@@ -142,7 +133,7 @@ class TestExhibitNumbers:
 
     def test_sweep_solves_all_cells_in_one_capacity_call(self, monkeypatch):
         calls = count_calls(monkeypatch, empowerment, "channel_capacities")
-        record = run_sweep()
+        record = run_exhibit("sweep")
         assert len(calls) == 1 and record.metrics["solver"]["solves"] == 88
         # the config still names what a built environment carries
         env = build_ringworld(maintenance_economy_config("paper"))
@@ -164,7 +155,7 @@ class TestExhibitNumbers:
         assert (len(solves), len(builds)) == self.WORK[name]
 
     def test_learning_medians_monotone(self):
-        m = run_learning().metrics
+        m = run_exhibit("learning").metrics
         a, b, c = m["medians"]
         assert a < b < c
         x, y, z = m["control_medians"]

@@ -3,9 +3,11 @@ import pytest
 
 from agencykit.empowerment import Lens
 from agencykit.environments import RingWorldConfig, build_ringworld
+from agencykit.experiments import TAU_GRID, base_profile
 from agencykit.kernel import ControlledKernel, Policy
 from agencykit.packaging import Endomap, idempotence_defect, packaging_endomap
 from conftest import random_kernel
+from oracles import fraction_packaging_masses
 
 
 def identity_lens(n) -> Lens:
@@ -121,3 +123,30 @@ class TestIdempotenceDefect:
             e = Endomap("p", mapping=mapping, reach_mass={})
             image_identity = all(mapping[y] == y for y in set(mapping.values()))
             assert (idempotence_defect(e) == 0.0) == image_identity
+
+
+class TestExactTies:
+    """The ring's modal labels against exact rational masses."""
+
+    @pytest.mark.parametrize("policy", ["always_right", "repair_then_right"])
+    def test_modes_match_exact_masses_with_smallest_label_ties(self, policy):
+        cfg = base_profile("paper")
+        env = build_ringworld(cfg)
+        mu = env.policies[policy]
+        for tau in TAU_GRID:
+            exact = fraction_packaging_masses(cfg, mu.table, env.macro_lens.project, tau)
+            modes = {fiber: min(label for label, mass in masses.items()
+                                if mass == max(masses.values()))
+                     for fiber, masses in exact.items()}
+            assert packaging_endomap(env.kernel, env.macro_lens, mu, tau).mapping == modes
+
+    def test_tau1_fiber2_tie_is_exact(self):
+        # under repair_then_right, fiber 2's two members reach labels 1 and 3
+        # with mass exactly 1 each, so label 1 is the exact smallest-label mode
+        cfg = base_profile("paper")
+        env = build_ringworld(cfg)
+        mu = env.policies["repair_then_right"]
+        exact = fraction_packaging_masses(cfg, mu.table, env.macro_lens.project, 1)
+        assert exact[2] == {1: 1, 3: 1}
+        e = packaging_endomap(env.kernel, env.macro_lens, mu, 1)
+        assert e.mapping[2] == 1 and e.reach_mass[2] == 0.5
