@@ -2,9 +2,10 @@
 
 A controlled kernel is a stack of row-stochastic matrices, one per action,
 stored as padded successor lists. This demo builds a tiny 3-state example by
-hand and walks through the core operations: validation, the successor lists
-themselves, pushing a distribution one step under every action at once, and
-closing the kernel under a policy.
+hand and walks through the core operations: the successor lists themselves,
+pushing a distribution one step under every action at once, closing the
+kernel under a policy, and the check that refuses a broken kernel at
+construction.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from agencykit.kernel import (
     policy_successors,
     predecessor_lists,
     pull,
-    validate_kernel,
 )
 
 # Two actions on three states: STAY (action 0) is the identity, DRIFT
@@ -28,9 +28,6 @@ drift = np.array([
     [0.75, 0.00, 0.25],
 ])
 kernel = ControlledKernel(n_states=3, n_actions=2, probs=np.stack([stay, drift]))
-
-report = validate_kernel(kernel)
-print("kernel is valid:", report.ok)
 
 # The dense tensor is converted once into successor lists; the slots with
 # nonzero weight are the worst-case outcome sets used by viability.
@@ -56,6 +53,9 @@ np.add.at(T, (np.arange(3)[:, None], succ), weights)
 print("half-and-half policy closure:")
 print(np.round(T, 4))
 
-# Broken kernels are reported with indices, never silently accepted.
-bad = ControlledKernel(n_states=2, n_actions=1, probs=np.array([[[0.5, 0.6], [0, 1]]]))
-print("violations in a bad kernel:", validate_kernel(bad).violations)
+# A broken kernel is never built: construction raises, naming the first
+# offending (action, state) row.
+try:
+    ControlledKernel(n_states=2, n_actions=1, probs=np.array([[[0.5, 0.6], [0, 1]]]))
+except ValueError as exc:
+    print("a bad kernel is refused:", exc)

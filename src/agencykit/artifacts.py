@@ -169,16 +169,14 @@ def read_artifact(path: Path):
     return json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
-def _iter_probability_objects(tree, path: str = "$.metrics"):
-    if isinstance(tree, dict):
-        for k, v in tree.items():
-            child = f"{path}.{k}"
-            if k.endswith(DISTRIBUTION_SUFFIX) or k.endswith(ROWS_SUFFIX):
-                yield child, v
-            yield from _iter_probability_objects(v, child)
-    elif isinstance(tree, list):
-        for i, v in enumerate(tree):
-            yield from _iter_probability_objects(v, f"{path}[{i}]")
+def _nodes(tree, path: str = "$.metrics"):
+    """(path, value) of every node below ``tree``, each parent before its children."""
+    is_map = isinstance(tree, dict)
+    for k, v in tree.items() if is_map else enumerate(tree) if isinstance(tree, list) else ():
+        child = f"{path}.{k}" if is_map else f"{path}[{k}]"
+        yield child, v
+        if isinstance(v, (dict, list)):
+            yield from _nodes(v, child)
 
 
 def _check_probability_object(value) -> str | None:
@@ -203,10 +201,12 @@ def _check_probability_object(value) -> str | None:
     return None
 
 
-def _check_solver(metrics) -> str | None:
-    """A ``solver`` block's certified gap must not exceed its capacity tolerance."""
+def _check_solver(config, metrics) -> str | None:
+    """A config with ``capacity_tol_bits`` needs a ``solver`` block whose gap fits it."""
     solver = metrics.get("solver") if isinstance(metrics, dict) else None
     if solver is None:
+        if isinstance(config, dict) and "capacity_tol_bits" in config:
+            return "missing, though the config sets capacity_tol_bits"
         return None
     try:
         gap = float(solver["max_gap_bits"])
@@ -228,6 +228,10 @@ def _contract_problems(exhibit, metrics) -> list[tuple[str, str]]:
         derived = RUNNERS[exhibit][1](metrics)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         return [("missing_metrics", f"the {exhibit} contracts cannot read $.metrics ({exc!r})")]
+    # metrics is a dict here; a contract comparing a metric with a number takes true for 1
+    for path, value in _nodes({k: v for k, v in metrics.items() if k != "contracts"}):
+        if isinstance(value, bool):
+            return [("missing_metrics", f"{path} is a boolean, not a number")]
     problems = [("contract_false", key) for key, ok in derived.items() if not ok]
     # sorted-key JSON tells true from 1, and cannot fail on a parsed tree
     expected = json.dumps(derived, sort_keys=True)
@@ -260,17 +264,23 @@ def audit(directory: str | Path, strict: bool = True) -> AuditReport:
         except RecursionError:
             report.failures.append((str(path), "too_deep", "nesting exceeds the recursion limit"))
     for path in sorted(directory.glob("generated/*.json")):
-        try:
-            record = read_artifact(path)
-            original = directory / f"{record['artifact_type']}_{record['config_hash'][:12]}.json"
-            # the name check comes first, so an odd artifact_type never reaches the file system
-            if path.stem == record["artifact_type"] and original.read_bytes() == path.read_bytes():
-                continue
-            detail = f"not the bytes of {original.name} under its artifact_type's name"
-        except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
-            detail = f"not a readable artifact copy ({exc!r})"
-        report.failures.append((str(path), "generated_copy_mismatch", detail))
+        detail = generated_copy_problem(directory, path)
+        if detail is not None:
+            report.failures.append((str(path), "generated_copy_mismatch", detail))
     return report
+
+
+def generated_copy_problem(directory: Path, path: Path) -> str | None:
+    """Why ``path`` is no ``generated/`` copy of its hashed artifact (see ``audit``), or None."""
+    try:
+        record = read_artifact(path)
+        original = directory / f"{record['artifact_type']}_{record['config_hash'][:12]}.json"
+        # the name check comes first, so an odd artifact_type never reaches the file system
+        if path.stem == record["artifact_type"] and original.read_bytes() == path.read_bytes():
+            return None
+        return f"not the bytes of {original.name} under its artifact_type's name"
+    except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
+        return f"not a readable artifact copy ({exc!r})"
 
 
 def _audit_file(path: Path, strict: bool, report: AuditReport) -> None:
@@ -305,12 +315,13 @@ def _audit_file(path: Path, strict: bool, report: AuditReport) -> None:
             (name, "config_hash_mismatch", f"stored {stored[:12]}..., recomputed {expected[:12]}...")
         )
 
-    for tree_path, value in _iter_probability_objects(record["metrics"]):
-        problem = _check_probability_object(value)
+    for tree_path, value in _nodes(record["metrics"]):
+        problem = (_check_probability_object(value)
+                   if tree_path.endswith((DISTRIBUTION_SUFFIX, ROWS_SUFFIX)) else None)
         if problem is not None:
             report.failures.append((name, "stochasticity", f"{tree_path}: {problem}"))
 
-    problem = _check_solver(record["metrics"])
+    problem = _check_solver(record["config"], record["metrics"])
     if problem is not None:
         report.failures.append((name, "uncertified_capacity", f"$.metrics.solver: {problem}"))
     for rule, detail in _contract_problems(record["artifact_type"], record["metrics"]):

@@ -16,7 +16,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from agencykit.artifacts import audit, read_artifact, write_artifact
+from agencykit.artifacts import audit, generated_copy_problem, read_artifact, write_artifact
 from agencykit.experiments import EXHIBITS, run_exhibit
 
 EXIT_OK = 0
@@ -113,12 +113,13 @@ def _cmd_audit(args) -> int:
 def _load_exhibit_artifact(directory: Path, exhibit: str) -> tuple[Path, object] | None:
     """The first readable artifact of ``exhibit``, as (path, parsed JSON).
 
-    The stable copy ``generated/<exhibit>.json`` comes first; when it is
-    missing or unreadable, the hashed ``<exhibit>_*.json`` files follow.
-    Files are read as ``audit`` reads them, so a NaN makes one unreadable.
+    The stable copy ``generated/<exhibit>.json`` comes first if ``audit``
+    would pass it; the hashed ``<exhibit>_*.json`` files follow. Files are
+    read as ``audit`` reads them, so a NaN makes one unreadable.
     """
     stable = directory / "generated" / f"{exhibit}.json"
-    for path in [stable, *sorted(directory.glob(f"{exhibit}_*.json"))]:
+    copies = [stable] if generated_copy_problem(directory, stable) is None else []
+    for path in [*copies, *sorted(directory.glob(f"{exhibit}_*.json"))]:
         try:
             return path, read_artifact(path)
         except (OSError, ValueError, RecursionError):

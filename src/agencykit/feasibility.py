@@ -27,10 +27,10 @@ class FeasibilityGate:
     def __post_init__(self):
         ledger = np.asarray(self.ledger, dtype=np.float64)
         costs = np.asarray(self.costs, dtype=np.float64)
-        if np.any(ledger < 0):
-            raise ValueError("ledger values must be nonnegative")
-        if np.any(costs < 0):
-            raise ValueError("action costs must be nonnegative")
+        if not np.all(ledger >= 0):
+            raise ValueError("ledger values must be nonnegative, not negative or NaN")
+        if not np.all(costs >= 0):
+            raise ValueError("action costs must be nonnegative, not negative or NaN")
         ledger.setflags(write=False)
         costs.setflags(write=False)
         object.__setattr__(self, "ledger", ledger)

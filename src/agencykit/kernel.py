@@ -5,9 +5,9 @@ a state reachable from ``s`` under action ``a`` with probability
 ``weights[a, s, j]``. The width ``j`` is the largest fan-out of any
 (action, state) pair; shorter rows are padded with slots of weight exactly 0
 that point back at ``s``. A dense row-stochastic tensor ``probs[a, s, s']`` is
-accepted as input, converted once and not kept. All state and action spaces
-are finite and indexed by integers; structured labels live in the environment
-constructors, never here.
+accepted as input, converted once and not kept. Every kernel is checked at
+construction. States and actions are finite and integer-indexed; structured
+labels live in the environment constructors, never here.
 """
 
 from __future__ import annotations
@@ -55,13 +55,40 @@ def _successor_lists(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return succ.reshape(n_actions, n_states, -1), weights.reshape(n_actions, n_states, -1)
 
 
+def _check_kernel(n_states: int, n_actions: int, succ: np.ndarray, weights: np.ndarray) -> None:
+    """Raise ValueError, naming the first offending (action, state), on a broken kernel rule.
+
+    The rules: both arrays of shape (n_actions, n_states, k), integer successors
+    in [0, n_states), weights finite and >= 0, rows summing to 1 within ``ROW_SUM_TOLERANCE``.
+    """
+    if succ.dtype.kind not in "iu":
+        raise ValueError(f"successors must be integers, not {succ.dtype}")
+    if succ.ndim != 3 or succ.shape != weights.shape or succ.shape[:2] != (n_actions, n_states):
+        raise ValueError(f"succ {succ.shape} and weights {weights.shape} must share one "
+                         f"({n_actions}, {n_states}, k) shape")
+    # NaN fails every comparison; masks locating a bad row are built only on failure
+    if not (succ.min(initial=0) >= 0 and succ.max(initial=0) < n_states
+            and weights.min(initial=0) >= 0 and weights.max(initial=0) < np.inf):
+        for problem, bad in (
+            (f"has a successor outside [0, {n_states})", (succ < 0) | (succ >= n_states)),
+            ("has a negative or non-finite weight", ~((weights >= 0) & (weights < np.inf))),
+        ):
+            if bad.any():
+                a, s, _ = np.argwhere(bad)[0]
+                raise ValueError(f"kernel row (action {a}, state {s}) {problem}")
+    sums = weights.sum(axis=2)
+    if np.abs(sums - 1.0).max(initial=0.0) > ROW_SUM_TOLERANCE:
+        a, s = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE)[0]
+        raise ValueError(f"kernel row (action {a}, state {s}) sums to {float(sums[a, s])!r}")
+
+
 @dataclass(frozen=True, init=False)
 class ControlledKernel:
     """Transition kernel as padded successor lists indexed [action, state, slot].
 
     Build it from a dense tensor (``probs=``) or from ``succ=`` and
-    ``weights=`` directly. Immutable after construction; all operations on it
-    are pure functions.
+    ``weights=``; either way the lists must pass ``_check_kernel``, or
+    ValueError is raised. Immutable; all operations on it are pure functions.
     """
 
     n_states: int
@@ -85,12 +112,10 @@ class ControlledKernel:
             if probs.ndim != 3 or probs.shape[1] != probs.shape[2]:
                 raise ValueError(f"probs must have shape (A, S, S), got {probs.shape}")
             succ, weights = _successor_lists(probs)
-        succ = np.asarray(succ, dtype=np.int64)
+        succ = np.asarray(succ)
         weights = np.asarray(weights, dtype=np.float64)
-        if succ.ndim != 3 or succ.shape != weights.shape:
-            raise ValueError(
-                f"succ {succ.shape} and weights {weights.shape} must share one (A, S, k) shape"
-            )
+        _check_kernel(n_states, n_actions, succ, weights)
+        succ = succ.astype(np.int64, copy=False)
         succ.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "n_states", n_states)
@@ -111,78 +136,51 @@ class Policy:
     table: dict[int, int] | dict[int, np.ndarray]
 
     def action_weights(self, n_states: int, n_actions: int) -> np.ndarray:
-        """(S, A) array whose row ``s`` is the action distribution at state ``s``."""
+        """(S, A) array whose row ``s`` is the action distribution at state ``s``.
+
+        The one check of a policy: raises ValueError on an unknown ``kind``, a
+        missed state, an action not in range(A) or a row that is no distribution.
+        """
+        if self.kind not in ("deterministic", "stochastic"):
+            raise ValueError(f"unknown policy kind {self.kind!r}")
         missing = [s for s in range(n_states) if s not in self.table]
         if missing:
             raise ValueError(f"policy does not cover states {missing[:5]}")
         if self.kind == "deterministic":
-            weights = np.zeros((n_states, n_actions))
-            weights[np.arange(n_states), [self.table[s] for s in range(n_states)]] = 1.0
-            return weights
+            actions = [self.table[s] for s in range(n_states)]
+            if not set(actions) <= set(range(n_actions)):
+                s = next(s for s, a in enumerate(actions) if a not in range(n_actions))
+                raise ValueError(f"policy action {actions[s]} at state {s} "
+                                 f"is not in range({n_actions})")
+            return np.eye(n_actions)[actions]
         rows = [np.asarray(self.table[s], dtype=np.float64) for s in range(n_states)]
         bad = [s for s, row in enumerate(rows) if row.shape != (n_actions,)]
         if bad:
             raise ValueError(f"policy row for state {bad[0]} has wrong length")
-        return np.stack(rows)
+        weights = np.stack(rows)
+        # NaN fails ``>= 0``, and an inf entry makes the sum miss 1
+        ok = (weights >= 0).all(axis=1) & (np.abs(weights.sum(axis=1) - 1.0) <= ROW_SUM_TOLERANCE)
+        if not ok.all():
+            s = int(np.argmin(ok))
+            raise ValueError(f"policy row for state {s} is no distribution: {weights[s].tolist()}")
+        return weights
 
 
 @dataclass
 class ValidationReport:
-    """Outcome of kernel validation: ``ok`` or a list of indexed violations."""
+    """Outcome of kernel validation: ``ok``, or the violated rule."""
 
     ok: bool
     violations: list[dict] = field(default_factory=list)
 
 
 def validate_kernel(k: ControlledKernel) -> ValidationReport:
-    """Check shape, successor range, nonnegativity, and row-stochasticity.
-
-    Report-style: never raises. Each violation records the (action, state)
-    pair and the defect magnitude.
-    """
-    violations: list[dict] = []
-    expected = (k.n_actions, k.n_states)
-    if k.succ.shape[:2] != expected:
-        violations.append(
-            {"rule": "shape", "expected": expected, "actual": tuple(k.succ.shape[:2])}
-        )
-        return ValidationReport(ok=False, violations=violations)
-
-    for a, s, j in np.argwhere((k.succ < 0) | (k.succ >= k.n_states)):
-        violations.append(
-            {
-                "rule": "successor out of range",
-                "action": int(a),
-                "state": int(s),
-                "next_state": int(k.succ[a, s, j]),
-            }
-        )
-
-    for a, s, j in np.argwhere(k.weights < 0.0):
-        violations.append(
-            {
-                "rule": "negative probability",
-                "action": int(a),
-                "state": int(s),
-                "next_state": int(k.succ[a, s, j]),
-                "value": float(k.weights[a, s, j]),
-            }
-        )
-
-    row_sums = k.weights.sum(axis=2)
-    bad = np.argwhere(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE)
-    for a, s in bad:
-        violations.append(
-            {
-                "rule": "row sum",
-                "action": int(a),
-                "state": int(s),
-                "row_sum": float(row_sums[a, s]),
-                "defect": float(abs(row_sums[a, s] - 1.0)),
-            }
-        )
-
-    return ValidationReport(ok=not violations, violations=violations)
+    """The constructor's check as a report; never raises (see ``_check_kernel``)."""
+    try:
+        _check_kernel(k.n_states, k.n_actions, k.succ, k.weights)
+    except ValueError as exc:
+        return ValidationReport(ok=False, violations=[{"rule": str(exc)}])
+    return ValidationReport(ok=True)
 
 
 def check_fits(k: ControlledKernel, gate=None, safe=None, lens=None) -> None:
@@ -239,12 +237,12 @@ def pull(lists: tuple[np.ndarray, np.ndarray], D: np.ndarray) -> np.ndarray:
 
     Returns (A * targets, m) with ``out[r] = sum_j w[r, j] D[src[r, j]]``.
     Only slots whose source row of D is nonzero are visited; each row adds
-    them one at a time in slot order. With nonnegative weights and columns
-    every term is >= 0, so a skipped term would have added an exact 0, and a
-    column's result does not depend on which other columns travel with it:
-    a rollout from one start state is bit-identical to its column of a
-    batched rollout. Each temporary is at most (A * targets, m), whatever
-    the in-degree.
+    them one at a time in slot order. A kernel's weights are nonnegative by
+    construction, so with nonnegative columns every term is >= 0, a skipped
+    term would have added an exact 0, and a column's result does not depend
+    on which other columns travel with it: a rollout from one start state is
+    bit-identical to its column of a batched rollout. Each temporary is at
+    most (A * targets, m), whatever the in-degree.
     """
     use = (lists[1] != 0) & D.any(axis=1)[lists[0]]
     counts = use.sum(axis=1)
@@ -272,10 +270,6 @@ def policy_successors(k: ControlledKernel, mu: Policy) -> tuple[np.ndarray, np.n
     actions the policy never takes at ``s`` leave weight-0 slots.
     """
     action_weights = mu.action_weights(k.n_states, k.n_actions)
-    row_sums = action_weights.sum(axis=1)
-    bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE)
-    if bad.size:
-        raise ValueError(f"policy row for state {int(bad[0])} sums to {row_sums[bad[0]]}")
     succ = k.succ.transpose(1, 0, 2).reshape(k.n_states, -1)
     weights = (action_weights.T[:, :, None] * k.weights).transpose(1, 0, 2)
     return succ, weights.reshape(k.n_states, -1)

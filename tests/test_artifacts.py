@@ -247,6 +247,14 @@ class TestAudit:
         self._write(tmp_path, metrics={"solver": {"max_gap_bits": 1e-9, "capacity_tol_bits": 1e-9}})
         assert audit(tmp_path).passed
 
+    def test_solver_block_required_by_a_capacity_tolerance(self, tmp_path):
+        self._write(tmp_path, config={"capacity_tol_bits": 1e-9}, metrics={})
+        report = audit(tmp_path)
+        assert [(rule, detail) for _, rule, detail in report.failures] == [(
+            "uncertified_capacity",
+            "$.metrics.solver: missing, though the config sets capacity_tol_bits",
+        )]
+
     def test_malformed_solver_block_fails(self, tmp_path):
         self._write(tmp_path, metrics={"solver": {"max_gap_bits": "small"}})
         report = audit(tmp_path)

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from agencykit.artifacts import audit
 from agencykit.cli import main
 
 
@@ -94,7 +95,9 @@ class TestPlot:
         stable = tmp_path / "generated" / "nulls.json"
         doc = json.loads(stable.read_text())
         doc["metrics"]["null_a"]["H4"] = 0.25
-        stable.write_text(json.dumps(doc))
+        # metrics are not hashed, so the edited copy is still its artifact's bytes
+        for path in (stable, *tmp_path.glob("nulls_*.json")):
+            path.write_text(json.dumps(doc))
         assert main(["plot", "nulls", "--dir", str(tmp_path), "--format", "csv"]) == 0
         lines = (tmp_path / "plots" / "nulls.csv").read_text().strip().splitlines()
         assert [line for line in lines if line.startswith("null_a,")] == [
@@ -108,6 +111,20 @@ class TestPlot:
         assert main(["plot", "packaging", "--dir", str(tmp_path), "--format", "csv"]) == 0
         lines = (tmp_path / "plots" / "packaging.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 10
+
+    def test_tampered_stable_copy_falls_back_to_hashed(self, tmp_path):
+        # audit fails a copy that is not its artifact's bytes, so plot skips it
+        assert main(["run", "learning", "--out", str(tmp_path)]) == 0
+        stable = tmp_path / "generated" / "learning.json"
+        doc = json.loads(stable.read_text())
+        medians = doc["metrics"]["medians"]
+        doc["metrics"]["medians"] = [9.0, 8.0, 7.0]
+        stable.write_text(json.dumps(doc))
+        assert not audit(tmp_path).passed
+        assert main(["plot", "learning", "--dir", str(tmp_path), "--format", "csv"]) == 0
+        lines = (tmp_path / "plots" / "learning.csv").read_text().strip().splitlines()
+        plotted = [float(line.split(",")[2]) for line in lines if line.startswith("skill_medians,")]
+        assert plotted == medians
 
     def test_non_finite_stable_copy_falls_back_to_hashed(self, tmp_path):
         # audit fails a NaN, so plot counts the copy as unreadable too
@@ -127,13 +144,12 @@ class TestPlot:
         {"metrics": {"tau_grid": [], "defect": {"repair_off": [], "repair_on": []}}},
     ], ids=["no_series", "top_level_list", "empty_series"])
     def test_malformed_artifact_usage_error(self, tmp_path, capsys, doc, fmt):
-        stable = tmp_path / "generated" / "packaging.json"
-        stable.parent.mkdir(parents=True)
-        stable.write_text(json.dumps(doc))
+        hashed = tmp_path / "packaging_0123456789ab.json"
+        hashed.write_text(json.dumps(doc))
         assert main(["plot", "packaging", "--dir", str(tmp_path), "--format", fmt]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error:") and str(stable) in err[0]
+        assert err[0].startswith("error:") and str(hashed) in err[0]
         assert not (tmp_path / "plots" / f"packaging.{fmt}").exists()
 
 

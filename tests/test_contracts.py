@@ -112,12 +112,18 @@ def _reverse_medians(m):
     m["medians"].reverse()
 
 
+def _delete_solver(m):
+    del m["solver"]
+
+
 @pytest.mark.parametrize("fault, rules", [
     (_flip_contract, {"contract_mismatch"}),
     (_delete_contracts, {"contract_mismatch"}),
-    (_clear_metrics, {"missing_metrics"}),
+    (_clear_metrics, {"missing_metrics", "uncertified_capacity"}),
     (_reverse_medians, {"contract_false", "contract_mismatch"}),
-], ids=["contract_false_stored", "contracts_deleted", "metrics_empty", "medians_reversed"])
+    (_delete_solver, {"uncertified_capacity"}),
+], ids=["contract_false_stored", "contracts_deleted", "metrics_empty", "medians_reversed",
+        "solver_deleted"])
 def test_learning_faults_fail_strict_audit(results, capsys, fault, rules):
     assert main(["audit", "--strict", "--dir", str(results)]) == 0
     path, doc = load(results, "learning")
@@ -145,23 +151,45 @@ def _integer_too_large(doc):
     doc["metrics"]["null_b"]["wrong"] = 10**400
 
 
-@pytest.mark.parametrize("exhibit, fault", [
-    ("nulls", _null_a_list), ("sweep", _ragged_sweep), ("learning", _metrics_list),
-    ("nulls", _integer_too_large),
+@pytest.mark.parametrize("exhibit, fault, rules", [
+    ("nulls", _null_a_list, ["missing_metrics"]),
+    ("sweep", _ragged_sweep, ["missing_metrics"]),
+    # a list holds no solver block, which the config's capacity_tol_bits requires
+    ("learning", _metrics_list, ["uncertified_capacity", "missing_metrics"]),
+    ("nulls", _integer_too_large, ["missing_metrics"]),
 ], ids=["null_a_list", "ragged_sweep_grid", "metrics_list", "integer_too_large"])
-def test_unreadable_metrics_are_missing_metrics(results, exhibit, fault):
+def test_unreadable_metrics_are_missing_metrics(results, exhibit, fault, rules):
     path, doc = load(results, exhibit)
     fault(doc)
+    assert rules_of(results, path, doc) == rules
+
+
+@pytest.mark.parametrize("exhibit, where", [
+    ("nulls", ("null_b", "wrong")),
+    ("nulls", ("null_a", "H1")),
+    ("learning", ("medians", 0)),
+    ("ablations", ("rows", "full", "kernel_size")),
+    # a tolerance of true reads as 1 bit, which every gap fits
+    ("holonomy", ("solver", "capacity_tol_bits")),
+])
+def test_boolean_metric_is_missing_metrics(results, exhibit, where):
+    # true == 1 in Python, so abs(true - 1.0) <= 1e-6 would hold for null_b.wrong
+    path, doc = load(results, exhibit)
+    node = doc["metrics"]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = True
     assert rules_of(results, path, doc) == ["missing_metrics"]
 
 
 @pytest.mark.parametrize("artifact_type", ["demo", 7, ["learning"], None])
 def test_only_exhibit_artifacts_have_contracts(results, artifact_type):
     # empty metrics fail no contract check; the file fails only on its name
+    # and on the solver block that its config's capacity_tol_bits requires
     path, doc = load(results, "learning")
     doc["artifact_type"] = artifact_type
     doc["metrics"] = {}
-    assert rules_of(results, path, doc) == ["filename_hash_prefix"]
+    assert rules_of(results, path, doc) == ["uncertified_capacity", "filename_hash_prefix"]
 
 
 def _node_paths(tree, prefix=()):

@@ -169,15 +169,13 @@ class TestBuildChannel:
         np.testing.assert_allclose(ch.sum(axis=1), 1.0, atol=1e-10)
 
     def test_rollout_mass_checked_on_every_path(self):
-        # the one-row channel from state 0 carries mass 0.5; capacity alone
-        # would report it as zero
-        k = ControlledKernel(2, 1, probs=[[[0.5, 0], [0, 1]]])
-        g, f = zero_gate(2, 1), identity_lens(2)
-        # the mass is a plain float in the message, not a numpy repr
-        with pytest.raises(ValueError, match=r"rollout mass 0\.5 deviates from 1"):
-            build_channel(k, g, 0, 1, f)
-        with pytest.raises(ValueError, match=r"rollout mass 0\.5 deviates from 1"):
-            median_empowerment_on_kernel(k, g, np.array([0]), 1, f)
+        # a row of mass 0.5 would give a one-row channel that capacity alone
+        # reports as zero; the kernel is refused at construction, so no
+        # rollout path ever sees it, in either input form
+        with pytest.raises(ValueError, match=r"row \(action 0, state 0\) sums to 0\.5$"):
+            ControlledKernel(2, 1, probs=[[[0.5, 0], [0, 1]]])
+        with pytest.raises(ValueError, match=r"row \(action 0, state 0\) sums to 0\.5$"):
+            ControlledKernel(2, 1, succ=[[[0], [1]]], weights=[[[0.5], [1.0]]])
 
 
 class TestChannelCapacity:

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from agencykit.feasibility import (
     FeasibilityGate,
@@ -16,6 +17,20 @@ def gate(ledger, costs) -> FeasibilityGate:
 
 def affordable_at(g: FeasibilityGate, s: int) -> set[int]:
     return set(np.flatnonzero(feasible_action_matrix(g)[:, s]).tolist())
+
+
+class TestGateInputs:
+    @pytest.mark.parametrize("field, ledger, costs", [
+        ("ledger", [0.0, np.nan], [0.0, 1.0]),
+        ("ledger", [-1.0, 2.0], [0.0, 1.0]),
+        ("costs", [0.0, 2.0], [np.nan, 1.0]),
+        ("costs", [0.0, 2.0], [0.0, -1.0]),
+    ])
+    def test_negative_or_nan_rejected(self, field, ledger, costs):
+        # a NaN ledger would make every action and sequence at its state
+        # silently infeasible
+        with pytest.raises(ValueError, match=f"{field} .*not negative or NaN"):
+            gate(ledger, costs)
 
 
 class TestFeasibleActions:

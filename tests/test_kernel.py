@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from agencykit.empowerment import Lens, build_channel
-from agencykit.feasibility import FeasibilityGate
 from agencykit.kernel import (
     SCAN_CHUNK,
     ControlledKernel,
     Policy,
+    _successor_lists,
     pack_rows,
     policy_successors,
     predecessor_lists,
@@ -42,24 +41,98 @@ class TestValidation:
         assert report.violations == []
 
     def test_row_sum_violation_located(self):
-        report = validate_kernel(kernel_from_rows([[0.5, 0.6], [0, 1]]))
-        assert not report.ok
-        v = report.violations[0]
-        assert v["rule"] == "row sum"
-        assert (v["action"], v["state"]) == (0, 0)
-        assert v["row_sum"] == pytest.approx(1.1)
+        with pytest.raises(ValueError, match=r"row \(action 0, state 0\) sums to 1\.1$"):
+            kernel_from_rows([[0.5, 0.6], [0, 1]])
 
     def test_negative_entry_flagged(self):
-        report = validate_kernel(kernel_from_rows([[1.1, -0.1], [0, 1]]))
-        assert not report.ok
-        rules = {v["rule"] for v in report.violations}
-        assert "negative probability" in rules
+        with pytest.raises(ValueError, match=r"row \(action 0, state 0\) has a negative"):
+            kernel_from_rows([[1.1, -0.1], [0, 1]])
 
     def test_shape_mismatch(self):
-        k = ControlledKernel(n_states=3, n_actions=1, probs=np.eye(2)[None])
+        with pytest.raises(ValueError, match=r"\(1, 3, k\) shape"):
+            ControlledKernel(n_states=3, n_actions=1, probs=np.eye(2)[None])
+
+    def test_report_names_the_rule_the_constructor_raises(self):
+        # only lists that bypass the constructor can fail the report
+        k = kernel_from_rows(np.eye(2))
+        object.__setattr__(k, "weights", np.array([[[0.5], [1.0]]]))
         report = validate_kernel(k)
         assert not report.ok
-        assert report.violations[0]["rule"] == "shape"
+        assert report.violations == [{"rule": "kernel row (action 0, state 0) sums to 0.5"}]
+
+
+# two actions on three states, as successor lists: a valid kernel to break
+VALID_SUCC = np.array([[[1, 0], [2, 1], [2, 2]], [[0, 0], [0, 2], [1, 2]]])
+VALID_WEIGHTS = np.array([[[1.0, 0.0], [0.25, 0.75], [1.0, -0.0]],
+                          [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]])
+
+
+def build(form: str, succ, weights, n_states=3, n_actions=2) -> ControlledKernel:
+    """Construct from ``succ``/``weights`` (``"lists"``) or from their dense tensor."""
+    if form == "lists":
+        return ControlledKernel(n_states, n_actions, succ=succ, weights=weights)
+    probs = np.zeros((len(succ), len(succ[0]), n_states))
+    a, s, _ = np.indices(np.shape(succ))
+    np.add.at(probs, (a, s, succ), weights)
+    return ControlledKernel(n_states, n_actions, probs=probs)
+
+
+class TestConstructionRules:
+    """Every malformed kernel raises ValueError at construction, in either input form."""
+
+    @pytest.mark.parametrize("form", ["lists", "probs"])
+    def test_valid_lists_with_negative_zero_and_padding_construct(self, form):
+        k = build(form, VALID_SUCC, VALID_WEIGHTS)
+        assert validate_kernel(k).ok
+
+    @pytest.mark.parametrize("arrays", [
+        {"succ": np.zeros((2, 5, 1), dtype=np.int64), "weights": np.ones((2, 5, 1))},
+        {"succ": VALID_SUCC, "weights": VALID_WEIGHTS[:, :, :1]},
+        {"probs": np.stack([np.eye(2)] * 2)},
+    ], ids=["lists", "list_widths", "probs"])
+    def test_shape_mismatch(self, arrays):
+        with pytest.raises(ValueError, match=r"must share one \(2, 3, k\) shape"):
+            ControlledKernel(3, 2, **arrays)
+
+    def test_fractional_successor(self):
+        # casting would silently truncate successor 0.7 to state 0
+        succ = VALID_SUCC.astype(float)
+        succ[1, 2, 0] = 0.7
+        with pytest.raises(ValueError, match="successors must be integers, not float64"):
+            build("lists", succ, VALID_WEIGHTS)
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_successor_out_of_range(self, target):
+        # a dense tensor names successors by column, so only the lists can
+        # point outside [0, S); a too-wide tensor is the shape case above
+        succ = VALID_SUCC.copy()
+        succ[1, 2, 0] = target
+        message = r"row \(action 1, state 2\) has a successor outside \[0, 3\)"
+        with pytest.raises(ValueError, match=message):
+            build("lists", succ, VALID_WEIGHTS)
+
+    @pytest.mark.parametrize("form", ["lists", "probs"])
+    @pytest.mark.parametrize("value", [-0.25, np.nan, np.inf, -np.inf])
+    def test_bad_weight(self, form, value):
+        weights = VALID_WEIGHTS.copy()
+        weights[1, 1] = [1.0 - value, value] if np.isfinite(value) else [0.5, value]
+        message = r"row \(action 1, state 1\) has a negative or non-finite weight"
+        with pytest.raises(ValueError, match=message):
+            build(form, VALID_SUCC, weights)
+
+    @pytest.mark.parametrize("form", ["lists", "probs"])
+    @pytest.mark.parametrize("total", [0.5, 1 + 1e-9, 1 - 1e-9])
+    def test_row_sum_off_one(self, form, total):
+        weights = VALID_WEIGHTS.copy()
+        weights[0, 2, 0] = total
+        with pytest.raises(ValueError, match=r"row \(action 0, state 2\) sums to"):
+            build(form, VALID_SUCC, weights)
+
+    @pytest.mark.parametrize("form", ["lists", "probs"])
+    def test_row_sum_within_tolerance_constructs(self, form):
+        weights = VALID_WEIGHTS.copy()
+        weights[0, 2, 0] = 1 + 1e-13
+        build(form, VALID_SUCC, weights)
 
 
 class TestStepDistribution:
@@ -83,12 +156,10 @@ class TestStepDistribution:
             step(k, [1.0, 0.0], 1)
 
     def test_rejects_invalid_distribution(self):
-        # a rollout that loses mass through a sub-stochastic row is rejected
-        k = kernel_from_rows([[0.5, 0.4], [0, 1]])
-        lens = Lens(name="identity", project=np.arange(2), n_labels=2)
-        gate = FeasibilityGate(ledger=np.zeros(2), costs=np.zeros(1))
-        with pytest.raises(ValueError, match="mass"):
-            build_channel(k, gate, 0, 1, lens)
+        # a sub-stochastic row, which would lose rollout mass, is refused at
+        # construction, so no channel can be cut from it
+        with pytest.raises(ValueError, match=r"row \(action 0, state 0\) sums to 0\.9$"):
+            kernel_from_rows([[0.5, 0.4], [0, 1]])
 
 
 def nonzero_successor_lists(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +207,10 @@ class TestDenseConversion:
         assert size % SCAN_CHUNK and len(starts) == 3
         values[np.concatenate([starts + 1, ends - 1, rng.randint(0, size, 50)])] = -0.0
         values[np.concatenate([starts, ends])] = 0.5
+        # these rows do not sum to 1, so the conversion is called directly
         probs = values.reshape(n_actions, n_states, n_states)
-        self.assert_matches_nonzero(probs)
+        for got, want in zip(_successor_lists(probs), nonzero_successor_lists(probs)):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 class TestSuccessorSupport:
@@ -191,6 +264,34 @@ class TestPolicyClosure:
         table = {0: np.array([0.5, 0.5]), 1: np.array([1.0]), 2: np.array([0.0, 1.0])}
         with pytest.raises(ValueError, match="state 1 has wrong length"):
             closure(k, Policy(kind="stochastic", table=table))
+
+    def test_unknown_kind_rejected(self):
+        mu = Policy(kind="greedy", table={0: np.array([0.5, 0.5])})
+        with pytest.raises(ValueError, match="unknown policy kind 'greedy'"):
+            mu.action_weights(1, 2)
+
+    @pytest.mark.parametrize("action", [-1, 2, 0.5])
+    def test_deterministic_action_out_of_range_rejected(self, action):
+        mu = Policy(kind="deterministic", table={0: 0, 1: action, 2: 1})
+        with pytest.raises(ValueError, match=rf"action {action} at state 1 is not in range\(2\)"):
+            mu.action_weights(3, 2)
+
+    def test_deterministic_policy_on_no_states(self):
+        assert Policy(kind="deterministic", table={}).action_weights(0, 2).shape == (0, 2)
+
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_stochastic_row_with_bad_entry_rejected(self, row):
+        mu = Policy(kind="stochastic", table={0: np.array([0.5, 0.5]), 1: np.array(row)})
+        with pytest.raises(ValueError, match="state 1 is no distribution"):
+            mu.action_weights(2, 2)
+
+    def test_stochastic_row_off_one_rejected(self, rng):
+        k = random_kernel(rng, 2, 2)
+        mu = Policy(kind="stochastic", table={0: np.array([0.5, 0.5]), 1: np.array([0.5, 0.4])})
+        with pytest.raises(ValueError, match=r"state 1 is no distribution: \[0\.5, 0\.4\]"):
+            mu.action_weights(2, 2)
+        with pytest.raises(ValueError, match=r"state 1 is no distribution: \[0\.5, 0\.4\]"):
+            closure(k, mu)
 
 
 class TestProperties:
