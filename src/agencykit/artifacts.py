@@ -202,23 +202,25 @@ def _check_probability_object(value) -> str | None:
 
 
 def _check_solver(config, metrics) -> str | None:
-    """A config with ``capacity_tol_bits`` needs a ``solver`` block whose gap fits it."""
-    solver = metrics.get("solver") if isinstance(metrics, dict) else None
-    if solver is None:
-        if isinstance(config, dict) and "capacity_tol_bits" in config:
-            return "missing, though the config sets capacity_tol_bits"
-        return None
+    """Why the hashed ``capacity_tol_bits`` and the ``solver`` block's gap disagree, or None."""
+    has_solver = isinstance(metrics, dict) and "solver" in metrics
+    if not (isinstance(config, dict) and "capacity_tol_bits" in config):
+        return "present, though the config sets no capacity_tol_bits" if has_solver else None
+    if not has_solver:
+        return "missing, though the config sets capacity_tol_bits"
     try:
-        gap = float(solver["max_gap_bits"])
-        tol = float(solver["capacity_tol_bits"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        return f"malformed solver block ({exc!r})"
+        gap, tol = metrics["solver"]["max_gap_bits"], config["capacity_tol_bits"]
+        if {type(gap), type(tol)} - {int, float}:  # exact types: a JSON boolean is no number
+            raise TypeError(f"{gap!r} and {tol!r} are not both numbers")
+        gap, tol = float(gap), float(tol)
+    except (KeyError, TypeError, OverflowError) as exc:
+        return f"max_gap_bits or the config's capacity_tol_bits is unreadable ({exc!r})"
     if not gap <= tol:
-        return f"max_gap_bits {gap!r} exceeds capacity_tol_bits {tol!r}"
+        return f"max_gap_bits {gap!r} exceeds the config's capacity_tol_bits {tol!r}"
     return None
 
 
-def _contract_problems(exhibit, metrics) -> list[tuple[str, str]]:
+def _contract_problems(exhibit, metrics, boolean_path) -> list[tuple[str, str]]:
     """(rule, detail) of each way an exhibit's stored contracts fail the re-derived ones."""
     from agencykit.experiments import RUNNERS  # at call time: experiments imports this module
 
@@ -228,10 +230,9 @@ def _contract_problems(exhibit, metrics) -> list[tuple[str, str]]:
         derived = RUNNERS[exhibit][1](metrics)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         return [("missing_metrics", f"the {exhibit} contracts cannot read $.metrics ({exc!r})")]
-    # metrics is a dict here; a contract comparing a metric with a number takes true for 1
-    for path, value in _nodes({k: v for k, v in metrics.items() if k != "contracts"}):
-        if isinstance(value, bool):
-            return [("missing_metrics", f"{path} is a boolean, not a number")]
+    # a contract comparing a boolean metric with a number takes true for 1
+    if boolean_path is not None:
+        return [("missing_metrics", f"{boolean_path} is a boolean, not a number")]
     problems = [("contract_false", key) for key, ok in derived.items() if not ok]
     # sorted-key JSON tells true from 1, and cannot fail on a parsed tree
     expected = json.dumps(derived, sort_keys=True)
@@ -245,13 +246,14 @@ def audit(directory: str | Path, strict: bool = True) -> AuditReport:
 
     Verifies required fields, recomputes each config hash from the embedded
     config, scans tagged probability objects for stochasticity violations,
-    checks that a ``solver`` block's certified capacity gap is within its
-    tolerance, re-derives an exhibit's contracts (each must hold and equal the
-    stored block), and checks filename/hash consistency (a warning instead of
-    a failure when ``strict`` is off). A copy ``generated/<exhibit>.json`` must
-    hold the bytes of its hashed artifact; ``files_checked`` counts top-level
-    files only. Unreadable or malformed files, nested too deeply to parse or
-    walk included, become failure entries, not crashes.
+    checks that a ``solver`` block's certified capacity gap is within the
+    config's hashed ``capacity_tol_bits``, re-derives an exhibit's contracts
+    (each must hold and equal the stored block), and checks filename/hash
+    consistency (a warning instead of a failure when ``strict`` is off). A
+    copy ``generated/<exhibit>.json`` must hold the bytes of its hashed
+    artifact; ``files_checked`` counts top-level files only. Unreadable or
+    malformed files, nested too deeply to parse or walk included, become
+    failure entries, not crashes.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -260,7 +262,9 @@ def audit(directory: str | Path, strict: bool = True) -> AuditReport:
     for path in sorted(directory.glob("*.json")):
         report.files_checked += 1
         try:
-            _audit_file(path, strict, report)
+            for rule, detail in _audit_file(path):
+                loose = rule == "filename_hash_prefix" and not strict
+                (report.warnings if loose else report.failures).append((str(path), rule, detail))
         except RecursionError:
             report.failures.append((str(path), "too_deep", "nesting exceeds the recursion limit"))
     for path in sorted(directory.glob("generated/*.json")):
@@ -283,56 +287,52 @@ def generated_copy_problem(directory: Path, path: Path) -> str | None:
         return f"not a readable artifact copy ({exc!r})"
 
 
-def _audit_file(path: Path, strict: bool, report: AuditReport) -> None:
-    """Append the failures and warnings of one artifact file to ``report``."""
-    name = str(path)
+def _audit_file(path: Path):
+    """Yield ``(rule, detail)`` of each failure of one file; those before a RecursionError stay."""
     try:
         record = read_artifact(path)
     except (OSError, ValueError) as exc:
-        report.failures.append((name, "unreadable", str(exc)))
+        yield "unreadable", str(exc)
         return
 
     if not isinstance(record, dict):
-        report.failures.append((name, "missing_fields", "file is not a JSON object"))
+        yield "missing_fields", "file is not a JSON object"
         return
     missing = [f for f in REQUIRED_FIELDS if f not in record]
     if missing:
-        report.failures.append((name, "missing_fields", ", ".join(missing)))
+        yield "missing_fields", ", ".join(missing)
         return
 
     try:
         expected = config_hash(record["config"])
     except ValueError as exc:
-        report.failures.append((name, "config_not_serializable", str(exc)))
+        yield "config_not_serializable", str(exc)
         return
     stored = record["config_hash"]
     if not isinstance(stored, str):
-        report.failures.append(
-            (name, "config_hash_mismatch", f"stored {stored!r} is not a hex string")
-        )
+        yield "config_hash_mismatch", f"stored {stored!r} is not a hex string"
     elif stored != expected:
-        report.failures.append(
-            (name, "config_hash_mismatch", f"stored {stored[:12]}..., recomputed {expected[:12]}...")
-        )
+        yield "config_hash_mismatch", f"stored {stored[:12]}..., recomputed {expected[:12]}..."
 
+    # one walk: tagged probability objects, and the first boolean outside contracts
+    boolean_path = None
     for tree_path, value in _nodes(record["metrics"]):
-        problem = (_check_probability_object(value)
-                   if tree_path.endswith((DISTRIBUTION_SUFFIX, ROWS_SUFFIX)) else None)
-        if problem is not None:
-            report.failures.append((name, "stochasticity", f"{tree_path}: {problem}"))
+        if tree_path.endswith((DISTRIBUTION_SUFFIX, ROWS_SUFFIX)):
+            problem = _check_probability_object(value)
+            if problem is not None:
+                yield "stochasticity", f"{tree_path}: {problem}"
+        # the contracts block and anything below it hold booleans by design
+        in_contracts = f"{tree_path}.".startswith(("$.metrics.contracts.", "$.metrics.contracts["))
+        if isinstance(value, bool) and boolean_path is None and not in_contracts:
+            boolean_path = tree_path
 
     problem = _check_solver(record["config"], record["metrics"])
     if problem is not None:
-        report.failures.append((name, "uncertified_capacity", f"$.metrics.solver: {problem}"))
-    for rule, detail in _contract_problems(record["artifact_type"], record["metrics"]):
-        report.failures.append((name, rule, detail))
+        yield "uncertified_capacity", f"$.metrics.solver: {problem}"
+    yield from _contract_problems(record["artifact_type"], record["metrics"], boolean_path)
 
     if not isinstance(stored, str):
         return
     expected_name = f"{record['artifact_type']}_{stored[:12]}.json"
     if path.name != expected_name:
-        entry = (name, "filename_hash_prefix", f"expected {expected_name}")
-        if strict:
-            report.failures.append(entry)
-        else:
-            report.warnings.append(entry)
+        yield "filename_hash_prefix", f"expected {expected_name}"

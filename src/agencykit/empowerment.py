@@ -232,27 +232,21 @@ class MedianEmpowermentResult:
     solved: list[CapacityResult]
 
 
-def select_kernel_subset(indices: np.ndarray, max_states: int) -> tuple[np.ndarray, str]:
-    """Deterministic subset rule: all states when small, else evenly strided.
+def select_kernel_subset(mask: np.ndarray, max_states: int) -> tuple[np.ndarray, str]:
+    """Deterministic subset rule over a state mask: all states when few, else evenly strided.
 
-    The indices are taken as a set, sorted; when more than ``max_states``
-    remain, positions floor(i * n / max_states) for i = 0..max_states-1 are
-    kept. Returns the selected states and the rule's name: ``empty_kernel``,
+    Of the n masked states, ascending, positions floor(i * n / max_states) for
+    i = 0..max_states-1 are kept when n > ``max_states``, which must be >= 1.
+    Returns the selected states and the rule's name: ``empty_kernel``,
     ``all_states`` or ``strided_<max_states>``.
     """
-    indices = np.sort(np.asarray(indices))
-    # each index once; plain np.unique would take numpy's hash-table path,
-    # whose first call maps about 1 MB of pages into the process
-    first = np.ones(len(indices), dtype=bool)
-    first[1:] = indices[1:] != indices[:-1]
-    indices = indices[first]
+    if max_states < 1:
+        raise ValueError(f"max_states must be >= 1, not {max_states}")
+    indices = np.flatnonzero(mask)
     n = len(indices)
-    if n == 0:
-        return indices, "empty_kernel"
     if n <= max_states:
-        return indices, "all_states"
-    picks = (np.arange(max_states) * n) // max_states
-    return indices[picks], f"strided_{max_states}"
+        return indices, "all_states" if n else "empty_kernel"
+    return indices[np.arange(max_states) * n // max_states], f"strided_{max_states}"
 
 
 def lower_median(values: list[float] | np.ndarray) -> float:
@@ -387,11 +381,10 @@ def median_empowerments(
 ) -> list[MedianEmpowermentResult]:
     """Lower-median feasible empowerments of ``(k, gate, kernel_set, horizon, f)`` problems.
 
-    ``kernel_set`` is a ``(S,)`` boolean mask or a 1-d integer array of state
-    indices; a repeated index counts once. The empty set yields zero by
-    convention (no viable states means no induced action layer). Only the
-    orbit representatives of the selected states are rolled out and solved
-    (see ``_feasible_channels``).
+    ``kernel_set`` is a ``(S,)`` boolean mask; anything else raises
+    ValueError. The empty set yields zero by convention (no viable states
+    means no induced action layer). Only the orbit representatives of the
+    selected states are rolled out and solved (see ``_feasible_channels``).
 
     ``problems`` is read lazily: each problem is validated and cut into its
     channels before the next is drawn, so a generator may build one
@@ -417,16 +410,10 @@ def median_empowerments(
             check_fits(k, gate, lens=f)
             shared, setup = (k, gate, f), None
         kernel_set = np.asarray(kernel_set)
-        if kernel_set.dtype == bool and kernel_set.shape != (k.n_states,):
-            raise ValueError(f"kernel mask has shape {kernel_set.shape}, not ({k.n_states},)")
-        if kernel_set.dtype != bool and (kernel_set.ndim != 1 or kernel_set.dtype.kind not in "iu"):
+        if kernel_set.dtype != bool or kernel_set.shape != (k.n_states,):
             raise ValueError(f"kernel set has shape {kernel_set.shape} and dtype "
-                             f"{kernel_set.dtype}: neither a mask nor 1-d state indices")
-        indices = np.flatnonzero(kernel_set) if kernel_set.dtype == bool else kernel_set
-        outside = indices[(indices < 0) | (indices >= k.n_states)]
-        if outside.size:
-            raise IndexError(f"state index {outside[0]} out of range")
-        selected, rule = select_kernel_subset(indices, max_states)
+                             f"{kernel_set.dtype}, not a ({k.n_states},) bool kernel mask")
+        selected, rule = select_kernel_subset(kernel_set, max_states)
         start, slot = len(channels), []
         if len(selected):
             setup = setup or _rollout_setup(k, gate, f)

@@ -125,8 +125,8 @@ def solver_block(meds: list[MedianEmpowermentResult]) -> dict:
 
     The only reducer of the medians' solves: their number, largest gap, and
     total and largest iteration counts (0 when no median solved a channel).
-    The counts are deterministic, so they sit in the hashed metrics beside the
-    tolerance. ``audit`` fails an artifact whose gap exceeds the tolerance.
+    ``audit`` fails an artifact whose gap exceeds the ``capacity_tol_bits`` of
+    its hashed config (``SOLVER_SETTINGS``).
     """
     solved = [r for m in meds for r in m.solved]
     return {
@@ -134,7 +134,6 @@ def solver_block(meds: list[MedianEmpowermentResult]) -> dict:
         "solves": len(solved),
         "iterations_total": sum(r.iterations for r in solved),
         "iterations_max": max((r.iterations for r in solved), default=0),
-        "capacity_tol_bits": EMPOWERMENT_TOL,
     }
 
 
@@ -150,10 +149,14 @@ def run_nulls() -> tuple[dict, dict]:
     the median over the one-state set {0}, which is that capacity exactly.
     """
     horizons_a, horizon_b = [1, 2, 3], 1
+
+    def from_zero(env: Environment, horizon: int) -> tuple:
+        return _problem(env, np.arange(env.n_states) == 0, horizon)
+
     null_a = build_null_single_action()
-    meds_a = median_empowerments(_problem(null_a, [0], h) for h in horizons_a)
+    meds_a = median_empowerments(from_zero(null_a, h) for h in horizons_a)
     traps = {model: build_schedule_trap(model) for model in ("wrong", "right")}
-    meds_b = median_empowerments(_problem(env, [0], horizon_b) for env in traps.values())
+    meds_b = median_empowerments(from_zero(env, horizon_b) for env in traps.values())
     config = {
         "null_a": null_a.config_echo,
         "null_b_wrong": traps["wrong"].config_echo,
@@ -444,7 +447,7 @@ def run_learning(profile: str = "paper") -> tuple[dict, dict]:
         fields = dict(zip(env.state_layout["fields"], env.state_fields),
                       viable=vres.kernel)
         kept = np.logical_and.reduce([fields[k] == v for k, v in restriction.items()])
-        problems = [_problem(env, np.flatnonzero(kept & (fields["theta"] == theta)), horizon)
+        problems = [_problem(env, kept & (fields["theta"] == theta), horizon)
                     for theta in range(cfg.theta_levels)]
         return cfg, env, problems
 

@@ -60,9 +60,11 @@ def feasible_sequences(gate: FeasibilityGate, s0: int, horizon: int) -> np.ndarr
     """All length-H sequences whose total cost fits the initial budget r(s0).
 
     Returns an (n, H) int array of the affordable rows of the lexicographic
-    enumeration, in that order. May have zero rows.
+    enumeration, in that order; it may have zero rows. ``s0`` must be in [0, S).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if not 0 <= s0 < len(gate.ledger):
+        raise IndexError(f"state index {s0} out of range")
     affordable = sequence_costs(gate, horizon) <= gate.ledger[s0]
     return _all_sequences(gate.n_actions, horizon)[affordable]

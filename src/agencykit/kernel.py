@@ -44,23 +44,27 @@ def _successor_lists(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_actions, n_states, _ = probs.shape
     # flat indices are row-major, so each (a, s) row's entries are contiguous;
     # a bool scan is several times faster than a float one, and fixed chunks
-    # keep its mask small whatever S is
+    # keep its mask small whatever S is; an empty tensor still scans one chunk
     values = probs.reshape(-1)
     flat = np.concatenate([
         start + np.flatnonzero(values[start : start + SCAN_CHUNK] != 0)
-        for start in range(0, values.size, SCAN_CHUNK)
+        for start in range(0, max(values.size, 1), SCAN_CHUNK)
     ])
     row, t = np.divmod(flat, n_states)
     succ, weights = pack_rows(row, t, values[flat], np.tile(np.arange(n_states), n_actions))
-    return succ.reshape(n_actions, n_states, -1), weights.reshape(n_actions, n_states, -1)
+    shape = (n_actions, n_states, succ.shape[1])
+    return succ.reshape(shape), weights.reshape(shape)
 
 
 def _check_kernel(n_states: int, n_actions: int, succ: np.ndarray, weights: np.ndarray) -> None:
     """Raise ValueError, naming the first offending (action, state), on a broken kernel rule.
 
-    The rules: both arrays of shape (n_actions, n_states, k), integer successors
-    in [0, n_states), weights finite and >= 0, rows summing to 1 within ``ROW_SUM_TOLERANCE``.
+    The rules: at least one state and one action, both arrays of shape
+    (n_actions, n_states, k), integer successors in [0, n_states), weights
+    finite and >= 0, rows summing to 1 within ``ROW_SUM_TOLERANCE``.
     """
+    if n_states < 1 or n_actions < 1:
+        raise ValueError(f"a kernel needs n_states, n_actions >= 1, not {n_states}, {n_actions}")
     if succ.dtype.kind not in "iu":
         raise ValueError(f"successors must be integers, not {succ.dtype}")
     if succ.ndim != 3 or succ.shape != weights.shape or succ.shape[:2] != (n_actions, n_states):

@@ -51,7 +51,10 @@ def packaging_endomap(
     with empty fibers are excluded from the domain (the uniform
     initialization is undefined there). The modal label always has positive
     mass, hence a nonempty fiber, so the endomap is closed on its domain.
+    ``tau`` must be >= 0.
     """
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, not {tau}")
     check_fits(k, lens=pi)
     succ, weights = policy_successors(k, mu)
     n = k.n_states

@@ -238,14 +238,23 @@ class TestAudit:
         assert report.files_checked == 2
         assert [rule for _, rule, _ in report.failures] == ["missing_fields", "missing_fields"]
 
+    TOL = {"capacity_tol_bits": 1e-9}
+
     def test_gap_above_tolerance_fails(self, tmp_path):
-        self._write(tmp_path, metrics={"solver": {"max_gap_bits": 3e-9, "capacity_tol_bits": 1e-9}})
+        self._write(tmp_path, config=self.TOL, metrics={"solver": {"max_gap_bits": 3e-9}})
         report = audit(tmp_path)
         assert any(rule == "uncertified_capacity" for _, rule, _ in report.failures)
 
     def test_gap_within_tolerance_passes(self, tmp_path):
-        self._write(tmp_path, metrics={"solver": {"max_gap_bits": 1e-9, "capacity_tol_bits": 1e-9}})
+        self._write(tmp_path, config=self.TOL, metrics={"solver": {"max_gap_bits": 1e-9}})
         assert audit(tmp_path).passed
+
+    def test_solver_block_without_a_hashed_tolerance_fails(self, tmp_path):
+        self._write(tmp_path, metrics={"solver": {"max_gap_bits": 0.0, "capacity_tol_bits": 1.0}})
+        assert [(rule, detail) for _, rule, detail in audit(tmp_path).failures] == [(
+            "uncertified_capacity",
+            "$.metrics.solver: present, though the config sets no capacity_tol_bits",
+        )]
 
     def test_solver_block_required_by_a_capacity_tolerance(self, tmp_path):
         self._write(tmp_path, config={"capacity_tol_bits": 1e-9}, metrics={})
@@ -256,17 +265,18 @@ class TestAudit:
         )]
 
     def test_malformed_solver_block_fails(self, tmp_path):
-        self._write(tmp_path, metrics={"solver": {"max_gap_bits": "small"}})
+        self._write(tmp_path, config=self.TOL, metrics={"solver": {"max_gap_bits": "small"}})
         report = audit(tmp_path)
         assert any(rule == "uncertified_capacity" for _, rule, _ in report.failures)
 
     @pytest.mark.parametrize("metrics, rule", [
-        ({"solver": {"max_gap_bits": "HUGE", "capacity_tol_bits": 1e-9}}, "uncertified_capacity"),
+        ({"solver": {"max_gap_bits": "HUGE"}}, "uncertified_capacity"),
         ({"x_distribution": ["HUGE", 0]}, "stochasticity"),
         ({"x_rows": [[0.5, 0.5], [0, "HUGE"]]}, "stochasticity"),
     ], ids=["solver_gap", "distribution_entry", "rows_entry"])
     def test_integer_too_large_for_a_float_is_failure_entry(self, tmp_path, metrics, rule):
-        path, _ = self._write(tmp_path, metrics=metrics)
+        config = self.TOL if "solver" in metrics else None
+        path, _ = self._write(tmp_path, config=config, metrics=metrics)
         path.write_text(path.read_text().replace('"HUGE"', str(10**400)))
         report = audit(tmp_path)
         assert [r for _, r, _ in report.failures] == [rule]

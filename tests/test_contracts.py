@@ -13,7 +13,8 @@ import shutil
 
 import pytest
 
-from agencykit.artifacts import audit, canonical_serialize
+from agencykit import artifacts
+from agencykit.artifacts import audit, canonical_serialize, config_hash
 from agencykit.cli import main
 from agencykit.experiments import EXHIBITS, RUNNERS, run_exhibit
 
@@ -169,8 +170,7 @@ def test_unreadable_metrics_are_missing_metrics(results, exhibit, fault, rules):
     ("nulls", ("null_a", "H1")),
     ("learning", ("medians", 0)),
     ("ablations", ("rows", "full", "kernel_size")),
-    # a tolerance of true reads as 1 bit, which every gap fits
-    ("holonomy", ("solver", "capacity_tol_bits")),
+    ("holonomy", ("protocol_on", "kernel_size")),
 ])
 def test_boolean_metric_is_missing_metrics(results, exhibit, where):
     # true == 1 in Python, so abs(true - 1.0) <= 1e-6 would hold for null_b.wrong
@@ -180,6 +180,30 @@ def test_boolean_metric_is_missing_metrics(results, exhibit, where):
         node = node[key]
     node[where[-1]] = True
     assert rules_of(results, path, doc) == ["missing_metrics"]
+
+
+def test_audit_walks_each_artifacts_metrics_once(run_all, monkeypatch):
+    walks, real = [], artifacts._nodes
+
+    def counting(tree, path="$.metrics"):
+        # the walk recurses with explicit child paths, so this counts whole walks
+        if path == "$.metrics":
+            walks.append(tree)
+        return real(tree, path)
+
+    monkeypatch.setattr(artifacts, "_nodes", counting)
+    assert audit(run_all, strict=True).passed
+    assert len(walks) == len(EXHIBITS)
+
+
+@pytest.mark.parametrize("tol", [True, False, "1e-09", None, [1e-9]])
+def test_rehashed_tolerance_that_is_no_number_fails(results, tol):
+    # a JSON boolean would read as 1 or 0 bits
+    path, doc = load(results, "learning")
+    doc["config"]["capacity_tol_bits"] = tol
+    doc["config_hash"] = config_hash(doc["config"])
+    renamed = path.with_name(f"learning_{doc['config_hash'][:12]}.json")
+    assert rules_of(results, renamed, doc) == ["uncertified_capacity"]
 
 
 @pytest.mark.parametrize("artifact_type", ["demo", 7, ["learning"], None])
@@ -286,3 +310,26 @@ def test_tampered_generated_copy_fails_audit(with_copies, tamper):
         assert report.files_checked == 6
         assert [rule for _, rule, _ in report.failures] == ["generated_copy_mismatch"]
     assert main(["audit", "--strict", "--dir", str(with_copies)]) == 1
+
+
+@pytest.mark.parametrize("solver_tol", [1.0, 0.5, 1e300, "1.0", None, "absent"])
+def test_gap_is_bounded_by_the_hashed_tolerance_only(with_copies, capsys, solver_tol):
+    # the hashed file and its generated copy agree, and a tolerance inside
+    # the unhashed solver block is not read, whatever it holds
+    path, doc = load(with_copies, "learning")
+    solver = doc["metrics"]["solver"]
+    solver["max_gap_bits"] = 0.5
+    if solver_tol == "absent":
+        solver.pop("capacity_tol_bits", None)
+    else:
+        solver["capacity_tol_bits"] = solver_tol
+    for target in (path, with_copies / "generated" / "learning.json"):
+        target.write_text(json.dumps(doc))
+    report = audit(with_copies, strict=True)
+    assert [(rule, detail) for _, rule, detail in report.failures] == [(
+        "uncertified_capacity",
+        "$.metrics.solver: max_gap_bits 0.5 exceeds the config's capacity_tol_bits 1e-09",
+    )]
+    capsys.readouterr()
+    assert main(["audit", "--strict", "--dir", str(with_copies)]) == 1
+    assert "[uncertified_capacity]" in capsys.readouterr().out

@@ -466,7 +466,7 @@ class TestFeasibleEmpowerment:
         k = random_kernel(rng, 4, 2)
         g = zero_gate(4, 2)
         f = identity_lens(4)
-        med = median_empowerment_on_kernel(k, g, np.array([2]), 2, f)
+        med = median_empowerment_on_kernel(k, g, np.arange(4) == 2, 2, f)
         assert med.median_bits == pytest.approx(feasible_empowerment(k, g, 2, 2, f), abs=1e-12)
 
     def test_empty_kernel_zero_by_convention(self, rng):
@@ -522,23 +522,16 @@ class TestMedianInputs:
             env.kernel, gate or env.gate, states, 1, lens or env.output_lens
         )
 
-    @pytest.mark.parametrize("index", [-1, "S"])
-    def test_out_of_range_index_rejected(self, env, index):
-        # the stride over these 70 indices never picks the last one
-        index = env.n_states if index == "S" else index
-        with pytest.raises(IndexError, match="out of range"):
-            self.median(env, np.array([*range(69), index]))
-
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_mask_of_wrong_length_rejected(self, env, delta):
         with pytest.raises(ValueError, match="kernel mask"):
             self.median(env, np.ones(env.n_states + delta, dtype=bool))
 
-    def test_repeated_indices_count_once(self, env):
-        once = self.median(env, np.array([0, 50]))
-        repeated = self.median(env, np.array([50, 0, 50]))
-        assert repeated.selected_states == once.selected_states == [0, 50]
-        assert (repeated.values, repeated.median_bits) == (once.values, once.median_bits)
+    @pytest.mark.parametrize("max_states", [0, -3])
+    def test_max_states_below_one_rejected(self, env, max_states):
+        with pytest.raises(ValueError, match=f"max_states must be >= 1, not {max_states}"):
+            median_empowerment_on_kernel(env.kernel, env.gate, np.ones(env.n_states, dtype=bool),
+                                         1, env.output_lens, max_states=max_states)
 
     @pytest.mark.parametrize("part", ["gate ledger", "gate costs", "lens projection"])
     def test_gate_and_lens_must_fit_the_kernel(self, env, part):
@@ -550,7 +543,7 @@ class TestMedianInputs:
         else:
             lens = Lens(name="one_entry", project=np.array([0]), n_labels=lens.n_labels)
         # an empty state set is checked too, though it rolls nothing out
-        for states in (np.array([0]), np.zeros(env.n_states, dtype=bool), np.array([], dtype=int)):
+        for states in (np.arange(env.n_states) == 0, np.zeros(env.n_states, dtype=bool)):
             with pytest.raises(ValueError, match=part):
                 self.median(env, states, gate, lens)
 
@@ -558,9 +551,12 @@ class TestMedianInputs:
         (np.array([[0, 1], [2, 3]]), r"shape \(2, 2\) and dtype int64"),
         ([0.0, 1.5], r"shape \(2,\) and dtype float64"),
         (np.array([], dtype=np.float64), r"shape \(0,\) and dtype float64"),
-    ], ids=["2d_indices", "float_indices", "empty_floats"])
+        (np.array([0, 50]), r"shape \(2,\) and dtype int64"),
+    ], ids=["2d_indices", "float_indices", "empty_floats", "index_list"])
     def test_kernel_set_is_a_mask_or_1d_indices(self, env, states, named):
-        with pytest.raises(ValueError, match=f"kernel set has {named}"):
+        # only a mask: index arrays, 1-d ones included, are rejected
+        expected = rf"kernel set has {named}, not a \({env.n_states},\) bool kernel mask"
+        with pytest.raises(ValueError, match=expected):
             self.median(env, states)
 
 
@@ -642,7 +638,7 @@ class TestMedianEmpowerments:
 
     @staticmethod
     def mixed_problems(rng):
-        """Three-label problems: random kernels and a ring, horizons 1-3, masks and index lists."""
+        """Three-label problems: random kernels and a ring, horizons 1-3, dense and sparse masks."""
         def mod3(n):
             return Lens(name="mod3", project=np.arange(n) % 3, n_labels=3)
 
@@ -653,10 +649,11 @@ class TestMedianEmpowerments:
             k = random_kernel(rng, n, 2)
             g = zero_gate(n, 2) if free else random_gate(rng, n, 2)
             problems.append((k, g, rng.random(n) < 0.7, horizon, mod3(n)))
-            problems.append((k, g, rng.randint(0, n, size=4), horizon, mod3(n)))
+            problems.append((k, g, np.isin(np.arange(n), rng.randint(0, n, size=4)), horizon,
+                             mod3(n)))
         problems.append((k, g, np.zeros(6, bool), 2, mod3(6)))
         problems.append((ring.kernel, ring.gate, ring_viable, 2, ring.output_lens))
-        problems.append((ring.kernel, ring.gate, np.flatnonzero(ring_viable), 3, ring.output_lens))
+        problems.append((ring.kernel, ring.gate, ring_viable, 3, ring.output_lens))
         return problems
 
     @staticmethod
@@ -728,8 +725,9 @@ class TestMedianEmpowerments:
 
     def test_lenses_must_share_a_label_count(self, rng):
         k, g = random_kernel(rng, 6, 2), zero_gate(6, 2)
-        problems = [(k, g, [0, 1], 2, identity_lens(6)),
-                    (k, g, [0, 1], 2, Lens(name="mod3", project=np.arange(6) % 3, n_labels=3))]
+        states = np.arange(6) < 2
+        problems = [(k, g, states, 2, identity_lens(6)),
+                    (k, g, states, 2, Lens(name="mod3", project=np.arange(6) % 3, n_labels=3))]
         with pytest.raises(ValueError, match="labels"):
             median_empowerments(problems)
 
@@ -739,22 +737,22 @@ class TestMedianEmpowerments:
 
 class TestSubsetRule:
     def test_small_sets_taken_whole(self):
-        sel, rule = select_kernel_subset(np.array([5, 3, 9]), max_states=64)
+        sel, rule = select_kernel_subset(np.isin(np.arange(12), [5, 3, 9]), max_states=3)
         np.testing.assert_array_equal(sel, [3, 5, 9])
         assert rule == "all_states"
-        sel, rule = select_kernel_subset(np.array([], dtype=np.int64), max_states=64)
+        sel, rule = select_kernel_subset(np.zeros(12, dtype=bool), max_states=64)
         assert len(sel) == 0 and rule == "empty_kernel"
 
-    def test_repeated_indices_count_once(self):
-        sel, rule = select_kernel_subset(np.array([5, 3, 5, 9, 3]), max_states=3)
-        np.testing.assert_array_equal(sel, [3, 5, 9])
-        assert rule == "all_states"
-
     def test_strided_selection_deterministic(self):
-        idx = np.arange(100)
-        sel, rule = select_kernel_subset(idx, max_states=10)
-        np.testing.assert_array_equal(sel, np.arange(10) * 10)
+        mask = np.arange(200) % 2 == 1
+        sel, rule = select_kernel_subset(mask, max_states=10)
+        np.testing.assert_array_equal(sel, np.arange(10) * 20 + 1)
         assert rule == "strided_10"
+
+    @pytest.mark.parametrize("max_states", [0, -3])
+    def test_max_states_below_one_rejected(self, max_states):
+        with pytest.raises(ValueError, match="max_states must be >= 1"):
+            select_kernel_subset(np.ones(5, dtype=bool), max_states)
 
     def test_lower_median_definition(self):
         assert lower_median([3.0, 1.0, 2.0]) == 2.0

@@ -40,21 +40,20 @@ class TestRunnerBasics:
             assert "state_layout" in record.metrics
         if name != "packaging":
             solver = record.metrics["solver"]
-            assert set(solver) == {
-                "max_gap_bits", "solves", "iterations_total", "iterations_max",
-                "capacity_tol_bits",
-            }
-            assert 0.0 <= solver["max_gap_bits"] <= solver["capacity_tol_bits"]
+            assert set(solver) == {"max_gap_bits", "solves", "iterations_total", "iterations_max"}
+            assert 0.0 <= solver["max_gap_bits"] <= record.config["capacity_tol_bits"]
             assert 1 <= solver["iterations_max"] <= solver["iterations_total"]
             assert solver["solves"] >= 1
             assert "solver" not in record.metrics["contracts"]
 
     @pytest.mark.parametrize("name", ["nulls", "holonomy", "ablations", "sweep", "learning"])
     def test_config_hashes_solver_settings(self, name):
-        # the hashed config covers the settings that produced the medians
+        # the hashed config covers the settings that produced the medians, and
+        # is the only copy of the tolerance that audit bounds the gap by
         record = run_exhibit(name)
-        assert record.config["capacity_tol_bits"] == record.metrics["solver"]["capacity_tol_bits"]
+        assert record.config["capacity_tol_bits"] == EMPOWERMENT_TOL
         assert record.config["max_states"] == MAX_MEDIAN_STATES
+        assert "capacity_tol_bits" not in record.metrics["solver"]
 
     def test_exhibit_list_matches_runners(self):
         # run order, which `agencykit run all` follows
@@ -98,7 +97,7 @@ class TestDeterminism:
         max_gap_bits, solves, iterations_total, iterations_max = self.PINNED_SOLVERS[name]
         assert run_exhibit(name).metrics["solver"] == {
             "max_gap_bits": max_gap_bits, "solves": solves, "iterations_total": iterations_total,
-            "iterations_max": iterations_max, "capacity_tol_bits": EMPOWERMENT_TOL,
+            "iterations_max": iterations_max,
         }
 
 
@@ -162,8 +161,9 @@ class TestExhibitNumbers:
         assert x == y == z
 
     def test_holonomy_certificate_and_witness(self):
-        m = run_exhibit("holonomy").metrics
-        assert 0.0 < m["solver"]["max_gap_bits"] <= m["solver"]["capacity_tol_bits"]
+        record = run_exhibit("holonomy")
+        m = record.metrics
+        assert 0.0 < m["solver"]["max_gap_bits"] <= record.config["capacity_tol_bits"]
         assert "witness_alpha_on_distribution" not in m
         assert len(m["witness"]["protocol_on"]["alpha_output_distribution"]) == 16
 
@@ -186,5 +186,4 @@ class TestExhibitNumbers:
         )
         assert solver_block([empty, empty]) == {
             "max_gap_bits": 0.0, "solves": 0, "iterations_total": 0, "iterations_max": 0,
-            "capacity_tol_bits": EMPOWERMENT_TOL,
         }

@@ -68,6 +68,11 @@ class TestFeasibleSequences:
         g = gate([0], [1, 2])
         assert feasible_sequences(g, 0, 3).shape == (0, 3)
 
+    @pytest.mark.parametrize("s0", [-1, 3])
+    def test_start_state_out_of_range(self, s0):
+        with pytest.raises(IndexError, match=f"state index {s0} out of range"):
+            feasible_sequences(gate([0, 1, 2], [0, 1]), s0, 2)
+
     def test_zero_costs_count(self):
         g = gate([0], [0, 0, 0])
         assert len(feasible_sequences(g, 0, 4)) == 3**4

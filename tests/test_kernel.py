@@ -129,6 +129,19 @@ class TestConstructionRules:
             build(form, VALID_SUCC, weights)
 
     @pytest.mark.parametrize("form", ["lists", "probs"])
+    @pytest.mark.parametrize("n_states, n_actions", [(0, 1), (2, 0), (0, 0)])
+    def test_no_states_or_no_actions(self, form, n_states, n_actions):
+        shape = (n_actions, n_states, n_states if form == "probs" else 1)
+        arrays = ({"probs": np.zeros(shape)} if form == "probs"
+                  else {"succ": np.zeros(shape, dtype=np.int64), "weights": np.zeros(shape)})
+        with pytest.raises(ValueError, match="a kernel needs n_states, n_actions >= 1"):
+            ControlledKernel(n_states, n_actions, **arrays)
+
+    def test_empty_tensor_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"must share one \(1, 3, k\) shape"):
+            ControlledKernel(3, 1, probs=np.zeros((1, 0, 0)))
+
+    @pytest.mark.parametrize("form", ["lists", "probs"])
     def test_row_sum_within_tolerance_constructs(self, form):
         weights = VALID_WEIGHTS.copy()
         weights[0, 2, 0] = 1 + 1e-13

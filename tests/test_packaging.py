@@ -55,6 +55,11 @@ class TestPackagingEndomap:
         assert e.mapping == {0: 0, 1: 1, 2: 2}
         assert idempotence_defect(e) == 0.0
 
+    def test_negative_tau_rejected(self, rng):
+        k = random_kernel(rng, 6, 2)
+        with pytest.raises(ValueError, match="tau must be >= 0, not -1"):
+            packaging_endomap(k, identity_lens(6), constant_policy(6), -1)
+
     def test_two_label_cycle_swaps(self):
         # two states swapping deterministically, identity lens, tau = 1
         swap = np.array([[[0, 1], [1, 0]]], dtype=float)
