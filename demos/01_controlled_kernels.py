@@ -38,7 +38,8 @@ for a, name in ((DRIFT, "DRIFT"), (STAY, "STAY")):
 
 # Push a point mass at state 0 through two DRIFT steps. One pull steps the
 # distribution under every action at once; row DRIFT is the one we follow.
-step = predecessor_lists(kernel)
+# The in-lists cover a region of sources, here every state.
+step = predecessor_lists(kernel, np.arange(kernel.n_states))
 d = np.array([1.0, 0.0, 0.0])
 for t in range(2):
     d = pull(step, d[:, None]).reshape(kernel.n_actions, kernel.n_states)[DRIFT]

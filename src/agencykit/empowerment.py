@@ -255,8 +255,20 @@ def lower_median(values: list[float] | np.ndarray) -> float:
     return float(ordered[(len(ordered) - 1) // 2])
 
 
+def _reachable(k: ControlledKernel, states: np.ndarray, steps: int) -> np.ndarray:
+    """Sorted states that ``states`` reach in at most ``steps`` steps, by any actions.
+
+    A step follows every successor slot of nonzero weight.
+    """
+    seen = np.zeros(k.n_states, dtype=bool)
+    seen[states] = True
+    for _ in range(steps):
+        seen[k.succ[:, seen][k.weights[:, seen] != 0]] = True
+    return np.flatnonzero(seen)
+
+
 def _batched_sequence_rows(
-    k: ControlledKernel, horizon: int, f: Lens, states: np.ndarray, lists=None
+    k: ControlledKernel, horizon: int, f: Lens, states: np.ndarray
 ) -> np.ndarray:
     """Output rows for every length-H sequence from several start states at once.
 
@@ -267,41 +279,52 @@ def _batched_sequence_rows(
     digits n. Each column is bit-identical to the rollout of its start state
     alone (see ``pull``), so grouping columns differently never changes a row.
 
+    The walk runs over the R states the start states reach in H - 1 steps
+    (``_reachable``): the mass of every prefix of at most H - 1 actions stays
+    in that region, and ``predecessor_lists`` over it keeps the slots, and the
+    slot order, that reach its states in lists over all S, so every row is
+    bit for bit that of a rollout over all S states.
+
     The walk is depth-first over the top of the tree and breadth-first below.
     A node at depth d splits into its A children while ``d < H - 2`` and
-    ``S > L * A**d``; otherwise its whole subtree is pushed level by level,
+    ``R > L * A**d``; otherwise its whole subtree is pushed level by level,
     one ``pull`` per level over all of its prefixes' columns side by side,
     and one last ``pull`` fills that subtree's block of rows. The split rule
-    depends only on S, L, A and H, and it bounds the breadth-first frontier,
-    (S, A**(H-1-d) * m), by the larger of two arrays the walk allocates
-    anyway: the node's own one-step output (A * S, m) or 1/A of ``rows``.
+    depends only on R, L, A and H, and it bounds the breadth-first frontier,
+    (R, A**(H-1-d) * m), by the larger of two arrays the walk allocates
+    anyway: the node's own one-step output (A * R, m) or 1/A of ``rows``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     states = np.asarray(states, dtype=np.int64)
     m = len(states)
-    n_actions, n_states, n_labels = k.n_actions, k.n_states, f.n_labels
-    step, last = lists or _rollout_lists(k, f)
-    D0 = np.zeros((n_states, m))
-    D0[states, np.arange(m)] = 1.0
+    n_actions, n_labels = k.n_actions, f.n_labels
+    rows = np.empty((n_actions**horizon, m, n_labels))
+    if not m:  # an empty region has no source for a padding slot to name
+        return rows
+    region = _reachable(k, states, horizon - 1)
+    n_region = len(region)
+    step = predecessor_lists(k, region)
+    last = predecessor_lists(k, region, f.project, n_labels)
+    D0 = np.zeros((n_region, m))
+    D0[np.searchsorted(region, states), np.arange(m)] = 1.0
 
     # each node carries its prefix number; only the stacked views hold a
     # split's children, so each is freed once its subtree is done
-    rows = np.empty((n_actions**horizon, m, n_labels))
     stack = [(0, 0, D0)]
     while stack:
         depth, prefix, D = stack.pop()
-        if depth < horizon - 2 and n_states > n_labels * n_actions**depth:
+        if depth < horizon - 2 and n_region > n_labels * n_actions**depth:
             stack += [
                 (depth + 1, prefix * n_actions + a, child)
-                for a, child in enumerate(pull(step, D).reshape(n_actions, n_states, m))
+                for a, child in enumerate(pull(step, D).reshape(n_actions, n_region, m))
             ]
             continue
         # D's columns are (subtree prefix, start state), prefix-major
         width = 1
         for _ in range(depth, horizon - 1):
-            out = pull(step, D).reshape(n_actions, n_states, width, m)
-            D = out.transpose(1, 2, 0, 3).reshape(n_states, width * n_actions * m)
+            out = pull(step, D).reshape(n_actions, n_region, width, m)
+            D = out.transpose(1, 2, 0, 3).reshape(n_region, width * n_actions * m)
             width *= n_actions
         block = rows[prefix * width * n_actions : (prefix + 1) * width * n_actions]
         out = pull(last, D).reshape(n_actions, n_labels, width, m)
@@ -329,19 +352,9 @@ def _translation_orbits(k: ControlledKernel, gate: FeasibilityGate, f: Lens):
     return states, np.zeros_like(states)
 
 
-def _rollout_lists(k: ControlledKernel, f: Lens):
-    """The one-step and the into-label predecessor lists that a rollout pulls through."""
-    return predecessor_lists(k), predecessor_lists(k, f.project, f.n_labels)
-
-
-def _rollout_setup(k: ControlledKernel, gate: FeasibilityGate, f: Lens):
-    """``(rep, shift, lists)``: the ``_translation_orbits`` and ``_rollout_lists`` a cut reads."""
-    return (*_translation_orbits(k, gate, f), _rollout_lists(k, f))
-
-
 def _feasible_channels(
     k: ControlledKernel, gate: FeasibilityGate, states: np.ndarray, horizon: int, f: Lens,
-    setup=None,
+    orbits=None,
 ):
     """Budget-feasible channels of ``states``, rolled out once per translation orbit.
 
@@ -349,13 +362,13 @@ def _feasible_channels(
     one rollout of the distinct orbit representatives (``_translation_orbits``)
     gives each its rows of the sequences that fit its ledger, in
     ``feasible_sequences`` order, and ``states[i]``'s channel is, bit for bit,
-    ``np.roll(channels[slot[i]], shift[i], axis=1)``. ``setup`` is the
-    ``_rollout_setup`` of ``(k, gate, f)``, built here when omitted; callers
-    check that the gate and lens fit the kernel.
+    ``np.roll(channels[slot[i]], shift[i], axis=1)``. ``orbits`` is the
+    ``_translation_orbits`` of ``(k, gate, f)``, computed here when omitted;
+    callers check that the gate and lens fit the kernel.
     """
-    rep, shift, lists = setup or _rollout_setup(k, gate, f)
+    rep, shift = orbits or _translation_orbits(k, gate, f)
     reps, slot = np.unique(rep[states], return_inverse=True)
-    rows = _batched_sequence_rows(k, horizon, f, reps, lists)
+    rows = _batched_sequence_rows(k, horizon, f, reps)
     costs = sequence_costs(gate, horizon)
     channels = [rows[costs <= gate.ledger[s], i] for i, s in enumerate(reps)]
     return channels, slot, shift[states]
@@ -389,7 +402,7 @@ def median_empowerments(
     ``problems`` is read lazily: each problem is validated and cut into its
     channels before the next is drawn, so a generator may build one
     environment at a time; consecutive problems on the same kernel, gate and
-    lens objects share one ``_rollout_setup``. After the last one, every
+    lens objects share one ``_translation_orbits``. After the last one, every
     channel goes to one ``channel_capacities`` call, whose solves do not
     depend on which channels share it, so each result equals its problem's
     own median bit for bit. That call needs one output alphabet: a problem
@@ -397,7 +410,7 @@ def median_empowerments(
     ValueError.
     """
     pending, channels, n_labels = [], [], None
-    shared, setup = (None, None, None), None
+    shared, orbits = (None, None, None), None
     for k, gate, kernel_set, horizon, f in problems:
         if n_labels is not None and f.n_labels != n_labels:
             raise ValueError(f"lens has {f.n_labels} labels, not {n_labels} like the first problem's")
@@ -408,7 +421,7 @@ def median_empowerments(
         # object's id reused by a new one can never match
         if any(a is not b for a, b in zip(shared, (k, gate, f))):
             check_fits(k, gate, lens=f)
-            shared, setup = (k, gate, f), None
+            shared, orbits = (k, gate, f), None
         kernel_set = np.asarray(kernel_set)
         if kernel_set.dtype != bool or kernel_set.shape != (k.n_states,):
             raise ValueError(f"kernel set has shape {kernel_set.shape} and dtype "
@@ -416,8 +429,8 @@ def median_empowerments(
         selected, rule = select_kernel_subset(kernel_set, max_states)
         start, slot = len(channels), []
         if len(selected):
-            setup = setup or _rollout_setup(k, gate, f)
-            cut, slot, _ = _feasible_channels(k, gate, selected, horizon, f, setup)
+            orbits = orbits or _translation_orbits(k, gate, f)
+            cut, slot, _ = _feasible_channels(k, gate, selected, horizon, f, orbits)
             channels += cut
             del cut  # the feed below must hold the only reference
         pending.append((selected, rule, slot, start, len(channels)))

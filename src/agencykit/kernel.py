@@ -143,7 +143,8 @@ class Policy:
         """(S, A) array whose row ``s`` is the action distribution at state ``s``.
 
         The one check of a policy: raises ValueError on an unknown ``kind``, a
-        missed state, an action not in range(A) or a row that is no distribution.
+        missed state, an action that is no integer in range(A) (a float or bool
+        is refused even when it equals an index) or a row that is no distribution.
         """
         if self.kind not in ("deterministic", "stochastic"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
@@ -152,8 +153,16 @@ class Policy:
             raise ValueError(f"policy does not cover states {missing[:5]}")
         if self.kind == "deterministic":
             actions = [self.table[s] for s in range(n_states)]
-            if not set(actions) <= set(range(n_actions)):
-                s = next(s for s, a in enumerate(actions) if a not in range(n_actions))
+
+            def is_action(a) -> bool:
+                return (isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+                        and 0 <= a < n_actions)
+
+            # types are checked apart from values, since 1.0 and True equal 1
+            if not (all(t is not bool and issubclass(t, (int, np.integer))
+                        for t in set(map(type, actions)))
+                    and set(actions) <= set(range(n_actions))):
+                s = next(s for s, a in enumerate(actions) if not is_action(a))
                 raise ValueError(f"policy action {actions[s]} at state {s} "
                                  f"is not in range({n_actions})")
             return np.eye(n_actions)[actions]
@@ -204,33 +213,49 @@ def check_fits(k: ControlledKernel, gate=None, safe=None, lens=None) -> None:
 
 
 def predecessor_lists(
-    k: ControlledKernel, target_of: np.ndarray | None = None, n_targets: int | None = None
+    k: ControlledKernel,
+    region: np.ndarray,
+    target_of: np.ndarray | None = None,
+    n_targets: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Padded in-lists of every action: each target's sources and their weights.
+    """Padded in-lists of every action over the sources in ``region``.
 
-    Row ``a * n_targets + t`` lists the sources that reach target ``t`` under
-    action ``a``. ``target_of`` maps successor states to targets: the
-    identity by default, a lens projection for a step straight into labels.
-    A source that reaches one target through several successors gets one slot
-    carrying their summed weight, and padding slots have weight 0 and source 0.
-    Target ``t``'s sources are sorted by offset ``(src - t * S // n_targets) mod
-    S``: where shifting states by ``S / n_targets`` maps the kernel onto itself
+    ``region`` holds distinct states, and sources are numbered by their
+    position in it, so the lists push an (len(region), m) array. Row
+    ``a * n_targets + t`` lists the sources that reach target ``t`` under
+    action ``a``. ``target_of`` maps successor states to targets; by default
+    the targets are the region's own states, numbered like the sources, and
+    slots leaving the region are dropped. A lens projection as ``target_of``
+    gives a step straight into labels. A source that reaches one target
+    through several successors gets one slot carrying their summed weight,
+    and padding slots have weight 0 and source 0. Target ``t``'s sources are
+    sorted by offset ``(src - t * S // n_targets) mod S`` in state numbers:
+    where shifting states by ``S / n_targets`` maps the kernel onto itself
     and ``target_of`` to ``target_of + 1``, rollouts are translation-exact.
+    Every kept slot, and its order, is that of the lists over all S states.
     """
+    region = np.asarray(region, dtype=np.int64)
+    a, i, j = np.nonzero(k.weights[:, region])
+    src = region[i]
+    w, state = k.weights[a, src, j], k.succ[a, src, j]
     if target_of is None:
-        target_of, n_targets = np.arange(k.n_states), k.n_states
-    a, src, j = np.nonzero(k.weights)
-    target = np.asarray(target_of)[k.succ[a, src, j]]
+        local = np.full(k.n_states, -1)
+        local[region] = np.arange(len(region))
+        keep = local[state] >= 0
+        a, i, src, w, state = a[keep], i[keep], src[keep], w[keep], state[keep]
+        target, anchor, n_targets = local[state], state, len(region)
+    else:
+        target = np.asarray(target_of)[state]
+        anchor = target * k.n_states // n_targets
     dst = a * n_targets + target
-    w = k.weights[a, src, j]
-    order = np.lexsort(((src - target * k.n_states // n_targets) % k.n_states, dst))
-    src, dst, w = src[order], dst[order], w[order]
+    order = np.lexsort(((src - anchor) % k.n_states, dst))
+    i, dst, w = i[order], dst[order], w[order]
     first = np.ones(len(dst), dtype=bool)
-    first[1:] = (dst[1:] != dst[:-1]) | (src[1:] != src[:-1])
+    first[1:] = (dst[1:] != dst[:-1]) | (i[1:] != i[:-1])
     starts = np.flatnonzero(first)
     return pack_rows(
         dst[starts],
-        src[starts],
+        i[starts],
         np.add.reduceat(w, starts),
         np.zeros(k.n_actions * n_targets, dtype=np.int64),
     )
@@ -268,12 +293,13 @@ def pull(lists: tuple[np.ndarray, np.ndarray], D: np.ndarray) -> np.ndarray:
 
 
 def policy_successors(k: ControlledKernel, mu: Policy) -> tuple[np.ndarray, np.ndarray]:
-    """Successor lists of the policy-closed chain, shape (S, A*k) each.
+    """Successor lists of the policy-closed chain, shape (S, width) each.
 
-    Slot (a, j) of state ``s`` carries ``mu(a|s) * P[a, s, succ[a, s, j]]``;
-    actions the policy never takes at ``s`` leave weight-0 slots.
+    State ``s`` keeps, in (action, slot) order, each nonzero
+    ``mu(a|s) * P[a, s, succ[a, s, j]]``; shorter rows are padded with
+    weight-0 slots pointing back at ``s``, as in a kernel.
     """
     action_weights = mu.action_weights(k.n_states, k.n_actions)
-    succ = k.succ.transpose(1, 0, 2).reshape(k.n_states, -1)
-    weights = (action_weights.T[:, :, None] * k.weights).transpose(1, 0, 2)
-    return succ, weights.reshape(k.n_states, -1)
+    weights = action_weights.T[:, :, None] * k.weights
+    s, a, j = np.nonzero(weights.transpose(1, 0, 2))
+    return pack_rows(s, k.succ[a, s, j], weights[a, s, j], np.arange(k.n_states))

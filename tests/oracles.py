@@ -9,7 +9,8 @@ against the union of all fixed points of its operator, by subset enumeration.
 The dense oracles at the end rebuild the (A, S, S) tensor and compute
 viability, rollouts and packaging with plain matrix algebra, independent of
 the successor lists. ``rollout_output_distribution`` pushes a single column
-with the engine's own ``pull``, as the reference for the batched sequence walk.
+with the engine's own ``pull``, and ``full_state_rows`` every column over all
+S states, as the references for the batched sequence walk over a region.
 """
 
 import itertools
@@ -129,13 +130,36 @@ def rollout_output_distribution(k, s0: int, alpha, f) -> np.ndarray:
     from agencykit.kernel import predecessor_lists, pull
 
     *prefix, final = alpha
-    step = predecessor_lists(k)
+    everywhere = np.arange(k.n_states)
+    step = predecessor_lists(k, everywhere)
     D = np.zeros((k.n_states, 1))
     D[s0, 0] = 1.0
     for a in prefix:
         D = pull(step, D).reshape(k.n_actions, k.n_states, 1)[a]
-    last = predecessor_lists(k, f.project, f.n_labels)
+    last = predecessor_lists(k, everywhere, f.project, f.n_labels)
     return pull(last, D).reshape(k.n_actions, f.n_labels)[final]
+
+
+def full_state_rows(k, horizon: int, f, states) -> np.ndarray:
+    """Sequence rows (A**H, len(states), n_labels) of a rollout over all S states.
+
+    Pushes every column through ``pull`` over the in-lists of the whole
+    state set, one level of the sequence tree at a time, with no reachable
+    region; it must equal the engine's batched rows bit for bit.
+    """
+    from agencykit.kernel import predecessor_lists, pull
+
+    everywhere = np.arange(k.n_states)
+    step = predecessor_lists(k, everywhere)
+    last = predecessor_lists(k, everywhere, f.project, f.n_labels)
+    m, A, S = len(states), k.n_actions, k.n_states
+    D = np.zeros((S, m))
+    D[np.asarray(states, dtype=np.int64), np.arange(m)] = 1.0
+    for depth in range(horizon - 1):
+        out = pull(step, D).reshape(A, S, A**depth, m)
+        D = out.transpose(1, 2, 0, 3).reshape(S, -1)
+    out = pull(last, D).reshape(A, f.n_labels, A ** (horizon - 1), m)
+    return out.transpose(2, 0, 3, 1).reshape(A**horizon, m, f.n_labels)
 
 
 # --------------------------------------------------------------------------
@@ -242,6 +266,16 @@ def fraction_packaging_masses(cfg, actions, project: np.ndarray, tau: int) -> di
             labels[int(project[s])] = labels.get(int(project[s]), Fraction(0)) + mass
         masses[fiber] = labels
     return masses
+
+
+def reachable_states(k, states, steps: int) -> np.ndarray:
+    """States reached from ``states`` in at most ``steps`` steps, by dense support products."""
+    support = (dense(k) > 0).any(axis=0).astype(np.int64)
+    reached = np.zeros(k.n_states, dtype=np.int64)
+    reached[np.asarray(states, dtype=np.int64)] = 1
+    for _ in range(steps):
+        reached = np.minimum(reached + reached @ support, 1)
+    return np.flatnonzero(reached)
 
 
 def dense_viability_step(k, gate, safe, K) -> np.ndarray:

@@ -184,7 +184,7 @@ def test_criterion_8_property_suites():
         k = random_kernel(rng, n, m)
         ok &= validate_kernel(k).ok
         d = rng.dirichlet(np.ones(n))
-        steps = pull(predecessor_lists(k), d[:, None]).reshape(m, n)
+        steps = pull(predecessor_lists(k, np.arange(n)), d[:, None]).reshape(m, n)
         ok &= bool(np.all(np.abs(steps.sum(axis=1) - 1.0) <= 1e-12))
         mu = Policy(kind="stochastic", table={s: rng.dirichlet(np.ones(m)) for s in range(n)})
         _, closed = policy_successors(k, mu)

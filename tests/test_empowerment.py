@@ -10,6 +10,7 @@ from agencykit.empowerment import (
     Lens,
     _batched_sequence_rows,
     _feasible_channels,
+    _reachable,
     _translation_orbits,
     build_channel,
     channel_capacities,
@@ -23,6 +24,7 @@ from agencykit.empowerment import (
 )
 from agencykit.environments import (
     RingWorldConfig,
+    build_null_single_action,
     build_ringworld,
     build_schedule_trap,
     ring_state_index,
@@ -35,9 +37,12 @@ from conftest import exhibit_ring_configs, random_gate, random_kernel
 from oracles import (
     blahut_arimoto_capacity,
     bsc_capacity,
+    dense,
     dense_sequence_rows,
+    full_state_rows,
     grid_search_capacity,
     mutual_information_bits,
+    reachable_states,
     rollout_output_distribution,
     row_divergences_bits,
 )
@@ -123,6 +128,75 @@ class TestRollout:
         k = single_matrix_kernel(np.eye(2))
         with pytest.raises(ValueError, match="horizon"):
             build_channel(k, zero_gate(2, 1), 0, 0, identity_lens(2))
+
+
+def with_unreachable_sources(rng, n, n_extra, n_actions) -> ControlledKernel:
+    """A sparse random kernel on n states, plus n_extra states that only lead into them."""
+    probs = np.zeros((n_actions, n + n_extra, n + n_extra))
+    probs[:, :n, :n] = dense(random_kernel(rng, n, n_actions, max_support=2))
+    probs[:, n:, :n] = dense(random_kernel(rng, n, n_actions))[:, :n_extra]
+    return ControlledKernel(n_states=n + n_extra, n_actions=n_actions, probs=probs)
+
+
+class TestReachableRegion:
+    """Rollouts over the region their start states reach equal rollouts over all S."""
+
+    @staticmethod
+    def assert_rows_equal_full(k, f, states, horizons):
+        for horizon in horizons:
+            rows = _batched_sequence_rows(k, horizon, f, states)
+            full = full_state_rows(k, horizon, f, states)
+            assert rows.shape == full.shape
+            assert rows.tobytes() == full.tobytes()
+
+    def test_random_kernels_with_unreachable_states(self, rng):
+        for _ in range(8):
+            n, n_actions = rng.randint(4, 10), rng.randint(1, 4)
+            k = with_unreachable_sources(rng, n, rng.randint(1, n), n_actions)
+            f = Lens(name="random", project=rng.randint(0, 3, size=k.n_states), n_labels=3)
+            # a repeated start state gets two equal columns
+            states = rng.randint(0, n, size=4)
+            assert len(_reachable(k, states, 3)) <= n < k.n_states
+            self.assert_rows_equal_full(k, f, states, (1, 2, 3, 4))
+
+    def test_rings(self):
+        env = build_ringworld(holonomy_config("paper", True))
+        states = np.arange(0, env.n_states, 23)
+        assert len(_reachable(env.kernel, states, 2)) < env.n_states
+        self.assert_rows_equal_full(env.kernel, env.output_lens, states, (1, 2, 3, 4))
+
+    def test_nulls(self):
+        for env in (build_null_single_action(), *map(build_schedule_trap, ("wrong", "right"))):
+            for states in ([0], np.arange(env.n_states)):
+                self.assert_rows_equal_full(env.kernel, env.output_lens, np.array(states),
+                                            (1, 2, 3))
+
+    def test_one_step_region_is_the_start_states(self, rng):
+        k = random_kernel(rng, 9, 3)
+        f = Lens(name="random", project=rng.randint(0, 4, size=9), n_labels=4)
+        states = np.array([7, 2, 7, 4])
+        np.testing.assert_array_equal(_reachable(k, states, 0), [2, 4, 7])
+        self.assert_rows_equal_full(k, f, states, (1,))
+
+    def test_empty_start_set(self, rng):
+        k = random_kernel(rng, 6, 2)
+        f = Lens(name="random", project=rng.randint(0, 3, size=6), n_labels=3)
+        assert _reachable(k, np.array([], dtype=np.int64), 2).size == 0
+        for horizon in (1, 2, 3):
+            assert _batched_sequence_rows(k, horizon, f, []).shape == (2**horizon, 0, 3)
+        self.assert_rows_equal_full(k, f, np.array([], dtype=np.int64), (1, 2, 3))
+
+    def test_reachable_matches_dense_support(self, rng):
+        env = build_ringworld(holonomy_config("paper", False))
+        cases = [(env.kernel, np.array([0, 50, 191]))]
+        for _ in range(10):
+            n = rng.randint(2, 10)
+            k = with_unreachable_sources(rng, n, rng.randint(1, n + 1), rng.randint(1, 4))
+            cases.append((k, rng.randint(0, k.n_states, size=rng.randint(1, 4))))
+        for k, states in cases:
+            for steps in range(5):
+                np.testing.assert_array_equal(_reachable(k, states, steps),
+                                              reachable_states(k, states, steps))
 
 
 class TestBuildChannel:

@@ -142,9 +142,10 @@ class TestExhibitNumbers:
 
     # (channel_capacities calls, predecessor_lists builds) of each exhibit: one
     # solver pass per exhibit (per regime for holonomy), and one pair of lists
-    # per kernel that rolls out, plus a pair per holonomy witness build_channel
-    WORK = {"packaging": (0, 0), "nulls": (2, 6), "holonomy": (2, 8), "ablations": (1, 10),
-            "sweep": (1, 44), "learning": (1, 4)}
+    # over its reachable region per median that rolls out, plus a pair per
+    # holonomy witness build_channel
+    WORK = {"packaging": (0, 0), "nulls": (2, 10), "holonomy": (2, 24), "ablations": (1, 10),
+            "sweep": (1, 44), "learning": (1, 12)}
 
     @pytest.mark.parametrize("name", EXHIBITS)
     def test_solver_work_pinned(self, name, monkeypatch):

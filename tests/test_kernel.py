@@ -26,7 +26,7 @@ def kernel_from_rows(rows) -> ControlledKernel:
 def step(k: ControlledKernel, d, a: int) -> np.ndarray:
     """Distribution ``d`` one step on under action ``a``, by the engine's ``pull``."""
     D = np.asarray(d, dtype=np.float64)[:, None]
-    return pull(predecessor_lists(k), D).reshape(k.n_actions, k.n_states)[a]
+    return pull(predecessor_lists(k, np.arange(k.n_states)), D).reshape(k.n_actions, k.n_states)[a]
 
 
 def closure(k: ControlledKernel, mu: Policy) -> np.ndarray:
@@ -283,11 +283,29 @@ class TestPolicyClosure:
         with pytest.raises(ValueError, match="unknown policy kind 'greedy'"):
             mu.action_weights(1, 2)
 
-    @pytest.mark.parametrize("action", [-1, 2, 0.5])
+    # 1.0 and True equal the index 1 but are no action
+    @pytest.mark.parametrize("action", [-1, 2, 0.5, 1.0, True])
     def test_deterministic_action_out_of_range_rejected(self, action):
         mu = Policy(kind="deterministic", table={0: 0, 1: action, 2: 1})
         with pytest.raises(ValueError, match=rf"action {action} at state 1 is not in range\(2\)"):
             mu.action_weights(3, 2)
+
+    def test_numpy_integer_actions_accepted(self):
+        mu = Policy(kind="deterministic", table={0: np.int64(1), 1: np.int32(0)})
+        np.testing.assert_array_equal(mu.action_weights(2, 2), [[0, 1], [1, 0]])
+
+    def test_closure_keeps_only_live_slots(self, rng):
+        # a deterministic policy keeps one action block of each row, so the
+        # width is the kernel's largest fan-out, not A times it
+        k = random_kernel(rng, 6, 3)
+        mu = Policy(kind="deterministic", table={s: s % 3 for s in range(6)})
+        succ, weights = policy_successors(k, mu)
+        fan_out = [(k.weights[s % 3, s] != 0).sum() for s in range(6)]
+        assert succ.shape == weights.shape == (6, max(fan_out))
+        assert (weights != 0).sum(axis=1).tolist() == fan_out
+        # padding points back at the state, with weight 0
+        pad = weights == 0
+        np.testing.assert_array_equal(succ[pad], np.nonzero(pad)[0])
 
     def test_deterministic_policy_on_no_states(self):
         assert Policy(kind="deterministic", table={}).action_weights(0, 2).shape == (0, 2)
