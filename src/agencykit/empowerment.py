@@ -9,7 +9,8 @@ logs are base 2 and 0*log(0) = 0 throughout.
 Every output distribution comes from one rollout, ``_batched_sequence_rows``,
 cut into channels by ``_feasible_channels``; a single sequence's distribution
 is a row of ``build_channel``. Medians are computed by ``median_empowerments``,
-which solves a whole batch of them in one ``channel_capacities`` call.
+which rolls out one state per translation orbit and solves a whole batch of
+them in one ``channel_capacities`` call.
 """
 
 from __future__ import annotations
@@ -33,17 +34,26 @@ SMALLEST_NORMAL = np.finfo(np.float64).tiny  # 2**-1022
 
 @dataclass(frozen=True)
 class Lens:
-    """Total projection from state indices to a finite label set."""
+    """Total projection from state indices to a finite label set.
+
+    ``project`` is a 1-d integer array (bools and floats are refused, never
+    truncated) with labels in ``[0, n_labels)``, and ``n_labels`` an integer
+    >= 1; anything else raises ValueError.
+    """
 
     name: str
     project: np.ndarray
     n_labels: int
 
     def __post_init__(self):
-        project = np.asarray(self.project, dtype=np.int64)
-        if project.ndim != 1:
-            raise ValueError("lens projection must be a 1-d label array")
-        if np.any(project < 0) or np.any(project >= self.n_labels):
+        n_labels, project = self.n_labels, np.asarray(self.project)
+        if isinstance(n_labels, bool) or not isinstance(n_labels, (int, np.integer)) or n_labels < 1:
+            raise ValueError(f"lens n_labels must be an integer >= 1, not {n_labels!r}")
+        if project.ndim != 1 or project.dtype.kind not in "iu":
+            raise ValueError(f"lens projection must be a 1-d integer label array, "
+                             f"not {project.dtype} of shape {project.shape}")
+        project = project.astype(np.int64, copy=False)
+        if np.any(project < 0) or np.any(project >= n_labels):
             raise ValueError("lens labels out of range")
         project.setflags(write=False)
         object.__setattr__(self, "project", project)
@@ -69,14 +79,12 @@ def build_channel(
     """Channel matrix from ``s0``: one output-label row per budget-feasible sequence.
 
     Rows follow ``feasible_sequences(gate, s0, horizon)`` order; a zero-row
-    channel is legal. It is ``s0``'s orbit representative's channel with its
-    labels rolled (see ``_feasible_channels``), bit for bit ``s0``'s own rollout.
+    channel is legal. It is cut from ``s0``'s own rollout.
     """
     if not 0 <= s0 < k.n_states:
         raise IndexError(f"state index {s0} out of range")
     check_fits(k, gate, lens=f)
-    channels, _, shift = _feasible_channels(k, gate, [s0], horizon, f)
-    return np.roll(channels[0], shift[0], axis=1)
+    return _feasible_channels(k, gate, [s0], horizon, f)[0]
 
 
 def channel_capacity(
@@ -97,7 +105,9 @@ def channel_capacities(
 
     A channel stops when its certified bound gap max_x D(W_x || q) - I(p; W)
     drops to ``tol`` bits; one that reaches ``max_iter`` reports its last gap.
-    Channels with zero or one row have capacity zero by convention.
+    Every row must be finite, nonnegative and sum to 1 within
+    ``ROW_TOLERANCE``, or ValueError names the first that is not. Channels
+    with zero or one row have capacity zero by convention.
 
     Exact duplicate rows are merged before iterating, since capacity depends
     only on the set of distinct rows. The returned ``input_distribution``
@@ -132,6 +142,15 @@ def channel_capacities(
         if results and matrix.shape[1] != n_labels:
             raise ValueError("channels must share one output alphabet")
         n_labels = matrix.shape[1]
+        # NaN fails every comparison; the row mask is built only on failure
+        if not (matrix.min(initial=0.0) >= 0 and matrix.max(initial=0.0) < np.inf):
+            r = int(np.flatnonzero(~((matrix >= 0) & (matrix < np.inf)).all(axis=1))[0])
+            raise ValueError(f"channel row {r} has an entry that is not finite and >= 0: "
+                             f"{np.array2string(matrix[r], threshold=8)}")
+        row_sums = matrix.sum(axis=1)
+        bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_TOLERANCE)
+        if bad.size:
+            raise ValueError(f"channel row {int(bad[0])} sums to {float(row_sums[bad[0]])}")
         if len(matrix) <= 1:
             results.append(CapacityResult(
                 capacity_bits=0.0,
@@ -140,10 +159,6 @@ def channel_capacities(
                 gap=0.0,
             ))
             continue
-        row_sums = matrix.sum(axis=1)
-        bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_TOLERANCE)
-        if bad.size:
-            raise ValueError(f"channel row {int(bad[0])} sums to {float(row_sums[bad[0]])}")
         # one opaque item per row, so np.unique compares whole rows bytewise;
         # this is exact and several times faster than np.unique(matrix, axis=0)
         row_items = np.ascontiguousarray(matrix).view(np.dtype((np.void, matrix[0].nbytes)))
@@ -332,46 +347,45 @@ def _batched_sequence_rows(
     return rows
 
 
-def _translation_orbits(k: ControlledKernel, gate: FeasibilityGate, f: Lens):
-    """Each state's orbit representative and label shift under an exact translation.
+def _translation_orbits(k: ControlledKernel, gate: FeasibilityGate, f: Lens) -> np.ndarray:
+    """Each state's orbit representative under an exact translation.
 
     ``s -> s + P (mod S)`` with ``P = S / n_labels`` (one ring position in the
-    ring world) is a channel symmetry when, bit for bit, it maps successor
-    lists onto successor lists with equal weights, keeps the ledger and steps
-    the lens label by +1. Then ``s``'s channel is that of ``s % P`` with its
-    labels rolled by ``s // P``; otherwise every state represents itself.
+    ring world) is a channel symmetry when each block ``y`` of ``P`` states is
+    block 0 moved by ``y`` positions: successors shifted by ``y * P``, equal
+    weights and ledger, lens labels stepped by ``y``. Then ``s``'s channel is
+    that of ``s % P`` with its labels rolled by ``s // P``; otherwise every
+    state represents itself. Entries compare by value, since kernels and gates
+    hold no NaN and a ``-0.0`` weight or cost acts exactly like ``0.0``.
     """
-    states, period = np.arange(k.n_states), k.n_states // f.n_labels
-    if k.n_states % f.n_labels == 0 and (
-        np.array_equal(np.roll(f.project, -period), (f.project + 1) % f.n_labels)
-        and np.roll(gate.ledger, -period).tobytes() == gate.ledger.tobytes()
-        and np.array_equal(np.roll(k.succ, -period, axis=1), (k.succ + period) % k.n_states)
-        and np.roll(k.weights, -period, axis=1).tobytes() == k.weights.tobytes()
+    states, n_labels = np.arange(k.n_states), f.n_labels
+    if k.n_states % n_labels:
+        return states
+    period, y = k.n_states // n_labels, np.arange(n_labels)[:, None, None]
+    blocks = (k.n_actions, n_labels, period, -1)
+    moved = k.succ.reshape(blocks) - k.succ[:, None, :period]  # in (-S, S), so no modulo
+    if (
+        (f.project.reshape(n_labels, period) == (f.project[:period] + y[:, 0]) % n_labels).all()
+        and (gate.ledger.reshape(n_labels, period) == gate.ledger[:period]).all()
+        and (k.weights.reshape(blocks) == k.weights[:, None, :period]).all()
+        and ((moved == y * period) | (moved == y * period - k.n_states)).all()
     ):
-        return states % period, states // period
-    return states, np.zeros_like(states)
+        return states % period
+    return states
 
 
 def _feasible_channels(
-    k: ControlledKernel, gate: FeasibilityGate, states: np.ndarray, horizon: int, f: Lens,
-    orbits=None,
-):
-    """Budget-feasible channels of ``states``, rolled out once per translation orbit.
+    k: ControlledKernel, gate: FeasibilityGate, states, horizon: int, f: Lens
+) -> list[np.ndarray]:
+    """Budget-feasible channel of each start state in ``states``, from one rollout.
 
-    The only code that cuts a channel. Returns ``(channels, slot, shift)``:
-    one rollout of the distinct orbit representatives (``_translation_orbits``)
-    gives each its rows of the sequences that fit its ledger, in
-    ``feasible_sequences`` order, and ``states[i]``'s channel is, bit for bit,
-    ``np.roll(channels[slot[i]], shift[i], axis=1)``. ``orbits`` is the
-    ``_translation_orbits`` of ``(k, gate, f)``, computed here when omitted;
-    callers check that the gate and lens fit the kernel.
+    The only code that cuts a channel: ``states[i]``'s channel holds its rows
+    of the sequences that fit its ledger, in ``feasible_sequences`` order.
+    Callers check that the gate and lens fit the kernel.
     """
-    rep, shift = orbits or _translation_orbits(k, gate, f)
-    reps, slot = np.unique(rep[states], return_inverse=True)
-    rows = _batched_sequence_rows(k, horizon, f, reps)
+    rows = _batched_sequence_rows(k, horizon, f, states)
     costs = sequence_costs(gate, horizon)
-    channels = [rows[costs <= gate.ledger[s], i] for i, s in enumerate(reps)]
-    return channels, slot, shift[states]
+    return [rows[costs <= gate.ledger[s], i] for i, s in enumerate(states)]
 
 
 def median_empowerment_on_kernel(
@@ -396,43 +410,32 @@ def median_empowerments(
 
     ``kernel_set`` is a ``(S,)`` boolean mask; anything else raises
     ValueError. The empty set yields zero by convention (no viable states
-    means no induced action layer). Only the orbit representatives of the
-    selected states are rolled out and solved (see ``_feasible_channels``).
+    means no induced action layer). Each problem computes its own
+    ``_translation_orbits``, and only the distinct orbit representatives of
+    the selected states are rolled out and solved.
 
     ``problems`` is read lazily: each problem is validated and cut into its
     channels before the next is drawn, so a generator may build one
-    environment at a time; consecutive problems on the same kernel, gate and
-    lens objects share one ``_translation_orbits``. After the last one, every
-    channel goes to one ``channel_capacities`` call, whose solves do not
-    depend on which channels share it, so each result equals its problem's
-    own median bit for bit. That call needs one output alphabet: a problem
-    whose lens has another label count than the first problem's raises
-    ValueError.
+    environment at a time. After the last one, every channel goes to one
+    ``channel_capacities`` call, whose solves do not depend on which channels
+    share it, so each result equals its problem's own median bit for bit.
+    That call needs one output alphabet: a problem whose lens has another
+    label count than the first problem's raises ValueError.
     """
     pending, channels, n_labels = [], [], None
-    shared, orbits = (None, None, None), None
     for k, gate, kernel_set, horizon, f in problems:
         if n_labels is not None and f.n_labels != n_labels:
             raise ValueError(f"lens has {f.n_labels} labels, not {n_labels} like the first problem's")
         n_labels = f.n_labels
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        # compared by identity while ``shared`` holds the objects, so a freed
-        # object's id reused by a new one can never match
-        if any(a is not b for a, b in zip(shared, (k, gate, f))):
-            check_fits(k, gate, lens=f)
-            shared, orbits = (k, gate, f), None
+        check_fits(k, gate, lens=f)
         kernel_set = np.asarray(kernel_set)
         if kernel_set.dtype != bool or kernel_set.shape != (k.n_states,):
             raise ValueError(f"kernel set has shape {kernel_set.shape} and dtype "
                              f"{kernel_set.dtype}, not a ({k.n_states},) bool kernel mask")
         selected, rule = select_kernel_subset(kernel_set, max_states)
-        start, slot = len(channels), []
-        if len(selected):
-            orbits = orbits or _translation_orbits(k, gate, f)
-            cut, slot, _ = _feasible_channels(k, gate, selected, horizon, f, orbits)
-            channels += cut
-            del cut  # the feed below must hold the only reference
+        reps, slot = np.unique(_translation_orbits(k, gate, f)[selected], return_inverse=True)
+        start = len(channels)
+        channels += _feasible_channels(k, gate, reps, horizon, f)
         pending.append((selected, rule, slot, start, len(channels)))
 
     # fed lazily, so each full channel is dropped once its distinct rows are kept

@@ -1,9 +1,11 @@
 """The package keeps only names something reads.
 
 Parses ``src/agencykit`` and ``bench/`` with ``ast``: every imported name is
-used in its module, and every module-level public function, class or
-UPPER_CASE constant is referenced somewhere in the package outside its own
-definition, used by the benchmark, or exported in ``agencykit.__all__``.
+used in its module, every module-level public function, class or UPPER_CASE
+constant is referenced somewhere in the package outside its own definition,
+used by the benchmark, or exported in ``agencykit.__all__``, and every
+module-level private function or class is referenced by another package
+statement (the benchmark and ``__all__`` do not count for a private name).
 """
 
 import ast
@@ -62,15 +64,29 @@ def test_every_import_is_used(path):
     assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
-def test_every_public_definition_is_read():
+def unread_definitions(names_of) -> list[str]:
+    """``path:line name`` of each name ``names_of(statement)`` lists that no other statement reads."""
     trees = {path: parse(path) for path in MODULES}
     statements = [(node, referenced_names([node])) for tree in trees.values() for node in tree.body]
-    bench = referenced_names(parse(p) for p in sorted((ROOT / "bench").rglob("*.py")))
     unread = []
     for path, tree in trees.items():
         for node in tree.body:
-            for name in defined_names(node):
-                read = any(name in names for other, names in statements if other is not node)
-                if not (read or name in bench or name in agencykit.__all__):
+            for name in names_of(node):
+                if not any(name in names for other, names in statements if other is not node):
                     unread.append(f"{path.name}:{node.lineno} {name}")
-    assert unread == []
+    return unread
+
+
+def test_every_public_definition_is_read():
+    bench = referenced_names(parse(p) for p in sorted((ROOT / "bench").rglob("*.py")))
+    kept = bench | set(agencykit.__all__)
+    assert unread_definitions(lambda node: [n for n in defined_names(node) if n not in kept]) == []
+
+
+def test_every_private_helper_has_a_caller():
+    def private(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            return [node.name]
+        return []
+
+    assert unread_definitions(private) == []

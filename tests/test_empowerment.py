@@ -325,30 +325,71 @@ class TestRowMerging:
         with pytest.raises(ValueError, match="row 2"):
             channel_capacity(W)
 
+    @pytest.mark.parametrize("W, row", [
+        ([[np.nan, 1.0], [0.0, 1.0]], 0),
+        ([[1.5, -0.5], [0.5, 0.5], [0.0, 1.0]], 0),
+        ([[0.5, 0.5], [np.inf, 0.0]], 1),
+        ([[0.5, 0.5], [-np.inf, np.inf]], 1),
+        ([[0.5, 0.5], [0.5, 0.5], [1.0 + 1e-12, -1e-12]], 2),
+        ([[np.nan, 1.0]], 0),
+        ([[0.5, 0.4]], 0),
+    ], ids=["nan", "negative", "inf", "inf_minus_inf", "negative_within_sum_tolerance",
+            "one_row_nan", "one_row_short"])
+    def test_every_row_must_be_a_distribution(self, W, row):
+        # one-row channels are checked too, before their zero-capacity shortcut
+        with pytest.raises(ValueError, match=f"channel row {row} (sums to|has an entry)"):
+            channel_capacity(W)
+        with pytest.raises(ValueError, match=f"channel row {row} (sums to|has an entry)"):
+            channel_capacities([np.eye(2), W])
 
-def is_identity(orbits) -> bool:
-    rep, shift = orbits
-    return np.array_equal(rep, np.arange(len(rep))) and not shift.any()
+    def test_negative_zero_entries_are_accepted(self):
+        res = channel_capacity([[-0.0, 1.0], [1.0, -0.0]])
+        assert res.capacity_bits == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLens:
+    @pytest.mark.parametrize("project", [[0.7, 1.2], [0.0, 1.0], [True, False], [], [[0, 1]]],
+                             ids=["fractional", "integral_floats", "bools", "empty_list", "2d"])
+    def test_projection_must_be_1d_integers(self, project):
+        with pytest.raises(ValueError, match="lens projection must be a 1-d integer label array"):
+            Lens(name="bad", project=project, n_labels=2)
+
+    @pytest.mark.parametrize("n_labels", [2.5, 2.0, True, 0, -1, "2"])
+    def test_label_count_must_be_an_integer_of_at_least_one(self, n_labels):
+        with pytest.raises(ValueError, match="lens n_labels must be an integer >= 1"):
+            Lens(name="bad", project=[0, 1], n_labels=n_labels)
+
+    def test_numpy_integers_are_accepted_and_labels_range_checked(self):
+        lens = Lens(name="small", project=np.array([1, 0], dtype=np.uint8), n_labels=np.int64(2))
+        assert lens.project.dtype == np.int64 and not lens.project.flags.writeable
+        np.testing.assert_array_equal(lens.project, [1, 0])
+        for project in ([0, 2], [-1, 0]):
+            with pytest.raises(ValueError, match="lens labels out of range"):
+                Lens(name="bad", project=project, n_labels=2)
+
+
+def is_identity(rep) -> bool:
+    return np.array_equal(rep, np.arange(len(rep)))
 
 
 class TestTranslationOrbits:
     def test_every_y_shift_maps_to_one_representative(self):
         cfg = holonomy_config("paper", True)
         env = build_ringworld(cfg)
-        rep, shift = _translation_orbits(env.kernel, env.gate, env.output_lens)
+        rep = _translation_orbits(env.kernel, env.gate, env.output_lens)
+        period = env.n_states // cfg.ring_size
         for u, phi, r in [(0, 0, 0), (1, 1, 2), (0, 1, 1)]:
             orbit = [ring_state_index(cfg, y, u, phi, r) for y in range(cfg.ring_size)]
             assert set(rep[orbit].tolist()) == {orbit[0]}
-            assert shift[orbit].tolist() == list(range(cfg.ring_size))
+            # ring position y is the representative moved by y periods
+            assert orbit == [orbit[0] + y * period for y in range(cfg.ring_size)]
 
     def test_detected_on_every_exhibit_ring(self):
         for cfg in exhibit_ring_configs():
             env = build_ringworld(cfg)
             period = env.n_states // cfg.ring_size
-            rep, shift = _translation_orbits(env.kernel, env.gate, env.output_lens)
-            states = np.arange(env.n_states)
-            np.testing.assert_array_equal(rep, states % period)
-            np.testing.assert_array_equal(shift, states // period)
+            rep = _translation_orbits(env.kernel, env.gate, env.output_lens)
+            np.testing.assert_array_equal(rep, np.arange(env.n_states) % period)
 
     def test_one_ulp_weight_bump_breaks_the_symmetry(self):
         cfg = holonomy_config("paper", True)
@@ -359,6 +400,32 @@ class TestTranslationOrbits:
         weights[1, s, 0] = np.nextafter(weights[1, s, 0], 1.0)
         bumped = ControlledKernel(k.n_states, k.n_actions, succ=k.succ, weights=weights)
         assert is_identity(_translation_orbits(bumped, env.gate, env.output_lens))
+
+    @pytest.mark.parametrize("block", ["first", "last"])
+    @pytest.mark.parametrize("part", ["weight", "successor", "ledger", "label"])
+    def test_edit_in_an_end_block_breaks_the_symmetry(self, part, block):
+        cfg = holonomy_config("paper", True)
+        env = build_ringworld(cfg)
+        k, gate, lens = env.kernel, env.gate, env.output_lens
+        y = 0 if block == "first" else cfg.ring_size - 1
+        s = ring_state_index(cfg, y, 1, 0, 1)
+        assert s // (env.n_states // cfg.ring_size) == y
+        assert not is_identity(_translation_orbits(k, gate, lens))
+        succ, weights = k.succ.copy(), k.weights.copy()
+        if part == "weight":
+            weights[1, s, 0] = np.nextafter(weights[1, s, 0], 2.0)
+        elif part == "successor":
+            succ[0, s, 0] = (succ[0, s, 0] + 1) % env.n_states
+        elif part == "ledger":
+            ledger = gate.ledger.copy()
+            ledger[s] += 1
+            gate = FeasibilityGate(ledger=ledger, costs=gate.costs)
+        else:
+            project = lens.project.copy()
+            project[s] = (project[s] + 1) % lens.n_labels
+            lens = Lens(name="edited", project=project, n_labels=lens.n_labels)
+        k = ControlledKernel(k.n_states, k.n_actions, succ=succ, weights=weights)
+        assert is_identity(_translation_orbits(k, gate, lens))
 
     def test_indivisible_label_count_gives_identity(self):
         env = build_ringworld(holonomy_config("paper", True))
@@ -402,15 +469,29 @@ class TestTranslationOrbits:
                     )
 
     def test_build_channel_is_the_rolled_representative(self):
+        # two independent rollouts: one from s0, one from its representative
         env = build_ringworld(ablation_configs("paper")["full"])
         k, g, f = env.kernel, env.gate, env.output_lens
-        rep, shift = _translation_orbits(k, g, f)
+        rep, period = _translation_orbits(k, g, f), env.n_states // f.n_labels
+        assert not is_identity(rep)
         for s0 in range(0, env.n_states, 7):
             for horizon in (1, 2):
                 np.testing.assert_array_equal(
                     build_channel(k, g, s0, horizon, f),
-                    np.roll(build_channel(k, g, int(rep[s0]), horizon, f), shift[s0], axis=1),
+                    np.roll(build_channel(k, g, int(rep[s0]), horizon, f), s0 // period, axis=1),
                 )
+
+    def test_build_channel_never_reads_the_orbits(self, monkeypatch):
+        env = build_ringworld(holonomy_config("paper", True))
+        k, g, f = env.kernel, env.gate, env.output_lens
+        s0 = env.n_states - 1  # the last ring position, no representative
+        channel = build_channel(k, g, s0, 2, f)
+
+        def refuse(*args):
+            raise AssertionError("build_channel computed translation orbits")
+
+        monkeypatch.setattr(empowerment, "_translation_orbits", refuse)
+        assert build_channel(k, g, s0, 2, f).tobytes() == channel.tobytes()
 
 
 class TestCapacityInvariants:
@@ -563,14 +644,10 @@ class TestFeasibleEmpowerment:
             g = random_gate(rng, 6, 3)
             f = identity_lens(6)
             states = [0, 2, 3, 5]
-            channels, slot, shift = _feasible_channels(k, g, states, 2, f)
-            batched = [
-                channel_capacity(np.roll(channels[j], y, axis=1)).capacity_bits
-                for j, y in zip(slot, shift)
-            ]
+            channels = _feasible_channels(k, g, states, 2, f)
+            batched = [channel_capacity(w).capacity_bits for w in channels]
             assert batched == [feasible_empowerment(k, g, s, 2, f) for s in states]
-        channels, slot, shift = _feasible_channels(k, g, [], 2, f)
-        assert channels == [] and len(slot) == len(shift) == 0
+        assert _feasible_channels(k, g, [], 2, f) == []
 
     def test_batched_median_matches_per_state_path(self, rng):
         k = random_kernel(rng, 5, 2)
@@ -689,7 +766,7 @@ class TestMedianMemo:
                 max_states=16, tol=tol,
             )
             # y-shifted start states share one orbit representative
-            rep, _ = _translation_orbits(env.kernel, env.gate, env.output_lens)
+            rep = _translation_orbits(env.kernel, env.gate, env.output_lens)
             assert 1 <= len(solves) == len(med.solved) < len(med.selected_states)
             assert len(med.solved) <= len(set(rep[med.selected_states].tolist()))
             # the median keeps its one capacity call's results, unreduced
@@ -758,17 +835,15 @@ class TestMedianEmpowerments:
         real_cut = empowerment._feasible_channels
         monkeypatch.setattr(empowerment, "_feasible_channels",
                             lambda *args: cuts.append(1) or real_cut(*args))
-        nonempty = [len(median_empowerment_on_kernel(*p).selected_states) > 0 for p in problems]
-        cuts.clear()
 
         def drawn():
             for i, problem in enumerate(problems):
-                # every earlier nonempty problem is cut before this one is drawn
-                assert len(cuts) == sum(nonempty[:i])
+                # every earlier problem, empty ones included, is cut before this one is drawn
+                assert len(cuts) == i
                 yield problem
 
         meds = median_empowerments(drawn())
-        assert len(cuts) == sum(nonempty)
+        assert len(cuts) == len(problems)
         for med, problem in zip(meds, problems):
             self.assert_same(med, median_empowerment_on_kernel(*problem))
 
@@ -777,9 +852,9 @@ class TestMedianEmpowerments:
         k, f, states = env.kernel, env.output_lens, np.ones(env.n_states, dtype=bool)
         y = f.project
         uneven = FeasibilityGate(ledger=env.gate.ledger + (y == 3), costs=env.gate.costs)
-        rep, _ = _translation_orbits(k, env.gate, f)
-        assert not np.array_equal(rep, _translation_orbits(k, uneven, f)[0])
-        # one kernel and lens, gates alternating: each run rebuilds its setup
+        assert not np.array_equal(_translation_orbits(k, env.gate, f),
+                                  _translation_orbits(k, uneven, f))
+        # one kernel and lens, gates alternating: each problem computes its own orbits
         problems = [(k, gate, states, 2, f) for gate in (env.gate, uneven, env.gate, uneven)]
         for med, problem in zip(median_empowerments(problems), problems):
             self.assert_same(med, median_empowerment_on_kernel(*problem))
