@@ -166,14 +166,21 @@ def _plot_series(record: dict, exhibit: str) -> list[tuple[str, float, float]]:
 
 
 def _write_csv(rows: list[tuple[str, float, float]], path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("series,x,y\n")
+    """One ``series,x,y`` line per row, which ``csv.reader`` reads back whatever the names hold."""
+    import csv  # at call time, as html below: only plot writes files with them
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        # the writer quotes only its terminator's characters, and a bare CR ends a row too
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(("series", "x", "y"))
         for series, x, y in rows:
-            fh.write(f"{series},{x:g},{y!r}\n")
+            (quoted if "\r" in series else writer).writerow((series, f"{x:g}", repr(y)))
 
 
 def _write_svg(rows: list[tuple[str, float, float]], path: Path, title: str) -> None:
-    """Self-contained SVG line plot: one polyline per series."""
+    """Self-contained SVG line plot: one polyline per series, names and title escaped."""
+    import html  # at call time: its entity tables take about 0.35 MB, which run and audit never use
+    title = html.escape(title)
     width, height, margin = 640, 400, 48
     series: dict[str, list[tuple[float, float]]] = {}
     for name, x, y in rows:
@@ -209,7 +216,7 @@ def _write_svg(rows: list[tuple[str, float, float]], path: Path, title: str) -> 
         )
         parts.append(
             f'<text x="{margin}" y="{margin + 16 * i:g}" fill="{color}" '
-            f'font-family="monospace" font-size="12">{name}</text>'
+            f'font-family="monospace" font-size="12">{html.escape(name)}</text>'
         )
     parts.append("</svg>")
     path.write_text("\n".join(parts), encoding="utf-8")

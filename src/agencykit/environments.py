@@ -332,9 +332,3 @@ def build_schedule_trap(model: str) -> Environment:
         layout,
     )
 
-
-# Named config profiles. "paper" is the desk-scale profile every exhibit uses;
-# exhibit runners derive per-exhibit variants from it.
-PROFILES: dict[str, RingWorldConfig] = {
-    "paper": RingWorldConfig(),
-}

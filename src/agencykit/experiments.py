@@ -6,16 +6,18 @@ the config; runners never mutate environments and may run in any order.
 that names its contracts (orderings, zeros, equalities): ``run_exhibit``
 stores them under ``metrics["contracts"]`` and ``artifacts.audit`` re-derives them.
 
-Exhibit configurations derive from the named base profile "paper", which is
-recorded in each artifact's config. Per-exhibit parameter overrides are part
-of each exhibit's config block and therefore of its hash:
+Every ring-world exhibit derives from one configuration, ``PAPER`` (the
+``RingWorldConfig`` defaults), recorded as ``"profile": "paper"`` in each
+ring-world artifact's config. Per-exhibit overrides are part of each
+exhibit's config block and therefore of its hash:
 
-- packaging and nulls use the base profile directly;
+- packaging uses ``PAPER`` directly, and nulls build their own null regimes;
 - holonomy uses a movement-is-free variant on a wider ring so the viability
   kernel carries a nontrivial action channel at every horizon;
-- ablations and the sweep use a maintenance-economy variant (unit action
-  costs, per-step income, damage leak) in which an unrepaired damage bit
-  drains the ledger, so removing repair genuinely collapses viability;
+- the sweep uses ``ECONOMY``, a maintenance economy (unit action costs,
+  per-step income, damage leak) in which an unrepaired damage bit drains the
+  ledger, and ``ABLATIONS`` toggles one primitive of it per entry, so
+  removing repair genuinely collapses viability;
 - learning zeroes all action costs and sweeps the skill sector.
 """
 
@@ -38,7 +40,6 @@ from agencykit.environments import (
     ACTION_NAMES,
     LEFT,
     RIGHT,
-    PROFILES,
     Environment,
     RingWorldConfig,
     build_null_single_action,
@@ -57,67 +58,41 @@ HORIZON_GRID = (1, 2, 3, 4, 5)
 SOLVER_SETTINGS = {"capacity_tol_bits": EMPOWERMENT_TOL, "max_states": MAX_MEDIAN_STATES}
 
 
-def base_profile(profile: str) -> RingWorldConfig:
-    try:
-        return PROFILES[profile]
-    except KeyError:
-        raise ValueError(f"unknown profile {profile!r}; known: {sorted(PROFILES)}") from None
+# the one ring-world configuration every exhibit derives from, and its recorded name
+PROFILE, PAPER = "paper", RingWorldConfig()
 
 
 def holonomy_config(profile: str, protocol_on: bool) -> RingWorldConfig:
-    """Free-movement, wide-ring variant; regimes differ only in the protocol toggle."""
-    base = base_profile(profile)
-    return replace(
-        base,
-        ring_size=16,
-        p_slip=0.1,
-        cost_left=0,
-        cost_right=0,
-        protocol_on=protocol_on,
-    )
+    """Free-movement, wide-ring variant; regimes differ only in the protocol toggle.
+
+    ``profile`` must be ``PROFILE``; the parameter stays only because the
+    benchmark calls ``holonomy_config("paper", True)``.
+    """
+    if profile != PROFILE:
+        raise ValueError(f"unknown profile {profile!r}; only {PROFILE!r} exists")
+    return replace(PAPER, ring_size=16, p_slip=0.1, cost_left=0, cost_right=0,
+                   protocol_on=protocol_on)
 
 
-def maintenance_economy_config(profile: str) -> RingWorldConfig:
-    """Unit-cost actions, per-step income, and a damage leak on the ledger."""
-    base = base_profile(profile)
-    return replace(
-        base,
-        cost_left=1,
-        cost_right=1,
-        cost_repair=1,
-        cost_noop=0,
-        ledger_gain=1,
-        gain_every_step=True,
-        damage_leak=2,
-    )
+# unit-cost actions, per-step income, and a damage leak on the ledger
+ECONOMY = replace(PAPER, cost_left=1, cost_right=1, cost_repair=1, cost_noop=0,
+                  ledger_gain=1, gain_every_step=True, damage_leak=2)
+
+ABLATIONS = {
+    "constraints_off": replace(ECONOMY, cost_left=0, cost_right=0, cost_repair=0, cost_noop=0),
+    "full": ECONOMY,
+    "high_noise": replace(ECONOMY, p_flip=0.3),
+    "learn_on": replace(ECONOMY, theta_levels=2),
+    "no_protocol": replace(ECONOMY, protocol_on=False),
+    "no_repair": replace(ECONOMY, repair_enabled=False),
+    "repair_imperfect": replace(ECONOMY, repair_success=0.2),
+}
 
 
-def ablation_configs(profile: str) -> dict[str, RingWorldConfig]:
-    base = maintenance_economy_config(profile)
-    return {
-        "constraints_off": replace(base, cost_left=0, cost_right=0, cost_repair=0, cost_noop=0),
-        "full": base,
-        "high_noise": replace(base, p_flip=0.3),
-        "learn_on": replace(base, theta_levels=2),
-        "no_protocol": replace(base, protocol_on=False),
-        "no_repair": replace(base, repair_enabled=False),
-        "repair_imperfect": replace(base, repair_success=0.2),
-    }
-
-
-def learning_config(profile: str, p_slip: float) -> RingWorldConfig:
+def learning_config(p_slip: float) -> RingWorldConfig:
     """All action costs zero (feasibility trivial); three-level skill sector."""
-    base = base_profile(profile)
-    return replace(
-        base,
-        cost_left=0,
-        cost_right=0,
-        cost_repair=0,
-        cost_noop=0,
-        p_slip=p_slip,
-        protocol_on=False,
-        theta_levels=3,
-    )
+    return replace(PAPER, cost_left=0, cost_right=0, cost_repair=0, cost_noop=0,
+                   p_slip=p_slip, protocol_on=False, theta_levels=3)
 
 
 def solver_block(meds: list[MedianEmpowermentResult]) -> dict:
@@ -181,10 +156,9 @@ def nulls_contracts(m: dict) -> dict:
     }
 
 
-def run_packaging(profile: str = "paper") -> tuple[dict, dict]:
+def run_packaging() -> tuple[dict, dict]:
     """Idempotence defect across tau for repair-off vs repair-on policies."""
-    cfg = base_profile(profile)
-    env = build_ringworld(cfg)
+    env = build_ringworld(PAPER)
     regimes = {"repair_off": "always_right", "repair_on": "repair_then_right"}
     defects: dict[str, list[float]] = {name: [] for name in regimes}
     endomaps: dict[str, dict] = {}
@@ -201,8 +175,8 @@ def run_packaging(profile: str = "paper") -> tuple[dict, dict]:
             }
 
     config = {
-        "profile": profile,
-        "environment": cfg.to_dict(),
+        "profile": PROFILE,
+        "environment": PAPER.to_dict(),
         "tau_grid": list(TAU_GRID),
         "macro_lens": env.macro_lens.name,
         "policies": regimes,
@@ -226,13 +200,13 @@ def packaging_contracts(m: dict) -> dict:
     }
 
 
-def run_holonomy(profile: str = "paper") -> tuple[dict, dict]:
+def run_holonomy() -> tuple[dict, dict]:
     """Median feasible empowerment vs horizon for protocol on/off, plus TV witness."""
     results = {}
     envs = {}
     meds = []
     for regime, protocol in (("protocol_on", True), ("protocol_off", False)):
-        cfg = holonomy_config(profile, protocol)
+        cfg = holonomy_config(PROFILE, protocol)
         env = build_ringworld(cfg)
         envs[regime] = (cfg, env)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
@@ -269,7 +243,7 @@ def run_holonomy(profile: str = "paper") -> tuple[dict, dict]:
         }
 
     config = {
-        "profile": profile,
+        "profile": PROFILE,
         "environment_on": envs["protocol_on"][0].to_dict(),
         "environment_off": envs["protocol_off"][0].to_dict(),
         "horizons": list(HORIZON_GRID),
@@ -303,15 +277,14 @@ def holonomy_contracts(m: dict) -> dict:
     }
 
 
-def run_ablations(profile: str = "paper") -> tuple[dict, dict]:
+def run_ablations() -> tuple[dict, dict]:
     """Primitive toggle suite: |K|, median empowerment at H=2 (one pass), defect at tau=2."""
-    configs = ablation_configs(profile)
     horizon, tau, policy = 2, 2, "repair_then_right"
     rows, kept = {}, {}
 
     def problems():
         # one environment alive at a time, as in ``run_sweep``
-        for name, cfg in sorted(configs.items()):
+        for name, cfg in sorted(ABLATIONS.items()):
             env = build_ringworld(cfg)
             vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
             endo = packaging_endomap(env.kernel, env.macro_lens, env.policies[policy], tau, policy)
@@ -334,8 +307,8 @@ def run_ablations(profile: str = "paper") -> tuple[dict, dict]:
         row["subset_rule"] = med.subset_rule
     env = kept["env"]
     config = {
-        "profile": profile,
-        "configs": {name: cfg.to_dict() for name, cfg in configs.items()},
+        "profile": PROFILE,
+        "configs": {name: cfg.to_dict() for name, cfg in ABLATIONS.items()},
         "empowerment_horizon": horizon,
         "packaging_tau": tau,
         "output_lens": env.output_lens.name,
@@ -368,12 +341,11 @@ def ablations_contracts(m: dict) -> dict:
     }
 
 
-def run_sweep(profile: str = "paper") -> tuple[dict, dict]:
+def run_sweep() -> tuple[dict, dict]:
     """8x8 noise/maintenance-cost grid under the coherence safety predicate.
 
     The 64 cells' medians are solved in one ``median_empowerments`` pass.
     """
-    base = maintenance_economy_config(profile)
     p_grid = [round(v, 10) for v in np.linspace(0.0, 0.7, 8)]
     cost_grid = list(range(8))
     horizon = 2
@@ -385,7 +357,7 @@ def run_sweep(profile: str = "paper") -> tuple[dict, dict]:
         # the next cell is built, and all 64 are solved once the grid is done
         for i, p in enumerate(p_grid):
             for j, c in enumerate(cost_grid):
-                env = build_ringworld(replace(base, p_flip=float(p), cost_repair=int(c)))
+                env = build_ringworld(replace(ECONOMY, p_flip=float(p), cost_repair=int(c)))
                 vres = viability_kernel(env.kernel, env.gate, env.safety_coherent)
                 kernel_sizes[i, j] = vres.size
                 yield _problem(env, vres.kernel, horizon)
@@ -395,8 +367,8 @@ def run_sweep(profile: str = "paper") -> tuple[dict, dict]:
     emp = np.array([med.median_bits for med in meds]).reshape(kernel_sizes.shape)
     env = last[0]
     config = {
-        "profile": profile,
-        "base_environment": base.to_dict(),
+        "profile": PROFILE,
+        "base_environment": ECONOMY.to_dict(),
         "p_flip_grid": p_grid,
         "cost_repair_grid": cost_grid,
         "empowerment_horizon": horizon,
@@ -432,7 +404,7 @@ def sweep_contracts(m: dict) -> dict:
     }
 
 
-def run_learning(profile: str = "paper") -> tuple[dict, dict]:
+def run_learning() -> tuple[dict, dict]:
     """Median empowerment per skill level, with a zero-slip control group.
 
     Medians are taken over viable states restricted to a fixed staged phase
@@ -441,7 +413,7 @@ def run_learning(profile: str = "paper") -> tuple[dict, dict]:
     horizon, restriction = 2, {"u": 0, "phi": 0, "viable": True}
 
     def sector_problems(p_slip: float):
-        cfg = learning_config(profile, p_slip)
+        cfg = learning_config(p_slip)
         env = build_ringworld(cfg)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
         fields = dict(zip(env.state_layout["fields"], env.state_fields),
@@ -457,7 +429,7 @@ def run_learning(profile: str = "paper") -> tuple[dict, dict]:
     all_meds = median_empowerments(problems + control_problems)
     meds, control_meds = all_meds[: len(problems)], all_meds[len(problems) :]
     config = {
-        "profile": profile,
+        "profile": PROFILE,
         "environment": cfg.to_dict(),
         "control_environment": control_cfg.to_dict(),
         "empowerment_horizon": horizon,
@@ -491,7 +463,7 @@ def learning_contracts(m: dict) -> dict:
 # (runner, contracts function) of each exhibit, in run order
 RUNNERS = {
     "packaging": (run_packaging, packaging_contracts),
-    "nulls": (lambda profile: run_nulls(), nulls_contracts),
+    "nulls": (run_nulls, nulls_contracts),
     "holonomy": (run_holonomy, holonomy_contracts),
     "ablations": (run_ablations, ablations_contracts),
     "sweep": (run_sweep, sweep_contracts),
@@ -500,12 +472,12 @@ RUNNERS = {
 EXHIBITS = tuple(RUNNERS)
 
 
-def run_exhibit(name: str, profile: str = "paper") -> ArtifactRecord:
+def run_exhibit(name: str) -> ArtifactRecord:
     """The artifact of exhibit ``name``, its contracts derived from its metrics."""
     if name not in RUNNERS:
         raise ValueError(f"unknown exhibit {name!r}; known: {sorted(RUNNERS)}")
     runner, contracts = RUNNERS[name]
-    config, metrics = runner(profile)
+    config, metrics = runner()
     record = make_artifact(name, {"exhibit": name, **config}, metrics)
     record.metrics["contracts"] = contracts(record.metrics)
     return record

@@ -18,7 +18,8 @@ import numpy as np
 class FeasibilityGate:
     """Ledger extractor r(s) and per-action cost table c(a).
 
-    ``ledger`` has one nonnegative entry per state, ``costs`` one per action.
+    ``ledger`` is a 1-d array with one nonnegative entry per state, ``costs``
+    a 1-d array with one per action; anything else raises ValueError.
     """
 
     ledger: np.ndarray
@@ -27,6 +28,9 @@ class FeasibilityGate:
     def __post_init__(self):
         ledger = np.asarray(self.ledger, dtype=np.float64)
         costs = np.asarray(self.costs, dtype=np.float64)
+        if ledger.ndim != 1 or costs.ndim != 1:
+            raise ValueError(f"ledger and costs must be 1-d, not of shapes "
+                             f"{ledger.shape} and {costs.shape}")
         if not np.all(ledger >= 0):
             raise ValueError("ledger values must be nonnegative, not negative or NaN")
         if not np.all(costs >= 0):

@@ -20,13 +20,20 @@ from agencykit.kernel import ControlledKernel, check_fits
 
 @dataclass(frozen=True)
 class SafetyPredicate:
-    """Total boolean map over states marking which ones count as viable."""
+    """Total boolean map over states marking which ones count as viable.
+
+    ``safe`` is a 1-d array of bool dtype (numbers, NaN and strings are
+    refused, never coerced); anything else raises ValueError.
+    """
 
     safe: np.ndarray
     name: str = "safe"
 
     def __post_init__(self):
-        safe = np.asarray(self.safe, dtype=bool)
+        safe = np.asarray(self.safe)
+        if safe.ndim != 1 or safe.dtype != bool:
+            raise ValueError(f"safety mask must be a 1-d bool array, "
+                             f"not {safe.dtype} of shape {safe.shape}")
         safe.setflags(write=False)
         object.__setattr__(self, "safe", safe)
 
@@ -83,7 +90,7 @@ def viability_kernel(
     An empty safe set short-circuits to the empty kernel in zero iterations.
     """
     check_fits(k, gate, safe=safe)
-    K = np.asarray(safe.safe, dtype=bool).copy()
+    K = safe.safe.copy()
     trace: list[int] = []
     if not K.any():
         return ViabilityResult(kernel=K, trace=trace)

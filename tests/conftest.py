@@ -3,13 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from agencykit.experiments import (
-    ablation_configs,
-    base_profile,
-    holonomy_config,
-    learning_config,
-    maintenance_economy_config,
-)
+from agencykit.experiments import ABLATIONS, ECONOMY, PAPER, holonomy_config, learning_config
 from agencykit.feasibility import FeasibilityGate
 from agencykit.kernel import ControlledKernel
 from agencykit.viability import SafetyPredicate
@@ -42,8 +36,7 @@ def random_safety(rng: np.random.RandomState, n_states: int) -> SafetyPredicate:
 
 def sweep_ring_configs():
     """The 64 ring configs of the sweep exhibit, in grid order."""
-    economy = maintenance_economy_config("paper")
-    return [replace(economy, p_flip=round(float(p), 10), cost_repair=c)
+    return [replace(ECONOMY, p_flip=round(float(p), 10), cost_repair=c)
             for p in np.linspace(0.0, 0.7, 8) for c in range(8)]
 
 
@@ -52,11 +45,11 @@ def exhibit_ring_configs():
     return [
         holonomy_config("paper", True),
         holonomy_config("paper", False),
-        *ablation_configs("paper").values(),
+        *ABLATIONS.values(),
         *sweep_ring_configs(),
-        learning_config("paper", 0.2),
-        learning_config("paper", 0.0),
-        base_profile("paper"),
+        learning_config(0.2),
+        learning_config(0.0),
+        PAPER,
     ]
 
 

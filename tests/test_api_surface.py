@@ -90,3 +90,20 @@ def test_every_private_helper_has_a_caller():
         return []
 
     assert unread_definitions(private) == []
+
+
+def test_one_paper_configuration():
+    # the paper configuration is a value: only holonomy_config, which the
+    # benchmark calls with "paper", still takes a profile name
+    takes_profile, profiles = [], []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "profile" for p in params):
+                    takes_profile.append(f"{path.name}:{getattr(node, 'name', 'lambda')}")
+            elif isinstance(node, ast.Name) and node.id == "PROFILES":
+                profiles.append(f"{path.name}:{node.lineno}")
+    assert takes_profile == ["experiments.py:holonomy_config"]
+    assert profiles == []

@@ -1,3 +1,4 @@
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -136,6 +137,41 @@ class TestPlot:
         assert main(["plot", "nulls", "--dir", str(tmp_path), "--format", "csv"]) == 0
         lines = (tmp_path / "plots" / "nulls.csv").read_text().strip().splitlines()
         assert "null_a,1,0.0" in lines and not any("nan" in line for line in lines)
+
+    HOSTILE = ("<script>alert(1)</script>,x\ny", 'q"u\ro,te')
+
+    def hostile_ablations(self, tmp_path):
+        """An ablations run whose rows gain two names ``audit --strict`` still passes."""
+        assert main(["run", "ablations", "--out", str(tmp_path)]) == 0
+        stable = tmp_path / "generated" / "ablations.json"
+        doc = json.loads(stable.read_text())
+        for name in self.HOSTILE:
+            doc["metrics"]["rows"][name] = doc["metrics"]["rows"]["full"]
+        # metrics are not hashed, so the edited copy is still its artifact's bytes
+        for path in (stable, *tmp_path.glob("ablations_*.json")):
+            path.write_text(json.dumps(doc))
+        assert audit(tmp_path, strict=True).passed
+        return sorted(doc["metrics"]["rows"])
+
+    def test_svg_escapes_series_names(self, tmp_path):
+        names = self.hostile_ablations(tmp_path)
+        assert main(["plot", "ablations", "--dir", str(tmp_path), "--format", "svg"]) == 0
+        svg = (tmp_path / "plots" / "ablations.svg").read_text()
+        assert "<script" not in svg
+        texts = ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}text")
+        labels = [t.text for t in texts[1:]]
+        # an XML parser reads a CR as a newline
+        assert labels == [f"{field}:{name}".replace("\r", "\n")
+                          for field in ("defect", "empowerment", "kernel_size") for name in names]
+
+    def test_csv_quotes_series_names(self, tmp_path):
+        names = self.hostile_ablations(tmp_path)
+        assert main(["plot", "ablations", "--dir", str(tmp_path), "--format", "csv"]) == 0
+        with open(tmp_path / "plots" / "ablations.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["series", "x", "y"] and all(len(row) == 3 for row in rows)
+        fields = ("kernel_size", "empowerment", "defect")
+        assert [row[0] for row in rows[1:]] == [f"{f}:{name}" for name in names for f in fields]
 
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     @pytest.mark.parametrize("doc", [

@@ -29,7 +29,7 @@ from agencykit.environments import (
     build_schedule_trap,
     ring_state_index,
 )
-from agencykit.experiments import ablation_configs, base_profile, holonomy_config
+from agencykit.experiments import ABLATIONS, PAPER, holonomy_config
 from agencykit.feasibility import FeasibilityGate, feasible_sequences
 from agencykit.kernel import ControlledKernel, pull
 from agencykit.viability import viability_kernel
@@ -454,7 +454,7 @@ class TestTranslationOrbits:
         # H = 4 and 5 on the holonomy ring walk breadth-first below depth 2
         for cfg, horizons in (
             (holonomy_config("paper", False), (1, 2, 3, 4, 5)),
-            (ablation_configs("paper")["learn_on"], (1, 2, 3)),
+            (ABLATIONS["learn_on"], (1, 2, 3)),
         ):
             env = build_ringworld(cfg)
             k, f = env.kernel, env.output_lens
@@ -470,7 +470,7 @@ class TestTranslationOrbits:
 
     def test_build_channel_is_the_rolled_representative(self):
         # two independent rollouts: one from s0, one from its representative
-        env = build_ringworld(ablation_configs("paper")["full"])
+        env = build_ringworld(ABLATIONS["full"])
         k, g, f = env.kernel, env.gate, env.output_lens
         rep, period = _translation_orbits(k, g, f), env.n_states // f.n_labels
         assert not is_identity(rep)
@@ -665,7 +665,7 @@ class TestMedianInputs:
 
     @pytest.fixture(scope="class")
     def env(self):
-        return build_ringworld(base_profile("paper"))
+        return build_ringworld(PAPER)
 
     @staticmethod
     def median(env, states, gate=None, lens=None):

@@ -9,7 +9,6 @@ from agencykit.environments import (
     NOOP,
     REPAIR,
     RIGHT,
-    PROFILES,
     RingWorldConfig,
     _branch_masses,
     build_null_single_action,
@@ -340,7 +339,3 @@ class TestConfigValidation:
         inert = [f.name for f in dataclasses.fields(RingWorldConfig)
                  if not changes_environment(RingWorldConfig(), f.name)]
         assert inert == []
-
-    def test_profiles_present(self):
-        assert set(PROFILES) == {"paper"}
-        assert PROFILES["paper"] == RingWorldConfig()

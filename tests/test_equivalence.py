@@ -18,11 +18,7 @@ from agencykit.empowerment import (
     median_empowerment_on_kernel,
 )
 from agencykit.environments import RingWorldConfig, build_ringworld
-from agencykit.experiments import (
-    ablation_configs,
-    holonomy_config,
-    learning_config,
-)
+from agencykit.experiments import ABLATIONS, holonomy_config, learning_config
 from agencykit.feasibility import FeasibilityGate, feasible_sequences
 from agencykit.kernel import ControlledKernel, Policy
 from agencykit.packaging import idempotence_defect, packaging_endomap
@@ -55,8 +51,8 @@ class TestBuild:
         *RING_CONFIGS.values(),
         RingWorldConfig(),
         RingWorldConfig(ring_size=3, p_flip=0.3, p_slip=0.25, repair_success=0.5),
-        learning_config("paper", 0.2),
-        *ablation_configs("paper").values(),
+        learning_config(0.2),
+        *ABLATIONS.values(),
         # edges of the mass tables and of the target arithmetic
         RingWorldConfig(phase_period=1),
         RingWorldConfig(ledger_max=0, cost_repair=0),
@@ -65,8 +61,8 @@ class TestBuild:
         RingWorldConfig(p_slip=0.0),
         RingWorldConfig(p_slip=1.0, p_flip=1.0),
         RingWorldConfig(ring_size=5, p_flip=1.0, repair_success=0.0, cost_left=1, cost_right=1),
-        replace(learning_config("paper", 1.0), repair_enabled=False),
-        replace(learning_config("paper", 0.0), repair_enabled=False, p_flip=1.0),
+        replace(learning_config(1.0), repair_enabled=False),
+        replace(learning_config(0.0), repair_enabled=False, p_flip=1.0),
     ])
     def test_weights_within_one_ulp_of_fraction_tensor(self, cfg):
         probs = fraction_ring_tensor(cfg)

@@ -6,12 +6,12 @@ from agencykit.artifacts import canonical_serialize
 from agencykit.empowerment import median_empowerment_on_kernel
 from agencykit.environments import LEFT, RIGHT, build_ringworld
 from agencykit.experiments import (
+    ABLATIONS,
+    ECONOMY,
     EMPOWERMENT_TOL,
     EXHIBITS,
     MAX_MEDIAN_STATES,
-    ablation_configs,
     holonomy_config,
-    maintenance_economy_config,
     run_exhibit,
     solver_block,
 )
@@ -25,8 +25,8 @@ class TestRunnerBasics:
             run_exhibit("bogus")
 
     def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError):
-            run_exhibit("packaging", profile="nope")
+        with pytest.raises(ValueError, match="unknown profile 'nope'"):
+            holonomy_config("nope", True)
 
     @pytest.mark.parametrize("name", ["nulls", "packaging", "learning", "sweep", "ablations"])
     def test_record_shape_and_contracts(self, name):
@@ -118,7 +118,7 @@ class TestExhibitNumbers:
         assert m["defect"]["repair_off"][0] == 0.0
 
     def test_ablation_config_names(self):
-        assert set(ablation_configs("paper")) == {
+        assert set(ABLATIONS) == {
             "constraints_off", "full", "high_noise", "learn_on",
             "no_protocol", "no_repair", "repair_imperfect",
         }
@@ -135,7 +135,7 @@ class TestExhibitNumbers:
         record = run_exhibit("sweep")
         assert len(calls) == 1 and record.metrics["solver"]["solves"] == 88
         # the config still names what a built environment carries
-        env = build_ringworld(maintenance_economy_config("paper"))
+        env = build_ringworld(ECONOMY)
         assert record.metrics["state_layout"] == env.state_layout
         assert record.config["safety"] == env.safety_coherent.name
         assert record.config["output_lens"] == env.output_lens.name

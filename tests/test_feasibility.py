@@ -32,6 +32,18 @@ class TestGateInputs:
         with pytest.raises(ValueError, match=f"{field} .*not negative or NaN"):
             gate(ledger, costs)
 
+    @pytest.mark.parametrize("ledger, costs", [
+        ([3.0, 1.0], [[0.0, 1.0]]),
+        ([[3.0, 1.0]], [0.0, 1.0]),
+        (3.0, [0.0, 1.0]),
+        ([3.0, 1.0], 1.0),
+    ], ids=["2d_costs", "2d_ledger", "scalar_ledger", "scalar_costs"])
+    def test_ledger_and_costs_must_be_1d(self, ledger, costs):
+        # a (1, 2) cost table read as one action made feasible_sequences
+        # return a flat [0, 0] rather than a (4, 2) table
+        with pytest.raises(ValueError, match="ledger and costs must be 1-d"):
+            gate(ledger, costs)
+
 
 class TestFeasibleActions:
     def test_zero_costs_everything_feasible(self):

@@ -3,7 +3,7 @@ import pytest
 
 from agencykit.empowerment import Lens
 from agencykit.environments import RingWorldConfig, build_ringworld
-from agencykit.experiments import TAU_GRID, base_profile
+from agencykit.experiments import PAPER, TAU_GRID
 from agencykit.kernel import ControlledKernel, Policy
 from agencykit.packaging import Endomap, idempotence_defect, packaging_endomap
 from conftest import random_kernel
@@ -135,11 +135,10 @@ class TestExactTies:
 
     @pytest.mark.parametrize("policy", ["always_right", "repair_then_right"])
     def test_modes_match_exact_masses_with_smallest_label_ties(self, policy):
-        cfg = base_profile("paper")
-        env = build_ringworld(cfg)
+        env = build_ringworld(PAPER)
         mu = env.policies[policy]
         for tau in TAU_GRID:
-            exact = fraction_packaging_masses(cfg, mu.table, env.macro_lens.project, tau)
+            exact = fraction_packaging_masses(PAPER, mu.table, env.macro_lens.project, tau)
             modes = {fiber: min(label for label, mass in masses.items()
                                 if mass == max(masses.values()))
                      for fiber, masses in exact.items()}
@@ -148,10 +147,9 @@ class TestExactTies:
     def test_tau1_fiber2_tie_is_exact(self):
         # under repair_then_right, fiber 2's two members reach labels 1 and 3
         # with mass exactly 1 each, so label 1 is the exact smallest-label mode
-        cfg = base_profile("paper")
-        env = build_ringworld(cfg)
+        env = build_ringworld(PAPER)
         mu = env.policies["repair_then_right"]
-        exact = fraction_packaging_masses(cfg, mu.table, env.macro_lens.project, 1)
+        exact = fraction_packaging_masses(PAPER, mu.table, env.macro_lens.project, 1)
         assert exact[2] == {1: 1, 3: 1}
         e = packaging_endomap(env.kernel, env.macro_lens, mu, 1)
         assert e.mapping[2] == 1 and e.reach_mass[2] == 0.5

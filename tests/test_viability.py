@@ -22,6 +22,22 @@ def all_safe(n) -> SafetyPredicate:
     return SafetyPredicate(safe=np.ones(n, dtype=bool), name="all")
 
 
+class TestSafetyPredicate:
+    @pytest.mark.parametrize("safe", [[np.nan, 0.0], [0.7, 0], [2, 0], ["no", ""], [[True, False]],
+                                      [], True],
+                             ids=["nan", "fractional", "integers", "strings", "2d", "empty_list",
+                                  "scalar"])
+    def test_mask_must_be_1d_bools(self, safe):
+        # a NaN coerced to bool would mark its state safe
+        with pytest.raises(ValueError, match="safety mask must be a 1-d bool array"):
+            SafetyPredicate(safe=safe)
+
+    def test_bool_mask_is_kept_read_only(self):
+        pred = SafetyPredicate(safe=[True, False])
+        np.testing.assert_array_equal(pred.safe, [True, False])
+        assert pred.safe.dtype == bool and not pred.safe.flags.writeable
+
+
 class TestViabilityStep:
     def test_empty_set_stays_empty(self, rng):
         k = random_kernel(rng, 5, 2)
