@@ -8,8 +8,8 @@ over ``RingWorldConfig.radices``, y slowest and theta fastest:
 
     idx = (((y * 2 + u) * m_phi + phi) * (ledger_max + 1) + r) * theta_levels + theta
 
-The encoding is echoed into every artifact as a machine-readable
-``state_layout`` block, and the decoded digits of every state are kept as the
+``RingWorldConfig.state_layout`` describes the encoding, and every ring-world
+artifact echoes it; the decoded digits of every state are kept as the
 read-only (5, S) array ``Environment.state_fields``.
 
 Per-step dynamics, composed in this fixed order:
@@ -57,6 +57,9 @@ from agencykit.viability import SafetyPredicate
 
 ACTION_NAMES = ("LEFT", "RIGHT", "REPAIR", "NOOP")
 LEFT, RIGHT, REPAIR, NOOP = 0, 1, 2, 3
+
+OUTPUT_LENS, MACRO_LENS, LEDGER_ONLY, COHERENT = (
+    "outside_position", "macro_y_r_phi", "ledger_only", "ledger_and_coherent")
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,16 @@ class RingWorldConfig:
     def costs(self) -> tuple[int, int, int, int]:
         return (self.cost_left, self.cost_right, self.cost_repair, self.cost_noop)
 
+    @property
+    def state_layout(self) -> dict:
+        """Machine-readable description of the state encoding, echoed into artifacts."""
+        return {
+            "fields": ["y", "u", "phi", "r", "theta"],
+            "radices": list(self.radices),
+            "order": "y slowest, theta fastest",
+            "formula": "idx = (((y*2 + u)*m_phi + phi)*(R_max+1) + r)*n_theta + theta",
+        }
+
     def to_dict(self) -> dict:
         return dict(vars(self))
 
@@ -126,8 +139,6 @@ class Environment:
     safety_ledger_only: SafetyPredicate
     safety_coherent: SafetyPredicate
     policies: dict[str, Policy]
-    config_echo: dict
-    state_layout: dict
     # ring worlds: read-only (5, S) array of every state's decoded fields
     state_fields: np.ndarray | None = field(default=None, repr=False)
 
@@ -238,26 +249,19 @@ def build_ringworld(cfg: RingWorldConfig) -> Environment:
     return Environment(
         kernel=kernel,
         gate=FeasibilityGate(ledger=r.astype(np.float64), costs=np.array(cfg.costs, dtype=np.float64)),
-        output_lens=Lens(name="outside_position", project=y, n_labels=cfg.ring_size),
+        output_lens=Lens(name=OUTPUT_LENS, project=y, n_labels=cfg.ring_size),
         macro_lens=Lens(
-            name="macro_y_r_phi",
+            name=MACRO_LENS,
             project=(y * (cfg.ledger_max + 1) + r) * cfg.phase_period + phi,
             n_labels=cfg.ring_size * (cfg.ledger_max + 1) * cfg.phase_period,
         ),
-        safety_ledger_only=SafetyPredicate(safe=r >= 1, name="ledger_only"),
-        safety_coherent=SafetyPredicate(safe=(r >= 1) & (u == 0), name="ledger_and_coherent"),
+        safety_ledger_only=SafetyPredicate(safe=r >= 1, name=LEDGER_ONLY),
+        safety_coherent=SafetyPredicate(safe=(r >= 1) & (u == 0), name=COHERENT),
         policies={
             "always_right": Policy(kind="deterministic",
                                    table=dict.fromkeys(range(cfg.n_states), RIGHT)),
             "repair_then_right": Policy(kind="deterministic", table=dict(
                 enumerate(np.where(use_repair, REPAIR, RIGHT).tolist()))),
-        },
-        config_echo={"environment": "ringworld", **cfg.to_dict()},
-        state_layout={
-            "fields": ["y", "u", "phi", "r", "theta"],
-            "radices": list(cfg.radices),
-            "order": "y slowest, theta fastest",
-            "formula": "idx = (((y*2 + u)*m_phi + phi)*(R_max+1) + r)*n_theta + theta",
         },
         state_fields=fields,
     )
@@ -268,7 +272,7 @@ def ring_state_index(cfg: RingWorldConfig, y: int, u: int, phi: int, r: int, the
     return int(np.ravel_multi_index((y, u, phi, r, theta), cfg.radices))
 
 
-def _null_environment(targets: np.ndarray, lens: Lens, echo: dict, layout: dict) -> Environment:
+def _null_environment(targets: np.ndarray, lens: Lens) -> Environment:
     """Action a moves s to ``targets[a, s]``; zero costs, all safe, first-action policy."""
     n_actions, n = targets.shape
     kernel = ControlledKernel(n, n_actions, succ=targets[..., None],
@@ -282,8 +286,6 @@ def _null_environment(targets: np.ndarray, lens: Lens, echo: dict, layout: dict)
         safety_ledger_only=always,
         safety_coherent=always,
         policies={"first_action": Policy(kind="deterministic", table=dict.fromkeys(range(n), 0))},
-        config_echo=echo,
-        state_layout=layout,
     )
 
 
@@ -298,8 +300,6 @@ def build_null_single_action() -> Environment:
     return _null_environment(
         ((np.arange(n) + 1) % n)[None],
         Lens(name="identity", project=np.arange(n), n_labels=n),
-        {"environment": "null_single_action", "n_states": n},
-        {"fields": ["x"], "radices": [n], "formula": "idx = x"},
     )
 
 
@@ -317,18 +317,11 @@ def build_schedule_trap(model: str) -> Environment:
         # action a sets x = a from either state
         targets = np.array([[0, 0], [1, 1]])
         project = np.arange(2)
-        layout = {"fields": ["x"], "radices": [2], "formula": "idx = x"}
     elif model == "right":
         # state = (x, s_ext), idx = x*2 + s_ext; x' = s_ext, s_ext' = 1 - s_ext
         project, s_ext = np.divmod(np.arange(4), 2)
         targets = np.tile(s_ext * 2 + 1 - s_ext, (2, 1))
-        layout = {"fields": ["x", "s_ext"], "radices": [2, 2], "formula": "idx = x*2 + s_ext"}
     else:
         raise ValueError(f"model must be 'wrong' or 'right', got {model!r}")
-    return _null_environment(
-        targets,
-        Lens(name="outside_x", project=project, n_labels=2),
-        {"environment": "schedule_trap", "model": model, "n_states": len(project)},
-        layout,
-    )
+    return _null_environment(targets, Lens(name="outside_x", project=project, n_labels=2))
 

@@ -1,10 +1,12 @@
 """The six exhibit runners and the contracts derived from their metrics.
 
-Each runner returns its config and its metrics, a deterministic function of
-the config; runners never mutate environments and may run in any order.
-``RUNNERS`` pairs each runner with a pure function of the JSON-plain metrics
-that names its contracts (orderings, zeros, equalities): ``run_exhibit``
-stores them under ``metrics["contracts"]`` and ``artifacts.audit`` re-derives them.
+Each runner returns its config, its metrics (a deterministic function of the
+config) and the medians it solved, from which ``run_exhibit`` adds the solver
+settings and ``solver`` block; runners never mutate environments and may run
+in any order. ``RUNNERS`` pairs each runner with a pure function of the
+JSON-plain metrics that names its contracts (orderings, zeros, equalities):
+``run_exhibit`` stores them under ``metrics["contracts"]`` and
+``artifacts.audit`` re-derives them.
 
 Every ring-world exhibit derives from one configuration, ``PAPER`` (the
 ``RingWorldConfig`` defaults), recorded as ``"profile": "paper"`` in each
@@ -38,7 +40,11 @@ from agencykit.empowerment import (
 )
 from agencykit.environments import (
     ACTION_NAMES,
+    COHERENT,
+    LEDGER_ONLY,
     LEFT,
+    MACRO_LENS,
+    OUTPUT_LENS,
     RIGHT,
     Environment,
     RingWorldConfig,
@@ -117,7 +123,7 @@ def _problem(env: Environment, states, horizon: int) -> tuple:
     return env.kernel, env.gate, states, horizon, env.output_lens
 
 
-def run_nulls() -> tuple[dict, dict]:
+def run_nulls() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
     """Null regimes: single-action cycle and the exogenous-schedule trap.
 
     Each null is the capacity of the channel from start state 0, solved as
@@ -133,19 +139,17 @@ def run_nulls() -> tuple[dict, dict]:
     traps = {model: build_schedule_trap(model) for model in ("wrong", "right")}
     meds_b = median_empowerments(from_zero(env, horizon_b) for env in traps.values())
     config = {
-        "null_a": null_a.config_echo,
-        "null_b_wrong": traps["wrong"].config_echo,
-        "null_b_right": traps["right"].config_echo,
+        "null_a": {"environment": "null_single_action", "n_states": null_a.n_states},
+        **{f"null_b_{model}": {"environment": "schedule_trap", "model": model,
+                               "n_states": env.n_states} for model, env in traps.items()},
         "horizons_null_a": horizons_a,
         "horizon_null_b": horizon_b,
-        **SOLVER_SETTINGS,
     }
     metrics = {
         "null_a": {f"H{h}": med.median_bits for h, med in zip(horizons_a, meds_a)},
         "null_b": {model: med.median_bits for model, med in zip(traps, meds_b)},
-        "solver": solver_block(meds_a + meds_b),
     }
-    return config, metrics
+    return config, metrics, meds_a + meds_b
 
 
 def nulls_contracts(m: dict) -> dict:
@@ -156,7 +160,7 @@ def nulls_contracts(m: dict) -> dict:
     }
 
 
-def run_packaging() -> tuple[dict, dict]:
+def run_packaging() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
     """Idempotence defect across tau for repair-off vs repair-on policies."""
     env = build_ringworld(PAPER)
     regimes = {"repair_off": "always_right", "repair_on": "repair_then_right"}
@@ -168,7 +172,7 @@ def run_packaging() -> tuple[dict, dict]:
                 env.kernel, env.macro_lens, env.policies[policy_name], tau, policy_name
             )
             defects[regime].append(idempotence_defect(e))
-            endomaps[f"{env.macro_lens.name}|{policy_name}|tau{tau}"] = {
+            endomaps[f"{MACRO_LENS}|{policy_name}|tau{tau}"] = {
                 "mapping": [e.mapping[x] for x in e.domain],
                 "reach_mass": [e.reach_mass[x] for x in e.domain],
                 "domain": e.domain,
@@ -178,16 +182,16 @@ def run_packaging() -> tuple[dict, dict]:
         "profile": PROFILE,
         "environment": PAPER.to_dict(),
         "tau_grid": list(TAU_GRID),
-        "macro_lens": env.macro_lens.name,
+        "macro_lens": MACRO_LENS,
         "policies": regimes,
     }
     metrics = {
-        "state_layout": env.state_layout,
+        "state_layout": PAPER.state_layout,
         "tau_grid": list(TAU_GRID),
         "defect": defects,
         "endomaps": endomaps,
     }
-    return config, metrics
+    return config, metrics, []
 
 
 def packaging_contracts(m: dict) -> dict:
@@ -200,7 +204,7 @@ def packaging_contracts(m: dict) -> dict:
     }
 
 
-def run_holonomy() -> tuple[dict, dict]:
+def run_holonomy() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
     """Median feasible empowerment vs horizon for protocol on/off, plus TV witness."""
     results = {}
     envs = {}
@@ -247,23 +251,20 @@ def run_holonomy() -> tuple[dict, dict]:
         "environment_on": envs["protocol_on"][0].to_dict(),
         "environment_off": envs["protocol_off"][0].to_dict(),
         "horizons": list(HORIZON_GRID),
-        "output_lens": env.output_lens.name,
-        "safety": env.safety_ledger_only.name,
-        **SOLVER_SETTINGS,
+        "output_lens": OUTPUT_LENS,
+        "safety": LEDGER_ONLY,
         "witness_sequences": {
             name: [ACTION_NAMES[a] for a in seq] for name, seq in sequences.items()
         },
     }
-    env_on = envs["protocol_on"][1]
     metrics = {
-        "state_layout": env_on.state_layout,
+        "state_layout": envs["protocol_on"][0].state_layout,
         "horizons": list(HORIZON_GRID),
         "protocol_on": results["protocol_on"],
         "protocol_off": results["protocol_off"],
         "witness": witness,
-        "solver": solver_block(meds),
     }
-    return config, metrics
+    return config, metrics, meds
 
 
 def holonomy_contracts(m: dict) -> dict:
@@ -277,10 +278,10 @@ def holonomy_contracts(m: dict) -> dict:
     }
 
 
-def run_ablations() -> tuple[dict, dict]:
+def run_ablations() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
     """Primitive toggle suite: |K|, median empowerment at H=2 (one pass), defect at tau=2."""
     horizon, tau, policy = 2, 2, "repair_then_right"
-    rows, kept = {}, {}
+    rows = {}
 
     def problems():
         # one environment alive at a time, as in ``run_sweep``
@@ -296,32 +297,23 @@ def run_ablations() -> tuple[dict, dict]:
                 "kernel_trace": vres.trace,
                 "packaging_defect": idempotence_defect(endo),
             }
-            if name == "full":
-                kept["state_layout"] = env.state_layout
             yield _problem(env, vres.kernel, horizon)
-        kept["env"] = env
 
     meds = median_empowerments(problems())
     for row, med in zip(rows.values(), meds):
         row["empowerment_median"] = med.median_bits
         row["subset_rule"] = med.subset_rule
-    env = kept["env"]
     config = {
         "profile": PROFILE,
         "configs": {name: cfg.to_dict() for name, cfg in ABLATIONS.items()},
         "empowerment_horizon": horizon,
         "packaging_tau": tau,
-        "output_lens": env.output_lens.name,
-        "macro_lens": env.macro_lens.name,
-        "safety": env.safety_ledger_only.name,
-        **SOLVER_SETTINGS,
+        "output_lens": OUTPUT_LENS,
+        "macro_lens": MACRO_LENS,
+        "safety": LEDGER_ONLY,
     }
-    metrics = {
-        "state_layout": kept["state_layout"],
-        "rows": rows,
-        "solver": solver_block(meds),
-    }
-    return config, metrics
+    metrics = {"state_layout": ECONOMY.state_layout, "rows": rows}
+    return config, metrics, meds
 
 
 def ablations_contracts(m: dict) -> dict:
@@ -341,7 +333,7 @@ def ablations_contracts(m: dict) -> dict:
     }
 
 
-def run_sweep() -> tuple[dict, dict]:
+def run_sweep() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
     """8x8 noise/maintenance-cost grid under the coherence safety predicate.
 
     The 64 cells' medians are solved in one ``median_empowerments`` pass.
@@ -350,7 +342,6 @@ def run_sweep() -> tuple[dict, dict]:
     cost_grid = list(range(8))
     horizon = 2
     kernel_sizes = np.zeros((len(p_grid), len(cost_grid)), dtype=np.int64)
-    last = []
 
     def cells():
         # one environment alive at a time: each cell's median is cut before
@@ -361,23 +352,20 @@ def run_sweep() -> tuple[dict, dict]:
                 vres = viability_kernel(env.kernel, env.gate, env.safety_coherent)
                 kernel_sizes[i, j] = vres.size
                 yield _problem(env, vres.kernel, horizon)
-        last.append(env)
 
     meds = median_empowerments(cells())
     emp = np.array([med.median_bits for med in meds]).reshape(kernel_sizes.shape)
-    env = last[0]
     config = {
         "profile": PROFILE,
         "base_environment": ECONOMY.to_dict(),
         "p_flip_grid": p_grid,
         "cost_repair_grid": cost_grid,
         "empowerment_horizon": horizon,
-        "safety": env.safety_coherent.name,
-        "output_lens": env.output_lens.name,
-        **SOLVER_SETTINGS,
+        "safety": COHERENT,
+        "output_lens": OUTPUT_LENS,
     }
     metrics = {
-        "state_layout": env.state_layout,
+        "state_layout": ECONOMY.state_layout,  # every cell has ECONOMY's radices
         "p_flip_grid": p_grid,
         "cost_repair_grid": cost_grid,
         "kernel_size_grid": kernel_sizes.tolist(),
@@ -386,9 +374,8 @@ def run_sweep() -> tuple[dict, dict]:
         "kernel_size_max": int(kernel_sizes.max()),
         "empowerment_min": float(emp.min()),
         "empowerment_max": float(emp.max()),
-        "solver": solver_block(meds),
     }
-    return config, metrics
+    return config, metrics, meds
 
 
 def sweep_contracts(m: dict) -> dict:
@@ -404,7 +391,7 @@ def sweep_contracts(m: dict) -> dict:
     }
 
 
-def run_learning() -> tuple[dict, dict]:
+def run_learning() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
     """Median empowerment per skill level, with a zero-slip control group.
 
     Medians are taken over viable states restricted to a fixed staged phase
@@ -416,16 +403,16 @@ def run_learning() -> tuple[dict, dict]:
         cfg = learning_config(p_slip)
         env = build_ringworld(cfg)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
-        fields = dict(zip(env.state_layout["fields"], env.state_fields),
+        fields = dict(zip(cfg.state_layout["fields"], env.state_fields),
                       viable=vres.kernel)
         kept = np.logical_and.reduce([fields[k] == v for k, v in restriction.items()])
         problems = [_problem(env, kept & (fields["theta"] == theta), horizon)
                     for theta in range(cfg.theta_levels)]
-        return cfg, env, problems
+        return cfg, problems
 
     # both sectors' medians in one call
-    cfg, env, problems = sector_problems(0.2)
-    control_cfg, _, control_problems = sector_problems(0.0)
+    cfg, problems = sector_problems(0.2)
+    control_cfg, control_problems = sector_problems(0.0)
     all_meds = median_empowerments(problems + control_problems)
     meds, control_meds = all_meds[: len(problems)], all_meds[len(problems) :]
     config = {
@@ -433,13 +420,12 @@ def run_learning() -> tuple[dict, dict]:
         "environment": cfg.to_dict(),
         "control_environment": control_cfg.to_dict(),
         "empowerment_horizon": horizon,
-        "output_lens": env.output_lens.name,
+        "output_lens": OUTPUT_LENS,
         "restriction": restriction,
-        "safety": env.safety_ledger_only.name,
-        **SOLVER_SETTINGS,
+        "safety": LEDGER_ONLY,
     }
     metrics = {
-        "state_layout": env.state_layout,
+        "state_layout": cfg.state_layout,
         "theta_values": list(range(cfg.theta_levels)),
         "medians": [med.median_bits for med in meds],
         "control_medians": [med.median_bits for med in control_meds],
@@ -447,9 +433,8 @@ def run_learning() -> tuple[dict, dict]:
             f"theta{theta}": {"states": med.selected_states, "values": med.values}
             for theta, med in enumerate(meds)
         },
-        "solver": solver_block(meds + control_meds),
     }
-    return config, metrics
+    return config, metrics, all_meds
 
 
 def learning_contracts(m: dict) -> dict:
@@ -477,7 +462,9 @@ def run_exhibit(name: str) -> ArtifactRecord:
     if name not in RUNNERS:
         raise ValueError(f"unknown exhibit {name!r}; known: {sorted(RUNNERS)}")
     runner, contracts = RUNNERS[name]
-    config, metrics = runner()
+    config, metrics, meds = runner()
+    if meds:
+        config, metrics = {**config, **SOLVER_SETTINGS}, {**metrics, "solver": solver_block(meds)}
     record = make_artifact(name, {"exhibit": name, **config}, metrics)
     record.metrics["contracts"] = contracts(record.metrics)
     return record

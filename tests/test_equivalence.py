@@ -78,7 +78,7 @@ class TestBuild:
 
     def test_every_ring_position_gets_identical_rows(self, ring_env):
         k = ring_env.kernel
-        ring = ring_env.config_echo["ring_size"]
+        ring = ring_env.output_lens.n_labels  # the output lens reads the ring position
         per_y = k.weights.reshape(k.n_actions, ring, -1, k.weights.shape[2])
         assert np.all(per_y == per_y[:, :1])
         assert np.all(k.weights.sum(axis=-1) == 1.0)

@@ -136,7 +136,7 @@ class TestExhibitNumbers:
         assert len(calls) == 1 and record.metrics["solver"]["solves"] == 88
         # the config still names what a built environment carries
         env = build_ringworld(ECONOMY)
-        assert record.metrics["state_layout"] == env.state_layout
+        assert record.metrics["state_layout"] == ECONOMY.state_layout
         assert record.config["safety"] == env.safety_coherent.name
         assert record.config["output_lens"] == env.output_lens.name
 
