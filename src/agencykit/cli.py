@@ -5,7 +5,9 @@ Exit codes are a stable contract: 0 success, 1 contract/audit failure,
 text; machine-readable data goes to files only.
 
 The output directory defaults to ``results/`` and can be overridden by the
-``AGENCYKIT_OUT`` environment variable or the ``--out`` / ``--dir`` flags.
+``AGENCYKIT_OUT`` environment variable (an empty value counts as unset) or the
+``--out`` / ``--dir`` flags. ``run --clean`` refuses, with a usage error, an
+output directory that is the working directory or one of its ancestors.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ DEFAULT_OUT = "results"
 
 
 def _default_out() -> str:
-    return os.environ.get(OUT_ENV_VAR, DEFAULT_OUT)
+    return os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,6 +65,11 @@ def _cmd_run(args) -> int:
         return EXIT_USAGE
 
     out = Path(args.out or _default_out())
+    cwd = Path.cwd().resolve()
+    if args.clean and out.resolve() in (cwd, *cwd.parents):
+        print(f"error: --clean would remove {out}, which holds the working directory",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.clean and out.exists():
             shutil.rmtree(out)

@@ -15,6 +15,7 @@ them in one ``channel_capacities`` call.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -46,7 +47,8 @@ class Lens:
     n_labels: int
 
     def __post_init__(self):
-        n_labels, project = self.n_labels, np.asarray(self.project)
+        # a copy: freezing it leaves the caller's array writable
+        n_labels, project = self.n_labels, np.array(self.project)
         if isinstance(n_labels, bool) or not isinstance(n_labels, (int, np.integer)) or n_labels < 1:
             raise ValueError(f"lens n_labels must be an integer >= 1, not {n_labels!r}")
         if project.ndim != 1 or project.dtype.kind not in "iu":
@@ -129,10 +131,11 @@ def channel_capacities(
     gap open. The flush exists because arithmetic on subnormal operands runs
     several times slower and numpy has no flush-to-zero mode.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    # bools are refused; a NaN tol fails ``0 < tol`` and would otherwise never stop a solve
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite number > 0, not {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, not {max_iter!r}")
     results: list[CapacityResult | None] = []
     blocks, merges = [], []
     for w in channels:

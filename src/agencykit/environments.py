@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -84,6 +85,17 @@ class RingWorldConfig:
     theta_levels: int = 1
 
     def __post_init__(self):
+        # one stored type per field, so equal kernels hash alike: integers and
+        # flags are never bools or numbers of another kind, and each probability
+        # is stored as a float (p_slip=0 and p_slip=0.0 are one config)
+        kinds = {"int": (numbers.Integral, int, "an integer"), "bool": (bool, bool, "a bool"),
+                 "float": (numbers.Real, float, "a real number")}
+        for name, kind in type(self).__annotations__.items():
+            accepted, convert, noun = kinds[kind]
+            value = getattr(self, name)
+            if not isinstance(value, accepted) or (isinstance(value, bool) and kind != "bool"):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
+            object.__setattr__(self, name, convert(value))
         if self.ring_size < 3:
             raise ValueError("ring_size must be >= 3")
         if self.phase_period < 1:

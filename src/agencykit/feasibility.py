@@ -26,8 +26,9 @@ class FeasibilityGate:
     costs: np.ndarray
 
     def __post_init__(self):
-        ledger = np.asarray(self.ledger, dtype=np.float64)
-        costs = np.asarray(self.costs, dtype=np.float64)
+        # copies: freezing them leaves the caller's arrays writable
+        ledger = np.array(self.ledger, dtype=np.float64)
+        costs = np.array(self.costs, dtype=np.float64)
         if ledger.ndim != 1 or costs.ndim != 1:
             raise ValueError(f"ledger and costs must be 1-d, not of shapes "
                              f"{ledger.shape} and {costs.shape}")

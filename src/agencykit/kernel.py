@@ -116,8 +116,9 @@ class ControlledKernel:
             if probs.ndim != 3 or probs.shape[1] != probs.shape[2]:
                 raise ValueError(f"probs must have shape (A, S, S), got {probs.shape}")
             succ, weights = _successor_lists(probs)
-        succ = np.asarray(succ)
-        weights = np.asarray(weights, dtype=np.float64)
+        else:
+            # copies: freezing them leaves the caller's arrays writable
+            succ, weights = np.array(succ), np.array(weights, dtype=np.float64)
         _check_kernel(n_states, n_actions, succ, weights)
         succ = succ.astype(np.int64, copy=False)
         succ.setflags(write=False)

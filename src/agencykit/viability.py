@@ -30,7 +30,7 @@ class SafetyPredicate:
     name: str = "safe"
 
     def __post_init__(self):
-        safe = np.asarray(self.safe)
+        safe = np.array(self.safe)  # a copy: freezing it leaves the caller's array writable
         if safe.ndim != 1 or safe.dtype != bool:
             raise ValueError(f"safety mask must be a 1-d bool array, "
                              f"not {safe.dtype} of shape {safe.shape}")

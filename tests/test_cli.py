@@ -28,6 +28,27 @@ class TestRun:
         assert main(["run", "nulls", "--clean", "--out", str(tmp_path)]) == 0
         assert not stale.exists()
 
+    def test_empty_out_variable_counts_as_unset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("AGENCYKIT_OUT", "")
+        (tmp_path / "precious.txt").write_text("keep")
+        assert main(["run", "nulls", "--clean"]) == 0
+        assert (tmp_path / "precious.txt").read_text() == "keep"
+        assert len(list((tmp_path / "results").glob("nulls_*.json"))) == 1
+
+    @pytest.mark.parametrize("out", [".", "..", "sub/.."])
+    def test_clean_refuses_the_working_directory_and_its_ancestors(self, tmp_path, monkeypatch,
+                                                                   capsys, out):
+        # ".." stays inside tmp_path: the working directory is one level down
+        work = tmp_path / "work"
+        (work / "sub").mkdir(parents=True)
+        (work / "precious.txt").write_text("keep")
+        monkeypatch.chdir(work)
+        assert main(["run", "nulls", "--clean", "--out", out]) == 2
+        assert "--clean" in capsys.readouterr().err
+        assert (work / "precious.txt").read_text() == "keep"
+        assert sorted(p.name for p in work.iterdir()) == ["precious.txt", "sub"]
+
     def test_rerun_produces_identical_filenames(self, tmp_path):
         assert main(["run", "packaging", "--out", str(tmp_path)]) == 0
         first = sorted(p.name for p in tmp_path.glob("packaging_*.json"))

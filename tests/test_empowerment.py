@@ -610,6 +610,14 @@ class TestChannelCapacities:
         with pytest.raises(ValueError, match="2-d"):
             channel_capacities([np.array([0.5, 0.5])])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": True}, {"tol": "1e-9"},
+        {"max_iter": 2.5}, {"max_iter": True}, {"max_iter": None},
+    ])
+    def test_unusable_tol_or_max_iter_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            channel_capacities([np.array([[0.9, 0.1], [0.1, 0.9]])], **kwargs)
+
 
 class TestFeasibleEmpowerment:
     def test_no_feasible_sequences_zero(self, rng):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from agencykit.artifacts import config_hash
 from agencykit.empowerment import feasible_empowerment
 from agencykit.environments import (
     LEFT,
@@ -312,6 +313,25 @@ class TestConfigValidation:
     def test_theta_levels_must_be_positive(self):
         with pytest.raises(ValueError):
             RingWorldConfig(theta_levels=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("gain_every_step", 0), ("protocol_on", 1), ("repair_enabled", np.bool_(True)),
+        ("ring_size", 8.0), ("cost_left", 1.5), ("theta_levels", True), ("ledger_gain", False),
+        ("p_flip", True), ("p_slip", "0.1"), ("repair_success", None),
+    ])
+    def test_field_of_the_wrong_kind_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RingWorldConfig(**{name: value})
+
+    def test_equal_configs_hash_alike(self):
+        pairs = [
+            (RingWorldConfig(p_slip=0, repair_success=1), RingWorldConfig(p_slip=0.0)),
+            (RingWorldConfig(ring_size=np.int64(8), p_flip=np.float32(0.5)),
+             RingWorldConfig(p_flip=0.5)),
+        ]
+        for a, b in pairs:
+            assert a == b and config_hash(a.to_dict()) == config_hash(b.to_dict())
+            assert [type(v) for v in vars(a).values()] == [type(v) for v in vars(b).values()]
 
     def test_no_field_is_only_hashed(self):
         # every field is hashed into the artifacts, so each must also shape

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from agencykit.empowerment import Lens
+from agencykit.feasibility import FeasibilityGate
 from agencykit.kernel import (
     SCAN_CHUNK,
     ControlledKernel,
@@ -12,6 +14,7 @@ from agencykit.kernel import (
     pull,
     validate_kernel,
 )
+from agencykit.viability import SafetyPredicate
 from conftest import random_kernel
 from oracles import dense, dense_rows, successor_support
 
@@ -355,3 +358,27 @@ class TestProperties:
             lhs = step(k, mix, 0)
             rhs = alpha * step(k, d1, 0) + (1 - alpha) * step(k, d2, 0)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+class TestValueTypesCopyTheirInputs:
+    # each constructor freezes its own copy: the caller's arrays stay
+    # writable, and editing one leaves the constructed value unchanged
+    CASES = {
+        "kernel": (lambda a: ControlledKernel(2, 1, succ=a["succ"], weights=a["weights"]),
+                   {"succ": np.array([[[1], [0]]]), "weights": np.ones((1, 2, 1))}),
+        "lens": (lambda a: Lens(name="x", project=a["project"], n_labels=2),
+                 {"project": np.array([0, 1])}),
+        "safety": (lambda a: SafetyPredicate(safe=a["safe"]), {"safe": np.array([True, False])}),
+        "gate": (lambda a: FeasibilityGate(ledger=a["ledger"], costs=a["costs"]),
+                 {"ledger": np.array([1.0, 2.0]), "costs": np.array([0.0])}),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_callers_arrays_stay_writable_and_unshared(self, name):
+        make, arrays = self.CASES[name]
+        value = make(arrays)
+        for field, array in arrays.items():
+            before = getattr(value, field).copy()
+            assert array.flags.writeable and not getattr(value, field).flags.writeable
+            array[...] = ~array if array.dtype == bool else array + 1  # edits every entry
+            np.testing.assert_array_equal(getattr(value, field), before)
