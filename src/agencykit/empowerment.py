@@ -26,10 +26,11 @@ from agencykit.kernel import ControlledKernel, check_fits, predecessor_lists, pu
 
 ROW_TOLERANCE = 1e-9
 
-# default capacity stop tolerance in bits, and the most states a median solves
+# default capacity stop tolerance in bits, the most states a median solves
+# and the iteration cap of every Blahut-Arimoto solve
 EMPOWERMENT_TOL = 1e-9
 MAX_MEDIAN_STATES = 64
-BA_DEFAULT_MAX_ITER = 10000
+BA_MAX_ITER = 10000
 SMALLEST_NORMAL = np.finfo(np.float64).tiny  # 2**-1022
 
 
@@ -92,21 +93,20 @@ def build_channel(
 def channel_capacity(
     w: np.ndarray,
     tol: float = EMPOWERMENT_TOL,
-    max_iter: int = BA_DEFAULT_MAX_ITER,
 ) -> CapacityResult:
     """Channel capacity in bits of one channel matrix (see ``channel_capacities``)."""
-    return channel_capacities([w], tol=tol, max_iter=max_iter)[0]
+    return channel_capacities([w], tol=tol)[0]
 
 
 def channel_capacities(
     channels: Iterable[np.ndarray],
     tol: float = EMPOWERMENT_TOL,
-    max_iter: int = BA_DEFAULT_MAX_ITER,
 ) -> list[CapacityResult]:
     """Channel capacities in bits via Blahut-Arimoto alternating maximization.
 
     A channel stops when its certified bound gap max_x D(W_x || q) - I(p; W)
-    drops to ``tol`` bits; one that reaches ``max_iter`` reports its last gap.
+    drops to ``tol`` bits; one that reaches the fixed cap of ``BA_MAX_ITER``
+    iterations, read at each call, reports its last gap.
     Every row must be finite, nonnegative and sum to 1 within
     ``ROW_TOLERANCE``, or ValueError names the first that is not. Channels
     with zero or one row have capacity zero by convention.
@@ -134,8 +134,6 @@ def channel_capacities(
     # bools are refused; a NaN tol fails ``0 < tol`` and would otherwise never stop a solve
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
         raise ValueError(f"tol must be a finite number > 0, not {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1, not {max_iter!r}")
     results: list[CapacityResult | None] = []
     blocks, merges = [], []
     for w in channels:
@@ -183,7 +181,7 @@ def channel_capacities(
     p = np.repeat(1.0 / counts, counts)
     starts = np.cumsum(counts) - counts
     seg = np.repeat(np.arange(len(counts)), counts)
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, BA_MAX_ITER + 1):
         q = np.add.reduceat(p[:, None] * W, starts)
         # flooring q makes a supported column with zero marginal register as a
         # huge divergence (instead of dropping out of D), so the update pushes
@@ -195,7 +193,7 @@ def channel_capacities(
         upper = np.maximum.reduceat(D, starts)
         gap = upper - lower
         stop = gap <= tol
-        if iterations == max_iter:
+        if iterations == BA_MAX_ITER:
             stop[:] = True
         if np.count_nonzero(stop):
             for j in np.flatnonzero(stop):
@@ -228,10 +226,9 @@ def feasible_empowerment(
     s0: int,
     horizon: int,
     f: Lens,
-    tol: float = EMPOWERMENT_TOL,
 ) -> float:
-    """Capacity (bits) of the budget-restricted sequence channel from ``s0``."""
-    return channel_capacity(build_channel(k, gate, s0, horizon, f), tol=tol).capacity_bits
+    """Capacity (bits), to ``EMPOWERMENT_TOL``, of the budget-restricted channel from ``s0``."""
+    return channel_capacity(build_channel(k, gate, s0, horizon, f)).capacity_bits
 
 
 @dataclass
@@ -323,7 +320,7 @@ def _batched_sequence_rows(
     region = _reachable(k, states, horizon - 1)
     n_region = len(region)
     step = predecessor_lists(k, region)
-    last = predecessor_lists(k, region, f.project, n_labels)
+    last = predecessor_lists(k, region, f)
     D0 = np.zeros((n_region, m))
     D0[np.searchsorted(region, states), np.arange(m)] = 1.0
 

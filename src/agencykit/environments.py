@@ -30,14 +30,14 @@ Per-step dynamics, composed in this fixed order:
 
 A step's branch masses depend only on whether the executed action moves or
 repairs, on u and on theta; the direction of a move, phi and r only decide
-where each branch lands. So each (movement kind, u, theta) gets one table of
-((moved, u'), mass) branches, summed in exact
-rational arithmetic and converted to float once, with the largest mass set to
-1 - (float sum of the others) so every row sums to exactly 1.0. The targets
-are integer numpy arithmetic on the decoded state fields, and the same tables
-serve every ring position. A table is summed once per process: it is memoised
-on the config fields that set its masses, so configs that differ only in
-costs, ledger or ring geometry share it.
+where each branch lands. So each (executed action, u, theta) takes one table
+of ((moved, u'), mass) branches, summed in exact rational arithmetic and
+converted to float once, with the largest mass set to 1 - (float sum of the
+others) so every row sums to exactly 1.0. Targets are integer arithmetic on
+the decoded state fields, and the same tables serve every ring position. A
+table is summed once per process: it is memoised on the config fields that
+set its masses and on whether the action moves or repairs, so LEFT and RIGHT
+share one, as do configs that differ only in costs, ledger or ring geometry.
 """
 
 from __future__ import annotations
@@ -142,16 +142,17 @@ class RingWorldConfig:
 
 @dataclass(frozen=True)
 class Environment:
-    """A constructed environment: kernel + gate + lenses + safety + policies."""
+    """A constructed environment: kernel + gate + output lens, and ring-world parts."""
 
     kernel: ControlledKernel
     gate: FeasibilityGate
     output_lens: Lens
-    macro_lens: Lens
-    safety_ledger_only: SafetyPredicate
-    safety_coherent: SafetyPredicate
-    policies: dict[str, Policy]
-    # ring worlds: read-only (5, S) array of every state's decoded fields
+    # ring worlds only, the null regimes keep the defaults; state_fields is the
+    # read-only (5, S) array of every state's decoded fields
+    macro_lens: Lens | None = None
+    safety_ledger_only: SafetyPredicate | None = None
+    safety_coherent: SafetyPredicate | None = None
+    policies: dict[str, Policy] = field(default_factory=dict)
     state_fields: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -168,10 +169,11 @@ def _branch_masses(p_slip: float, p_flip: float, repair_success: float, theta_le
     fields, whether the executed action moves or repairs, the damage bit and
     the skill level; the direction of a move, phase and ledger only decide
     where a branch lands. Each mass is summed in exact rational arithmetic
-    and converted to float once. Ties keep the order in which the branches
-    are first reached. The result is memoised, so each distinct table is
-    summed once per process, and holds only floats and small ints, so the
-    memo keeps few objects alive.
+    and converted to float once; the largest, set to 1 - (float sum of the
+    others), makes the row sum to exactly 1.0 in slot order. Ties keep the
+    order in which the branches are first reached. The result is memoised, so
+    each distinct table is summed once per process, and holds only floats and
+    small ints, so the memo keeps few objects alive.
     """
     slip = Fraction(p_slip)
     if theta_levels > 1:
@@ -187,47 +189,40 @@ def _branch_masses(p_slip: float, p_flip: float, repair_success: float, theta_le
                 if mass := p_move * p_u1 * p_rep:
                     masses[moved, u2] = masses.get((moved, u2), 0) + mass
     assert sum(masses.values()) == 1
-    return tuple((branch, float(mass))
-                 for branch, mass in sorted(masses.items(), key=lambda item: item[1]))
+    branches, exact = zip(*sorted(masses.items(), key=lambda item: item[1]))
+    floats = [float(mass) for mass in exact]
+    # numpy adds these few terms in slot order; sum() compensates from Python 3.12
+    floats[-1] = 1.0 - float(np.sum(floats[:-1]))
+    return tuple(zip(branches, floats))
 
 
 def _ring_transitions(cfg: RingWorldConfig, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Padded successor lists (succ, weights) for every (action, state) pair.
 
-    Row (a, s) takes the float table of its executed action's movement kind,
-    u and theta, so every ring position carries bit-identical weights in the
-    same slot order. Targets are the successor fields of one ring position
-    (y = 0), encoded over ``cfg.radices`` and shifted around the ring.
+    Row (a, s) takes the float table of its executed action, u and theta, so
+    every ring position carries bit-identical weights in the same slot order.
+    Targets are the successor fields of one ring position (y = 0), encoded
+    over ``cfg.radices`` and shifted around the ring.
     """
-    # (moves, repairs) of each executed action: LEFT and RIGHT share a table,
-    # and so do REPAIR and NOOP when repair is disabled
-    kinds = [(e in (LEFT, RIGHT), e == REPAIR and cfg.repair_enabled)
-             for e in range(len(ACTION_NAMES))]
-    distinct = sorted(set(kinds))
-    kind_of = np.array([distinct.index(kind) for kind in kinds])
-    keys = [(*kind, u, theta)
-            for kind, u, theta in itertools.product(distinct, range(2), range(cfg.theta_levels))]
+    keys = list(itertools.product(range(len(ACTION_NAMES)), range(2), range(cfg.theta_levels)))
     n_branches = np.zeros(len(keys), dtype=np.int64)
     # at most four branches: moved or not, times u'
     moved, u_next = np.zeros((2, len(keys), 4), dtype=np.int64)
     mass = np.zeros((len(keys), 4))
-    for i, key in enumerate(keys):
+    for i, (e, u, theta) in enumerate(keys):
         branches, masses = zip(*_branch_masses(
-            cfg.p_slip, cfg.p_flip, cfg.repair_success, cfg.theta_levels, *key))
+            cfg.p_slip, cfg.p_flip, cfg.repair_success, cfg.theta_levels,
+            e in (LEFT, RIGHT), e == REPAIR and cfg.repair_enabled, u, theta))
         k = n_branches[i] = len(masses)
         moved[i, :k], u_next[i, :k] = zip(*branches)
         mass[i, :k] = masses
-        # the largest entry absorbs the float conversion residual: set to
-        # 1 - (float sum of the entries before it), it makes the row sum to
-        # exactly 1.0 in slot order
-        mass[i, k - 1] = 1.0 - mass[i, :k - 1].sum()
 
     n_local = cfg.n_states // cfg.ring_size
     _, u, phi, r, theta = fields[:, :n_local]
     costs = np.array(cfg.costs)
     # infeasible commands collapse to no-ops at this layer
     e = np.where(costs[:, None] <= r, np.arange(len(ACTION_NAMES))[:, None], NOOP)
-    table = (kind_of[e] * 2 + u) * cfg.theta_levels + theta
+    table = (e * 2 + u) * cfg.theta_levels + theta
     width = n_branches[table].max()
     moved, u_next, weights = moved[table, :width], u_next[table, :width], mass[table, :width]
 
@@ -285,19 +280,14 @@ def ring_state_index(cfg: RingWorldConfig, y: int, u: int, phi: int, r: int, the
 
 
 def _null_environment(targets: np.ndarray, lens: Lens) -> Environment:
-    """Action a moves s to ``targets[a, s]``; zero costs, all safe, first-action policy."""
+    """Action a moves s to ``targets[a, s]``, at zero cost, seen through ``lens``."""
     n_actions, n = targets.shape
     kernel = ControlledKernel(n, n_actions, succ=targets[..., None],
                               weights=np.ones((n_actions, n, 1)))
-    always = SafetyPredicate(safe=np.ones(n, dtype=bool), name="always_safe")
     return Environment(
         kernel=kernel,
         gate=FeasibilityGate(ledger=np.zeros(n), costs=np.zeros(n_actions)),
         output_lens=lens,
-        macro_lens=lens,
-        safety_ledger_only=always,
-        safety_coherent=always,
-        policies={"first_action": Policy(kind="deterministic", table=dict.fromkeys(range(n), 0))},
     )
 
 

@@ -206,13 +206,14 @@ def packaging_contracts(m: dict) -> dict:
 
 def run_holonomy() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
     """Median feasible empowerment vs horizon for protocol on/off, plus TV witness."""
-    results = {}
-    envs = {}
-    meds = []
-    for regime, protocol in (("protocol_on", True), ("protocol_off", False)):
-        cfg = holonomy_config(PROFILE, protocol)
+    configs = {regime: holonomy_config(PROFILE, protocol)
+               for regime, protocol in (("protocol_on", True), ("protocol_off", False))}
+    # noncommutativity witness: alpha vs beta from the matched full-budget
+    # start state, read as two rows of that state's H=2 feasible channel
+    sequences = {"alpha": (RIGHT, LEFT), "beta": (LEFT, RIGHT)}
+    results, witness, meds = {}, {}, []
+    for regime, cfg in configs.items():
         env = build_ringworld(cfg)
-        envs[regime] = (cfg, env)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
         # one call per regime; the largest horizon is cut first, while no channel is held
         regime_meds = median_empowerments(
@@ -227,12 +228,6 @@ def run_holonomy() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
             "selected_states": regime_meds[-1].selected_states,
             "subset_rule": regime_meds[-1].subset_rule,
         }
-
-    # noncommutativity witness: alpha vs beta from the matched full-budget
-    # start state, read as two rows of that state's H=2 feasible channel
-    sequences = {"alpha": (RIGHT, LEFT), "beta": (LEFT, RIGHT)}
-    witness = {}
-    for regime, (cfg, env) in envs.items():
         start = {"y": 0, "u": 0, "phi": 1, "r": cfg.ledger_max}
         s_star = ring_state_index(cfg, **start)
         channel = build_channel(env.kernel, env.gate, s_star, 2, env.output_lens)
@@ -248,8 +243,8 @@ def run_holonomy() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
 
     config = {
         "profile": PROFILE,
-        "environment_on": envs["protocol_on"][0].to_dict(),
-        "environment_off": envs["protocol_off"][0].to_dict(),
+        "environment_on": configs["protocol_on"].to_dict(),
+        "environment_off": configs["protocol_off"].to_dict(),
         "horizons": list(HORIZON_GRID),
         "output_lens": OUTPUT_LENS,
         "safety": LEDGER_ONLY,
@@ -258,7 +253,7 @@ def run_holonomy() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
         },
     }
     metrics = {
-        "state_layout": envs["protocol_on"][0].state_layout,
+        "state_layout": configs["protocol_on"].state_layout,
         "horizons": list(HORIZON_GRID),
         "protocol_on": results["protocol_on"],
         "protocol_off": results["protocol_off"],

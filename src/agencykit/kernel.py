@@ -216,37 +216,37 @@ def check_fits(k: ControlledKernel, gate=None, safe=None, lens=None) -> None:
 def predecessor_lists(
     k: ControlledKernel,
     region: np.ndarray,
-    target_of: np.ndarray | None = None,
-    n_targets: int | None = None,
+    lens=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Padded in-lists of every action over the sources in ``region``.
 
     ``region`` holds distinct states, and sources are numbered by their
     position in it, so the lists push an (len(region), m) array. Row
     ``a * n_targets + t`` lists the sources that reach target ``t`` under
-    action ``a``. ``target_of`` maps successor states to targets; by default
-    the targets are the region's own states, numbered like the sources, and
-    slots leaving the region are dropped. A lens projection as ``target_of``
-    gives a step straight into labels. A source that reaches one target
-    through several successors gets one slot carrying their summed weight,
-    and padding slots have weight 0 and source 0. Target ``t``'s sources are
-    sorted by offset ``(src - t * S // n_targets) mod S`` in state numbers:
-    where shifting states by ``S / n_targets`` maps the kernel onto itself
-    and ``target_of`` to ``target_of + 1``, rollouts are translation-exact.
-    Every kept slot, and its order, is that of the lists over all S states.
+    action ``a``. Without a lens the targets are the region's own states,
+    numbered like the sources, and slots leaving the region are dropped;
+    with one they are its ``n_labels`` labels, each successor state counting
+    for its label, which gives a step straight into labels. A source that
+    reaches one target through several successors gets one slot carrying
+    their summed weight, and padding slots have weight 0 and source 0.
+    Target ``t``'s sources are sorted by offset ``(src - t * S // n_targets)
+    mod S`` in state numbers: where shifting states by ``S / n_targets`` maps
+    the kernel onto itself and the lens labels to labels + 1, rollouts are
+    translation-exact. Every kept slot, and its order, is that of the lists
+    over all S states.
     """
     region = np.asarray(region, dtype=np.int64)
     a, i, j = np.nonzero(k.weights[:, region])
     src = region[i]
     w, state = k.weights[a, src, j], k.succ[a, src, j]
-    if target_of is None:
+    if lens is None:
         local = np.full(k.n_states, -1)
         local[region] = np.arange(len(region))
         keep = local[state] >= 0
         a, i, src, w, state = a[keep], i[keep], src[keep], w[keep], state[keep]
         target, anchor, n_targets = local[state], state, len(region)
     else:
-        target = np.asarray(target_of)[state]
+        target, n_targets = lens.project[state], lens.n_labels
         anchor = target * k.n_states // n_targets
     dst = a * n_targets + target
     order = np.lexsort(((src - anchor) % k.n_states, dst))

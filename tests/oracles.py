@@ -136,7 +136,7 @@ def rollout_output_distribution(k, s0: int, alpha, f) -> np.ndarray:
     D[s0, 0] = 1.0
     for a in prefix:
         D = pull(step, D).reshape(k.n_actions, k.n_states, 1)[a]
-    last = predecessor_lists(k, everywhere, f.project, f.n_labels)
+    last = predecessor_lists(k, everywhere, f)
     return pull(last, D).reshape(k.n_actions, f.n_labels)[final]
 
 
@@ -151,7 +151,7 @@ def full_state_rows(k, horizon: int, f, states) -> np.ndarray:
 
     everywhere = np.arange(k.n_states)
     step = predecessor_lists(k, everywhere)
-    last = predecessor_lists(k, everywhere, f.project, f.n_labels)
+    last = predecessor_lists(k, everywhere, f)
     m, A, S = len(states), k.n_actions, k.n_states
     D = np.zeros((S, m))
     D[np.asarray(states, dtype=np.int64), np.arange(m)] = 1.0
