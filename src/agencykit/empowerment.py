@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.feasibility import FeasibilityGate, sequence_costs
-from agencykit.kernel import ControlledKernel, check_fits, predecessor_lists, pull
+from agencykit.kernel import ControlledKernel, _check_count, check_fits, predecessor_lists, pull
 
 ROW_TOLERANCE = 1e-9
 
@@ -50,8 +50,7 @@ class Lens:
     def __post_init__(self):
         # a copy: freezing it leaves the caller's array writable
         n_labels, project = self.n_labels, np.array(self.project)
-        if isinstance(n_labels, bool) or not isinstance(n_labels, (int, np.integer)) or n_labels < 1:
-            raise ValueError(f"lens n_labels must be an integer >= 1, not {n_labels!r}")
+        _check_count("lens n_labels", n_labels, 1)
         if project.ndim != 1 or project.dtype.kind not in "iu":
             raise ValueError(f"lens projection must be a 1-d integer label array, "
                              f"not {project.dtype} of shape {project.shape}")
@@ -251,12 +250,11 @@ def select_kernel_subset(mask: np.ndarray, max_states: int) -> tuple[np.ndarray,
     """Deterministic subset rule over a state mask: all states when few, else evenly strided.
 
     Of the n masked states, ascending, positions floor(i * n / max_states) for
-    i = 0..max_states-1 are kept when n > ``max_states``, which must be >= 1.
+    i = 0..max_states-1 are kept when n > ``max_states``, an integer >= 1.
     Returns the selected states and the rule's name: ``empty_kernel``,
     ``all_states`` or ``strided_<max_states>``.
     """
-    if max_states < 1:
-        raise ValueError(f"max_states must be >= 1, not {max_states}")
+    _check_count("max_states", max_states, 1)
     indices = np.flatnonzero(mask)
     n = len(indices)
     if n <= max_states:
@@ -309,8 +307,7 @@ def _batched_sequence_rows(
     (R, A**(H-1-d) * m), by the larger of two arrays the walk allocates
     anyway: the node's own one-step output (A * R, m) or 1/A of ``rows``.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_count("horizon", horizon, 1)
     states = np.asarray(states, dtype=np.int64)
     m = len(states)
     n_actions, n_labels = k.n_actions, f.n_labels

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from agencykit.kernel import _check_count
+
 
 @dataclass(frozen=True)
 class FeasibilityGate:
@@ -67,8 +69,7 @@ def feasible_sequences(gate: FeasibilityGate, s0: int, horizon: int) -> np.ndarr
     Returns an (n, H) int array of the affordable rows of the lexicographic
     enumeration, in that order; it may have zero rows. ``s0`` must be in [0, S).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_count("horizon", horizon, 1)
     if not 0 <= s0 < len(gate.ledger):
         raise IndexError(f"state index {s0} out of range")
     affordable = sequence_costs(gate, horizon) <= gate.ledger[s0]

@@ -12,6 +12,7 @@ labels live in the environment constructors, never here.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,15 +57,25 @@ def _successor_lists(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return succ.reshape(shape), weights.reshape(shape)
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >= ``minimum``.
+
+    A bool or a float is refused even when it equals an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, not {value!r}")
+
+
 def _check_kernel(n_states: int, n_actions: int, succ: np.ndarray, weights: np.ndarray) -> None:
     """Raise ValueError, naming the first offending (action, state), on a broken kernel rule.
 
-    The rules: at least one state and one action, both arrays of shape
-    (n_actions, n_states, k), integer successors in [0, n_states), weights
-    finite and >= 0, rows summing to 1 within ``ROW_SUM_TOLERANCE``.
+    The rules: integer counts of at least one state and one action, both
+    arrays of shape (n_actions, n_states, k), integer successors in
+    [0, n_states), weights finite and >= 0, rows summing to 1 within
+    ``ROW_SUM_TOLERANCE``.
     """
-    if n_states < 1 or n_actions < 1:
-        raise ValueError(f"a kernel needs n_states, n_actions >= 1, not {n_states}, {n_actions}")
+    _check_count("kernel n_states", n_states, 1)
+    _check_count("kernel n_actions", n_actions, 1)
     if succ.dtype.kind not in "iu":
         raise ValueError(f"successors must be integers, not {succ.dtype}")
     if succ.ndim != 3 or succ.shape != weights.shape or succ.shape[:2] != (n_actions, n_states):
@@ -133,8 +144,8 @@ class ControlledKernel:
 class Policy:
     """Stationary policy: per-state action choice or distribution over actions.
 
-    ``table`` maps every state index to an action index (deterministic) or to a
-    probability vector over actions (stochastic).
+    ``table`` maps every state index, and nothing else, to an action index
+    (deterministic) or to a probability vector over actions (stochastic).
     """
 
     kind: str  # "deterministic" | "stochastic"
@@ -144,14 +155,18 @@ class Policy:
         """(S, A) array whose row ``s`` is the action distribution at state ``s``.
 
         The one check of a policy: raises ValueError on an unknown ``kind``, a
-        missed state, an action that is no integer in range(A) (a float or bool
-        is refused even when it equals an index) or a row that is no distribution.
+        missed state, a key outside range(S), an action that is no integer in
+        range(A) (a float or bool is refused even when it equals an index) or a
+        row that is no distribution.
         """
         if self.kind not in ("deterministic", "stochastic"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
         missing = [s for s in range(n_states) if s not in self.table]
         if missing:
             raise ValueError(f"policy does not cover states {missing[:5]}")
+        if len(self.table) > n_states:
+            extra = next(s for s in self.table if s not in range(n_states))
+            raise ValueError(f"policy covers state {extra!r}, which is not in range({n_states})")
         if self.kind == "deterministic":
             actions = [self.table[s] for s in range(n_states)]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.empowerment import Lens
-from agencykit.kernel import ControlledKernel, Policy, check_fits, policy_successors
+from agencykit.kernel import ControlledKernel, Policy, _check_count, check_fits, policy_successors
 
 
 @dataclass
@@ -51,10 +51,9 @@ def packaging_endomap(
     with empty fibers are excluded from the domain (the uniform
     initialization is undefined there). The modal label always has positive
     mass, hence a nonempty fiber, so the endomap is closed on its domain.
-    ``tau`` must be >= 0.
+    ``tau`` must be an integer >= 0.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, not {tau}")
+    _check_count("tau", tau, 0)
     check_fits(k, lens=pi)
     succ, weights = policy_successors(k, mu)
     n = k.n_states

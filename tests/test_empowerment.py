@@ -129,6 +129,12 @@ class TestRollout:
         with pytest.raises(ValueError, match="horizon"):
             build_channel(k, zero_gate(2, 1), 0, 0, identity_lens(2))
 
+    @pytest.mark.parametrize("horizon", [True, 2.0])
+    def test_horizon_must_be_an_integer(self, horizon):
+        k = single_matrix_kernel(np.eye(2))
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+            build_channel(k, zero_gate(2, 1), 0, horizon, identity_lens(2))
+
 
 def with_unreachable_sources(rng, n, n_extra, n_actions) -> ControlledKernel:
     """A sparse random kernel on n states, plus n_extra states that only lead into them."""
@@ -688,7 +694,7 @@ class TestMedianInputs:
 
     @pytest.mark.parametrize("max_states", [0, -3])
     def test_max_states_below_one_rejected(self, env, max_states):
-        with pytest.raises(ValueError, match=f"max_states must be >= 1, not {max_states}"):
+        with pytest.raises(ValueError, match=f"max_states must be an integer >= 1, not {max_states}"):
             median_empowerment_on_kernel(env.kernel, env.gate, np.ones(env.n_states, dtype=bool),
                                          1, env.output_lens, max_states=max_states)
 
@@ -908,7 +914,13 @@ class TestSubsetRule:
 
     @pytest.mark.parametrize("max_states", [0, -3])
     def test_max_states_below_one_rejected(self, max_states):
-        with pytest.raises(ValueError, match="max_states must be >= 1"):
+        with pytest.raises(ValueError, match="max_states must be an integer >= 1"):
+            select_kernel_subset(np.ones(5, dtype=bool), max_states)
+
+    @pytest.mark.parametrize("max_states", [True, 2.5, 2.0])
+    def test_max_states_must_be_an_integer(self, max_states):
+        # True would name the rule "strided_True"; a float would index with floats
+        with pytest.raises(ValueError, match="max_states must be an integer >= 1"):
             select_kernel_subset(np.ones(5, dtype=bool), max_states)
 
     def test_lower_median_definition(self):

@@ -85,6 +85,11 @@ class TestFeasibleSequences:
         with pytest.raises(IndexError, match=f"state index {s0} out of range"):
             feasible_sequences(gate([0, 1, 2], [0, 1]), s0, 2)
 
+    @pytest.mark.parametrize("horizon", [True, 2.0])
+    def test_horizon_must_be_an_integer(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+            feasible_sequences(gate([0], [0, 0]), 0, horizon)
+
     def test_zero_costs_count(self):
         g = gate([0], [0, 0, 0])
         assert len(feasible_sequences(g, 0, 4)) == 3**4

@@ -137,7 +137,16 @@ class TestConstructionRules:
         shape = (n_actions, n_states, n_states if form == "probs" else 1)
         arrays = ({"probs": np.zeros(shape)} if form == "probs"
                   else {"succ": np.zeros(shape, dtype=np.int64), "weights": np.zeros(shape)})
-        with pytest.raises(ValueError, match="a kernel needs n_states, n_actions >= 1"):
+        with pytest.raises(ValueError, match=r"kernel n_(states|actions) must be an integer >= 1"):
+            ControlledKernel(n_states, n_actions, **arrays)
+
+    @pytest.mark.parametrize("form", ["lists", "probs"])
+    @pytest.mark.parametrize("n_states, n_actions", [(2.0, 1), (2, np.float64(1.0)), (2, True)])
+    def test_counts_that_equal_the_shape_must_still_be_integers(self, form, n_states, n_actions):
+        shape = (1, 2, 2 if form == "probs" else 1)
+        arrays = ({"probs": np.full(shape, 0.5)} if form == "probs"
+                  else {"succ": np.zeros(shape, dtype=np.int64), "weights": np.ones(shape)})
+        with pytest.raises(ValueError, match=r"kernel n_(states|actions) must be an integer >= 1, not"):
             ControlledKernel(n_states, n_actions, **arrays)
 
     def test_empty_tensor_of_the_wrong_shape(self):
@@ -273,6 +282,14 @@ class TestPolicyClosure:
         k = random_kernel(rng, 4, 2)
         mu = Policy(kind="deterministic", table={0: 0, 1: 1})
         with pytest.raises(ValueError):
+            closure(k, mu)
+
+    @pytest.mark.parametrize("kind, row", [("deterministic", 1), ("stochastic", [0.5, 0.5])])
+    @pytest.mark.parametrize("extra", [4, -1, "s4"])
+    def test_policy_over_extra_states_rejected(self, rng, kind, row, extra):
+        k = random_kernel(rng, 4, 2)
+        mu = Policy(kind=kind, table={**dict.fromkeys(range(4), row), extra: row, 9: row})
+        with pytest.raises(ValueError, match=f"policy covers state {extra!r}, which is not in range"):
             closure(k, mu)
 
     def test_wrong_length_policy_row_rejected(self, rng):

@@ -57,8 +57,22 @@ class TestPackagingEndomap:
 
     def test_negative_tau_rejected(self, rng):
         k = random_kernel(rng, 6, 2)
-        with pytest.raises(ValueError, match="tau must be >= 0, not -1"):
+        with pytest.raises(ValueError, match="tau must be an integer >= 0, not -1"):
             packaging_endomap(k, identity_lens(6), constant_policy(6), -1)
+
+    def test_policy_of_a_larger_ring_rejected(self):
+        # ring 16's policy has 192 entries; ring 8's kernel has 96 states
+        small = build_ringworld(PAPER)
+        large = build_ringworld(RingWorldConfig(ring_size=16))
+        with pytest.raises(ValueError, match="policy covers state 96, which is not in range"):
+            packaging_endomap(small.kernel, small.macro_lens,
+                              large.policies["repair_then_right"], 2)
+
+    @pytest.mark.parametrize("tau", [True, 2.0])
+    def test_tau_must_be_an_integer(self, rng, tau):
+        k = random_kernel(rng, 6, 2)
+        with pytest.raises(ValueError, match="tau must be an integer >= 0"):
+            packaging_endomap(k, identity_lens(6), constant_policy(6), tau)
 
     def test_two_label_cycle_swaps(self):
         # two states swapping deterministically, identity lens, tau = 1
