@@ -237,18 +237,17 @@ def predecessor_lists(
 
     ``region`` holds distinct states, and sources are numbered by their
     position in it, so the lists push an (len(region), m) array. Row
-    ``a * n_targets + t`` lists the sources that reach target ``t`` under
+    ``a * T + t`` lists the sources that reach target ``t`` of ``T`` under
     action ``a``. Without a lens the targets are the region's own states,
     numbered like the sources, and slots leaving the region are dropped;
     with one they are its ``n_labels`` labels, each successor state counting
     for its label, which gives a step straight into labels. A source that
     reaches one target through several successors gets one slot carrying
     their summed weight, and padding slots have weight 0 and source 0.
-    Target ``t``'s sources are sorted by offset ``(src - t * S // n_targets)
-    mod S`` in state numbers: where shifting states by ``S / n_targets`` maps
-    the kernel onto itself and the lens labels to labels + 1, rollouts are
-    translation-exact. Every kept slot, and its order, is that of the lists
-    over all S states.
+    Target ``t``'s sources are sorted by offset ``(src - t * S // T) mod S``
+    in state numbers: where shifting states by ``S / T`` maps the kernel onto
+    itself and the lens labels to labels + 1, rollouts are translation-exact.
+    Every kept slot, and its order, is that of the lists over all S states.
     """
     region = np.asarray(region, dtype=np.int64)
     a, i, j = np.nonzero(k.weights[:, region])
@@ -259,11 +258,11 @@ def predecessor_lists(
         local[region] = np.arange(len(region))
         keep = local[state] >= 0
         a, i, src, w, state = a[keep], i[keep], src[keep], w[keep], state[keep]
-        target, anchor, n_targets = local[state], state, len(region)
+        target, anchor, n_out = local[state], state, len(region)
     else:
-        target, n_targets = lens.project[state], lens.n_labels
-        anchor = target * k.n_states // n_targets
-    dst = a * n_targets + target
+        target, n_out = lens.project[state], lens.n_labels
+        anchor = target * k.n_states // n_out
+    dst = a * n_out + target
     order = np.lexsort(((src - anchor) % k.n_states, dst))
     i, dst, w = i[order], dst[order], w[order]
     first = np.ones(len(dst), dtype=bool)
@@ -273,7 +272,7 @@ def predecessor_lists(
         dst[starts],
         i[starts],
         np.add.reduceat(w, starts),
-        np.zeros(k.n_actions * n_targets, dtype=np.int64),
+        np.zeros(k.n_actions * n_out, dtype=np.int64),
     )
 
 
