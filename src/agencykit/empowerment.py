@@ -344,29 +344,39 @@ def _batched_sequence_rows(
     return rows
 
 
+def _is_block_shift(succ: np.ndarray, weights: np.ndarray, labels: np.ndarray, n_labels: int,
+                    period: int) -> bool:
+    """Whether each block ``y`` of ``period`` states is block 0 moved by ``y * period``.
+
+    Labels (one per state) rise by ``y * n_labels / blocks`` mod ``n_labels``, the
+    cheap test; successors (states on axis -2) shift by ``y * period``, same weights.
+    """
+    y = np.arange(len(labels) // period)[:, None]
+    raised = (labels[:period] + y * (n_labels // len(y))) % n_labels
+    if not (labels.reshape(raised.shape) == raised).all():
+        return False
+    shape, y = (*succ.shape[:-2], len(y), period, succ.shape[-1]), y[:, None] * period
+    moved = succ.reshape(shape) - succ[..., None, :period, :]  # in (-S, S), so no modulo
+    return bool((weights.reshape(shape) == weights[..., None, :period, :]).all()
+                and ((moved == y) | (moved == y - len(labels))).all())
+
+
 def _translation_orbits(k: ControlledKernel, gate: FeasibilityGate, f: Lens) -> np.ndarray:
     """Each state's orbit representative under an exact translation.
 
     ``s -> s + P (mod S)`` with ``P = S / n_labels`` (one ring position in the
     ring world) is a channel symmetry when each block ``y`` of ``P`` states is
-    block 0 moved by ``y`` positions: successors shifted by ``y * P``, equal
-    weights and ledger, lens labels stepped by ``y``. Then ``s``'s channel is
-    that of ``s % P`` with its labels rolled by ``s // P``; otherwise every
-    state represents itself. Entries compare by value, since kernels and gates
-    hold no NaN and a ``-0.0`` weight or cost acts exactly like ``0.0``.
+    block 0 moved by ``y`` positions (``_is_block_shift``, labels stepped by
+    ``y``) with an equal ledger. Then ``s``'s channel is that of ``s % P``
+    with its labels rolled by ``s // P``; otherwise every state represents
+    itself. Entries compare by value, since kernels and gates hold no NaN and
+    a ``-0.0`` weight or cost acts exactly like ``0.0``.
     """
     states, n_labels = np.arange(k.n_states), f.n_labels
-    if k.n_states % n_labels:
-        return states
-    period, y = k.n_states // n_labels, np.arange(n_labels)[:, None, None]
-    blocks = (k.n_actions, n_labels, period, -1)
-    moved = k.succ.reshape(blocks) - k.succ[:, None, :period]  # in (-S, S), so no modulo
-    if (
-        (f.project.reshape(n_labels, period) == (f.project[:period] + y[:, 0]) % n_labels).all()
-        and (gate.ledger.reshape(n_labels, period) == gate.ledger[:period]).all()
-        and (k.weights.reshape(blocks) == k.weights[:, None, :period]).all()
-        and ((moved == y * period) | (moved == y * period - k.n_states)).all()
-    ):
+    period = k.n_states // n_labels
+    if (k.n_states % n_labels == 0
+            and _is_block_shift(k.succ, k.weights, f.project, n_labels, period)
+            and (gate.ledger.reshape(n_labels, period) == gate.ledger[:period]).all()):
         return states % period
     return states
 

@@ -53,7 +53,7 @@ import numpy as np
 
 from agencykit.empowerment import Lens
 from agencykit.feasibility import FeasibilityGate
-from agencykit.kernel import ControlledKernel, Policy
+from agencykit.kernel import ControlledKernel, Policy, _check_count
 from agencykit.viability import SafetyPredicate
 
 ACTION_NAMES = ("LEFT", "RIGHT", "REPAIR", "NOOP")
@@ -275,7 +275,15 @@ def build_ringworld(cfg: RingWorldConfig) -> Environment:
 
 
 def ring_state_index(cfg: RingWorldConfig, y: int, u: int, phi: int, r: int, theta: int = 0) -> int:
-    """Index of the state with these fields; raises ValueError on a field out of range."""
+    """Index of the state with these fields.
+
+    Raises ValueError naming the first field that is no integer (a bool or a
+    float is refused) or lies outside its range.
+    """
+    for name, value, radix in zip(cfg.state_layout["fields"], (y, u, phi, r, theta), cfg.radices):
+        _check_count(name, value, 0)
+        if value >= radix:
+            raise ValueError(f"{name} must be in range({radix}), not {value!r}")
     return int(np.ravel_multi_index((y, u, phi, r, theta), cfg.radices))
 
 

@@ -59,7 +59,11 @@ def _all_sequences(n_actions: int, horizon: int) -> np.ndarray:
 
 
 def sequence_costs(gate: FeasibilityGate, horizon: int) -> np.ndarray:
-    """Total cost of every length-H sequence, in lexicographic row order."""
+    """Total cost of every length-H sequence, in lexicographic row order.
+
+    ``horizon`` must be an integer >= 1; anything else raises ValueError.
+    """
+    _check_count("horizon", horizon, 1)
     return gate.costs[_all_sequences(gate.n_actions, horizon)].sum(axis=1)
 
 
@@ -69,8 +73,7 @@ def feasible_sequences(gate: FeasibilityGate, s0: int, horizon: int) -> np.ndarr
     Returns an (n, H) int array of the affordable rows of the lexicographic
     enumeration, in that order; it may have zero rows. ``s0`` must be in [0, S).
     """
-    _check_count("horizon", horizon, 1)
+    costs = sequence_costs(gate, horizon)
     if not 0 <= s0 < len(gate.ledger):
         raise IndexError(f"state index {s0} out of range")
-    affordable = sequence_costs(gate, horizon) <= gate.ledger[s0]
-    return _all_sequences(gate.n_actions, horizon)[affordable]
+    return _all_sequences(gate.n_actions, horizon)[costs <= gate.ledger[s0]]

@@ -6,6 +6,13 @@ macro label at time tau (ties broken by smallest label) defines an endomap
 E : X -> X. The idempotence defect |{x : E(E(x)) != E(x)}| / |X| measures
 whether the macro labels compose like stable objects under that lens and
 maintenance policy.
+
+With ``P`` the smallest shift of states that maps the policy-closed chain
+onto itself and raises labels by ``X / B`` (``B = S / P`` blocks, ``X``
+labels), fiber ``x + y * X / B`` is fiber ``x`` moved by ``y`` blocks: only
+fibers below ``X / B`` are pushed, the rest are shifted copies. ``P = S``
+always qualifies; on a ring world ``P`` is one ring position, and the
+endomap is translation-exact by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from agencykit.empowerment import Lens
+from agencykit.empowerment import Lens, _is_block_shift
 from agencykit.kernel import ControlledKernel, Policy, _check_count, check_fits, policy_successors
 
 
@@ -45,34 +52,43 @@ def packaging_endomap(
 ) -> Endomap:
     """Roll uniform fiber distributions tau steps and take the modal label.
 
-    Each fiber's distribution is held as sparse (fiber, state, mass) triplets
-    and pushed through the policy's successor lists; every member starts with
-    mass 1, and masses are divided by the fiber size only at the end. Labels
-    with empty fibers are excluded from the domain (the uniform
-    initialization is undefined there). The modal label always has positive
-    mass, hence a nonempty fiber, so the endomap is closed on its domain.
-    ``tau`` must be an integer >= 0.
+    The fibers below ``X / B``, for the most blocks ``B`` that pass
+    ``_is_block_shift`` (``B = 1`` always does), are pushed as sparse (fiber,
+    state, mass) triplets through the policy's successor lists, every member
+    starting with mass 1; the other fibers are their shifted copies. Masses
+    are divided by the fiber size only at the end. Labels with empty fibers
+    are excluded from the domain (the uniform initialization is undefined
+    there). The modal label always has positive mass, hence a nonempty fiber,
+    so the endomap is closed on its domain. ``tau`` must be an integer >= 0.
     """
     _check_count("tau", tau, 0)
     check_fits(k, lens=pi)
     succ, weights = policy_successors(k, mu)
-    n = k.n_states
-    fib, state, mass = pi.project, np.arange(n), np.ones(n)
+    n, n_labels = k.n_states, pi.n_labels
+    counts = np.arange(np.gcd(n, n_labels), 0, -1)
+    blocks = next(b for b in counts[counts[0] % counts == 0].tolist()
+                  if _is_block_shift(succ, weights, pi.project, n_labels, n // b))
+    step = n_labels // blocks
+    state = np.flatnonzero(pi.project < step)
+    fib, mass = pi.project[state], np.ones(len(state))
     for _ in range(tau):
         w = weights[state]
         live = w != 0
         keys, merged = np.unique((fib[:, None] * n + succ[state])[live], return_inverse=True)
         mass = np.bincount(merged, weights=(mass[:, None] * w)[live])
         fib, state = np.divmod(keys, n)
-    keys, merged = np.unique(fib * pi.n_labels + pi.project[state], return_inverse=True)
+    keys, merged = np.unique(fib * n_labels + pi.project[state], return_inverse=True)
     mass = np.bincount(merged, weights=mass)
-    fib, label = np.divmod(keys, pi.n_labels)
+    fib, label = np.divmod(keys, n_labels)
+    # fiber x + y * step is fiber x moved by y blocks, its labels raised by y * step
+    y = np.arange(blocks)[:, None] * step
+    fib, label, mass = (fib + y).ravel(), ((label + y) % n_labels).ravel(), np.tile(mass, blocks)
     # per fiber: largest mass first, then the smallest label (the tie-break)
     order = np.lexsort((label, -mass, fib))
     first = order[np.r_[True, fib[order][1:] != fib[order][:-1]]]
     if first.size == 0:
         raise ValueError("lens has no nonempty fibers")
-    sizes = np.bincount(pi.project, minlength=pi.n_labels)
+    sizes = np.bincount(pi.project, minlength=n_labels)
     domain = fib[first].tolist()
     return Endomap(
         policy_name=policy_name,

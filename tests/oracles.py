@@ -342,3 +342,32 @@ def matrix_power_endomap(k, pi, mu, tau: int) -> tuple[dict[int, int], dict[int,
         mapping[x] = int(np.argmax(macro))
         reach[x] = float(macro[mapping[x]])
     return mapping, reach
+
+
+def full_push_endomap(k, pi, mu, tau: int) -> tuple[dict[int, int], dict[int, float]]:
+    """(mapping, reach_mass) by pushing every fiber, with no translation quotient.
+
+    The bit-for-bit reference for ``packaging_endomap``: the same sparse
+    (fiber, state, mass) push over the policy's successor lists, started
+    from all S states, so every fiber's masses are summed on their own.
+    """
+    from agencykit.kernel import policy_successors
+
+    succ, weights = policy_successors(k, mu)
+    n = k.n_states
+    fib, state, mass = pi.project, np.arange(n), np.ones(n)
+    for _ in range(tau):
+        w = weights[state]
+        live = w != 0
+        keys, merged = np.unique((fib[:, None] * n + succ[state])[live], return_inverse=True)
+        mass = np.bincount(merged, weights=(mass[:, None] * w)[live])
+        fib, state = np.divmod(keys, n)
+    keys, merged = np.unique(fib * pi.n_labels + pi.project[state], return_inverse=True)
+    mass = np.bincount(merged, weights=mass)
+    fib, label = np.divmod(keys, pi.n_labels)
+    order = np.lexsort((label, -mass, fib))
+    first = order[np.r_[True, fib[order][1:] != fib[order][:-1]]]
+    sizes = np.bincount(pi.project, minlength=pi.n_labels)
+    domain = fib[first].tolist()
+    return (dict(zip(domain, label[first].tolist())),
+            dict(zip(domain, (mass[first] / sizes[fib[first]]).tolist())))

@@ -77,6 +77,22 @@ class TestKernelExactness:
             ring_state_index(RingWorldConfig(), **fields)
 
 
+    @pytest.mark.parametrize(("fields", "message"), [
+        ({"y": True}, "y must be an integer >= 0, not True"),
+        ({"y": 1.0}, "y must be an integer >= 0, not 1.0"),
+        ({"phi": -1}, "phi must be an integer >= 0, not -1"),
+        ({"y": 8}, r"y must be in range\(8\), not 8"),
+        ({"theta": 1}, r"theta must be in range\(1\), not 1"),
+    ], ids=["bool", "float", "negative", "y_past_ring", "theta_past_levels"])
+    def test_state_index_names_the_bad_field(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ring_state_index(RingWorldConfig(), **{"y": 0, "u": 0, "phi": 0, "r": 0, **fields})
+
+    def test_state_index_takes_numpy_integers(self):
+        cfg = RingWorldConfig()
+        assert ring_state_index(cfg, *np.array([1, 0, 1, 2])) == ring_state_index(cfg, 1, 0, 1, 2)
+
+
 class TestMovementRules:
     def test_plain_right_step(self):
         cfg = RingWorldConfig(p_flip=0.0, p_slip=0.0, protocol_on=False)

@@ -90,6 +90,11 @@ class TestFeasibleSequences:
         with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
             feasible_sequences(gate([0], [0, 0]), 0, horizon)
 
+    @pytest.mark.parametrize("horizon", [0, -1, True, 2.0])
+    def test_sequence_costs_checks_the_horizon(self, horizon):
+        with pytest.raises(ValueError, match=f"horizon must be an integer >= 1, not {horizon!r}"):
+            sequence_costs(gate([0, 1], [0, 1]), horizon)
+
     def test_zero_costs_count(self):
         g = gate([0], [0, 0, 0])
         assert len(feasible_sequences(g, 0, 4)) == 3**4

@@ -1,13 +1,24 @@
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from agencykit import packaging
 from agencykit.empowerment import Lens
-from agencykit.environments import RingWorldConfig, build_ringworld
-from agencykit.experiments import PAPER, TAU_GRID
+from agencykit.environments import LEFT, RIGHT, RingWorldConfig, build_ringworld, ring_state_index
+from agencykit.experiments import ABLATIONS, PAPER, TAU_GRID, holonomy_config
 from agencykit.kernel import ControlledKernel, Policy
 from agencykit.packaging import Endomap, idempotence_defect, packaging_endomap
 from conftest import random_kernel
-from oracles import fraction_packaging_masses
+from oracles import fraction_packaging_masses, full_push_endomap, matrix_power_endomap
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
 
 
 def identity_lens(n) -> Lens:
@@ -167,3 +178,126 @@ class TestExactTies:
         assert exact[2] == {1: 1, 3: 1}
         e = packaging_endomap(env.kernel, env.macro_lens, mu, 1)
         assert e.mapping[2] == 1 and e.reach_mass[2] == 0.5
+
+
+def ladder_config(ring: int) -> RingWorldConfig:
+    return replace(holonomy_config("paper", True), ring_size=ring)
+
+
+@pytest.fixture(scope="module")
+def random_problems():
+    """The random-kernels benchmark's batch-0 instances as (kernel, macro lens, policy)."""
+    problems = []
+    for inst in workloads.random_instances(workloads.DEFAULT_SEED, 0):
+        n = inst.n_states
+        k = ControlledKernel(n_states=n, n_actions=inst.succ.shape[0],
+                             probs=workloads.dense_probs(inst))
+        lens = Lens(name="random_macro", project=inst.macro_labels,
+                    n_labels=n // workloads.RANDOM_FIBER_SIZE)
+        policy = Policy(kind="deterministic", table=dict(enumerate(inst.policy.tolist())))
+        problems.append((k, lens, policy))
+    return problems
+
+
+BLOCK_SHIFT = packaging._is_block_shift
+
+
+def quotient_period(monkeypatch, k, lens, mu) -> int:
+    """The state shift ``packaging_endomap`` takes, from the block-shift checks it makes.
+
+    The search must stop at the first check that holds, so that check's
+    period is the one the push uses.
+    """
+    checked = []
+
+    def spy(succ, weights, labels, n_labels, period):
+        checked.append((period, BLOCK_SHIFT(succ, weights, labels, n_labels, period)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(packaging, "_is_block_shift", spy)
+    packaging_endomap(k, lens, mu, 2)
+    monkeypatch.undo()
+    *failed, (period, held) = checked
+    assert held and not any(ok for _, ok in failed)
+    return period
+
+
+class TestTranslationQuotient:
+    """Pushing one ring position's fibers and shifting them is the full push, bit for bit."""
+
+    @staticmethod
+    def assert_full_push(k, lens, mu, tau):
+        e = packaging_endomap(k, lens, mu, tau)
+        mapping, reach = full_push_endomap(k, lens, mu, tau)
+        assert list(e.mapping.items()) == list(mapping.items())
+        assert list(e.reach_mass.items()) == list(reach.items())
+
+    @pytest.mark.parametrize("ring", [8, 64, 128, 256])
+    @pytest.mark.parametrize("policy", ["always_right", "repair_then_right"])
+    def test_ladder_rungs_match_the_full_push(self, ring, policy):
+        env = build_ringworld(ladder_config(ring))
+        self.assert_full_push(env.kernel, env.macro_lens, env.policies[policy], 2)
+
+    @pytest.mark.parametrize("policy", ["always_right", "repair_then_right"])
+    def test_paper_matches_the_full_push_at_every_tau(self, policy):
+        env = build_ringworld(PAPER)
+        for tau in TAU_GRID:
+            self.assert_full_push(env.kernel, env.macro_lens, env.policies[policy], tau)
+
+    @pytest.mark.parametrize("name", sorted(ABLATIONS))
+    def test_ablations_match_the_full_push(self, name):
+        env = build_ringworld(ABLATIONS[name])
+        self.assert_full_push(env.kernel, env.macro_lens, env.policies["repair_then_right"], 2)
+
+    def test_random_instances_match_the_full_push(self, random_problems):
+        for k, lens, mu in random_problems:
+            self.assert_full_push(k, lens, mu, 2)
+
+    @pytest.mark.parametrize("cfg", [
+        *(ladder_config(ring) for ring in workloads.LADDER_RINGS), PAPER, *ABLATIONS.values(),
+    ], ids=[*(f"ring{ring}" for ring in workloads.LADDER_RINGS), "paper", *ABLATIONS])
+    def test_ring_worlds_push_one_ring_position(self, monkeypatch, cfg):
+        env = build_ringworld(cfg)
+        lens = env.macro_lens
+        for mu in env.policies.values():
+            period = quotient_period(monkeypatch, env.kernel, lens, mu)
+            assert period == env.n_states // cfg.ring_size
+            assert lens.n_labels * period // env.n_states == (cfg.ledger_max + 1) * cfg.phase_period
+
+    def test_random_instances_have_no_symmetry(self, monkeypatch, random_problems):
+        for k, lens, mu in random_problems:
+            assert quotient_period(monkeypatch, k, lens, mu) == k.n_states
+
+    @staticmethod
+    def assert_fallback(monkeypatch, k, lens, mu):
+        assert quotient_period(monkeypatch, k, lens, mu) == k.n_states
+        for tau in range(4):
+            e = packaging_endomap(k, lens, mu, tau)
+            mapping, reach = matrix_power_endomap(k, lens, mu, tau)
+            assert e.mapping == mapping
+            for x in mapping:
+                assert e.reach_mass[x] == pytest.approx(reach[x], abs=1e-12)
+
+    def test_labels_permuted_within_one_ring_position_fall_back(self, monkeypatch):
+        env = build_ringworld(PAPER)
+        step = (PAPER.ledger_max + 1) * PAPER.phase_period
+        project = env.macro_lens.project.copy()
+        at_y3 = (project >= 3 * step) & (project < 4 * step)
+        project[at_y3] = 7 * step - 1 - project[at_y3]  # reversed within ring position 3
+        lens = Lens(name="permuted", project=project, n_labels=env.macro_lens.n_labels)
+        self.assert_fallback(monkeypatch, env.kernel, lens, env.policies["repair_then_right"])
+
+    def test_one_changed_action_falls_back(self, monkeypatch):
+        env = build_ringworld(PAPER)
+        table = dict(env.policies["repair_then_right"].table)
+        s = ring_state_index(PAPER, y=3, u=0, phi=0, r=PAPER.ledger_max)
+        assert table[s] == RIGHT
+        table[s] = LEFT  # affordable at a full ledger, so the step moves the other way
+        mu = Policy(kind="deterministic", table=table)
+        self.assert_fallback(monkeypatch, env.kernel, env.macro_lens, mu)
+
+    def test_random_kernel_falls_back(self, monkeypatch, rng):
+        k = random_kernel(rng, 12, 2)
+        lens = Lens(name="random", project=rng.randint(0, 6, size=12), n_labels=6)
+        mu = Policy(kind="deterministic", table={s: int(rng.randint(2)) for s in range(12)})
+        self.assert_fallback(monkeypatch, k, lens, mu)
