@@ -9,8 +9,9 @@ logs are base 2 and 0*log(0) = 0 throughout.
 Every output distribution comes from one rollout, ``_batched_sequence_rows``,
 cut into channels by ``_feasible_channels``; a single sequence's distribution
 is a row of ``build_channel``. Medians are computed by ``median_empowerments``,
-which rolls out one state per translation orbit and solves a whole batch of
-them in one ``channel_capacities`` call.
+which rolls out one state per orbit of the shortest self-mapping state shift
+(``_block_period``) and solves a whole batch of them in one
+``channel_capacities`` call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.feasibility import FeasibilityGate, sequence_costs
-from agencykit.kernel import ControlledKernel, _check_count, check_fits, predecessor_lists, pull
+from agencykit.kernel import (ControlledKernel, _check_count, _check_mask, _check_state, check_fits,
+                              predecessor_lists, pull)
 
 ROW_TOLERANCE = 1e-9
 
@@ -81,10 +83,10 @@ def build_channel(
     """Channel matrix from ``s0``: one output-label row per budget-feasible sequence.
 
     Rows follow ``feasible_sequences(gate, s0, horizon)`` order; a zero-row
-    channel is legal. It is cut from ``s0``'s own rollout.
+    channel is legal. It is cut from ``s0``'s own rollout. ``s0`` must be an
+    integer state index (``_check_state``).
     """
-    if not 0 <= s0 < k.n_states:
-        raise IndexError(f"state index {s0} out of range")
+    _check_state(s0, k.n_states)
     check_fits(k, gate, lens=f)
     return _feasible_channels(k, gate, [s0], horizon, f)[0]
 
@@ -251,11 +253,12 @@ def select_kernel_subset(mask: np.ndarray, max_states: int) -> tuple[np.ndarray,
 
     Of the n masked states, ascending, positions floor(i * n / max_states) for
     i = 0..max_states-1 are kept when n > ``max_states``, an integer >= 1.
-    Returns the selected states and the rule's name: ``empty_kernel``,
-    ``all_states`` or ``strided_<max_states>``.
+    ``mask`` must be a 1-d bool array (``_check_mask``). Returns the selected
+    states and the rule's name: ``empty_kernel``, ``all_states`` or
+    ``strided_<max_states>``.
     """
     _check_count("max_states", max_states, 1)
-    indices = np.flatnonzero(mask)
+    indices = np.flatnonzero(_check_mask("state mask", mask, np.size(mask)))
     n = len(indices)
     if n <= max_states:
         return indices, "all_states" if n else "empty_kernel"
@@ -344,41 +347,33 @@ def _batched_sequence_rows(
     return rows
 
 
-def _is_block_shift(succ: np.ndarray, weights: np.ndarray, labels: np.ndarray, n_labels: int,
-                    period: int) -> bool:
-    """Whether each block ``y`` of ``period`` states is block 0 moved by ``y * period``.
+def _block_period(succ: np.ndarray, weights: np.ndarray, labels: np.ndarray, n_labels: int,
+                  *fixed: np.ndarray) -> int:
+    """Smallest state shift ``P = S / B`` that maps the model onto itself.
 
-    Labels (one per state) rise by ``y * n_labels / blocks`` mod ``n_labels``, the
-    cheap test; successors (states on axis -2) shift by ``y * period``, same weights.
+    ``B`` runs over the divisors of ``gcd(S, n_labels)``, most blocks first,
+    and ``P`` qualifies when each block ``y`` of ``P`` states is block 0 moved
+    by ``y * P``: labels (one per state) rise by ``y * n_labels / B`` mod
+    ``n_labels``, the cheap test, so it comes first; every ``fixed`` per-state
+    array is equal block by block; successors (states on axis -2) shift by
+    ``y * P``, with equal weights. ``B = 1``, ``P = S``, always qualifies.
+    Entries compare by value, since kernels and gates hold no NaN and a
+    ``-0.0`` weight or cost acts exactly like ``0.0``.
     """
-    y = np.arange(len(labels) // period)[:, None]
-    raised = (labels[:period] + y * (n_labels // len(y))) % n_labels
-    if not (labels.reshape(raised.shape) == raised).all():
-        return False
-    shape, y = (*succ.shape[:-2], len(y), period, succ.shape[-1]), y[:, None] * period
-    moved = succ.reshape(shape) - succ[..., None, :period, :]  # in (-S, S), so no modulo
-    return bool((weights.reshape(shape) == weights[..., None, :period, :]).all()
-                and ((moved == y) | (moved == y - len(labels))).all())
-
-
-def _translation_orbits(k: ControlledKernel, gate: FeasibilityGate, f: Lens) -> np.ndarray:
-    """Each state's orbit representative under an exact translation.
-
-    ``s -> s + P (mod S)`` with ``P = S / n_labels`` (one ring position in the
-    ring world) is a channel symmetry when each block ``y`` of ``P`` states is
-    block 0 moved by ``y`` positions (``_is_block_shift``, labels stepped by
-    ``y``) with an equal ledger. Then ``s``'s channel is that of ``s % P``
-    with its labels rolled by ``s // P``; otherwise every state represents
-    itself. Entries compare by value, since kernels and gates hold no NaN and
-    a ``-0.0`` weight or cost acts exactly like ``0.0``.
-    """
-    states, n_labels = np.arange(k.n_states), f.n_labels
-    period = k.n_states // n_labels
-    if (k.n_states % n_labels == 0
-            and _is_block_shift(k.succ, k.weights, f.project, n_labels, period)
-            and (gate.ledger.reshape(n_labels, period) == gate.ledger[:period]).all()):
-        return states % period
-    return states
+    n, most = len(labels), np.gcd(len(labels), n_labels)
+    counts = np.arange(most, 1, -1)
+    for blocks in counts[most % counts == 0].tolist():
+        period, y = n // blocks, np.arange(blocks)[:, None]
+        raised = (labels[:period] + y * (n_labels // blocks)) % n_labels
+        if not ((labels.reshape(raised.shape) == raised).all()
+                and all((a.reshape(raised.shape) == a[:period]).all() for a in fixed)):
+            continue
+        shape, y = (*succ.shape[:-2], blocks, period, succ.shape[-1]), y[:, None] * period
+        moved = succ.reshape(shape) - succ[..., None, :period, :]  # in (-S, S), so no modulo
+        if ((weights.reshape(shape) == weights[..., None, :period, :]).all()
+                and ((moved == y) | (moved == y - n)).all()):
+            return period
+    return n
 
 
 def _feasible_channels(
@@ -417,9 +412,10 @@ def median_empowerments(
 
     ``kernel_set`` is a ``(S,)`` boolean mask; anything else raises
     ValueError. The empty set yields zero by convention (no viable states
-    means no induced action layer). Each problem computes its own
-    ``_translation_orbits``, and only the distinct orbit representatives of
-    the selected states are rolled out and solved.
+    means no induced action layer). Each problem finds its own shift ``P =
+    _block_period(...)`` over kernel, lens and ledger; state ``s``'s channel
+    is that of ``s % P`` with its labels permuted, which leaves capacity
+    unchanged, so only the distinct ``selected % P`` are rolled out and solved.
 
     ``problems`` is read lazily: each problem is validated and cut into its
     channels before the next is drawn, so a generator may build one
@@ -435,12 +431,10 @@ def median_empowerments(
             raise ValueError(f"lens has {f.n_labels} labels, not {n_labels} like the first problem's")
         n_labels = f.n_labels
         check_fits(k, gate, lens=f)
-        kernel_set = np.asarray(kernel_set)
-        if kernel_set.dtype != bool or kernel_set.shape != (k.n_states,):
-            raise ValueError(f"kernel set has shape {kernel_set.shape} and dtype "
-                             f"{kernel_set.dtype}, not a ({k.n_states},) bool kernel mask")
-        selected, rule = select_kernel_subset(kernel_set, max_states)
-        reps, slot = np.unique(_translation_orbits(k, gate, f)[selected], return_inverse=True)
+        selected, rule = select_kernel_subset(_check_mask("kernel set", kernel_set, k.n_states),
+                                              max_states)
+        period = _block_period(k.succ, k.weights, f.project, f.n_labels, gate.ledger)
+        reps, slot = np.unique(selected % period, return_inverse=True)
         start = len(channels)
         channels += _feasible_channels(k, gate, reps, horizon, f)
         pending.append((selected, rule, slot, start, len(channels)))

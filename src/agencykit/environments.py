@@ -85,33 +85,19 @@ class RingWorldConfig:
     theta_levels: int = 1
 
     def __post_init__(self):
-        # one stored type per field, so equal kernels hash alike: integers and
-        # flags are never bools or numbers of another kind, and each probability
-        # is stored as a float (p_slip=0 and p_slip=0.0 are one config)
-        kinds = {"int": (numbers.Integral, int, "an integer"), "bool": (bool, bool, "a bool"),
-                 "float": (numbers.Real, float, "a real number")}
+        # one stored type per field, so equal configs hash alike: counts are
+        # ints, flags bools and probabilities floats (p_slip=0 is p_slip=0.0)
+        least = {"ring_size": 3, "phase_period": 1, "theta_levels": 1}  # other counts: 0
         for name, kind in type(self).__annotations__.items():
-            accepted, convert, noun = kinds[kind]
             value = getattr(self, name)
-            if not isinstance(value, accepted) or (isinstance(value, bool) and kind != "bool"):
-                raise ValueError(f"{name} must be {noun}, got {value!r}")
-            object.__setattr__(self, name, convert(value))
-        if self.ring_size < 3:
-            raise ValueError("ring_size must be >= 3")
-        if self.phase_period < 1:
-            raise ValueError("phase_period must be >= 1")
-        if self.ledger_max < 0:
-            raise ValueError("ledger_max must be >= 0")
-        for name in ("p_flip", "p_slip", "repair_success"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in ("cost_left", "cost_right", "cost_repair", "cost_noop",
-                     "ledger_gain", "damage_leak"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.theta_levels < 1:
-            raise ValueError("theta_levels must be >= 1")
+            if kind == "int":
+                _check_count(name, value, least.get(name, 0))
+            elif kind == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                                      or not 0 <= value <= 1):
+                raise ValueError(f"{name} must be a real number in [0, 1], not {value!r}")
+            elif kind == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, not {value!r}")
+            object.__setattr__(self, name, {"int": int, "bool": bool, "float": float}[kind](value))
 
     @property
     def radices(self) -> tuple[int, int, int, int, int]:

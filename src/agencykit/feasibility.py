@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from agencykit.kernel import _check_count
+from agencykit.kernel import _check_count, _check_state
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ def feasible_sequences(gate: FeasibilityGate, s0: int, horizon: int) -> np.ndarr
     """All length-H sequences whose total cost fits the initial budget r(s0).
 
     Returns an (n, H) int array of the affordable rows of the lexicographic
-    enumeration, in that order; it may have zero rows. ``s0`` must be in [0, S).
+    enumeration, in that order; it may have zero rows. ``s0`` must be an
+    integer state index (``_check_state``).
     """
     costs = sequence_costs(gate, horizon)
-    if not 0 <= s0 < len(gate.ledger):
-        raise IndexError(f"state index {s0} out of range")
+    _check_state(s0, len(gate.ledger))
     return _all_sequences(gate.n_actions, horizon)[costs <= gate.ledger[s0]]

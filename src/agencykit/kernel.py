@@ -66,6 +66,26 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, not {value!r}")
 
 
+def _check_state(s0, n_states: int) -> None:
+    """Raise ValueError unless ``s0`` is an integer (not a bool), IndexError unless in [0, S)."""
+    if isinstance(s0, bool) or not isinstance(s0, numbers.Integral):
+        raise ValueError(f"state index must be an integer, not {s0!r}")
+    if not 0 <= s0 < n_states:
+        raise IndexError(f"state index {s0} out of range")
+
+
+def _check_mask(name: str, mask, n_states: int) -> np.ndarray:
+    """``mask`` as an array; ValueError naming ``name`` unless it is a (n_states,) bool mask.
+
+    Numbers are refused, never coerced: neither 0.5 nor 2 means True.
+    """
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (n_states,):
+        raise ValueError(f"{name} has shape {mask.shape} and dtype {mask.dtype}, "
+                         f"not a ({n_states},) bool mask")
+    return mask
+
+
 def _check_kernel(n_states: int, n_actions: int, succ: np.ndarray, weights: np.ndarray) -> None:
     """Raise ValueError, naming the first offending (action, state), on a broken kernel rule.
 
@@ -245,8 +265,9 @@ def predecessor_lists(
     reaches one target through several successors gets one slot carrying
     their summed weight, and padding slots have weight 0 and source 0.
     Target ``t``'s sources are sorted by offset ``(src - t * S // T) mod S``
-    in state numbers: where shifting states by ``S / T`` maps the kernel onto
-    itself and the lens labels to labels + 1, rollouts are translation-exact.
+    in state numbers: where shifting states by ``S / B`` maps the kernel onto
+    itself and raises the lens labels by ``T / B`` (``_block_period``), that
+    anchor moves by exactly ``S / B``, so rollouts are translation-exact.
     Every kept slot, and its order, is that of the lists over all S states.
     """
     region = np.asarray(region, dtype=np.int64)

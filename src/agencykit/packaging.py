@@ -7,8 +7,8 @@ E : X -> X. The idempotence defect |{x : E(E(x)) != E(x)}| / |X| measures
 whether the macro labels compose like stable objects under that lens and
 maintenance policy.
 
-With ``P`` the smallest shift of states that maps the policy-closed chain
-onto itself and raises labels by ``X / B`` (``B = S / P`` blocks, ``X``
+With ``P = S / B`` the smallest shift of states that maps the policy-closed
+chain onto itself and raises labels by ``X / B`` (``_block_period``, ``X``
 labels), fiber ``x + y * X / B`` is fiber ``x`` moved by ``y`` blocks: only
 fibers below ``X / B`` are pushed, the rest are shifted copies. ``P = S``
 always qualifies; on a ring world ``P`` is one ring position, and the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from agencykit.empowerment import Lens, _is_block_shift
+from agencykit.empowerment import Lens, _block_period
 from agencykit.kernel import ControlledKernel, Policy, _check_count, check_fits, policy_successors
 
 
@@ -52,8 +52,8 @@ def packaging_endomap(
 ) -> Endomap:
     """Roll uniform fiber distributions tau steps and take the modal label.
 
-    The fibers below ``X / B``, for the most blocks ``B`` that pass
-    ``_is_block_shift`` (``B = 1`` always does), are pushed as sparse (fiber,
+    The fibers below ``X / B``, with ``B = S / _block_period(...)`` blocks
+    (``B = 1`` without a symmetry), are pushed as sparse (fiber,
     state, mass) triplets through the policy's successor lists, every member
     starting with mass 1; the other fibers are their shifted copies. Masses
     are divided by the fiber size only at the end. Labels with empty fibers
@@ -65,9 +65,7 @@ def packaging_endomap(
     check_fits(k, lens=pi)
     succ, weights = policy_successors(k, mu)
     n, n_labels = k.n_states, pi.n_labels
-    counts = np.arange(np.gcd(n, n_labels), 0, -1)
-    blocks = next(b for b in counts[counts[0] % counts == 0].tolist()
-                  if _is_block_shift(succ, weights, pi.project, n_labels, n // b))
+    blocks = n // _block_period(succ, weights, pi.project, n_labels)
     step = n_labels // blocks
     state = np.flatnonzero(pi.project < step)
     fib, mass = pi.project[state], np.ones(len(state))

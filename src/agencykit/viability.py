@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.feasibility import FeasibilityGate, feasible_action_matrix
-from agencykit.kernel import ControlledKernel, check_fits
+from agencykit.kernel import ControlledKernel, _check_mask, check_fits
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,11 @@ def viability_step(
 
     Returns {s in K : safe(s) and exists feasible a with support(s,a) subset K}.
     Pointwise contracting: the result is always a subset of K. Raises
-    ValueError unless the gate, safety mask and K are sized for ``k``.
+    ValueError unless the gate and safety mask are sized for ``k`` and K is
+    an (S,) bool mask (``_check_mask``).
     """
     check_fits(k, gate, safe=safe)
-    K = np.asarray(K, dtype=bool)
-    if K.shape != (k.n_states,):
-        raise ValueError(f"candidate set has shape {K.shape}, not ({k.n_states},)")
+    K = _check_mask("candidate set", K, k.n_states)
     # escapes[a, s]: some nonzero-probability successor of (s, a) lies outside K
     escapes = ((k.weights > 0) & ~K[k.succ]).any(axis=2)
     keeps = feasible_action_matrix(gate) & ~escapes

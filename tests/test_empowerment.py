@@ -9,9 +9,9 @@ from agencykit.empowerment import (
     EMPOWERMENT_TOL,
     Lens,
     _batched_sequence_rows,
+    _block_period,
     _feasible_channels,
     _reachable,
-    _translation_orbits,
     build_channel,
     channel_capacities,
     channel_capacity,
@@ -134,6 +134,19 @@ class TestRollout:
         k = single_matrix_kernel(np.eye(2))
         with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
             build_channel(k, zero_gate(2, 1), 0, horizon, identity_lens(2))
+
+    @pytest.mark.parametrize("s0, error, message", [
+        (True, ValueError, "state index must be an integer, not True"),
+        (1.5, ValueError, "state index must be an integer, not 1.5"),
+        (-1, IndexError, "state index -1 out of range"),
+        (96, IndexError, "state index 96 out of range"),
+    ])
+    def test_start_state_must_be_a_state_index(self, s0, error, message):
+        # True would index the ledger as a bool mask, and a float not at all
+        env = build_ringworld(PAPER)
+        assert env.n_states == 96
+        with pytest.raises(error, match=message):
+            build_channel(env.kernel, env.gate, s0, 1, env.output_lens)
 
 
 def with_unreachable_sources(rng, n, n_extra, n_actions) -> ControlledKernel:
@@ -374,16 +387,23 @@ class TestLens:
                 Lens(name="bad", project=project, n_labels=2)
 
 
-def is_identity(rep) -> bool:
-    return np.array_equal(rep, np.arange(len(rep)))
+def median_period(k, gate, f) -> int:
+    """The state shift ``median_empowerments`` takes for one problem."""
+    return _block_period(k.succ, k.weights, f.project, f.n_labels, gate.ledger)
+
+
+def mirrored_lens(f: Lens) -> Lens:
+    """``f`` with its labels negated mod ``n_labels``: shifting by half the labels raises them."""
+    return Lens(name="mirrored", project=(-f.project) % f.n_labels, n_labels=f.n_labels)
 
 
 class TestTranslationOrbits:
     def test_every_y_shift_maps_to_one_representative(self):
         cfg = holonomy_config("paper", True)
         env = build_ringworld(cfg)
-        rep = _translation_orbits(env.kernel, env.gate, env.output_lens)
         period = env.n_states // cfg.ring_size
+        assert median_period(env.kernel, env.gate, env.output_lens) == period
+        rep = np.arange(env.n_states) % period
         for u, phi, r in [(0, 0, 0), (1, 1, 2), (0, 1, 1)]:
             orbit = [ring_state_index(cfg, y, u, phi, r) for y in range(cfg.ring_size)]
             assert set(rep[orbit].tolist()) == {orbit[0]}
@@ -394,8 +414,7 @@ class TestTranslationOrbits:
         for cfg in exhibit_ring_configs():
             env = build_ringworld(cfg)
             period = env.n_states // cfg.ring_size
-            rep = _translation_orbits(env.kernel, env.gate, env.output_lens)
-            np.testing.assert_array_equal(rep, np.arange(env.n_states) % period)
+            assert median_period(env.kernel, env.gate, env.output_lens) == period
 
     def test_one_ulp_weight_bump_breaks_the_symmetry(self):
         cfg = holonomy_config("paper", True)
@@ -405,7 +424,7 @@ class TestTranslationOrbits:
         s = ring_state_index(cfg, 5, 0, 1, 2)
         weights[1, s, 0] = np.nextafter(weights[1, s, 0], 1.0)
         bumped = ControlledKernel(k.n_states, k.n_actions, succ=k.succ, weights=weights)
-        assert is_identity(_translation_orbits(bumped, env.gate, env.output_lens))
+        assert median_period(bumped, env.gate, env.output_lens) == env.n_states
 
     @pytest.mark.parametrize("block", ["first", "last"])
     @pytest.mark.parametrize("part", ["weight", "successor", "ledger", "label"])
@@ -416,7 +435,7 @@ class TestTranslationOrbits:
         y = 0 if block == "first" else cfg.ring_size - 1
         s = ring_state_index(cfg, y, 1, 0, 1)
         assert s // (env.n_states // cfg.ring_size) == y
-        assert not is_identity(_translation_orbits(k, gate, lens))
+        assert median_period(k, gate, lens) == env.n_states // cfg.ring_size
         succ, weights = k.succ.copy(), k.weights.copy()
         if part == "weight":
             weights[1, s, 0] = np.nextafter(weights[1, s, 0], 2.0)
@@ -431,60 +450,75 @@ class TestTranslationOrbits:
             project[s] = (project[s] + 1) % lens.n_labels
             lens = Lens(name="edited", project=project, n_labels=lens.n_labels)
         k = ControlledKernel(k.n_states, k.n_actions, succ=succ, weights=weights)
-        assert is_identity(_translation_orbits(k, gate, lens))
+        assert median_period(k, gate, lens) == env.n_states
 
     def test_indivisible_label_count_gives_identity(self):
         env = build_ringworld(holonomy_config("paper", True))
         y = env.output_lens.project
-        assert env.n_states % 5 != 0
+        assert np.gcd(env.n_states, 5) == 1
         lens = Lens(name="y_mod_5", project=y % 5, n_labels=5)
-        assert is_identity(_translation_orbits(env.kernel, env.gate, lens))
+        assert median_period(env.kernel, env.gate, lens) == env.n_states
+
+    def test_smallest_shift_passing_every_check(self):
+        # a 12-cycle with labels s // 2 maps onto itself under a shift of 2
+        # (6 blocks); a per-state array of period 4 leaves 3 blocks
+        k = single_matrix_kernel(np.roll(np.eye(12), 1, axis=1))
+        labels = np.arange(12) // 2
+        assert _block_period(k.succ, k.weights, labels, 6) == 2
+        assert _block_period(k.succ, k.weights, labels, 6, np.arange(12) % 4 == 0) == 4
+        assert _block_period(k.succ, k.weights, labels, 6, np.arange(12) == 0) == 12
+        # labels that repeat instead of rising by 6 / B admit no shift
+        assert _block_period(k.succ, k.weights, np.arange(12) % 6, 6) == 12
 
     def test_not_detected_without_the_symmetry(self, rng):
         for _ in range(5):
             n = rng.randint(2, 10)
             k = random_kernel(rng, n, rng.randint(1, 4))
-            assert is_identity(_translation_orbits(k, zero_gate(n, k.n_actions), identity_lens(n)))
+            assert median_period(k, zero_gate(n, k.n_actions), identity_lens(n)) == n
         for model in ("wrong", "right"):
             trap = build_schedule_trap(model)
-            assert is_identity(_translation_orbits(trap.kernel, trap.gate, trap.output_lens))
+            assert median_period(trap.kernel, trap.gate, trap.output_lens) == trap.n_states
         env = build_ringworld(holonomy_config("paper", True))
         y = env.output_lens.project
         uneven = FeasibilityGate(ledger=env.gate.ledger + (y == 3), costs=env.gate.costs)
-        assert is_identity(_translation_orbits(env.kernel, uneven, env.output_lens))
-        mirrored = Lens(name="mirrored", project=(-y) % env.output_lens.n_labels,
-                        n_labels=env.output_lens.n_labels)
-        assert is_identity(_translation_orbits(env.kernel, env.gate, mirrored))
+        assert median_period(env.kernel, uneven, env.output_lens) == env.n_states
+        # y -> -y is raised by 8 of 16 labels only by a shift of half the ring
+        mirrored = mirrored_lens(env.output_lens)
+        assert median_period(env.kernel, env.gate, mirrored) == env.n_states // 2
 
     def test_shifted_rollouts_are_rolled_bit_for_bit(self):
-        # H = 4 and 5 on the holonomy ring walk breadth-first below depth 2
-        for cfg, horizons in (
-            (holonomy_config("paper", False), (1, 2, 3, 4, 5)),
-            (ABLATIONS["learn_on"], (1, 2, 3)),
+        # H = 4 and 5 on the holonomy ring walk breadth-first below depth 2;
+        # the mirrored lens shifts by half the ring and raises labels by 8
+        for cfg, horizons, mirrored in (
+            (holonomy_config("paper", False), (1, 2, 3, 4, 5), False),
+            (holonomy_config("paper", False), (1, 2, 3, 4, 5), True),
+            (ABLATIONS["learn_on"], (1, 2, 3), False),
         ):
             env = build_ringworld(cfg)
-            k, f = env.kernel, env.output_lens
-            period = env.n_states // cfg.ring_size
+            k = env.kernel
+            f = mirrored_lens(env.output_lens) if mirrored else env.output_lens
+            period = median_period(k, env.gate, f)
+            step = f.n_labels * period // env.n_states
             states = np.arange(env.n_states)
             for horizon in horizons:
                 rows = _batched_sequence_rows(k, horizon, f, states)
                 reps = _batched_sequence_rows(k, horizon, f, np.arange(period))
                 for s in states:
                     np.testing.assert_array_equal(
-                        rows[:, s], np.roll(reps[:, s % period], s // period, axis=1)
+                        rows[:, s], np.roll(reps[:, s % period], s // period * step, axis=1)
                     )
 
     def test_build_channel_is_the_rolled_representative(self):
         # two independent rollouts: one from s0, one from its representative
         env = build_ringworld(ABLATIONS["full"])
         k, g, f = env.kernel, env.gate, env.output_lens
-        rep, period = _translation_orbits(k, g, f), env.n_states // f.n_labels
-        assert not is_identity(rep)
+        period = median_period(k, g, f)
+        assert period == env.n_states // f.n_labels
         for s0 in range(0, env.n_states, 7):
             for horizon in (1, 2):
                 np.testing.assert_array_equal(
                     build_channel(k, g, s0, horizon, f),
-                    np.roll(build_channel(k, g, int(rep[s0]), horizon, f), s0 // period, axis=1),
+                    np.roll(build_channel(k, g, s0 % period, horizon, f), s0 // period, axis=1),
                 )
 
     def test_build_channel_never_reads_the_orbits(self, monkeypatch):
@@ -494,9 +528,9 @@ class TestTranslationOrbits:
         channel = build_channel(k, g, s0, 2, f)
 
         def refuse(*args):
-            raise AssertionError("build_channel computed translation orbits")
+            raise AssertionError("build_channel searched a translation")
 
-        monkeypatch.setattr(empowerment, "_translation_orbits", refuse)
+        monkeypatch.setattr(empowerment, "_block_period", refuse)
         assert build_channel(k, g, s0, 2, f).tobytes() == channel.tobytes()
 
 
@@ -689,7 +723,7 @@ class TestMedianInputs:
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_mask_of_wrong_length_rejected(self, env, delta):
-        with pytest.raises(ValueError, match="kernel mask"):
+        with pytest.raises(ValueError, match="kernel set has .* bool mask"):
             self.median(env, np.ones(env.n_states + delta, dtype=bool))
 
     @pytest.mark.parametrize("max_states", [0, -3])
@@ -720,7 +754,7 @@ class TestMedianInputs:
     ], ids=["2d_indices", "float_indices", "empty_floats", "index_list"])
     def test_kernel_set_is_a_mask_or_1d_indices(self, env, states, named):
         # only a mask: index arrays, 1-d ones included, are rejected
-        expected = rf"kernel set has {named}, not a \({env.n_states},\) bool kernel mask"
+        expected = rf"kernel set has {named}, not a \({env.n_states},\) bool mask"
         with pytest.raises(ValueError, match=expected):
             self.median(env, states)
 
@@ -759,10 +793,12 @@ class TestMedianMemo:
             assert max(r.iterations for r in med.solved) == max(r.iterations for r in direct)
             assert 1 <= len(med.solved) <= len(direct)
 
-    @pytest.mark.parametrize("protocol_on", [True, False])
-    def test_holonomy_ring_matches_unmerged_channels(self, protocol_on, monkeypatch):
+    @pytest.mark.parametrize("protocol_on, lens", [(True, "y"), (False, "y"), (True, "mirrored")],
+                             ids=["True", "False", "mirrored"])
+    def test_holonomy_ring_matches_unmerged_channels(self, protocol_on, lens, monkeypatch):
         tol = 1e-9
         env = build_ringworld(holonomy_config("paper", protocol_on))
+        f = env.output_lens if lens == "y" else mirrored_lens(env.output_lens)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
         solves = []
         counted = empowerment.channel_capacities
@@ -776,19 +812,16 @@ class TestMedianMemo:
         for horizon in (1, 2, 3):
             solves.clear()
             med = median_empowerment_on_kernel(
-                env.kernel, env.gate, vres.kernel, horizon, env.output_lens,
-                max_states=16, tol=tol,
+                env.kernel, env.gate, vres.kernel, horizon, f, max_states=16, tol=tol,
             )
             # y-shifted start states share one orbit representative
-            rep = _translation_orbits(env.kernel, env.gate, env.output_lens)
+            period = median_period(env.kernel, env.gate, f)
             assert 1 <= len(solves) == len(med.solved) < len(med.selected_states)
-            assert len(med.solved) <= len(set(rep[med.selected_states].tolist()))
+            assert len(med.solved) == len(set(np.array(med.selected_states) % period))
             # the median keeps its one capacity call's results, unreduced
             assert all(a is b for a, b in zip(med.solved, solves))
             # channels cut from independent dense rollouts, one per selected state
-            seqs, rows = dense_sequence_rows(
-                env.kernel, horizon, env.output_lens, med.selected_states
-            )
+            seqs, rows = dense_sequence_rows(env.kernel, horizon, f, med.selected_states)
             costs = np.array([env.gate.costs[list(seq)].sum() for seq in seqs])
             oracle = [
                 channel_capacity(rows[costs <= env.gate.ledger[s], i], tol=tol).capacity_bits
@@ -866,8 +899,8 @@ class TestMedianEmpowerments:
         k, f, states = env.kernel, env.output_lens, np.ones(env.n_states, dtype=bool)
         y = f.project
         uneven = FeasibilityGate(ledger=env.gate.ledger + (y == 3), costs=env.gate.costs)
-        assert not np.array_equal(_translation_orbits(k, env.gate, f),
-                                  _translation_orbits(k, uneven, f))
+        assert median_period(k, env.gate, f) == env.n_states // f.n_labels
+        assert median_period(k, uneven, f) == env.n_states
         # one kernel and lens, gates alternating: each problem computes its own orbits
         problems = [(k, gate, states, 2, f) for gate in (env.gate, uneven, env.gate, uneven)]
         for med, problem in zip(median_empowerments(problems), problems):
@@ -916,6 +949,14 @@ class TestSubsetRule:
     def test_max_states_below_one_rejected(self, max_states):
         with pytest.raises(ValueError, match="max_states must be an integer >= 1"):
             select_kernel_subset(np.ones(5, dtype=bool), max_states)
+
+    @pytest.mark.parametrize("mask", [np.full(5, 0.5), np.full(5, 2), np.ones((1, 5), dtype=bool)],
+                             ids=["fractions", "integers", "2d"])
+    def test_mask_must_be_1d_bools(self, mask):
+        # numbers would be coerced to True and select every state
+        expected = rf"state mask has shape .*, not a \({mask.size},\) bool mask"
+        with pytest.raises(ValueError, match=expected):
+            select_kernel_subset(mask, 2)
 
     @pytest.mark.parametrize("max_states", [True, 2.5, 2.0])
     def test_max_states_must_be_an_integer(self, max_states):

@@ -339,6 +339,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=name):
             RingWorldConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RingWorldConfig)
+                                      if f.type == "int"])
+    def test_count_below_its_minimum_rejected(self, name):
+        minimum = {"ring_size": 3, "phase_period": 1, "theta_levels": 1}.get(name, 0)
+        RingWorldConfig(**{name: minimum})
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= {minimum}, "
+                                             f"not {minimum - 1}"):
+            RingWorldConfig(**{name: minimum - 1})
+
+    @pytest.mark.parametrize("name", ["p_flip", "p_slip", "repair_success"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), np.inf])
+    def test_probability_outside_the_unit_interval_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"{name} must be a real number in \[0, 1\], "
+                                             rf"not {value!r}"):
+            RingWorldConfig(**{name: value})
+
     def test_equal_configs_hash_alike(self):
         pairs = [
             (RingWorldConfig(p_slip=0, repair_success=1), RingWorldConfig(p_slip=0.0)),

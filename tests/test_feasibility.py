@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,13 @@ class TestFeasibleSequences:
     def test_horizon_must_be_an_integer(self, horizon):
         with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
             feasible_sequences(gate([0], [0, 0]), 0, horizon)
+
+    @pytest.mark.parametrize("s0", [True, 1.5, 1.0, np.float64(0.0)])
+    def test_start_state_must_be_an_integer(self, s0):
+        # True would index the ledger as a bool mask, and a float not at all
+        expected = re.escape(f"state index must be an integer, not {s0!r}")
+        with pytest.raises(ValueError, match=expected):
+            feasible_sequences(gate([0, 1, 2], [0, 1]), s0, 1)
 
     @pytest.mark.parametrize("horizon", [0, -1, True, 2.0])
     def test_sequence_costs_checks_the_horizon(self, horizon):

@@ -199,26 +199,21 @@ def random_problems():
     return problems
 
 
-BLOCK_SHIFT = packaging._is_block_shift
+BLOCK_PERIOD = packaging._block_period
 
 
 def quotient_period(monkeypatch, k, lens, mu) -> int:
-    """The state shift ``packaging_endomap`` takes, from the block-shift checks it makes.
+    """The state shift ``packaging_endomap`` takes, from its one ``_block_period`` search."""
+    periods = []
 
-    The search must stop at the first check that holds, so that check's
-    period is the one the push uses.
-    """
-    checked = []
+    def spy(*args):
+        periods.append(BLOCK_PERIOD(*args))
+        return periods[-1]
 
-    def spy(succ, weights, labels, n_labels, period):
-        checked.append((period, BLOCK_SHIFT(succ, weights, labels, n_labels, period)))
-        return checked[-1][1]
-
-    monkeypatch.setattr(packaging, "_is_block_shift", spy)
+    monkeypatch.setattr(packaging, "_block_period", spy)
     packaging_endomap(k, lens, mu, 2)
     monkeypatch.undo()
-    *failed, (period, held) = checked
-    assert held and not any(ok for _, ok in failed)
+    (period,) = periods
     return period
 
 

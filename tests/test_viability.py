@@ -85,6 +85,15 @@ class TestViabilityStep:
         with pytest.raises(ValueError, match=part):
             viability_step(env.kernel, gate, safe, K)
 
+    @pytest.mark.parametrize("fill", [0.5, 2, 0.0])
+    def test_candidate_set_of_numbers_rejected(self, fill):
+        # cast to bool, 0.5 and 2 would read as every state and 0.0 as none
+        env = build_ringworld(RingWorldConfig())
+        K = np.full(env.n_states, fill)
+        with pytest.raises(ValueError, match=rf"candidate set has shape \(96,\) and dtype "
+                                             rf"{K.dtype}, not a \(96,\) bool mask"):
+            viability_step(env.kernel, env.gate, env.safety_ledger_only, K)
+
 
 class TestViabilityKernel:
     def test_no_feasible_actions_anywhere(self, rng):
