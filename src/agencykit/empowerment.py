@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.feasibility import FeasibilityGate, sequence_costs
-from agencykit.kernel import (ControlledKernel, _check_count, _check_mask, _check_state, check_fits,
-                              predecessor_lists, pull)
+from agencykit.kernel import (ControlledKernel, _check_count, _check_mask, _check_rows, _check_state,
+                              check_fits, predecessor_lists, pull)
 
 ROW_TOLERANCE = 1e-9
 
@@ -144,15 +144,9 @@ def channel_capacities(
         if results and matrix.shape[1] != n_labels:
             raise ValueError("channels must share one output alphabet")
         n_labels = matrix.shape[1]
-        # NaN fails every comparison; the row mask is built only on failure
-        if not (matrix.min(initial=0.0) >= 0 and matrix.max(initial=0.0) < np.inf):
-            r = int(np.flatnonzero(~((matrix >= 0) & (matrix < np.inf)).all(axis=1))[0])
-            raise ValueError(f"channel row {r} has an entry that is not finite and >= 0: "
-                             f"{np.array2string(matrix[r], threshold=8)}")
-        row_sums = matrix.sum(axis=1)
-        bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_TOLERANCE)
-        if bad.size:
-            raise ValueError(f"channel row {int(bad[0])} sums to {float(row_sums[bad[0]])}")
+        _check_rows(matrix, ROW_TOLERANCE, lambda r, total: f"channel row {r} sums to {total}"
+                    if total is not None else f"channel row {r} has an entry that is not finite "
+                    f"and >= 0: {np.array2string(matrix[r], threshold=8)}")
         if len(matrix) <= 1:
             results.append(CapacityResult(
                 capacity_bits=0.0,
@@ -310,7 +304,6 @@ def _batched_sequence_rows(
     (R, A**(H-1-d) * m), by the larger of two arrays the walk allocates
     anyway: the node's own one-step output (A * R, m) or 1/A of ``rows``.
     """
-    _check_count("horizon", horizon, 1)
     states = np.asarray(states, dtype=np.int64)
     m = len(states)
     n_actions, n_labels = k.n_actions, f.n_labels
@@ -383,10 +376,11 @@ def _feasible_channels(
 
     The only code that cuts a channel: ``states[i]``'s channel holds its rows
     of the sequences that fit its ledger, in ``feasible_sequences`` order.
-    Callers check that the gate and lens fit the kernel.
+    Callers check that the gate and lens fit the kernel; ``sequence_costs``
+    checks the horizon before the rollout.
     """
-    rows = _batched_sequence_rows(k, horizon, f, states)
     costs = sequence_costs(gate, horizon)
+    rows = _batched_sequence_rows(k, horizon, f, states)
     return [rows[costs <= gate.ledger[s], i] for i, s in enumerate(states)]
 
 

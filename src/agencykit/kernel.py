@@ -74,16 +74,32 @@ def _check_state(s0, n_states: int) -> None:
         raise IndexError(f"state index {s0} out of range")
 
 
-def _check_mask(name: str, mask, n_states: int) -> np.ndarray:
-    """``mask`` as an array; ValueError naming ``name`` unless it is a (n_states,) bool mask.
+def _check_mask(name: str, mask, n_states: int | None = None) -> np.ndarray:
+    """``mask`` as an array; ValueError naming ``name`` unless it is a 1-d bool mask.
 
-    Numbers are refused, never coerced: neither 0.5 nor 2 means True.
+    Of length ``n_states`` if given; numbers are refused, never coerced: 2 is not True.
     """
     mask = np.asarray(mask)
-    if mask.dtype != bool or mask.shape != (n_states,):
-        raise ValueError(f"{name} has shape {mask.shape} and dtype {mask.dtype}, "
-                         f"not a ({n_states},) bool mask")
+    if mask.dtype != bool or mask.ndim != 1 or n_states not in (None, len(mask)):
+        size = "1-d" if n_states is None else f"({n_states},)"
+        raise ValueError(f"{name} has shape {mask.shape} and dtype {mask.dtype}, not a {size} bool mask")
     return mask
+
+
+def _check_rows(rows: np.ndarray, tol: float, message) -> None:
+    """Raise ValueError unless each row (last axis) of ``rows`` is a distribution.
+
+    The one row rule: entries finite and >= 0 (all rows first), then sums within
+    ``tol`` of 1. ``message(*i, None)``, or ``message(*i, row_sum)`` for a sum,
+    words the error of the first bad row ``i``.
+    """
+    # NaN fails every comparison; masks locating a bad row are built only on failure
+    if not (rows.min(initial=0.0) >= 0 and rows.max(initial=0.0) < np.inf):
+        raise ValueError(message(*np.argwhere(~((rows >= 0) & (rows < np.inf)).all(axis=-1))[0], None))
+    sums = rows.sum(axis=-1)
+    if np.abs(sums - 1.0).max(initial=0.0) > tol:
+        i = tuple(np.argwhere(np.abs(sums - 1.0) > tol)[0])
+        raise ValueError(message(*i, float(sums[i])))
 
 
 def _check_kernel(n_states: int, n_actions: int, succ: np.ndarray, weights: np.ndarray) -> None:
@@ -91,8 +107,7 @@ def _check_kernel(n_states: int, n_actions: int, succ: np.ndarray, weights: np.n
 
     The rules: integer counts of at least one state and one action, both
     arrays of shape (n_actions, n_states, k), integer successors in
-    [0, n_states), weights finite and >= 0, rows summing to 1 within
-    ``ROW_SUM_TOLERANCE``.
+    [0, n_states), and rows passing ``_check_rows`` at ``ROW_SUM_TOLERANCE``.
     """
     _check_count("kernel n_states", n_states, 1)
     _check_count("kernel n_actions", n_actions, 1)
@@ -101,20 +116,11 @@ def _check_kernel(n_states: int, n_actions: int, succ: np.ndarray, weights: np.n
     if succ.ndim != 3 or succ.shape != weights.shape or succ.shape[:2] != (n_actions, n_states):
         raise ValueError(f"succ {succ.shape} and weights {weights.shape} must share one "
                          f"({n_actions}, {n_states}, k) shape")
-    # NaN fails every comparison; masks locating a bad row are built only on failure
-    if not (succ.min(initial=0) >= 0 and succ.max(initial=0) < n_states
-            and weights.min(initial=0) >= 0 and weights.max(initial=0) < np.inf):
-        for problem, bad in (
-            (f"has a successor outside [0, {n_states})", (succ < 0) | (succ >= n_states)),
-            ("has a negative or non-finite weight", ~((weights >= 0) & (weights < np.inf))),
-        ):
-            if bad.any():
-                a, s, _ = np.argwhere(bad)[0]
-                raise ValueError(f"kernel row (action {a}, state {s}) {problem}")
-    sums = weights.sum(axis=2)
-    if np.abs(sums - 1.0).max(initial=0.0) > ROW_SUM_TOLERANCE:
-        a, s = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE)[0]
-        raise ValueError(f"kernel row (action {a}, state {s}) sums to {float(sums[a, s])!r}")
+    if not (succ.min(initial=0) >= 0 and succ.max(initial=0) < n_states):
+        a, s, _ = np.argwhere((succ < 0) | (succ >= n_states))[0]
+        raise ValueError(f"kernel row (action {a}, state {s}) has a successor outside [0, {n_states})")
+    _check_rows(weights, ROW_SUM_TOLERANCE, lambda a, s, total: f"kernel row (action {a}, state {s}) "
+                + ("has a negative or non-finite weight" if total is None else f"sums to {total!r}"))
 
 
 @dataclass(frozen=True, init=False)
@@ -207,11 +213,8 @@ class Policy:
         if bad:
             raise ValueError(f"policy row for state {bad[0]} has wrong length")
         weights = np.stack(rows)
-        # NaN fails ``>= 0``, and an inf entry makes the sum miss 1
-        ok = (weights >= 0).all(axis=1) & (np.abs(weights.sum(axis=1) - 1.0) <= ROW_SUM_TOLERANCE)
-        if not ok.all():
-            s = int(np.argmin(ok))
-            raise ValueError(f"policy row for state {s} is no distribution: {weights[s].tolist()}")
+        _check_rows(weights, ROW_SUM_TOLERANCE,
+                    lambda s, _: f"policy row for state {s} is no distribution: {weights[s].tolist()}")
         return weights
 
 

@@ -31,12 +31,18 @@ class Endomap:
 
     The domain covers exactly the labels with nonempty fibers; ``reach_mass``
     records the modal label's probability mass so auditors can distinguish
-    confident modes from near-ties.
+    confident modes from near-ties. An empty mapping, or one with an image
+    outside its domain, raises ValueError.
     """
 
     policy_name: str
     mapping: dict[int, int]
     reach_mass: dict[int, float]
+
+    def __post_init__(self):
+        outside = [x for x, y in self.mapping.items() if y not in self.mapping]
+        if not self.mapping or outside:
+            raise ValueError(f"endomap mapping must be nonempty and closed, not {self.mapping}")
 
     @property
     def domain(self) -> list[int]:
@@ -84,8 +90,6 @@ def packaging_endomap(
     # per fiber: largest mass first, then the smallest label (the tie-break)
     order = np.lexsort((label, -mass, fib))
     first = order[np.r_[True, fib[order][1:] != fib[order][:-1]]]
-    if first.size == 0:
-        raise ValueError("lens has no nonempty fibers")
     sizes = np.bincount(pi.project, minlength=n_labels)
     domain = fib[first].tolist()
     return Endomap(

@@ -22,18 +22,16 @@ from agencykit.kernel import ControlledKernel, _check_mask, check_fits
 class SafetyPredicate:
     """Total boolean map over states marking which ones count as viable.
 
-    ``safe`` is a 1-d array of bool dtype (numbers, NaN and strings are
-    refused, never coerced); anything else raises ValueError.
+    ``safe`` is a 1-d bool mask (``_check_mask``: numbers, NaN and strings
+    are refused, never coerced); ``check_fits`` checks its length.
     """
 
     safe: np.ndarray
     name: str = "safe"
 
     def __post_init__(self):
-        safe = np.array(self.safe)  # a copy: freezing it leaves the caller's array writable
-        if safe.ndim != 1 or safe.dtype != bool:
-            raise ValueError(f"safety mask must be a 1-d bool array, "
-                             f"not {safe.dtype} of shape {safe.shape}")
+        # a copy: freezing it leaves the caller's array writable
+        safe = _check_mask("safety mask", np.array(self.safe))
         safe.setflags(write=False)
         object.__setattr__(self, "safe", safe)
 

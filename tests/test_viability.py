@@ -29,7 +29,7 @@ class TestSafetyPredicate:
                                   "scalar"])
     def test_mask_must_be_1d_bools(self, safe):
         # a NaN coerced to bool would mark its state safe
-        with pytest.raises(ValueError, match="safety mask must be a 1-d bool array"):
+        with pytest.raises(ValueError, match=r"safety mask has shape .* not a 1-d bool mask$"):
             SafetyPredicate(safe=safe)
 
     def test_bool_mask_is_kept_read_only(self):
