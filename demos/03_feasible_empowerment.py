@@ -11,11 +11,12 @@ import numpy as np
 
 from agencykit.empowerment import (
     build_channel,
-    channel_capacity,
-    feasible_empowerment,
+    channel_capacities,
+    median_empowerments,
     total_variation,
 )
 from agencykit.environments import RingWorldConfig, build_ringworld, ring_state_index
+from agencykit.viability import viability_kernel
 
 # Free movement on the ring so budgets do not interfere at first.
 cfg = RingWorldConfig(cost_left=0, cost_right=0, p_slip=0.1)
@@ -24,17 +25,27 @@ s0 = ring_state_index(cfg, y=0, u=0, phi=0, r=2)
 
 channel = build_channel(env.kernel, env.gate, s0, horizon=2, f=env.output_lens)
 print(f"H=2 channel: {channel.shape[0]} sequence rows x {channel.shape[1]} outputs")
-res = channel_capacity(channel)
+(res,) = channel_capacities([channel])
 print(f"capacity = {res.capacity_bits:.4f} bits "
       f"({res.iterations} iterations, bound gap {res.gap:.1e})")
 
 # Budgets shrink the input alphabet: with movement at cost 2 and only one
-# unit in the ledger, no move is affordable and the channel collapses.
+# unit in the ledger, no move is affordable and the channel collapses. One
+# channel_capacities call solves every channel; each result is the same as
+# when solved alone.
 tight = build_ringworld(RingWorldConfig())  # movement costs 2
-for r in (0, 1, 2):
-    s = ring_state_index(RingWorldConfig(), y=0, u=0, phi=0, r=r)
-    cap = feasible_empowerment(tight.kernel, tight.gate, s, 2, tight.output_lens)
-    print(f"budget r={r}: feasible empowerment = {cap:.4f} bits")
+starts = [ring_state_index(RingWorldConfig(), y=0, u=0, phi=0, r=r) for r in (0, 1, 2)]
+channels = [build_channel(tight.kernel, tight.gate, s, 2, tight.output_lens) for s in starts]
+for r, res in enumerate(channel_capacities(channels)):
+    print(f"budget r={r}: feasible empowerment = {res.capacity_bits:.4f} bits")
+
+# The exhibits report the lower median over a viability kernel, here of the
+# free-movement ring. Each problem is (kernel, gate, state mask, horizon,
+# lens); states that are ring translates of one another share one solve.
+viable = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
+(med,) = median_empowerments([(env.kernel, env.gate, viable.kernel, 2, env.output_lens)])
+print(f"median over {len(med.values)} viable states = {med.median_bits:.4f} bits "
+      f"({len(med.solved)} solves, rule {med.subset_rule})")
 
 # Order of composition matters when the protocol is on: compare the output
 # distributions of (RIGHT, LEFT) vs (LEFT, RIGHT) from a staged phase. Each

@@ -16,7 +16,8 @@ Provides:
 from agencykit.kernel import ControlledKernel, Policy, validate_kernel
 from agencykit.feasibility import FeasibilityGate, feasible_sequences
 from agencykit.viability import SafetyPredicate, viability_kernel
-from agencykit.empowerment import Lens, channel_capacity, feasible_empowerment
+from agencykit.empowerment import (Lens, channel_capacities, channel_capacity, feasible_empowerment,
+                                   median_empowerments)
 from agencykit.packaging import packaging_endomap, idempotence_defect
 from agencykit.environments import RingWorldConfig, build_ringworld
 
@@ -31,6 +32,8 @@ __all__ = [
     "SafetyPredicate",
     "viability_kernel",
     "Lens",
+    "channel_capacities",
+    "median_empowerments",
     "channel_capacity",
     "feasible_empowerment",
     "packaging_endomap",

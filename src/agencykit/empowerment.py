@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.feasibility import FeasibilityGate, sequence_costs
-from agencykit.kernel import (ControlledKernel, _check_count, _check_mask, _check_rows, _check_state,
-                              check_fits, predecessor_lists, pull)
+from agencykit.kernel import (ControlledKernel, _block_period, _check_count, _check_mask, _check_rows,
+                              _check_state, check_fits, predecessor_lists, pull)
 
 ROW_TOLERANCE = 1e-9
 
@@ -95,7 +95,10 @@ def channel_capacity(
     w: np.ndarray,
     tol: float = EMPOWERMENT_TOL,
 ) -> CapacityResult:
-    """Channel capacity in bits of one channel matrix (see ``channel_capacities``)."""
+    """Channel capacity in bits of one channel matrix (see ``channel_capacities``).
+
+    Kept for the benchmark's callers; ROADMAP item 2 deletes it.
+    """
     return channel_capacities([w], tol=tol)[0]
 
 
@@ -222,7 +225,10 @@ def feasible_empowerment(
     horizon: int,
     f: Lens,
 ) -> float:
-    """Capacity (bits), to ``EMPOWERMENT_TOL``, of the budget-restricted channel from ``s0``."""
+    """Capacity (bits), to ``EMPOWERMENT_TOL``, of the budget-restricted channel from ``s0``.
+
+    Kept for the benchmark's callers; ROADMAP item 2 deletes it.
+    """
     return channel_capacity(build_channel(k, gate, s0, horizon, f)).capacity_bits
 
 
@@ -260,8 +266,10 @@ def select_kernel_subset(mask: np.ndarray, max_states: int) -> tuple[np.ndarray,
 
 
 def lower_median(values: list[float] | np.ndarray) -> float:
-    """Element at position floor((m-1)/2) of the sorted values."""
+    """Element at position floor((m-1)/2) of the sorted values; ValueError if there are none."""
     ordered = np.sort(np.asarray(values, dtype=np.float64))
+    if not ordered.size:
+        raise ValueError("values must hold at least one number")
     return float(ordered[(len(ordered) - 1) // 2])
 
 
@@ -288,6 +296,7 @@ def _batched_sequence_rows(
     (A**H, len(states), n_labels) whose row n is the sequence with base-A
     digits n. Each column is bit-identical to the rollout of its start state
     alone (see ``pull``), so grouping columns differently never changes a row.
+    The caller checks the horizon (``_feasible_channels``).
 
     The walk runs over the R states the start states reach in H - 1 steps
     (``_reachable``): the mass of every prefix of at most H - 1 actions stays
@@ -340,35 +349,6 @@ def _batched_sequence_rows(
     return rows
 
 
-def _block_period(succ: np.ndarray, weights: np.ndarray, labels: np.ndarray, n_labels: int,
-                  *fixed: np.ndarray) -> int:
-    """Smallest state shift ``P = S / B`` that maps the model onto itself.
-
-    ``B`` runs over the divisors of ``gcd(S, n_labels)``, most blocks first,
-    and ``P`` qualifies when each block ``y`` of ``P`` states is block 0 moved
-    by ``y * P``: labels (one per state) rise by ``y * n_labels / B`` mod
-    ``n_labels``, the cheap test, so it comes first; every ``fixed`` per-state
-    array is equal block by block; successors (states on axis -2) shift by
-    ``y * P``, with equal weights. ``B = 1``, ``P = S``, always qualifies.
-    Entries compare by value, since kernels and gates hold no NaN and a
-    ``-0.0`` weight or cost acts exactly like ``0.0``.
-    """
-    n, most = len(labels), np.gcd(len(labels), n_labels)
-    counts = np.arange(most, 1, -1)
-    for blocks in counts[most % counts == 0].tolist():
-        period, y = n // blocks, np.arange(blocks)[:, None]
-        raised = (labels[:period] + y * (n_labels // blocks)) % n_labels
-        if not ((labels.reshape(raised.shape) == raised).all()
-                and all((a.reshape(raised.shape) == a[:period]).all() for a in fixed)):
-            continue
-        shape, y = (*succ.shape[:-2], blocks, period, succ.shape[-1]), y[:, None] * period
-        moved = succ.reshape(shape) - succ[..., None, :period, :]  # in (-S, S), so no modulo
-        if ((weights.reshape(shape) == weights[..., None, :period, :]).all()
-                and ((moved == y) | (moved == y - n)).all()):
-            return period
-    return n
-
-
 def _feasible_channels(
     k: ControlledKernel, gate: FeasibilityGate, states, horizon: int, f: Lens
 ) -> list[np.ndarray]:
@@ -393,7 +373,10 @@ def median_empowerment_on_kernel(
     max_states: int = MAX_MEDIAN_STATES,
     tol: float = EMPOWERMENT_TOL,
 ) -> MedianEmpowermentResult:
-    """Lower-median feasible empowerment over a viability kernel (see ``median_empowerments``)."""
+    """Lower-median feasible empowerment over a viability kernel (see ``median_empowerments``).
+
+    Kept for the benchmark's callers; ROADMAP item 2 deletes it.
+    """
     return median_empowerments([(k, gate, kernel_set, horizon, f)], max_states, tol)[0]
 
 

@@ -300,6 +300,36 @@ def predecessor_lists(
     )
 
 
+def _block_period(succ: np.ndarray, weights: np.ndarray, labels: np.ndarray, n_labels: int,
+                  *fixed: np.ndarray) -> int:
+    """Smallest state shift ``P = S / B`` that maps the model onto itself.
+
+    ``B`` runs over the divisors of ``gcd(S, n_labels)``, most blocks first,
+    and ``P`` qualifies when each block ``y`` of ``P`` states is block 0 moved
+    by ``y * P``: labels (one per state) rise by ``y * n_labels / B`` mod
+    ``n_labels``, the cheap test, so it comes first; every ``fixed`` per-state
+    array is equal block by block; successors (states on axis -2) shift by
+    ``y * P``, with equal weights. ``B = 1``, ``P = S``, always qualifies.
+    Entries compare by value, since kernels and gates hold no NaN and a
+    ``-0.0`` weight or cost acts exactly like ``0.0``. ``predecessor_lists``'
+    in-list order is the other half of this translation convention.
+    """
+    n, most = len(labels), np.gcd(len(labels), n_labels)
+    counts = np.arange(most, 1, -1)
+    for blocks in counts[most % counts == 0].tolist():
+        period, y = n // blocks, np.arange(blocks)[:, None]
+        raised = (labels[:period] + y * (n_labels // blocks)) % n_labels
+        if not ((labels.reshape(raised.shape) == raised).all()
+                and all((a.reshape(raised.shape) == a[:period]).all() for a in fixed)):
+            continue
+        shape, y = (*succ.shape[:-2], blocks, period, succ.shape[-1]), y[:, None] * period
+        moved = succ.reshape(shape) - succ[..., None, :period, :]  # in (-S, S), so no modulo
+        if ((weights.reshape(shape) == weights[..., None, :period, :]).all()
+                and ((moved == y) | (moved == y - n)).all()):
+            return period
+    return n
+
+
 def pull(lists: tuple[np.ndarray, np.ndarray], D: np.ndarray) -> np.ndarray:
     """Push the columns of D (S, m) one step under every action at once.
 

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from agencykit.empowerment import Lens, _block_period
-from agencykit.kernel import ControlledKernel, Policy, _check_count, check_fits, policy_successors
+from agencykit.empowerment import Lens
+from agencykit.kernel import (ControlledKernel, Policy, _block_period, _check_count, check_fits,
+                              policy_successors)
 
 
 @dataclass

@@ -6,6 +6,8 @@ constant is referenced somewhere in the package outside its own definition,
 used by the benchmark, or exported in ``agencykit.__all__``, and every
 module-level private function or class is referenced by another package
 statement (the benchmark and ``__all__`` do not count for a private name).
+A module imports single-underscore names from ``agencykit.kernel`` alone,
+which holds the shared input checks and the translation convention.
 """
 
 import ast
@@ -90,6 +92,15 @@ def test_every_private_helper_has_a_caller():
         return []
 
     assert unread_definitions(private) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_names_are_imported_only_from_kernel(path):
+    borrowed = [f"{node.module}.{alias.name}" for node in ast.walk(parse(path))
+                if isinstance(node, ast.ImportFrom) and node.module != "agencykit.kernel"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert borrowed == []
 
 
 def test_one_paper_configuration():
