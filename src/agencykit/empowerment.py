@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.feasibility import FeasibilityGate, sequence_costs
-from agencykit.kernel import (ControlledKernel, _block_period, _check_count, _check_mask, _check_rows,
-                              _check_state, check_fits, predecessor_lists, pull)
+from agencykit.kernel import (ControlledKernel, _block_period, _check_count, _check_mask,
+                              _check_rows, _check_state, check_fits, predecessor_lists, pull)
 
 ROW_TOLERANCE = 1e-9
 
@@ -296,7 +296,6 @@ def _batched_sequence_rows(
     (A**H, len(states), n_labels) whose row n is the sequence with base-A
     digits n. Each column is bit-identical to the rollout of its start state
     alone (see ``pull``), so grouping columns differently never changes a row.
-    The caller checks the horizon (``_feasible_channels``).
 
     The walk runs over the R states the start states reach in H - 1 steps
     (``_reachable``): the mass of every prefix of at most H - 1 actions stays

@@ -81,8 +81,8 @@ def _check_mask(name: str, mask, n_states: int | None = None) -> np.ndarray:
     """
     mask = np.asarray(mask)
     if mask.dtype != bool or mask.ndim != 1 or n_states not in (None, len(mask)):
-        size = "1-d" if n_states is None else f"({n_states},)"
-        raise ValueError(f"{name} has shape {mask.shape} and dtype {mask.dtype}, not a {size} bool mask")
+        raise ValueError(f"{name} has shape {mask.shape} and dtype {mask.dtype}, not a "
+                         f"{'1-d' if n_states is None else f'({n_states},)'} bool mask")
     return mask
 
 
@@ -95,7 +95,8 @@ def _check_rows(rows: np.ndarray, tol: float, message) -> None:
     """
     # NaN fails every comparison; masks locating a bad row are built only on failure
     if not (rows.min(initial=0.0) >= 0 and rows.max(initial=0.0) < np.inf):
-        raise ValueError(message(*np.argwhere(~((rows >= 0) & (rows < np.inf)).all(axis=-1))[0], None))
+        i = np.argwhere(~((rows >= 0) & (rows < np.inf)).all(axis=-1))[0]
+        raise ValueError(message(*i, None))
     sums = rows.sum(axis=-1)
     if np.abs(sums - 1.0).max(initial=0.0) > tol:
         i = tuple(np.argwhere(np.abs(sums - 1.0) > tol)[0])
@@ -116,11 +117,12 @@ def _check_kernel(n_states: int, n_actions: int, succ: np.ndarray, weights: np.n
     if succ.ndim != 3 or succ.shape != weights.shape or succ.shape[:2] != (n_actions, n_states):
         raise ValueError(f"succ {succ.shape} and weights {weights.shape} must share one "
                          f"({n_actions}, {n_states}, k) shape")
+    row = "kernel row (action {}, state {}) "
     if not (succ.min(initial=0) >= 0 and succ.max(initial=0) < n_states):
         a, s, _ = np.argwhere((succ < 0) | (succ >= n_states))[0]
-        raise ValueError(f"kernel row (action {a}, state {s}) has a successor outside [0, {n_states})")
-    _check_rows(weights, ROW_SUM_TOLERANCE, lambda a, s, total: f"kernel row (action {a}, state {s}) "
-                + ("has a negative or non-finite weight" if total is None else f"sums to {total!r}"))
+        raise ValueError(row.format(a, s) + f"has a successor outside [0, {n_states})")
+    _check_rows(weights, ROW_SUM_TOLERANCE, lambda a, s, total: row.format(a, s) + (
+        "has a negative or non-finite weight" if total is None else f"sums to {total!r}"))
 
 
 @dataclass(frozen=True, init=False)
@@ -213,8 +215,8 @@ class Policy:
         if bad:
             raise ValueError(f"policy row for state {bad[0]} has wrong length")
         weights = np.stack(rows)
-        _check_rows(weights, ROW_SUM_TOLERANCE,
-                    lambda s, _: f"policy row for state {s} is no distribution: {weights[s].tolist()}")
+        _check_rows(weights, ROW_SUM_TOLERANCE, lambda s, _: f"policy row for state {s} is no "
+                    f"distribution: {weights[s].tolist()}")
         return weights
 
 

@@ -41,8 +41,7 @@ class Endomap:
     reach_mass: dict[int, float]
 
     def __post_init__(self):
-        outside = [x for x, y in self.mapping.items() if y not in self.mapping]
-        if not self.mapping or outside:
+        if not self.mapping or not set(self.mapping.values()).issubset(self.mapping):
             raise ValueError(f"endomap mapping must be nonempty and closed, not {self.mapping}")
 
     @property

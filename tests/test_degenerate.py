@@ -52,7 +52,8 @@ def one_state_endomap() -> dict:
     return packaging_endomap(k, lens, mu, 0).mapping
 
 
-ENTRY = "has a negative or non-finite weight"
+KERNEL_ROW = r"kernel row \(action 1, state 2\) "
+KERNEL_ENTRY = "has a negative or non-finite weight"
 CHANNEL_ENTRY = "has an entry that is not finite and >= 0"
 CASES = {
     "lower_median_empty": (lambda: lower_median([]), "values must hold at least one number"),
@@ -67,9 +68,9 @@ CASES = {
        for kind, mask in {"floats": [0.5, 1.0], "ints": [1, 0], "2d": [[True, False]],
                           "strings": ["no", ""]}.items()},
     "safety_bools": (lambda: SafetyPredicate(safe=[True, False]).safe.tolist(), [True, False]),
-    **{f"kernel_{kind}": (lambda row=row: kernel(row), rf"kernel row \(action 1, state 2\) {ENTRY}$")
+    **{f"kernel_{kind}": (lambda row=row: kernel(row), KERNEL_ROW + f"{KERNEL_ENTRY}$")
        for kind, row in BAD_ENTRIES.items()},
-    "kernel_off_sum": (lambda: kernel(OFF_SUM), r"kernel row \(action 1, state 2\) sums to 0\.9$"),
+    "kernel_off_sum": (lambda: kernel(OFF_SUM), KERNEL_ROW + r"sums to 0\.9$"),
     "kernel_negative_zero": (lambda: kernel(NEGATIVE_ZERO).weights[1, 2].tolist(), GOOD),
     **{f"policy_{kind}": (lambda row=row: policy(row), "policy row for state 2 is no distribution")
        for kind, row in BAD_ENTRIES.items()},
