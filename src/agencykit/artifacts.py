@@ -25,10 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
+from agencykit.empowerment import ROW_TOLERANCE
+from agencykit.kernel import _check_rows
+
 # metrics keys with these suffixes are audited as probability objects
 DISTRIBUTION_SUFFIX = "_distribution"
 ROWS_SUFFIX = "_rows"
-STOCHASTICITY_TOLERANCE = 1e-9
 
 
 def canonical_serialize(value) -> bytes:
@@ -180,24 +182,16 @@ def _nodes(tree, path: str = "$.metrics"):
 
 
 def _check_probability_object(value) -> str | None:
-    """Entries must lie in [0, 1]; distribution vectors and each row sum to 1."""
+    """Why ``value`` is no numeric array whose last-axis rows pass ``_check_rows``, or None."""
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return f"not a numeric array ({exc})"
-    if arr.ndim == 0:
-        return f"a scalar ({value!r}), not a distribution or rows"
-    if arr.size == 0:
-        return None
-    if not np.all(np.isfinite(arr)):
-        return "non-numeric or non-finite entries"
-    if np.any(arr < -STOCHASTICITY_TOLERANCE) or np.any(arr > 1 + STOCHASTICITY_TOLERANCE):
-        return f"entries outside [0, 1] (range [{arr.min()}, {arr.max()}])"
-    rows = arr[None, :] if arr.ndim == 1 else arr
-    sums = rows.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > STOCHASTICITY_TOLERANCE):
-        worst = float(sums[np.argmax(np.abs(sums - 1.0))])
-        return f"row sum {worst} deviates from 1"
+        if arr.ndim == 0:
+            return f"a scalar ({value!r}), not a distribution or rows"
+        _check_rows(arr.reshape(-1, arr.shape[-1] or 1), ROW_TOLERANCE, lambda r, total: (
+            f"row {r} has a negative or non-finite entry" if total is None
+            else f"row {r}: row sum {total} deviates from 1"))
+    except (TypeError, ValueError, OverflowError) as exc:  # not numeric, ragged or too large
+        return str(exc)
     return None
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from agencykit.feasibility import FeasibilityGate, sequence_costs
 from agencykit.kernel import (ControlledKernel, _block_period, _check_count, _check_mask,
-                              _check_rows, _check_state, check_fits, predecessor_lists, pull)
+                              _check_rows, _check_state, _freeze, check_fits,
+                              predecessor_lists, pull)
 
 ROW_TOLERANCE = 1e-9
 
@@ -56,11 +57,9 @@ class Lens:
         if project.ndim != 1 or project.dtype.kind not in "iu":
             raise ValueError(f"lens projection must be a 1-d integer label array, "
                              f"not {project.dtype} of shape {project.shape}")
-        project = project.astype(np.int64, copy=False)
         if np.any(project < 0) or np.any(project >= n_labels):
             raise ValueError("lens labels out of range")
-        project.setflags(write=False)
-        object.__setattr__(self, "project", project)
+        _freeze(self, project=project.astype(np.int64, copy=False))
 
 
 @dataclass

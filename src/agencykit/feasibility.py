@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from agencykit.kernel import _check_count, _check_state
+from agencykit.kernel import _check_count, _check_state, _freeze
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,7 @@ class FeasibilityGate:
             raise ValueError("ledger values must be nonnegative, not negative or NaN")
         if not np.all(costs >= 0):
             raise ValueError("action costs must be nonnegative, not negative or NaN")
-        ledger.setflags(write=False)
-        costs.setflags(write=False)
-        object.__setattr__(self, "ledger", ledger)
-        object.__setattr__(self, "costs", costs)
+        _freeze(self, ledger=ledger, costs=costs)
 
     @property
     def n_actions(self) -> int:

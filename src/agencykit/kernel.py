@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -103,6 +104,16 @@ def _check_rows(rows: np.ndarray, tol: float, message) -> None:
         raise ValueError(message(*i, float(sums[i])))
 
 
+def _freeze(obj, **fields) -> None:
+    """Set ``fields`` on frozen ``obj``: arrays read-only in place, dicts as read-only copies."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        elif isinstance(value, dict):
+            value = MappingProxyType(dict(value))
+        object.__setattr__(obj, name, value)
+
+
 def _check_kernel(n_states: int, n_actions: int, succ: np.ndarray, weights: np.ndarray) -> None:
     """Raise ValueError, naming the first offending (action, state), on a broken kernel rule.
 
@@ -159,13 +170,8 @@ class ControlledKernel:
             # copies: freezing them leaves the caller's arrays writable
             succ, weights = np.array(succ), np.array(weights, dtype=np.float64)
         _check_kernel(n_states, n_actions, succ, weights)
-        succ = succ.astype(np.int64, copy=False)
-        succ.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "n_states", n_states)
-        object.__setattr__(self, "n_actions", n_actions)
-        object.__setattr__(self, "succ", succ)
-        object.__setattr__(self, "weights", weights)
+        _freeze(self, n_states=n_states, n_actions=n_actions,
+                succ=succ.astype(np.int64, copy=False), weights=weights)
 
 
 @dataclass(frozen=True)
@@ -214,7 +220,7 @@ class Policy:
         bad = [s for s, row in enumerate(rows) if row.shape != (n_actions,)]
         if bad:
             raise ValueError(f"policy row for state {bad[0]} has wrong length")
-        weights = np.stack(rows)
+        weights = np.array(rows).reshape(n_states, n_actions)  # (0, A) for no states
         _check_rows(weights, ROW_SUM_TOLERANCE, lambda s, _: f"policy row for state {s} is no "
                     f"distribution: {weights[s].tolist()}")
         return weights

@@ -22,18 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.empowerment import Lens
-from agencykit.kernel import (ControlledKernel, Policy, _block_period, _check_count, check_fits,
-                              policy_successors)
+from agencykit.kernel import (ControlledKernel, Policy, _block_period, _check_count, _freeze,
+                              check_fits, policy_successors)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Endomap:
     """Modal macro-label map at horizon tau under one maintenance policy.
 
     The domain covers exactly the labels with nonempty fibers; ``reach_mass``
     records the modal label's probability mass so auditors can distinguish
     confident modes from near-ties. An empty mapping, or one with an image
-    outside its domain, raises ValueError.
+    outside its domain, raises ValueError. Immutable: both dicts are copied
+    into read-only views, so the map stays closed for its whole life.
     """
 
     policy_name: str
@@ -41,6 +42,7 @@ class Endomap:
     reach_mass: dict[int, float]
 
     def __post_init__(self):
+        _freeze(self, mapping=self.mapping, reach_mass=self.reach_mass)
         if not self.mapping or not set(self.mapping.values()).issubset(self.mapping):
             raise ValueError(f"endomap mapping must be nonempty and closed, not {self.mapping}")
 

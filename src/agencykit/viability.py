@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agencykit.feasibility import FeasibilityGate, feasible_action_matrix
-from agencykit.kernel import ControlledKernel, _check_mask, check_fits
+from agencykit.kernel import ControlledKernel, _check_mask, _freeze, check_fits
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,7 @@ class SafetyPredicate:
 
     def __post_init__(self):
         # a copy: freezing it leaves the caller's array writable
-        safe = _check_mask("safety mask", np.array(self.safe))
-        safe.setflags(write=False)
-        object.__setattr__(self, "safe", safe)
+        _freeze(self, safe=_check_mask("safety mask", np.array(self.safe)))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from agencykit.artifacts import (
     to_jsonable,
     write_artifact,
 )
+from agencykit.empowerment import channel_capacities
 
 # sha256 of "{}" and of '{"a":2,"b":1}', frozen from an independent tool
 # (printf '%s' ... | sha256sum)
@@ -295,3 +296,37 @@ class TestAudit:
         report = audit(tmp_path)
         assert report.files_checked == 1
         assert [rule for _, rule, _ in report.failures] == ["too_deep"]
+
+
+GOOD = [1.0, 0.0]
+# each value is a channel, and also its JSON as an audited x_distribution metric
+ROW_TABLE = {
+    "nan": [GOOD, [float("nan"), 1.0]],
+    "inf": [GOOD, [float("inf"), 0.0]],
+    "minus_inf": [GOOD, [float("-inf"), 1.0]],
+    "negative_tiny": [GOOD, [-1e-12, 1.0]],
+    "negative_zero": [GOOD, [-0.0, 1.0]],
+    "sum_off_5e-10": [GOOD, [0.5, 0.5 + 5e-10]],
+    "sum_off_2e-9": [GOOD, [0.5, 0.5 + 2e-9]],
+    "ragged": [GOOD, [1.0]],
+    "scalar": 1.0,
+    "empty": np.empty((0, 2)),
+}
+
+
+@pytest.mark.parametrize("table", ROW_TABLE.values(), ids=ROW_TABLE.keys())
+def test_audit_and_channels_share_one_row_rule(tmp_path, table):
+    """``audit`` accepts a stored row table exactly when ``channel_capacities`` accepts it.
+
+    JSON has no NaN, so the audit refuses that file when parsing it; an
+    infinity is written as 1e400, which parses to one.
+    """
+    try:
+        channel_capacities([table])
+        accepted = True
+    except ValueError:
+        accepted = False
+    path = write_artifact(make_artifact("demo", {"n": 1}, {"x_distribution": "ROWS"}), tmp_path)
+    rows = json.dumps(table.tolist() if isinstance(table, np.ndarray) else table)
+    path.write_text(path.read_text().replace('"ROWS"', rows.replace("Infinity", "1e400")))
+    assert audit(tmp_path).passed == accepted

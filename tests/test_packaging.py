@@ -1,5 +1,5 @@
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +153,33 @@ class TestIdempotenceDefect:
             e = Endomap("p", mapping=mapping, reach_mass={})
             image_identity = all(mapping[y] == y for y in set(mapping.values()))
             assert (idempotence_defect(e) == 0.0) == image_identity
+
+
+class TestEndomapIsImmutable:
+    """The closure check at construction holds for the endomap's whole life."""
+
+    def test_fields_cannot_be_reassigned(self):
+        e = Endomap("p", mapping={0: 0}, reach_mass={0: 1.0})
+        for name, value in (("mapping", {}), ("reach_mass", {}), ("policy_name", "q")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(e, name, value)
+        assert idempotence_defect(e) == 0.0
+
+    def test_items_cannot_be_assigned(self):
+        e = Endomap("p", mapping={0: 0}, reach_mass={0: 1.0})
+        with pytest.raises(TypeError):
+            e.mapping[0] = 5
+        with pytest.raises(TypeError):
+            e.reach_mass[0] = 0.5
+        assert dict(e.mapping) == {0: 0} and dict(e.reach_mass) == {0: 1.0}
+
+    def test_editing_the_callers_dicts_leaves_it_unchanged(self):
+        mapping, reach_mass = {0: 1, 1: 1}, {0: 0.5, 1: 1.0}
+        e = Endomap("p", mapping=mapping, reach_mass=reach_mass)
+        mapping[0], reach_mass[0] = 7, 0.0
+        del mapping[1]
+        assert e.mapping == {0: 1, 1: 1} and e.reach_mass == {0: 0.5, 1: 1.0}
+        assert idempotence_defect(e) == 0.0
 
 
 class TestExactTies:
