@@ -190,7 +190,7 @@ def _check_probability_object(value) -> str | None:
         _check_rows(arr.reshape(-1, arr.shape[-1] or 1), ROW_TOLERANCE, lambda r, total: (
             f"row {r} has a negative or non-finite entry" if total is None
             else f"row {r}: row sum {total} deviates from 1"))
-    except (TypeError, ValueError, OverflowError) as exc:  # not numeric, ragged or too large
+    except (TypeError, ValueError, OverflowError) as exc:  # unreadable by numpy, or a bad row
         return str(exc)
     return None
 

@@ -137,7 +137,8 @@ CASES = {
     "a1_median": (lambda: ring_median(1, 2, THREE), 0.0),
     "a1_viability": (lambda: ring_viability(1), ([True, True, False], [2])),
     "a1_endomap": (lambda: ring_endomap(1, THREE, 2), {0: 0, 1: 1, 2: 2}),
-    # H = 1: each row is one step from state 0 into labels
+    # H = 1: each row is one step from state 0 into labels; the median solves a
+    # Z-channel of crossover 1/2, whose capacity is log2(1 + 1/4) bits
     "h1_feasible_sequences": (lambda: feasible_sequences(free(2), 0, 1).tolist(), [[0], [1]]),
     "h1_build_channel": (lambda: ring_channel(2, 1, THREE), [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]),
     "h1_median": (lambda: ring_median(2, 1, THREE), pytest.approx(np.log2(1.25), abs=1e-9)),
