@@ -309,12 +309,17 @@ def _audit_file(path: Path):
         yield "config_hash_mismatch", f"stored {stored[:12]}..., recomputed {expected[:12]}..."
 
     # one walk: tagged probability objects, and the first boolean outside contracts
-    boolean_path = None
+    boolean_path, tagged = None, ()
     for tree_path, value in _nodes(record["metrics"]):
         if tree_path.endswith((DISTRIBUTION_SUFFIX, ROWS_SUFFIX)):
             problem = _check_probability_object(value)
+            # numpy reads true or "0.5" as a number, so the walk checks the entries' JSON types
+            tagged = () if problem else (f"{tree_path}[", f"{tree_path}.")
             if problem is not None:
                 yield "stochasticity", f"{tree_path}: {problem}"
+        elif tree_path.startswith(tagged) and type(value) not in (int, float, list):
+            tagged = ()  # one failure per tagged value
+            yield "stochasticity", f"{tree_path}: {json.dumps(value)} is not a number"
         # the contracts block and anything below it hold booleans by design
         in_contracts = f"{tree_path}.".startswith(("$.metrics.contracts.", "$.metrics.contracts["))
         if isinstance(value, bool) and boolean_path is None and not in_contracts:

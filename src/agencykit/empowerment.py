@@ -123,7 +123,10 @@ def channel_capacities(
     All channels iterate together in one flat stack of those rows, each
     channel's rows contiguous, and leave it once they stop. Every step is
     elementwise, per row or per channel segment, so a channel's arithmetic and
-    result do not depend on which other channels share the call.
+    result do not depend on which other channels share the call. When the
+    stack reaches at most half of the labels (decided once per call), q is
+    summed over the reached ones only: each label's sum is its own, and the
+    zero log term of an unreached label meets only zero entries of W.
 
     After each normalisation, input mass below 2**-1022 (the smallest normal
     double) is set to exactly 0. Such a row adds less than 2**-1022 to any
@@ -178,13 +181,20 @@ def channel_capacities(
     p = np.repeat(1.0 / counts, counts)
     starts = np.cumsum(counts) - counts
     seg = np.repeat(np.arange(len(counts)), counts)
+    reached = np.flatnonzero(W.any(axis=0))
+    narrow = 2 * len(reached) <= W.shape[1]
+    Wq = W[:, reached] if narrow else W
+    logq = np.zeros((len(counts), W.shape[1]))
     for iterations in range(1, BA_MAX_ITER + 1):
-        q = np.add.reduceat(p[:, None] * W, starts)
+        q = np.add.reduceat(p[:, None] * Wq, starts)
         # flooring q makes a supported column with zero marginal register as a
         # huge divergence (instead of dropping out of D), so the update pushes
         # input mass back toward that row; since logq stays finite and W is 0
         # off its support, the row dot sums over supported columns only
-        logq = np.log2(np.maximum(q, 1e-300))
+        if narrow:
+            logq[:, reached] = np.log2(np.maximum(q, 1e-300))
+        else:
+            logq = np.log2(np.maximum(q, 1e-300))
         D = row_neg_entropy - np.einsum("ij,ij->i", W, logq.take(seg, axis=0))
         lower = np.add.reduceat(p * D, starts)
         upper = np.maximum.reduceat(D, starts)
@@ -206,6 +216,7 @@ def channel_capacities(
                 break
             rows = np.repeat(go, counts)
             W, row_neg_entropy, p, D = W[rows], row_neg_entropy[rows], p[rows], D[rows]
+            Wq, logq = (Wq[rows], logq[go]) if narrow else (W, logq)
             live, counts, upper = live[go], counts[go], upper[go]
             starts = np.cumsum(counts) - counts
             seg = np.repeat(np.arange(len(counts)), counts)
@@ -408,10 +419,13 @@ def median_empowerments(
         check_fits(k, gate, lens=f)
         selected, rule = select_kernel_subset(_check_mask("kernel set", kernel_set, k.n_states),
                                               max_states)
-        period = _block_period(k.succ, k.weights, f.project, f.n_labels, gate.ledger)
-        reps, slot = np.unique(selected % period, return_inverse=True)
-        start = len(channels)
-        channels += _feasible_channels(k, gate, reps, horizon, f)
+        start, slot = len(channels), []
+        if len(selected):
+            period = _block_period(k.succ, k.weights, f.project, f.n_labels, gate.ledger)
+            reps, slot = np.unique(selected % period, return_inverse=True)
+            channels += _feasible_channels(k, gate, reps, horizon, f)
+        else:
+            _check_count("horizon", horizon, 1)  # as ``sequence_costs`` does
         pending.append((selected, rule, slot, start, len(channels)))
 
     # fed lazily, so each full channel is dropped once its distinct rows are kept

@@ -46,6 +46,10 @@ class Endomap:
         if not self.mapping or not set(self.mapping.values()).issubset(self.mapping):
             raise ValueError(f"endomap mapping must be nonempty and closed, not {self.mapping}")
 
+    def __reduce__(self):
+        # read-only views do not pickle; the constructor freezes plain copies again
+        return Endomap, (self.policy_name, dict(self.mapping), dict(self.reach_mass))
+
     @property
     def domain(self) -> list[int]:
         return sorted(self.mapping)

@@ -217,6 +217,20 @@ class TestAudit:
         report = audit(tmp_path)
         assert any(rule == "stochasticity" for _, rule, _ in report.failures)
 
+    @pytest.mark.parametrize("value, entry", [
+        ([True, False], "[0]: true"), ([0.0, True], "[1]: true"),
+        ([[1.0, 0.0], [False, 1]], "[1][0]: false"), (["0.5", "0.5"], '[0]: "0.5"'),
+    ], ids=["booleans", "one_boolean", "boolean_row", "numeric_strings"])
+    @pytest.mark.parametrize("key", ["x_distribution", "x_rows"])
+    def test_entry_that_is_no_json_number_fails(self, tmp_path, key, value, entry):
+        # numpy alone reads each of these as a valid distribution or row table
+        self._write(tmp_path, metrics={key: value, "nested": {key: value}})
+        report = audit(tmp_path)
+        assert [detail for _, _, detail in report.failures] == [
+            f"$.metrics.nested.{key}{entry} is not a number",
+            f"$.metrics.{key}{entry} is not a number"]
+        assert {rule for _, rule, _ in report.failures} == {"stochasticity"}
+
     @pytest.mark.parametrize("key", ["x_distribution", "x_rows"])
     def test_scalar_probability_object_is_failure_entry(self, tmp_path, key):
         self._write(tmp_path, metrics={key: 0.5})

@@ -622,6 +622,23 @@ class TestChannelCapacities:
             assert res.iterations <= 7
             assert res.iterations == 7 or res.gap <= 1e-12
 
+    def test_channels_reaching_few_labels_solve_alike_on_both_paths(self, rng):
+        # q skips the unreached labels only when a call's rows reach at most half of them
+        def reaching(n_reached, n_rows):
+            W = np.zeros((n_rows, 256))
+            W[:, rng.choice(256, size=n_reached, replace=False)] = rng.dirichlet(
+                np.ones(n_reached), size=n_rows)
+            return W
+
+        few, other_few, every = reaching(9, 12), reaching(9, 5), reaching(256, 6)
+        alone = channel_capacity(few)
+        # with ``every`` the call reaches all 256 labels; with ``other_few`` 18
+        for batch, at in (([every, few], 1), ([few, every], 0), ([other_few, few], 1)):
+            res = channel_capacities(batch)
+            self.assert_same(res[at], alone)
+            assert res[at].input_distribution.tobytes() == alone.input_distribution.tobytes()
+            self.assert_same(res[1 - at], channel_capacity(batch[1 - at]))
+
     def test_empty_batch(self):
         assert channel_capacities([]) == []
 
@@ -685,6 +702,21 @@ class TestFeasibleEmpowerment:
         with pytest.raises(ValueError, match="horizon"):
             median_empowerment_on_kernel(k, zero_gate(4, 2), np.ones(4, bool), 0,
                                          identity_lens(4))
+
+    @pytest.mark.parametrize("horizon", [0, True, 2.0])
+    def test_empty_kernel_set_still_checks_the_horizon(self, rng, horizon):
+        # an empty set cuts nothing, so the check ``sequence_costs`` makes is made apart
+        with pytest.raises(ValueError, match="horizon"):
+            median_empowerment_on_kernel(random_kernel(rng, 4, 2), zero_gate(4, 2),
+                                         np.zeros(4, bool), horizon, identity_lens(4))
+
+    def test_empty_kernel_set_finds_no_period_and_cuts_nothing(self, rng, monkeypatch):
+        for name in ("_block_period", "_feasible_channels"):
+            monkeypatch.setattr(empowerment, name,
+                                lambda *args, name=name: pytest.fail(f"{name} called"))
+        med = median_empowerment_on_kernel(random_kernel(rng, 4, 2), zero_gate(4, 2),
+                                           np.zeros(4, bool), 2, identity_lens(4))
+        assert (med.median_bits, med.values, med.solved) == (0.0, [], [])
 
     def test_values_equal_per_state_calls_exactly(self, rng):
         for _ in range(5):
@@ -878,19 +910,19 @@ class TestMedianEmpowerments:
 
     def test_generator_is_cut_one_problem_at_a_time(self, rng, monkeypatch):
         problems = self.mixed_problems(rng)
-        cuts = []
-        real_cut = empowerment._feasible_channels
-        monkeypatch.setattr(empowerment, "_feasible_channels",
-                            lambda *args: cuts.append(1) or real_cut(*args))
+        validated = []
+        real_check = empowerment.check_fits
+        monkeypatch.setattr(empowerment, "check_fits",
+                            lambda *args, **kw: validated.append(1) or real_check(*args, **kw))
 
         def drawn():
             for i, problem in enumerate(problems):
-                # every earlier problem, empty ones included, is cut before this one is drawn
-                assert len(cuts) == i
+                # every earlier problem, empty ones included, is validated before this one is drawn
+                assert len(validated) == i
                 yield problem
 
         meds = median_empowerments(drawn())
-        assert len(cuts) == len(problems)
+        assert len(validated) == len(problems)
         for med, problem in zip(meds, problems):
             self.assert_same(med, median_empowerment_on_kernel(*problem))
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -180,6 +182,18 @@ class TestEndomapIsImmutable:
         del mapping[1]
         assert e.mapping == {0: 1, 1: 1} and e.reach_mass == {0: 0.5, 1: 1.0}
         assert idempotence_defect(e) == 0.0
+
+    @pytest.mark.parametrize("round_trip", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy,
+                                            copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_are_equal_and_read_only(self, round_trip):
+        e = Endomap("p", mapping={0: 1, 1: 1}, reach_mass={0: 0.5, 1: 1.0})
+        twin = round_trip(e)
+        assert twin == e and twin is not e
+        with pytest.raises(TypeError):
+            twin.mapping[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            twin.mapping = {}
+        assert idempotence_defect(twin) == 0.0
 
 
 class TestExactTies:
