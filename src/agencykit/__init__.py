@@ -13,20 +13,22 @@ Provides:
 - ``cli``: command-line entry point (run / audit / plot)
 """
 
-from agencykit.kernel import ControlledKernel, Policy, validate_kernel
+from agencykit.kernel import ControlledKernel, Policy
 from agencykit.feasibility import FeasibilityGate, feasible_sequences
 from agencykit.viability import SafetyPredicate, viability_kernel
-from agencykit.empowerment import (Lens, channel_capacities, channel_capacity, feasible_empowerment,
-                                   median_empowerments)
+from agencykit.empowerment import Lens, channel_capacities, median_empowerments
 from agencykit.packaging import packaging_endomap, idempotence_defect
 from agencykit.environments import RingWorldConfig, build_ringworld
+
+# read by the benchmark as agencykit.<name> only; outside __all__, deleted by ROADMAP item 2
+from agencykit.kernel import validate_kernel
+from agencykit.empowerment import feasible_empowerment
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ControlledKernel",
     "Policy",
-    "validate_kernel",
     "FeasibilityGate",
     "feasible_sequences",
     "SafetyPredicate",
@@ -34,8 +36,6 @@ __all__ = [
     "Lens",
     "channel_capacities",
     "median_empowerments",
-    "channel_capacity",
-    "feasible_empowerment",
     "packaging_endomap",
     "idempotence_defect",
     "RingWorldConfig",

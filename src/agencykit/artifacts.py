@@ -4,8 +4,9 @@ Every experiment emits one JSON artifact containing its full configuration,
 the SHA-256 hash of that configuration under a canonical serialization, the
 metrics payload, and provenance (UTC timestamp, component versions). The
 auditor re-derives the hash from the embedded config and each exhibit's
-contracts from its metrics, checks stochasticity invariants on any metrics
-tagged as probability objects, and compares ``generated/`` copies byte for byte.
+contracts and stored aggregates from its metrics, checks stochasticity
+invariants on any metrics tagged as probability objects, and compares
+``generated/`` copies byte for byte.
 
 The hash covers the config subtree only -- never metrics or timestamps -- so
 identical configurations always map to identical hashes and filenames.
@@ -215,19 +216,25 @@ def _check_solver(config, metrics) -> str | None:
 
 
 def _contract_problems(exhibit, metrics, boolean_path) -> list[tuple[str, str]]:
-    """(rule, detail) of each way an exhibit's stored contracts fail the re-derived ones."""
+    """(rule, detail) of each way an exhibit's stored contracts or aggregates fail re-derivation."""
     from agencykit.experiments import RUNNERS  # at call time: experiments imports this module
 
     if not isinstance(exhibit, str) or exhibit not in RUNNERS:
         return []
+    _, contracts, aggregates = RUNNERS[exhibit]
     try:
-        derived = RUNNERS[exhibit][1](metrics)
+        derived = contracts(metrics)
+        # as JSON text, which tells 1 from 1.0 and true from 1
+        compared = [(path, json.dumps(old), json.dumps(new))
+                    for path, old, new in aggregates(metrics)]
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        return [("missing_metrics", f"the {exhibit} contracts cannot read $.metrics ({exc!r})")]
+        return [("missing_metrics", f"the {exhibit} checks cannot read $.metrics ({exc!r})")]
     # a contract comparing a boolean metric with a number takes true for 1
     if boolean_path is not None:
         return [("missing_metrics", f"{boolean_path} is a boolean, not a number")]
     problems = [("contract_false", key) for key, ok in derived.items() if not ok]
+    problems += [("aggregate_mismatch", f"{path} is {old}, re-derived {new}")
+                 for path, old, new in compared if old != new]
     # sorted-key JSON tells true from 1, and cannot fail on a parsed tree
     expected = json.dumps(derived, sort_keys=True)
     if json.dumps(metrics.get("contracts"), sort_keys=True) != expected:
@@ -242,7 +249,8 @@ def audit(directory: str | Path, strict: bool = True) -> AuditReport:
     config, scans tagged probability objects for stochasticity violations,
     checks that a ``solver`` block's certified capacity gap is within the
     config's hashed ``capacity_tol_bits``, re-derives an exhibit's contracts
-    (each must hold and equal the stored block), and checks filename/hash
+    (each must hold and equal the stored block) and its stored aggregates
+    (``aggregate_mismatch`` names each that differs), and checks filename/hash
     consistency (a warning instead of a failure when ``strict`` is off). A
     copy ``generated/<exhibit>.json`` must hold the bytes of its hashed
     artifact; ``files_checked`` counts top-level files only. Unreadable or

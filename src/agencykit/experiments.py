@@ -3,10 +3,12 @@
 Each runner returns its config, its metrics (a deterministic function of the
 config) and the medians it solved, from which ``run_exhibit`` adds the solver
 settings and ``solver`` block; runners never mutate environments and may run
-in any order. ``RUNNERS`` pairs each runner with a pure function of the
-JSON-plain metrics that names its contracts (orderings, zeros, equalities):
+in any order. ``RUNNERS`` pairs each runner with two pure functions of the
+JSON-plain metrics. One names its contracts (orderings, zeros, equalities):
 ``run_exhibit`` stores them under ``metrics["contracts"]`` and
-``artifacts.audit`` re-derives them.
+``artifacts.audit`` re-derives them. The other re-derives each stored
+aggregate (a median, a grid's min or max, a defect) from the stored values it
+aggregates, and ``audit`` compares the two.
 
 Every ring-world exhibit derives from one configuration, ``PAPER`` (the
 ``RingWorldConfig`` defaults), recorded as ``"profile": "paper"`` in each
@@ -14,8 +16,8 @@ ring-world artifact's config. Per-exhibit overrides are part of each
 exhibit's config block and therefore of its hash:
 
 - packaging uses ``PAPER`` directly, and nulls build their own null regimes;
-- holonomy uses a movement-is-free variant on a wider ring so the viability
-  kernel carries a nontrivial action channel at every horizon;
+- holonomy uses ``HOLONOMY``, a movement-is-free variant on a wider ring so
+  the viability kernel carries a nontrivial action channel at every horizon;
 - the sweep uses ``ECONOMY``, a maintenance economy (unit action costs,
   per-step income, damage leak) in which an unrepaired damage bit drains the
   ledger, and ``ABLATIONS`` toggles one primitive of it per entry, so
@@ -35,6 +37,7 @@ from agencykit.empowerment import (
     MAX_MEDIAN_STATES,
     MedianEmpowermentResult,
     build_channel,
+    lower_median,
     median_empowerments,
     total_variation,
 )
@@ -54,7 +57,7 @@ from agencykit.environments import (
     ring_state_index,
 )
 from agencykit.feasibility import feasible_sequences
-from agencykit.packaging import idempotence_defect, packaging_endomap
+from agencykit.packaging import Endomap, idempotence_defect, packaging_endomap
 from agencykit.viability import viability_kernel
 
 TAU_GRID = (0, 1, 2, 3, 4)
@@ -68,16 +71,15 @@ SOLVER_SETTINGS = {"capacity_tol_bits": EMPOWERMENT_TOL, "max_states": MAX_MEDIA
 PROFILE, PAPER = "paper", RingWorldConfig()
 
 
-def holonomy_config(profile: str, protocol_on: bool) -> RingWorldConfig:
-    """Free-movement, wide-ring variant; regimes differ only in the protocol toggle.
+# free movement on a wider ring; holonomy's regimes differ only in protocol_on
+HOLONOMY = replace(PAPER, ring_size=16, p_slip=0.1, cost_left=0, cost_right=0)
 
-    ``profile`` must be ``PROFILE``; the parameter stays only because the
-    benchmark calls ``holonomy_config("paper", True)``.
-    """
+
+def holonomy_config(profile: str, protocol_on: bool) -> RingWorldConfig:
+    """``HOLONOMY`` with ``protocol_on``, for the benchmark; ``profile`` must be ``PROFILE``."""
     if profile != PROFILE:
         raise ValueError(f"unknown profile {profile!r}; only {PROFILE!r} exists")
-    return replace(PAPER, ring_size=16, p_slip=0.1, cost_left=0, cost_right=0,
-                   protocol_on=protocol_on)
+    return replace(HOLONOMY, protocol_on=protocol_on)
 
 
 # unit-cost actions, per-step income, and a damage leak on the ledger
@@ -99,6 +101,11 @@ def learning_config(p_slip: float) -> RingWorldConfig:
     """All action costs zero (feasibility trivial); three-level skill sector."""
     return replace(PAPER, cost_left=0, cost_right=0, cost_repair=0, cost_noop=0,
                    p_slip=p_slip, protocol_on=False, theta_levels=3)
+
+
+def _median(values: list) -> float:
+    """A stored median of ``values``: their lower median, or 0.0 when there are none."""
+    return lower_median(values) if values else 0.0
 
 
 def solver_block(meds: list[MedianEmpowermentResult]) -> dict:
@@ -160,13 +167,15 @@ def nulls_contracts(m: dict) -> dict:
     }
 
 
+PACKAGING_REGIMES = {"repair_off": "always_right", "repair_on": "repair_then_right"}
+
+
 def run_packaging() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
     """Idempotence defect across tau for repair-off vs repair-on policies."""
     env = build_ringworld(PAPER)
-    regimes = {"repair_off": "always_right", "repair_on": "repair_then_right"}
-    defects: dict[str, list[float]] = {name: [] for name in regimes}
+    defects: dict[str, list[float]] = {name: [] for name in PACKAGING_REGIMES}
     endomaps: dict[str, dict] = {}
-    for regime, policy_name in regimes.items():
+    for regime, policy_name in PACKAGING_REGIMES.items():
         for tau in TAU_GRID:
             e = packaging_endomap(
                 env.kernel, env.macro_lens, env.policies[policy_name], tau, policy_name
@@ -183,7 +192,7 @@ def run_packaging() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
         "environment": PAPER.to_dict(),
         "tau_grid": list(TAU_GRID),
         "macro_lens": MACRO_LENS,
-        "policies": regimes,
+        "policies": PACKAGING_REGIMES,
     }
     metrics = {
         "state_layout": PAPER.state_layout,
@@ -204,9 +213,17 @@ def packaging_contracts(m: dict) -> dict:
     }
 
 
+def packaging_aggregates(m: dict):
+    for regime, policy in PACKAGING_REGIMES.items():
+        for i, (tau, defect) in enumerate(zip(m["tau_grid"], m["defect"][regime], strict=True)):
+            e = m["endomaps"][f"{MACRO_LENS}|{policy}|tau{tau}"]
+            endomap = Endomap(policy, dict(zip(e["domain"], e["mapping"], strict=True)), {})
+            yield f"$.metrics.defect.{regime}[{i}]", defect, idempotence_defect(endomap)
+
+
 def run_holonomy() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
     """Median feasible empowerment vs horizon for protocol on/off, plus TV witness."""
-    configs = {regime: holonomy_config(PROFILE, protocol)
+    configs = {regime: replace(HOLONOMY, protocol_on=protocol)
                for regime, protocol in (("protocol_on", True), ("protocol_off", False))}
     # noncommutativity witness: alpha vs beta from the matched full-budget
     # start state, read as two rows of that state's H=2 feasible channel
@@ -271,6 +288,13 @@ def holonomy_contracts(m: dict) -> dict:
         "tv_witness_gap": tv["protocol_on"]["tv"] - tv["protocol_off"]["tv"] >= 0.3,
         "kernel_sizes_equal": on["kernel_size"] == off["kernel_size"],
     }
+
+
+def holonomy_aggregates(m: dict):
+    for regime in ("protocol_on", "protocol_off"):
+        r = m[regime]
+        for i, (h, median) in enumerate(zip(m["horizons"], r["medians"], strict=True)):
+            yield f"$.metrics.{regime}.medians[{i}]", median, _median(r["per_state"][f"H{h}"])
 
 
 def run_ablations() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
@@ -365,12 +389,15 @@ def run_sweep() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
         "cost_repair_grid": cost_grid,
         "kernel_size_grid": kernel_sizes.tolist(),
         "empowerment_grid": emp.tolist(),
-        "kernel_size_min": int(kernel_sizes.min()),
-        "kernel_size_max": int(kernel_sizes.max()),
-        "empowerment_min": float(emp.min()),
-        "empowerment_max": float(emp.max()),
     }
-    return config, metrics, meds
+    return config, {**metrics, **_grid_extremes(metrics)}, meds
+
+
+def _grid_extremes(m: dict) -> dict:
+    """Min and max of the sweep's kernel-size and empowerment grids, by metric name."""
+    return {f"{name}_{end}": pick(v for row in m[f"{name}_grid"] for v in row)
+            for name in ("kernel_size", "empowerment")
+            for end, pick in (("min", min), ("max", max))}
 
 
 def sweep_contracts(m: dict) -> dict:
@@ -384,6 +411,11 @@ def sweep_contracts(m: dict) -> dict:
         "hostile_corner_collapses": sizes[-1][-1] == 0,
         "empty_kernel_zero_empowerment": all(e == 0.0 for k, e in cells if k == 0),
     }
+
+
+def sweep_aggregates(m: dict):
+    for key, value in _grid_extremes(m).items():
+        yield f"$.metrics.{key}", m[key], value
 
 
 def run_learning() -> tuple[dict, dict, list[MedianEmpowermentResult]]:
@@ -440,14 +472,21 @@ def learning_contracts(m: dict) -> dict:
     }
 
 
-# (runner, contracts function) of each exhibit, in run order
+def learning_aggregates(m: dict):
+    for i, median in enumerate(m["medians"]):
+        yield f"$.metrics.medians[{i}]", median, _median(m["per_theta"][f"theta{i}"]["values"])
+
+
+# (runner, contracts, aggregates) of each exhibit, in run order; ``aggregates``
+# yields (JSON path, stored value, re-derived value) of each stored aggregate,
+# and nulls and ablations store none
 RUNNERS = {
-    "packaging": (run_packaging, packaging_contracts),
-    "nulls": (run_nulls, nulls_contracts),
-    "holonomy": (run_holonomy, holonomy_contracts),
-    "ablations": (run_ablations, ablations_contracts),
-    "sweep": (run_sweep, sweep_contracts),
-    "learning": (run_learning, learning_contracts),
+    "packaging": (run_packaging, packaging_contracts, packaging_aggregates),
+    "nulls": (run_nulls, nulls_contracts, lambda m: ()),
+    "holonomy": (run_holonomy, holonomy_contracts, holonomy_aggregates),
+    "ablations": (run_ablations, ablations_contracts, lambda m: ()),
+    "sweep": (run_sweep, sweep_contracts, sweep_aggregates),
+    "learning": (run_learning, learning_contracts, learning_aggregates),
 }
 EXHIBITS = tuple(RUNNERS)
 
@@ -456,7 +495,7 @@ def run_exhibit(name: str) -> ArtifactRecord:
     """The artifact of exhibit ``name``, its contracts derived from its metrics."""
     if name not in RUNNERS:
         raise ValueError(f"unknown exhibit {name!r}; known: {sorted(RUNNERS)}")
-    runner, contracts = RUNNERS[name]
+    runner, contracts, _ = RUNNERS[name]
     config, metrics, meds = runner()
     if meds:
         config, metrics = {**config, **SOLVER_SETTINGS}, {**metrics, "solver": solver_block(meds)}

@@ -228,7 +228,7 @@ class Policy:
 
 @dataclass
 class ValidationReport:
-    """Outcome of kernel validation: ``ok``, or the violated rule."""
+    """Outcome of ``validate_kernel`` (benchmark only): ``ok``, or the violated rule."""
 
     ok: bool
     violations: list[dict] = field(default_factory=list)

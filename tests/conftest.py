@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from agencykit.experiments import ABLATIONS, ECONOMY, PAPER, holonomy_config, learning_config
+from agencykit.experiments import ABLATIONS, ECONOMY, HOLONOMY, PAPER, learning_config
 from agencykit.feasibility import FeasibilityGate
 from agencykit.kernel import ControlledKernel
 from agencykit.viability import SafetyPredicate
@@ -21,6 +21,11 @@ def random_kernel(rng: np.random.RandomState, n_states: int, n_actions: int,
             weights = rng.random(k) + 0.05
             probs[a, s, targets] = weights / weights.sum()
     return ControlledKernel(n_states=n_states, n_actions=n_actions, probs=probs)
+
+
+def assert_constructs_again(k: ControlledKernel) -> None:
+    """Build ``k`` again from its own successor lists; construction checks every kernel rule."""
+    ControlledKernel(k.n_states, k.n_actions, succ=k.succ, weights=k.weights)
 
 
 def random_gate(rng: np.random.RandomState, n_states: int, n_actions: int) -> FeasibilityGate:
@@ -43,8 +48,8 @@ def sweep_ring_configs():
 def exhibit_ring_configs():
     """The 76 ring configs of the holonomy, ablation, sweep, learning and packaging exhibits."""
     return [
-        holonomy_config("paper", True),
-        holonomy_config("paper", False),
+        HOLONOMY,
+        replace(HOLONOMY, protocol_on=False),
         *ABLATIONS.values(),
         *sweep_ring_configs(),
         learning_config(0.2),

@@ -13,11 +13,11 @@ import pytest
 
 from agencykit.artifacts import canonical_serialize, config_hash
 from agencykit.cli import main
-from agencykit.empowerment import channel_capacity
+from agencykit.empowerment import channel_capacities
 from agencykit.experiments import run_exhibit
-from agencykit.kernel import Policy, policy_successors, predecessor_lists, pull, validate_kernel
+from agencykit.kernel import Policy, policy_successors, predecessor_lists, pull
 from agencykit.viability import viability_kernel, viability_step
-from conftest import random_gate, random_kernel, random_safety
+from conftest import assert_constructs_again, random_gate, random_kernel, random_safety
 from oracles import brute_force_greatest_fixpoint, bsc_capacity, grid_search_capacity
 
 
@@ -159,13 +159,13 @@ def test_criterion_7_oracle_equivalences():
         cols = rng.randint(2, 5)
         W = rng.dirichlet(np.ones(cols), size=m) * 0.8 + 0.2 / cols
         W = W / W.sum(axis=1, keepdims=True)
-        ba = channel_capacity(W, tol=1e-10).capacity_bits
+        ba = channel_capacities([W], tol=1e-10)[0].capacity_bits
         grid = grid_search_capacity(W, step=1e-3)
         worst = max(worst, abs(ba - grid))
     grid_ok = worst <= 1e-4
 
     # (c) closed-form BSC(0.1) capacity
-    bsc = channel_capacity(np.array([[0.9, 0.1], [0.1, 0.9]]), tol=1e-9).capacity_bits
+    bsc = channel_capacities([np.array([[0.9, 0.1], [0.1, 0.9]])], tol=1e-9)[0].capacity_bits
     bsc_ok = abs(bsc - 0.53100) <= 1e-5 and abs(bsc - bsc_capacity(0.1)) <= 1e-9
 
     report(7, "oracle equivalences", viability_ok and grid_ok and bsc_ok,
@@ -182,7 +182,7 @@ def test_criterion_8_property_suites():
     for _ in range(30):
         n, m = rng.randint(2, 9), rng.randint(1, 4)
         k = random_kernel(rng, n, m)
-        ok &= validate_kernel(k).ok
+        assert_constructs_again(k)
         d = rng.dirichlet(np.ones(n))
         steps = pull(predecessor_lists(k, np.arange(n)), d[:, None]).reshape(m, n)
         ok &= bool(np.all(np.abs(steps.sum(axis=1) - 1.0) <= 1e-12))
@@ -207,10 +207,9 @@ def test_criterion_8_property_suites():
     for _ in range(20):
         rows, cols = rng.randint(2, 6), rng.randint(2, 6)
         W = rng.dirichlet(np.ones(cols), size=rows)
-        res = channel_capacity(W, tol=1e-10)
-        ok &= -1e-12 <= res.capacity_bits <= np.log2(rows) + 1e-9
         dup = np.vstack([W, W[rng.randint(0, rows)]])
-        res_dup = channel_capacity(dup, tol=1e-10)
+        res, res_dup = channel_capacities([W, dup], tol=1e-10)
+        ok &= -1e-12 <= res.capacity_bits <= np.log2(rows) + 1e-9
         ok &= abs(res_dup.capacity_bits - res.capacity_bits) <= res.gap + res_dup.gap + 1e-9
     details.append("capacity bounds+duplication ok")
 

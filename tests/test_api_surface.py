@@ -7,7 +7,10 @@ used by the benchmark, or exported in ``agencykit.__all__``, and every
 module-level private function or class is referenced by another package
 statement (the benchmark and ``__all__`` do not count for a private name).
 A module imports single-underscore names from ``agencykit.kernel`` alone,
-which holds the shared input checks and the translation convention.
+which holds the shared input checks and the translation convention. Outside
+``bench/``, the adapters only the benchmark calls appear in their own
+definitions, in the package imports the benchmark reads and in
+``tests/test_bench_adapters.py``, nowhere else.
 """
 
 import ast
@@ -118,3 +121,45 @@ def test_one_paper_configuration():
                 profiles.append(f"{path.name}:{node.lineno}")
     assert takes_profile == ["experiments.py:holonomy_config"]
     assert profiles == []
+
+
+# the adapters only ``bench/`` still calls (ROADMAP item 2 deletes them)
+ADAPTERS = {"channel_capacity", "feasible_empowerment", "median_empowerment_on_kernel",
+            "validate_kernel", "ValidationReport", "holonomy_config"}
+# what an adapter's definition may name besides itself: the report validate_kernel
+# returns, and the call to channel_capacity whose span nesting bench/tests pins
+WITHIN = {"validate_kernel": {"ValidationReport"}, "feasible_empowerment": {"channel_capacity"}}
+
+
+def identifiers(node):
+    """(line, name) of each name read, imported or defined under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.lineno, sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.lineno, sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from ((sub.lineno, alias.name) for alias in sub.names)
+        elif isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+            yield sub.lineno, sub.name
+
+
+def test_adapters_appear_only_where_the_benchmark_needs_them():
+    # names the benchmark reads as attributes of the package itself
+    bench_reads = {node.attr for path in sorted((ROOT / "bench").rglob("*.py"))
+                   for node in ast.walk(parse(path)) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id in ("agencykit", "ak")}
+    stray = []
+    for path in sorted({*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+                        *(ROOT / "demos").rglob("*.py")}):
+        if path.name == "test_bench_adapters.py":
+            continue
+        for node in parse(path).body:
+            allowed = set()
+            if path.parent == PACKAGE and getattr(node, "name", None) in ADAPTERS:
+                allowed = {node.name, *WITHIN.get(node.name, ())}
+            elif path == PACKAGE / "__init__.py" and isinstance(node, ast.ImportFrom):
+                allowed = bench_reads
+            stray += [f"{path.relative_to(ROOT)}:{line} {name}" for line, name in identifiers(node)
+                      if name in ADAPTERS and name not in allowed]
+    assert stray == []

@@ -1,10 +1,11 @@
-"""Contracts are a function of the metrics, and ``audit`` re-derives them.
+"""Contracts and aggregates are functions of the metrics, and ``audit`` re-derives them.
 
 ``run_exhibit`` stores each exhibit's contracts as its ``RUNNERS`` entry
 derives them from the JSON-plain metrics; ``audit`` calls the same function
-on every stored exhibit artifact. These tests tamper with the artifacts of
-one ``agencykit run all`` and check that every tampering becomes a failure
-entry, never a traceback.
+on every stored exhibit artifact, and re-derives each stored aggregate (a
+median, a grid's min or max, a defect) from the values it aggregates. These
+tests tamper with the artifacts of one ``agencykit run all`` and check that
+every tampering becomes a failure entry, never a traceback.
 """
 
 import json
@@ -22,6 +23,7 @@ RULES = {
     "unreadable", "missing_fields", "config_not_serializable", "config_hash_mismatch",
     "stochasticity", "uncertified_capacity", "filename_hash_prefix", "too_deep",
     "missing_metrics", "contract_false", "contract_mismatch", "generated_copy_mismatch",
+    "aggregate_mismatch",
 }
 
 
@@ -47,14 +49,19 @@ def load(out, exhibit):
     return path, json.loads(path.read_text())
 
 
-def rules_of(out, path, doc):
-    """Audit rules ``doc`` fails when written alone under ``path``'s name."""
+def failures_of(out, path, doc):
+    """(rule, detail) of each audit failure of ``doc`` written alone under ``path``'s name."""
     single = out / "single"
     single.mkdir(exist_ok=True)
     for old in single.iterdir():
         old.unlink()
     (single / path.name).write_text(json.dumps(doc))
-    return [rule for _, rule, _ in audit(single, strict=True).failures]
+    return [(rule, detail) for _, rule, detail in audit(single, strict=True).failures]
+
+
+def rules_of(out, path, doc):
+    """Audit rules ``doc`` fails when written alone under ``path``'s name."""
+    return [rule for rule, _ in failures_of(out, path, doc)]
 
 
 @pytest.mark.parametrize("name", EXHIBITS)
@@ -121,7 +128,7 @@ def _delete_solver(m):
     (_flip_contract, {"contract_mismatch"}),
     (_delete_contracts, {"contract_mismatch"}),
     (_clear_metrics, {"missing_metrics", "uncertified_capacity"}),
-    (_reverse_medians, {"contract_false", "contract_mismatch"}),
+    (_reverse_medians, {"contract_false", "contract_mismatch", "aggregate_mismatch"}),
     (_delete_solver, {"uncertified_capacity"}),
 ], ids=["contract_false_stored", "contracts_deleted", "metrics_empty", "medians_reversed",
         "solver_deleted"])
@@ -134,6 +141,82 @@ def test_learning_faults_fail_strict_audit(results, capsys, fault, rules):
     assert main(["audit", "--strict", "--dir", str(results)]) == 1
     out = capsys.readouterr().out
     assert {rule for rule in RULES if f"[{rule}]" in out} == rules
+
+
+@pytest.mark.parametrize("name", EXHIBITS)
+def test_stored_aggregates_are_rederived_exactly(name):
+    metrics = json.loads(canonical_serialize(run_exhibit(name).metrics))
+    checked = [(path, json.dumps(stored), json.dumps(new))
+               for path, stored, new in RUNNERS[name][2](metrics)]
+    assert all(stored == new for _, stored, new in checked)
+    assert len(checked) == {"packaging": 10, "holonomy": 10, "sweep": 4, "learning": 3}.get(name, 0)
+
+
+def _set(doc, path, value):
+    node = doc["metrics"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+
+
+# (exhibit, edited metrics path, new value or function of the old one, the
+# path the audit names); the parent audit passed every one of these edits,
+# since no contract reads the edited value or flips
+AGGREGATE_EDITS = {
+    "holonomy_median": ("holonomy", ("protocol_on", "medians", 3), lambda v: v + 0.01,
+                        "$.metrics.protocol_on.medians[3]"),
+    "holonomy_per_state": ("holonomy", ("protocol_off", "per_state", "H2"), [9.0] * 64,
+                           "$.metrics.protocol_off.medians[1]"),
+    "holonomy_per_state_empty": ("holonomy", ("protocol_on", "per_state", "H5"), [],
+                                 "$.metrics.protocol_on.medians[4]"),
+    "learning_median": ("learning", ("medians", 1), 1.6, "$.metrics.medians[1]"),
+    "learning_values": ("learning", ("per_theta", "theta2", "values"), [1.0] * 16,
+                        "$.metrics.medians[2]"),
+    "sweep_kernel_size_min": ("sweep", ("kernel_size_min",), 1, "$.metrics.kernel_size_min"),
+    "sweep_kernel_size_max": ("sweep", ("kernel_size_max",), 31, "$.metrics.kernel_size_max"),
+    "sweep_empowerment_min": ("sweep", ("empowerment_min",), 0, "$.metrics.empowerment_min"),
+    "sweep_empowerment_max": ("sweep", ("empowerment_max",), lambda v: v - 0.5,
+                              "$.metrics.empowerment_max"),
+    "sweep_grid_cell": ("sweep", ("empowerment_grid", 0, 0), 5.0, "$.metrics.empowerment_max"),
+    "packaging_defect": ("packaging", ("defect", "repair_on", 1), 0.5,
+                         "$.metrics.defect.repair_on[1]"),
+    "packaging_endomap": ("packaging", ("endomaps", "macro_y_r_phi|always_right|tau1", "mapping"),
+                          list(range(48)), "$.metrics.defect.repair_off[1]"),
+}
+
+
+@pytest.mark.parametrize("edit", AGGREGATE_EDITS)
+def test_every_aggregate_edit_is_a_mismatch(results, edit):
+    exhibit, where, value, named = AGGREGATE_EDITS[edit]
+    path, doc = load(results, exhibit)
+    _set(doc, where, value)
+    failures = failures_of(results, path, doc)
+    assert [(rule, detail.split(" ")[0]) for rule, detail in failures] == [
+        ("aggregate_mismatch", named)]
+
+
+def test_empty_per_state_list_has_median_zero(results):
+    # the medians' convention for an empty kernel set, in both regimes so H1 stays equal
+    path, doc = load(results, "holonomy")
+    for regime in ("protocol_on", "protocol_off"):
+        doc["metrics"][regime]["per_state"]["H1"] = []
+        doc["metrics"][regime]["medians"][0] = 0.0
+    assert rules_of(results, path, doc) == []
+
+
+def test_edited_learning_values_and_median_fail_strict_audit(results, capsys):
+    # the hashed artifacts of run all, without generated/: sixteen 9.0 values
+    # for theta0 and a middle median of 1.6 keep every contract true
+    path, doc = load(results, "learning")
+    doc["metrics"]["per_theta"]["theta0"]["values"] = [9.0] * 16
+    doc["metrics"]["medians"][1] = 1.6
+    path.write_text(json.dumps(doc))
+    assert main(["audit", "--strict", "--dir", str(results)]) == 1
+    out = capsys.readouterr().out
+    assert "passed" not in out
+    assert out.count("[aggregate_mismatch]") == 2
+    assert "$.metrics.medians[0] is 1.5258321346470263, re-derived 9.0" in out
+    assert "$.metrics.medians[1] is 1.6, re-derived 1.8182641231590007" in out
 
 
 def _null_a_list(doc):
@@ -270,7 +353,7 @@ def test_audit_never_raises_on_mutated_artifacts(run_all, tmp_path):
         assert rules <= RULES
         seen |= rules
     # the corpus reaches the contract rules, not only the structural ones
-    assert {"missing_metrics", "contract_mismatch", "contract_false"} <= seen
+    assert {"missing_metrics", "contract_mismatch", "contract_false", "aggregate_mismatch"} <= seen
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,7 @@ from agencykit.empowerment import (
     _reachable,
     build_channel,
     channel_capacities,
-    channel_capacity,
-    feasible_empowerment,
     lower_median,
-    median_empowerment_on_kernel,
     median_empowerments,
     select_kernel_subset,
     total_variation,
@@ -29,7 +27,7 @@ from agencykit.environments import (
     build_schedule_trap,
     ring_state_index,
 )
-from agencykit.experiments import ABLATIONS, PAPER, holonomy_config
+from agencykit.experiments import ABLATIONS, HOLONOMY, PAPER
 from agencykit.feasibility import FeasibilityGate, feasible_sequences
 from agencykit.kernel import ControlledKernel, pull
 from agencykit.viability import viability_kernel
@@ -67,7 +65,7 @@ class TestRollout:
     def test_batched_rows_keep_nothing_alive(self):
         # the rows are freed with the result, without waiting for the cycle
         # collector: nothing from the rollout holds on to its leaf blocks
-        env = build_ringworld(holonomy_config("paper", True))
+        env = build_ringworld(HOLONOMY)
         states = np.arange(0, env.n_states, 8)
         gc.disable()
         tracemalloc.start()
@@ -179,7 +177,7 @@ class TestReachableRegion:
             self.assert_rows_equal_full(k, f, states, (1, 2, 3, 4))
 
     def test_rings(self):
-        env = build_ringworld(holonomy_config("paper", True))
+        env = build_ringworld(HOLONOMY)
         states = np.arange(0, env.n_states, 23)
         assert len(_reachable(env.kernel, states, 2)) < env.n_states
         self.assert_rows_equal_full(env.kernel, env.output_lens, states, (1, 2, 3, 4))
@@ -206,7 +204,7 @@ class TestReachableRegion:
         self.assert_rows_equal_full(k, f, np.array([], dtype=np.int64), (1, 2, 3))
 
     def test_reachable_matches_dense_support(self, rng):
-        env = build_ringworld(holonomy_config("paper", False))
+        env = build_ringworld(replace(HOLONOMY, protocol_on=False))
         cases = [(env.kernel, np.array([0, 50, 191]))]
         for _ in range(10):
             n = rng.randint(2, 10)
@@ -273,33 +271,33 @@ class TestBuildChannel:
 
 class TestChannelCapacity:
     def test_identity_channel_one_bit(self):
-        res = channel_capacity(np.eye(2))
+        res = channel_capacities([np.eye(2)])[0]
         assert res.capacity_bits == pytest.approx(1.0, abs=1e-9)
 
     def test_equal_rows_zero_capacity(self):
-        res = channel_capacity(np.array([[0.3, 0.7], [0.3, 0.7], [0.3, 0.7]]))
+        res = channel_capacities([np.array([[0.3, 0.7], [0.3, 0.7], [0.3, 0.7]])])[0]
         assert res.capacity_bits <= 1e-9
 
     def test_bsc_matches_closed_form(self):
-        res = channel_capacity(np.array([[0.9, 0.1], [0.1, 0.9]]), tol=1e-9)
+        res = channel_capacities([np.array([[0.9, 0.1], [0.1, 0.9]])], tol=1e-9)[0]
         assert res.capacity_bits == pytest.approx(bsc_capacity(0.1), abs=1e-9)
         assert res.capacity_bits == pytest.approx(0.53100, abs=1e-5)
 
     def test_zero_and_one_row_conventions(self):
-        empty = channel_capacity(np.zeros((0, 3)))
+        empty = channel_capacities([np.zeros((0, 3))])[0]
         assert (empty.capacity_bits, empty.iterations) == (0.0, 0)
         assert empty.input_distribution.shape == (0,)
-        single = channel_capacity(np.array([[0.2, 0.8]]))
+        single = channel_capacities([np.array([[0.2, 0.8]])])[0]
         assert (single.capacity_bits, single.iterations) == (0.0, 0)
         np.testing.assert_array_equal(single.input_distribution, [1.0])
 
     def test_non_stochastic_row_rejected(self):
         with pytest.raises(ValueError, match=r"channel row 0 sums to 1\.1$"):
-            channel_capacity(np.array([[0.5, 0.6], [0.5, 0.5]]))
+            channel_capacities([np.array([[0.5, 0.6], [0.5, 0.5]])])
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            channel_capacity(np.eye(2), tol=0.0)
+            channel_capacities([np.eye(2)], tol=0.0)
 
     def test_matches_grid_search_oracle(self, rng):
         for _ in range(10):
@@ -307,7 +305,7 @@ class TestChannelCapacity:
             cols = rng.randint(2, 5)
             W = rng.dirichlet(np.ones(cols), size=m) * 0.8 + 0.2 / cols
             W = W / W.sum(axis=1, keepdims=True)
-            ba = channel_capacity(W, tol=1e-10).capacity_bits
+            ba = channel_capacities([W], tol=1e-10)[0].capacity_bits
             grid = grid_search_capacity(W, step=1e-3)
             assert ba == pytest.approx(grid, abs=1e-4)
 
@@ -318,7 +316,7 @@ class TestRowMerging:
             W = rng.dirichlet(np.ones(4), size=3)
             copies = rng.randint(0, 3, size=8)
             dup = W[copies]
-            res = channel_capacity(dup, tol=1e-10)
+            res = channel_capacities([dup], tol=1e-10)[0]
             p = res.input_distribution
             assert p.shape == (8,)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -329,20 +327,20 @@ class TestRowMerging:
         for _ in range(10):
             W = rng.dirichlet(np.ones(4), size=3)
             dup = W[rng.randint(0, 3, size=7)]
-            res = channel_capacity(dup, tol=1e-10)
+            res = channel_capacities([dup], tol=1e-10)[0]
             assert res.capacity_bits == pytest.approx(
                 blahut_arimoto_capacity(dup, tol=1e-10), abs=2e-10
             )
 
     def test_all_rows_equal_is_one_distinct_row(self):
-        res = channel_capacity(np.tile([0.25, 0.75], (5, 1)))
+        res = channel_capacities([np.tile([0.25, 0.75], (5, 1))])[0]
         assert res.capacity_bits == 0.0
         np.testing.assert_array_equal(res.input_distribution, np.full(5, 0.2))
 
     def test_non_stochastic_row_reported_by_original_index(self):
         W = np.array([[0.5, 0.5], [0.5, 0.5], [0.3, 0.6]])
         with pytest.raises(ValueError, match="row 2"):
-            channel_capacity(W)
+            channel_capacities([W])
 
     @pytest.mark.parametrize("W, row", [
         ([[np.nan, 1.0], [0.0, 1.0]], 0),
@@ -357,12 +355,12 @@ class TestRowMerging:
     def test_every_row_must_be_a_distribution(self, W, row):
         # one-row channels are checked too, before their zero-capacity shortcut
         with pytest.raises(ValueError, match=f"channel row {row} (sums to|has an entry)"):
-            channel_capacity(W)
+            channel_capacities([W])
         with pytest.raises(ValueError, match=f"channel row {row} (sums to|has an entry)"):
             channel_capacities([np.eye(2), W])
 
     def test_negative_zero_entries_are_accepted(self):
-        res = channel_capacity([[-0.0, 1.0], [1.0, -0.0]])
+        res = channel_capacities([[[-0.0, 1.0], [1.0, -0.0]]])[0]
         assert res.capacity_bits == pytest.approx(1.0, abs=1e-9)
 
 
@@ -399,7 +397,7 @@ def mirrored_lens(f: Lens) -> Lens:
 
 class TestTranslationOrbits:
     def test_every_y_shift_maps_to_one_representative(self):
-        cfg = holonomy_config("paper", True)
+        cfg = HOLONOMY
         env = build_ringworld(cfg)
         period = env.n_states // cfg.ring_size
         assert median_period(env.kernel, env.gate, env.output_lens) == period
@@ -417,7 +415,7 @@ class TestTranslationOrbits:
             assert median_period(env.kernel, env.gate, env.output_lens) == period
 
     def test_one_ulp_weight_bump_breaks_the_symmetry(self):
-        cfg = holonomy_config("paper", True)
+        cfg = HOLONOMY
         env = build_ringworld(cfg)
         k = env.kernel
         weights = k.weights.copy()
@@ -429,7 +427,7 @@ class TestTranslationOrbits:
     @pytest.mark.parametrize("block", ["first", "last"])
     @pytest.mark.parametrize("part", ["weight", "successor", "ledger", "label"])
     def test_edit_in_an_end_block_breaks_the_symmetry(self, part, block):
-        cfg = holonomy_config("paper", True)
+        cfg = HOLONOMY
         env = build_ringworld(cfg)
         k, gate, lens = env.kernel, env.gate, env.output_lens
         y = 0 if block == "first" else cfg.ring_size - 1
@@ -453,7 +451,7 @@ class TestTranslationOrbits:
         assert median_period(k, gate, lens) == env.n_states
 
     def test_indivisible_label_count_gives_identity(self):
-        env = build_ringworld(holonomy_config("paper", True))
+        env = build_ringworld(HOLONOMY)
         y = env.output_lens.project
         assert np.gcd(env.n_states, 5) == 1
         lens = Lens(name="y_mod_5", project=y % 5, n_labels=5)
@@ -478,7 +476,7 @@ class TestTranslationOrbits:
         for model in ("wrong", "right"):
             trap = build_schedule_trap(model)
             assert median_period(trap.kernel, trap.gate, trap.output_lens) == trap.n_states
-        env = build_ringworld(holonomy_config("paper", True))
+        env = build_ringworld(HOLONOMY)
         y = env.output_lens.project
         uneven = FeasibilityGate(ledger=env.gate.ledger + (y == 3), costs=env.gate.costs)
         assert median_period(env.kernel, uneven, env.output_lens) == env.n_states
@@ -490,8 +488,8 @@ class TestTranslationOrbits:
         # H = 4 and 5 on the holonomy ring walk breadth-first below depth 2;
         # the mirrored lens shifts by half the ring and raises labels by 8
         for cfg, horizons, mirrored in (
-            (holonomy_config("paper", False), (1, 2, 3, 4, 5), False),
-            (holonomy_config("paper", False), (1, 2, 3, 4, 5), True),
+            (replace(HOLONOMY, protocol_on=False), (1, 2, 3, 4, 5), False),
+            (replace(HOLONOMY, protocol_on=False), (1, 2, 3, 4, 5), True),
             (ABLATIONS["learn_on"], (1, 2, 3), False),
         ):
             env = build_ringworld(cfg)
@@ -522,7 +520,7 @@ class TestTranslationOrbits:
                 )
 
     def test_build_channel_never_reads_the_orbits(self, monkeypatch):
-        env = build_ringworld(holonomy_config("paper", True))
+        env = build_ringworld(HOLONOMY)
         k, g, f = env.kernel, env.gate, env.output_lens
         s0 = env.n_states - 1  # the last ring position, no representative
         channel = build_channel(k, g, s0, 2, f)
@@ -539,7 +537,7 @@ class TestCapacityInvariants:
         for _ in range(15):
             m, cols = rng.randint(2, 6), rng.randint(2, 6)
             W = rng.dirichlet(np.ones(cols), size=m)
-            res = channel_capacity(W)
+            res = channel_capacities([W])[0]
             assert -1e-12 <= res.capacity_bits <= np.log2(min(m, cols)) + 1e-9
 
     def test_row_duplication_invariance(self, rng):
@@ -547,16 +545,16 @@ class TestCapacityInvariants:
         for _ in range(10):
             W = rng.dirichlet(np.ones(3), size=3)
             dup = np.vstack([W, W[rng.randint(0, 3)]])
-            r1 = channel_capacity(W, tol=1e-10)
-            r2 = channel_capacity(dup, tol=1e-10)
+            r1 = channel_capacities([W], tol=1e-10)[0]
+            r2 = channel_capacities([dup], tol=1e-10)[0]
             assert abs(r1.capacity_bits - r2.capacity_bits) <= r1.gap + r2.gap + 1e-9
 
     def test_column_permutation_invariance(self, rng):
         for _ in range(10):
             W = rng.dirichlet(np.ones(4), size=3)
             perm = rng.permutation(4)
-            c1 = channel_capacity(W, tol=1e-10).capacity_bits
-            c2 = channel_capacity(W[:, perm], tol=1e-10).capacity_bits
+            c1 = channel_capacities([W], tol=1e-10)[0].capacity_bits
+            c2 = channel_capacities([W[:, perm]], tol=1e-10)[0].capacity_bits
             assert c1 == pytest.approx(c2, abs=1e-9)
 
     def test_distinct_rows_give_positive_capacity(self, rng):
@@ -564,7 +562,7 @@ class TestCapacityInvariants:
             W = rng.dirichlet(np.ones(3), size=2)
             if np.abs(W[0] - W[1]).max() < 1e-6:
                 continue
-            assert channel_capacity(W).capacity_bits > 1e-9
+            assert channel_capacities([W])[0].capacity_bits > 1e-9
 
     def test_lower_bound_nondecreasing_and_gap_met(self, rng, monkeypatch):
         # the bound returned after t iterations, for every t up to 40 and then
@@ -572,12 +570,12 @@ class TestCapacityInvariants:
         cap = empowerment.BA_MAX_ITER
         for _ in range(10):
             W = rng.dirichlet(np.ones(4), size=4)
-            res = channel_capacity(W, tol=1e-9)
+            res = channel_capacities([W], tol=1e-9)[0]
             steps = np.union1d(np.arange(1, 41), np.geomspace(41, res.iterations, 12).astype(int))
             trace = []
             for t in steps[steps <= res.iterations]:
                 monkeypatch.setattr(empowerment, "BA_MAX_ITER", int(t))
-                trace.append(channel_capacity(W, tol=1e-9).capacity_bits)
+                trace.append(channel_capacities([W], tol=1e-9)[0].capacity_bits)
             monkeypatch.setattr(empowerment, "BA_MAX_ITER", cap)
             assert trace[-1] == res.capacity_bits
             assert np.all(np.diff(trace) >= -1e-12)
@@ -605,7 +603,7 @@ class TestChannelCapacities:
         for _ in range(2):
             channels = self.mixed_channels(rng)
             order = rng.permutation(len(channels))
-            single = [channel_capacity(w) for w in channels]
+            single = [channel_capacities([w])[0] for w in channels]
             batched = channel_capacities(channels)
             shuffled = channel_capacities([channels[i] for i in order])
             assert len(batched) == len(channels)
@@ -618,7 +616,7 @@ class TestChannelCapacities:
         monkeypatch.setattr(empowerment, "BA_MAX_ITER", 7)
         batched = channel_capacities(channels, tol=1e-12)
         for w, res in zip(channels, batched):
-            self.assert_same(res, channel_capacity(w, tol=1e-12))
+            self.assert_same(res, channel_capacities([w], tol=1e-12)[0])
             assert res.iterations <= 7
             assert res.iterations == 7 or res.gap <= 1e-12
 
@@ -631,13 +629,13 @@ class TestChannelCapacities:
             return W
 
         few, other_few, every = reaching(9, 12), reaching(9, 5), reaching(256, 6)
-        alone = channel_capacity(few)
+        alone = channel_capacities([few])[0]
         # with ``every`` the call reaches all 256 labels; with ``other_few`` 18
         for batch, at in (([every, few], 1), ([few, every], 0), ([other_few, few], 1)):
             res = channel_capacities(batch)
             self.assert_same(res[at], alone)
             assert res[at].input_distribution.tobytes() == alone.input_distribution.tobytes()
-            self.assert_same(res[1 - at], channel_capacity(batch[1 - at]))
+            self.assert_same(res[1 - at], channel_capacities([batch[1 - at]])[0])
 
     def test_empty_batch(self):
         assert channel_capacities([]) == []
@@ -651,7 +649,7 @@ class TestChannelCapacities:
         # below 2**-1022 during the 3149-iteration solve
         tiny = np.finfo(np.float64).tiny
         W = np.random.RandomState(51).dirichlet([0.5, 0.5], size=6)
-        res = channel_capacity(W)
+        res = channel_capacities([W])[0]
         p = res.input_distribution
         assert np.count_nonzero(p == 0) == 2
         assert not np.any((p > 0) & (p < tiny))
@@ -680,19 +678,21 @@ class TestFeasibleEmpowerment:
     def test_no_feasible_sequences_zero(self, rng):
         k = random_kernel(rng, 3, 2)
         g = FeasibilityGate(ledger=np.zeros(3), costs=np.ones(2))
-        assert feasible_empowerment(k, g, 0, 2, identity_lens(3)) == 0.0
+        channel = build_channel(k, g, 0, 2, identity_lens(3))
+        assert channel.shape == (0, 3)
+        assert channel_capacities([channel])[0].capacity_bits == 0.0
 
     def test_single_state_kernel_median_equals_state_value(self, rng):
         k = random_kernel(rng, 4, 2)
         g = zero_gate(4, 2)
         f = identity_lens(4)
-        med = median_empowerment_on_kernel(k, g, np.arange(4) == 2, 2, f)
-        assert med.median_bits == pytest.approx(feasible_empowerment(k, g, 2, 2, f), abs=1e-12)
+        med, = median_empowerments([(k, g, np.arange(4) == 2, 2, f)])
+        alone, = channel_capacities([build_channel(k, g, 2, 2, f)])
+        assert med.median_bits == pytest.approx(alone.capacity_bits, abs=1e-12)
 
     def test_empty_kernel_zero_by_convention(self, rng):
         k = random_kernel(rng, 4, 2)
-        med = median_empowerment_on_kernel(k, zero_gate(4, 2), np.zeros(4, bool), 2,
-                                           identity_lens(4))
+        med, = median_empowerments([(k, zero_gate(4, 2), np.zeros(4, bool), 2, identity_lens(4))])
         assert med.median_bits == 0.0
         assert med.subset_rule == "empty_kernel"
         assert med.solved == []
@@ -700,22 +700,21 @@ class TestFeasibleEmpowerment:
     def test_median_rejects_horizon_zero(self, rng):
         k = random_kernel(rng, 4, 2)
         with pytest.raises(ValueError, match="horizon"):
-            median_empowerment_on_kernel(k, zero_gate(4, 2), np.ones(4, bool), 0,
-                                         identity_lens(4))
+            median_empowerments([(k, zero_gate(4, 2), np.ones(4, bool), 0, identity_lens(4))])
 
     @pytest.mark.parametrize("horizon", [0, True, 2.0])
     def test_empty_kernel_set_still_checks_the_horizon(self, rng, horizon):
         # an empty set cuts nothing, so the check ``sequence_costs`` makes is made apart
         with pytest.raises(ValueError, match="horizon"):
-            median_empowerment_on_kernel(random_kernel(rng, 4, 2), zero_gate(4, 2),
-                                         np.zeros(4, bool), horizon, identity_lens(4))
+            median_empowerments([(random_kernel(rng, 4, 2), zero_gate(4, 2), np.zeros(4, bool),
+                                  horizon, identity_lens(4))])
 
     def test_empty_kernel_set_finds_no_period_and_cuts_nothing(self, rng, monkeypatch):
         for name in ("_block_period", "_feasible_channels"):
             monkeypatch.setattr(empowerment, name,
                                 lambda *args, name=name: pytest.fail(f"{name} called"))
-        med = median_empowerment_on_kernel(random_kernel(rng, 4, 2), zero_gate(4, 2),
-                                           np.zeros(4, bool), 2, identity_lens(4))
+        med, = median_empowerments([(random_kernel(rng, 4, 2), zero_gate(4, 2), np.zeros(4, bool),
+                                     2, identity_lens(4))])
         assert (med.median_bits, med.values, med.solved) == (0.0, [], [])
 
     def test_values_equal_per_state_calls_exactly(self, rng):
@@ -725,8 +724,10 @@ class TestFeasibleEmpowerment:
             f = identity_lens(6)
             states = [0, 2, 3, 5]
             channels = _feasible_channels(k, g, states, 2, f)
-            batched = [channel_capacity(w).capacity_bits for w in channels]
-            assert batched == [feasible_empowerment(k, g, s, 2, f) for s in states]
+            alone = [build_channel(k, g, s, 2, f) for s in states]
+            assert all(a.tobytes() == w.tobytes() for a, w in zip(alone, channels, strict=True))
+            batched = [r.capacity_bits for r in channel_capacities(channels)]
+            assert batched == [channel_capacities([w])[0].capacity_bits for w in alone]
         assert _feasible_channels(k, g, [], 2, f) == []
 
     def test_batched_median_matches_per_state_path(self, rng):
@@ -734,8 +735,9 @@ class TestFeasibleEmpowerment:
         g = FeasibilityGate(ledger=np.array([0, 1, 2, 0, 1], float),
                             costs=np.array([0.0, 1.0]))
         f = identity_lens(5)
-        med = median_empowerment_on_kernel(k, g, np.ones(5, bool), 2, f)
-        direct = [feasible_empowerment(k, g, s, 2, f) for s in range(5)]
+        med, = median_empowerments([(k, g, np.ones(5, bool), 2, f)])
+        direct = [r.capacity_bits for r in
+                  channel_capacities(build_channel(k, g, s, 2, f) for s in range(5))]
         np.testing.assert_allclose(med.values, direct, atol=1e-9)
         assert med.median_bits == pytest.approx(lower_median(direct), abs=1e-12)
 
@@ -749,9 +751,8 @@ class TestMedianInputs:
 
     @staticmethod
     def median(env, states, gate=None, lens=None):
-        return median_empowerment_on_kernel(
-            env.kernel, gate or env.gate, states, 1, lens or env.output_lens
-        )
+        return median_empowerments(
+            [(env.kernel, gate or env.gate, states, 1, lens or env.output_lens)])[0]
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_mask_of_wrong_length_rejected(self, env, delta):
@@ -761,8 +762,8 @@ class TestMedianInputs:
     @pytest.mark.parametrize("max_states", [0, -3])
     def test_max_states_below_one_rejected(self, env, max_states):
         with pytest.raises(ValueError, match=f"max_states must be an integer >= 1, not {max_states}"):
-            median_empowerment_on_kernel(env.kernel, env.gate, np.ones(env.n_states, dtype=bool),
-                                         1, env.output_lens, max_states=max_states)
+            median_empowerments([(env.kernel, env.gate, np.ones(env.n_states, dtype=bool), 1,
+                                  env.output_lens)], max_states=max_states)
 
     @pytest.mark.parametrize("part", ["gate ledger", "gate costs", "lens projection"])
     def test_gate_and_lens_must_fit_the_kernel(self, env, part):
@@ -797,7 +798,7 @@ class TestMedianMemo:
     @staticmethod
     def direct(k, g, med, horizon, f, tol):
         return [
-            channel_capacity(build_channel(k, g, s, horizon, f), tol=tol)
+            channel_capacities([build_channel(k, g, s, horizon, f)], tol=tol)[0]
             for s in med.selected_states
         ]
 
@@ -808,7 +809,7 @@ class TestMedianMemo:
             g = random_gate(rng, 6, 3)
             f = Lens(name="mod3", project=np.arange(6) % 3, n_labels=3)
             for horizon in (1, 2):
-                med = median_empowerment_on_kernel(k, g, np.ones(6, bool), horizon, f, tol=tol)
+                med = median_empowerments([(k, g, np.ones(6, bool), horizon, f)], tol=tol)[0]
                 direct = self.direct(k, g, med, horizon, f, tol)
                 np.testing.assert_allclose(
                     med.values, [r.capacity_bits for r in direct], rtol=0, atol=2 * tol
@@ -819,7 +820,7 @@ class TestMedianMemo:
             k = random_kernel(rng, 5, 2)
             g = zero_gate(5, 2)
             f = identity_lens(5)
-            med = median_empowerment_on_kernel(k, g, np.ones(5, bool), 2, f, tol=1e-9)
+            med = median_empowerments([(k, g, np.ones(5, bool), 2, f)], tol=1e-9)[0]
             direct = self.direct(k, g, med, 2, f, 1e-9)
             assert max(r.gap for r in med.solved) == max(r.gap for r in direct)
             assert max(r.iterations for r in med.solved) == max(r.iterations for r in direct)
@@ -829,7 +830,7 @@ class TestMedianMemo:
                              ids=["True", "False", "mirrored"])
     def test_holonomy_ring_matches_unmerged_channels(self, protocol_on, lens, monkeypatch):
         tol = 1e-9
-        env = build_ringworld(holonomy_config("paper", protocol_on))
+        env = build_ringworld(replace(HOLONOMY, protocol_on=protocol_on))
         f = env.output_lens if lens == "y" else mirrored_lens(env.output_lens)
         vres = viability_kernel(env.kernel, env.gate, env.safety_ledger_only)
         solves = []
@@ -843,9 +844,8 @@ class TestMedianMemo:
         monkeypatch.setattr(empowerment, "channel_capacities", counting)
         for horizon in (1, 2, 3):
             solves.clear()
-            med = median_empowerment_on_kernel(
-                env.kernel, env.gate, vres.kernel, horizon, f, max_states=16, tol=tol,
-            )
+            med, = median_empowerments([(env.kernel, env.gate, vres.kernel, horizon, f)],
+                                       max_states=16, tol=tol)
             # y-shifted start states share one orbit representative
             period = median_period(env.kernel, env.gate, f)
             assert 1 <= len(solves) == len(med.solved) < len(med.selected_states)
@@ -855,11 +855,11 @@ class TestMedianMemo:
             # channels cut from independent dense rollouts, one per selected state
             seqs, rows = dense_sequence_rows(env.kernel, horizon, f, med.selected_states)
             costs = np.array([env.gate.costs[list(seq)].sum() for seq in seqs])
-            oracle = [
-                channel_capacity(rows[costs <= env.gate.ledger[s], i], tol=tol).capacity_bits
-                for i, s in enumerate(med.selected_states)
-            ]
-            np.testing.assert_allclose(med.values, oracle, rtol=0, atol=2 * tol)
+            oracle = channel_capacities(
+                (rows[costs <= env.gate.ledger[s], i] for i, s in enumerate(med.selected_states)),
+                tol=tol)
+            np.testing.assert_allclose(med.values, [r.capacity_bits for r in oracle],
+                                       rtol=0, atol=2 * tol)
             assert max(r.gap for r in med.solved) <= tol
 
 
@@ -898,7 +898,7 @@ class TestMedianEmpowerments:
     @pytest.mark.parametrize("max_states", [4, 64])
     def test_batch_equals_single_medians_in_both_orders(self, rng, max_states):
         problems = self.mixed_problems(rng)
-        single = [median_empowerment_on_kernel(*p, max_states=max_states) for p in problems]
+        single = [median_empowerments([p], max_states=max_states)[0] for p in problems]
         assert any(m.subset_rule == "empty_kernel" for m in single)
         assert len({len(m.solved) for m in single}) > 1
         forward = median_empowerments(problems, max_states=max_states)
@@ -924,10 +924,10 @@ class TestMedianEmpowerments:
         meds = median_empowerments(drawn())
         assert len(validated) == len(problems)
         for med, problem in zip(meds, problems):
-            self.assert_same(med, median_empowerment_on_kernel(*problem))
+            self.assert_same(med, median_empowerments([problem])[0])
 
     def test_gates_with_other_orbits_get_their_own_setup(self):
-        env = build_ringworld(holonomy_config("paper", True))
+        env = build_ringworld(HOLONOMY)
         k, f, states = env.kernel, env.output_lens, np.ones(env.n_states, dtype=bool)
         y = f.project
         uneven = FeasibilityGate(ledger=env.gate.ledger + (y == 3), costs=env.gate.costs)
@@ -936,7 +936,7 @@ class TestMedianEmpowerments:
         # one kernel and lens, gates alternating: each problem computes its own orbits
         problems = [(k, gate, states, 2, f) for gate in (env.gate, uneven, env.gate, uneven)]
         for med, problem in zip(median_empowerments(problems), problems):
-            self.assert_same(med, median_empowerment_on_kernel(*problem))
+            self.assert_same(med, median_empowerments([problem])[0])
 
     def test_fresh_kernel_per_problem_never_reads_a_dropped_setup(self):
         # each kernel is built as it is drawn and dropped after its cut, so
@@ -949,7 +949,7 @@ class TestMedianEmpowerments:
 
         meds = median_empowerments((kernel(seed), g, states, 2, f) for seed in seeds)
         for med, seed in zip(meds, seeds):
-            self.assert_same(med, median_empowerment_on_kernel(kernel(seed), g, states, 2, f))
+            self.assert_same(med, median_empowerments([(kernel(seed), g, states, 2, f)])[0])
 
     def test_lenses_must_share_a_label_count(self, rng):
         k, g = random_kernel(rng, 6, 2), zero_gate(6, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agencykit.artifacts import config_hash
-from agencykit.empowerment import feasible_empowerment
+from agencykit.empowerment import build_channel, channel_capacities
 from agencykit.environments import (
     LEFT,
     NOOP,
@@ -17,8 +17,7 @@ from agencykit.environments import (
     build_schedule_trap,
     ring_state_index,
 )
-from agencykit.kernel import validate_kernel
-from conftest import exhibit_ring_configs, sweep_ring_configs
+from conftest import assert_constructs_again, exhibit_ring_configs, sweep_ring_configs
 from oracles import dense, successor_support
 
 
@@ -34,7 +33,7 @@ class TestKernelExactness:
     ])
     def test_rows_sum_exactly_to_one(self, cfg):
         env = build_ringworld(cfg)
-        assert validate_kernel(env.kernel).ok
+        assert_constructs_again(env.kernel)
         sums = dense(env.kernel).sum(axis=2)
         assert np.abs(sums - 1.0).max() == 0.0
 
@@ -48,7 +47,7 @@ class TestKernelExactness:
                 repair_success=float(rng.random()), theta_levels=int(rng.integers(2, 5)),
             )
             env = build_ringworld(cfg)
-            assert validate_kernel(env.kernel).ok
+            assert_constructs_again(env.kernel)
             assert np.all(env.kernel.weights.sum(axis=2) == 1.0)
 
     def test_state_count_formula(self):
@@ -222,9 +221,9 @@ class TestProtocolMatching:
         cfg = RingWorldConfig()
         for phi in range(2):
             s = ring_state_index(cfg, y=0, u=0, phi=phi, r=2)
-            c_on = feasible_empowerment(on.kernel, on.gate, s, 1, on.output_lens)
-            c_off = feasible_empowerment(off.kernel, off.gate, s, 1, off.output_lens)
-            assert abs(c_on - c_off) <= 1e-9
+            c_on, c_off = channel_capacities(
+                build_channel(env.kernel, env.gate, s, 1, env.output_lens) for env in (on, off))
+            assert abs(c_on.capacity_bits - c_off.capacity_bits) <= 1e-9
 
 
 class TestBranchTableMemo:
@@ -291,7 +290,7 @@ class TestBranchTableMemo:
 class TestNullEnvironments:
     def test_single_action_cycle_is_permutation(self):
         env = build_null_single_action()
-        assert validate_kernel(env.kernel).ok
+        assert_constructs_again(env.kernel)
         mat = dense(env.kernel)[0]
         assert np.array_equal(mat.sum(axis=0), np.ones(4))
         assert set(np.unique(mat)) == {0.0, 1.0}
@@ -299,18 +298,19 @@ class TestNullEnvironments:
     def test_single_action_zero_empowerment(self):
         env = build_null_single_action()
         for h in (1, 2, 3):
-            assert feasible_empowerment(env.kernel, env.gate, 0, h, env.output_lens) == 0.0
+            channel = build_channel(env.kernel, env.gate, 0, h, env.output_lens)
+            assert channel_capacities([channel])[0].capacity_bits == 0.0
 
     def test_schedule_trap_wrong_model_one_bit(self):
         env = build_schedule_trap("wrong")
-        cap = feasible_empowerment(env.kernel, env.gate, 0, 1, env.output_lens)
-        assert cap == pytest.approx(1.0, abs=1e-9)
+        cap, = channel_capacities([build_channel(env.kernel, env.gate, 0, 1, env.output_lens)])
+        assert cap.capacity_bits == pytest.approx(1.0, abs=1e-9)
 
     def test_schedule_trap_right_model_rows_identical(self):
         env = build_schedule_trap("right")
         np.testing.assert_array_equal(dense(env.kernel)[0], dense(env.kernel)[1])
-        cap = feasible_empowerment(env.kernel, env.gate, 0, 1, env.output_lens)
-        assert cap == 0.0
+        cap, = channel_capacities([build_channel(env.kernel, env.gate, 0, 1, env.output_lens)])
+        assert cap.capacity_bits == 0.0
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):

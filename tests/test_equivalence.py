@@ -15,10 +15,10 @@ from agencykit.empowerment import (
     Lens,
     _batched_sequence_rows,
     build_channel,
-    median_empowerment_on_kernel,
+    median_empowerments,
 )
 from agencykit.environments import RingWorldConfig, build_ringworld
-from agencykit.experiments import ABLATIONS, holonomy_config, learning_config
+from agencykit.experiments import ABLATIONS, HOLONOMY, learning_config
 from agencykit.feasibility import FeasibilityGate, feasible_sequences
 from agencykit.kernel import ControlledKernel, Policy
 from agencykit.packaging import idempotence_defect, packaging_endomap
@@ -35,9 +35,9 @@ from oracles import (
 )
 
 RING_CONFIGS = {
-    "holonomy_on": holonomy_config("paper", True),
-    "holonomy_off": holonomy_config("paper", False),
-    "ring64": replace(holonomy_config("paper", True), ring_size=64),
+    "holonomy_on": HOLONOMY,
+    "holonomy_off": replace(HOLONOMY, protocol_on=False),
+    "ring64": replace(HOLONOMY, ring_size=64),
 }
 
 
@@ -195,15 +195,14 @@ class TestPackaging:
 
 def test_ring_1024_runs_within_small_kernel_arrays():
     """S = 12288: the dense tensor would be 4.8 GB; the successor lists stay small."""
-    env = build_ringworld(replace(holonomy_config("paper", True), ring_size=1024))
+    env = build_ringworld(replace(HOLONOMY, ring_size=1024))
     k = env.kernel
     assert k.n_states == 12288
     arrays = [v for v in vars(k).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) <= 8 * 2**20
     vres = viability_kernel(k, env.gate, env.safety_ledger_only)
     assert 0 < vres.size < k.n_states
-    med = median_empowerment_on_kernel(k, env.gate, vres.kernel, 3, env.output_lens,
-                                       max_states=64)
+    med, = median_empowerments([(k, env.gate, vres.kernel, 3, env.output_lens)], max_states=64)
     assert len(med.selected_states) == 64
     assert 0.0 < med.median_bits <= np.log2(64)
     e = packaging_endomap(k, env.macro_lens, env.policies["repair_then_right"], 2)

@@ -1,17 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from agencykit import empowerment
 from agencykit.artifacts import canonical_serialize
-from agencykit.empowerment import median_empowerment_on_kernel
+from agencykit.empowerment import median_empowerments
 from agencykit.environments import LEFT, RIGHT, build_ringworld
 from agencykit.experiments import (
     ABLATIONS,
     ECONOMY,
     EMPOWERMENT_TOL,
     EXHIBITS,
+    HOLONOMY,
     MAX_MEDIAN_STATES,
-    holonomy_config,
     run_exhibit,
     solver_block,
 )
@@ -23,10 +25,6 @@ class TestRunnerBasics:
     def test_unknown_exhibit_rejected(self):
         with pytest.raises(ValueError):
             run_exhibit("bogus")
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError, match="unknown profile 'nope'"):
-            holonomy_config("nope", True)
 
     @pytest.mark.parametrize("name", ["nulls", "packaging", "learning", "sweep", "ablations"])
     def test_record_shape_and_contracts(self, name):
@@ -173,7 +171,7 @@ class TestExhibitNumbers:
         # must be its sequence's one-column rollout, bit for bit
         witness = run_exhibit("holonomy").metrics["witness"]
         for regime, protocol_on in (("protocol_on", True), ("protocol_off", False)):
-            env = build_ringworld(holonomy_config("paper", protocol_on))
+            env = build_ringworld(replace(HOLONOMY, protocol_on=protocol_on))
             w = witness[regime]
             for name, seq in (("alpha", (RIGHT, LEFT)), ("beta", (LEFT, RIGHT))):
                 out = rollout_output_distribution(env.kernel, w["start_state"], seq,
@@ -181,10 +179,9 @@ class TestExhibitNumbers:
                 assert np.array(w[f"{name}_output_distribution"]).tobytes() == out.tobytes()
 
     def test_solver_block_of_empty_medians(self):
-        env = build_ringworld(holonomy_config("paper", True))
-        empty = median_empowerment_on_kernel(
-            env.kernel, env.gate, np.zeros(env.n_states, bool), 2, env.output_lens
-        )
+        env = build_ringworld(HOLONOMY)
+        empty, = median_empowerments(
+            [(env.kernel, env.gate, np.zeros(env.n_states, bool), 2, env.output_lens)])
         assert solver_block([empty, empty]) == {
             "max_gap_bits": 0.0, "solves": 0, "iterations_total": 0, "iterations_max": 0,
         }

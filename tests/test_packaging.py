@@ -10,7 +10,7 @@ import pytest
 from agencykit import packaging
 from agencykit.empowerment import Lens
 from agencykit.environments import LEFT, RIGHT, RingWorldConfig, build_ringworld, ring_state_index
-from agencykit.experiments import ABLATIONS, PAPER, TAU_GRID, holonomy_config
+from agencykit.experiments import ABLATIONS, HOLONOMY, PAPER, TAU_GRID
 from agencykit.kernel import ControlledKernel, Policy
 from agencykit.packaging import Endomap, idempotence_defect, packaging_endomap
 from conftest import random_kernel
@@ -222,7 +222,7 @@ class TestExactTies:
 
 
 def ladder_config(ring: int) -> RingWorldConfig:
-    return replace(holonomy_config("paper", True), ring_size=ring)
+    return replace(HOLONOMY, ring_size=ring)
 
 
 @pytest.fixture(scope="module")

@@ -26,7 +26,7 @@ import reference  # noqa: E402
 import workloads  # noqa: E402
 
 import agencykit as ak  # noqa: E402
-from agencykit.empowerment import median_empowerment_on_kernel  # noqa: E402
+from agencykit.empowerment import median_empowerments  # noqa: E402
 from agencykit.experiments import solver_block  # noqa: E402
 
 
@@ -86,8 +86,8 @@ def test_random_kernels_batch0_solver_counts():
         safe = ak.SafetyPredicate(safe=inst.safe, name="random_safe")
         out = ak.Lens(name="random_output", project=inst.output_labels,
                       n_labels=workloads.RANDOM_OUTPUT_LABELS)
-        med = median_empowerment_on_kernel(
-            k, gate, ak.viability_kernel(k, gate, safe).kernel, workloads.RANDOM_HORIZON, out,
+        med, = median_empowerments(
+            [(k, gate, ak.viability_kernel(k, gate, safe).kernel, workloads.RANDOM_HORIZON, out)],
             max_states=workloads.MAX_MEDIAN_STATES, tol=workloads.EMPOWERMENT_TOL,
         )
         block = solver_block([med])
